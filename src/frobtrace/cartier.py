@@ -9,8 +9,10 @@ denominator is cleared to a p^e-th power:
     Tr^e(h/g dx) = Tr^e(h * g^{p^e - 1} dx) / g
 
 and this specific clearing (by the original denominator) is what
-:func:`trace_rational_top` always performs; callers relying on a smaller
-denominator use the semilinearity of the map instead.
+:func:`trace_rational_top` always performs.  When g = E * D^{p^e},
+semilinearity gives the smaller Tr^e(h * E^{p^e - 1} dx) / (E * D) instead,
+raising only E to a power; :func:`frobtrace.projective.trace_matrix`
+computes its columns that way.
 
 The inverse Cartier operator returns one designated closed representative
 of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively.

@@ -24,7 +24,7 @@ from .forms import TopForm
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import Poly
-from .projective import ContainmentError, map_verdict, section_space, trace_matrix
+from .projective import ContainmentError, section_space, trace_matrix
 
 JSON_VERSION = "1"
 
@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=["table", "json"], default="table")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel column evaluation for trace matrices")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -161,9 +159,9 @@ def cmd_trace_matrix(args) -> int:
     if not e_part.is_effective():
         raise ParseError("the fixed divisor E must be effective")
     divisor = parse_divisor(args.D, field, varnames)
-    t = trace_matrix(e_part, divisor, args.e, chart, threads=args.threads)
-    verdict = map_verdict(t)
+    t = trace_matrix(e_part, divisor, args.e, chart)
     payload = {"command": "trace-matrix", **t.to_json(varnames)}
+    verdict = payload["verdict"]
     chart_names = [v for i, v in enumerate(varnames) if i != chart]
     lines = [
         f"Tr^{args.e}: omega(E + p^e D) -> omega(E + D) over F_{field.q}, "
@@ -177,8 +175,8 @@ def cmd_trace_matrix(args) -> int:
     ]
     for row in t.matrix:
         lines.append("    [" + " ".join(str(c) for c in row) + "]")
-    lines.append(f"  verdict: rank {verdict.rank}, surjective {verdict.surjective}, "
-                 f"zero {verdict.zero}")
+    lines.append(f"  verdict: rank {verdict['rank']}, surjective "
+                 f"{verdict['surjective']}, zero {verdict['zero']}")
     _emit(args, payload, lines)
     return 0
 
@@ -232,7 +230,7 @@ def cmd_fedder(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    report = build_report(threads=args.threads)
+    report = build_report()
     payload = {"command": "demo", "which": args.which, **report}
     lines = [f"Fermat cubic over F_2 on P^3, chart {report['chart']}"]
     for check in report["checks"]:

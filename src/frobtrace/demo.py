@@ -25,7 +25,7 @@ VARNAMES = ["x", "y", "z", "w"]
 CHART = 3
 
 
-def build_report(threads: int = None) -> dict:
+def build_report() -> dict:
     field = FiniteField(2)
     chart_names = [v for i, v in enumerate(VARNAMES) if i != CHART]
     cubic = parse_poly("x^3+y^3+z^3+w^3", field, VARNAMES)
@@ -66,7 +66,7 @@ def build_report(threads: int = None) -> dict:
 
     matrices = {}
     for e in (1, 2, 3):
-        t = trace_matrix(cubic_div, hyperplane, e, threads=threads)
+        t = trace_matrix(cubic_div, hyperplane, e)
         verdict = map_verdict(t)
         iterated_agrees = all(
             trace_iterated(t.src.basis_form(i), e)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .cartier import trace_rational_top
 from .forms import TopForm
 from .poly import Poly, RationalFn, monomials_upto
 
@@ -167,6 +166,19 @@ def _chart_varnames(varnames, n, chart):
     return [v for i, v in enumerate(varnames) if i != chart]
 
 
+def _chart_product(divisor: DivisorSpec, chart: int) -> Poly:
+    """Product of the dehomogenized f_j^{a_j} of the divisor on the chart."""
+    product = Poly.one(divisor.field, divisor.n)
+    for f, a in divisor.hypersurfaces:
+        fd = f.dehomogenize(chart)
+        if fd.is_zero():
+            raise ChartError(f"hypersurface {f} vanishes identically on the chart")
+        if f.total_degree() >= 1 and fd.is_constant():
+            raise ChartError(f"hypersurface {f} is contained in the chart complement")
+        product = product * fd ** a
+    return product
+
+
 def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
     """Build the chart model; dimension C(bound + n, n) for bound >= 0, else 0."""
     n = divisor.n
@@ -174,14 +186,7 @@ def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
         chart = n
     if not 0 <= chart <= n:
         raise ChartError(f"chart index {chart} out of range for P^{n}")
-    den = Poly.one(divisor.field, n)
-    for f, a in divisor.hypersurfaces:
-        fd = f.dehomogenize(chart)
-        if fd.is_zero():
-            raise ChartError(f"hypersurface {f} vanishes identically on the chart")
-        if f.total_degree() >= 1 and fd.is_constant():
-            raise ChartError(f"hypersurface {f} is contained in the chart complement")
-        den = den * fd ** a
+    den = _chart_product(divisor, chart)
     bound = divisor.degree_sum() + divisor.k - (n + 1)
     basis = monomials_upto(n, bound)
     space = SectionSpace(divisor, chart, den, bound, basis)
@@ -269,45 +274,40 @@ def map_verdict(t: SemilinearMap) -> MapVerdict:
 
 
 def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
-                 chart: int = None, threads: int = None) -> SemilinearMap:
+                 chart: int = None) -> SemilinearMap:
     """Matrix of Tr^e between the models of omega(E + p^e D) and omega(E + D).
 
-    Each source basis form is traced, cleared to the target denominator by
-    exact division, and degree-checked against the target bound; failure of
-    either step cannot happen for a correct trace and raises
-    :class:`ContainmentError` naming the basis element.
+    With q = p^e, semilinearity gives Tr^e(h / (E D^q)) = Tr^e(h E^{q-1}) / (E D),
+    so every traced numerator is already over the target denominator and
+    no exact division is needed.  E^{q-1} is decomposed once as
+    sum_r g_r^q x^r; the trace of x^m E^{q-1} is x^s g_r for the single
+    residue r = (q-1-m) mod q, with s = (m + r - (q-1)) / q, and zero when
+    that bucket is empty.  A traced numerator above the target degree bound
+    cannot happen for a correct trace and raises :class:`ContainmentError`
+    naming the basis element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
-    src_div = pe_twist(divisor, e_part, e)
-    tgt_div = e_part.combined(divisor, 1)
-    src = section_space(src_div, chart)
-    tgt = section_space(tgt_div, chart)
+    src = section_space(pe_twist(divisor, e_part, e), chart)
+    tgt = section_space(e_part.combined(divisor, 1), chart)
     field = src.field
-
-    def column(mono):
-        numerator = Poly.monomial(field, mono)
-        traced = trace_rational_top(
-            TopForm(field, src.n, RationalFn(numerator, src.den)), e)
-        cleared = (traced.coeff.num * tgt.den).exact_divide(traced.coeff.den)
-        label = Poly.monomial(field, mono).to_string()
-        if cleared is None:
-            raise ContainmentError(
-                f"trace of basis element {label} is not a section of the target "
-                "(denominator did not clear)")
-        if not cleared.is_zero() and cleared.total_degree() > tgt.bound:
-            raise ContainmentError(
-                f"trace of basis element {label} exceeds the target degree bound "
-                f"({cleared.total_degree()} > {tgt.bound})")
-        return [cleared.terms.get(m, field.zero) for m in tgt.basis]
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, src.basis))
-    else:
-        cols = [column(mono) for mono in src.basis]
-
-    matrix = [[cols[b][r] for b in range(src.dim)] for r in range(tgt.dim)]
+    q = field.p ** e
+    buckets = (_chart_product(e_part, src.chart) ** (q - 1)).frobenius_decompose(e)
+    row_of = {m: i for i, m in enumerate(tgt.basis)}
+    matrix = [[field.zero] * src.dim for _ in range(tgt.dim)]
+    for b, mono in enumerate(src.basis):
+        r = tuple((q - 1 - x) % q for x in mono)
+        g = buckets.get(r)
+        if g is None:
+            continue
+        s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
+        for m, c in g.terms.items():
+            shifted = tuple(x + y for x, y in zip(m, s))
+            row = row_of.get(shifted)
+            if row is None:
+                label = Poly.monomial(field, mono).to_string()
+                raise ContainmentError(
+                    f"trace of basis element {label} exceeds the target degree bound "
+                    f"({sum(shifted)} > {tgt.bound})")
+            matrix[row][b] = c
     return SemilinearMap(src, tgt, e, matrix)

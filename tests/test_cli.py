@@ -198,9 +198,14 @@ def test_bad_chart_rejected(capsys):
     assert "q" in err
 
 
-def test_threads_flag(capsys):
-    base = ["--char", "2", "--vars", "x,y,z,w", "--output", "json", "trace-matrix",
-            "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1", "--e", "2"]
-    _, single, _ = run(base, capsys)
-    _, multi, _ = run(["--threads", "4"] + base, capsys)
-    assert single == multi
+def test_trace_matrix_table_footer_matches_json_verdict(capsys):
+    base = ["--char", "3", "--vars", "x,y,z"]
+    cmd = ["trace-matrix", "--E", "x^2+y*z:1", "--D", "H:2", "--e", "2"]
+    code, table, _ = run(base + cmd, capsys)
+    assert code == 0
+    _, out, _ = run(base + ["--output", "json"] + cmd, capsys)
+    verdict = json.loads(out)["verdict"]
+    assert not verdict["zero"]
+    assert table.splitlines()[-1] == (
+        f"  verdict: rank {verdict['rank']}, surjective {verdict['surjective']}, "
+        f"zero {verdict['zero']}")

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from frobtrace import projective
 from frobtrace import (
     ChartError,
+    ContainmentError,
     DivisorSpec,
     FiniteField,
     Poly,
@@ -16,6 +18,7 @@ from frobtrace import (
     TopForm,
     map_verdict,
     parse_divisor,
+    parse_modulus,
     parse_poly,
     pe_twist,
     section_space,
@@ -214,10 +217,61 @@ def test_apply_matches_traced_forms():
         assert image == t.tgt.coords_of(cleared)
 
 
-def test_threads_give_identical_matrix():
-    E = fermat_divisor()
-    H = DivisorSpec(F2, 3, k=1)
-    assert trace_matrix(E, H, 2) == trace_matrix(E, H, 2, threads=4)
+def matches_direct_trace(E, D, e, chart=None):
+    """trace_matrix against the direct path: trace each source basis form
+    over the full source denominator, then divide down to the target's."""
+    t = trace_matrix(E, D, e, chart)
+    for b in range(t.src.dim):
+        traced = trace_rational_top(t.src.basis_form(b), e)
+        cleared = (traced.coeff.num * t.tgt.den).exact_divide(traced.coeff.den)
+        assert [row[b] for row in t.matrix] == t.tgt.coords_of(cleared), b
+    return t
+
+
+def extension_cubic_and_conic(field):
+    g = field.generator
+    cubic = (parse_poly("x^3+z^3", field, XYZ) + parse_poly("y^3", field, XYZ) * g
+             + parse_poly("x*y*z", field, XYZ) * g)
+    conic = parse_poly("x^2", field, XYZ) * g + parse_poly("y*z", field, XYZ)
+    return (DivisorSpec(field, 2, [(cubic, 1)]),
+            DivisorSpec(field, 2, [(conic, 1)], k=1))
+
+
+def test_trace_matrix_matches_direct_trace_over_extension_fields():
+    for p, modulus, e in ((2, "t^2+t+1", 2), (5, "t^2+2", 1)):
+        field = FiniteField(p, 2, parse_modulus(modulus, p))
+        t = matches_direct_trace(*extension_cubic_and_conic(field), e)
+        assert not map_verdict(t).zero
+
+
+def test_trace_matrix_matches_direct_trace_on_special_divisors():
+    conic = parse_poly("x^2+y*z", F2, XYZ)
+    shared = DivisorSpec(F2, 2, [(conic, 1)])
+    t = matches_direct_trace(shared, DivisorSpec(F2, 2, [(conic, 1)], k=1), 2)
+    assert t.src.divisor.hypersurfaces == ((conic, 5),)
+    assert not map_verdict(t).zero
+    doubled = DivisorSpec(F3, 2, [(parse_poly("x^2+y*z", F3, XYZ), 2)])
+    assert not map_verdict(matches_direct_trace(doubled, DivisorSpec(F3, 2, k=1), 1)).zero
+    F4 = FiniteField(2, 2, parse_modulus("t^2+t+1", 2))
+    matches_direct_trace(*extension_cubic_and_conic(F4), 1, chart=0)
+    no_e = matches_direct_trace(DivisorSpec(F3, 2), DivisorSpec(F3, 2, k=2), 2)
+    assert map_verdict(no_e).surjective
+
+
+def test_containment_error_names_column_past_degree_bound(monkeypatch):
+    # a chart product with a stray factor x^3 pushes the trace of the
+    # basis element y (printed x1) out of the degree-0 target
+    chart_product = projective._chart_product
+    monkeypatch.setattr(projective, "_chart_product", lambda divisor, chart:
+                        chart_product(divisor, chart) * Poly.monomial(F2, (3, 0)))
+    with pytest.raises(ContainmentError, match="basis element x1 exceeds"):
+        trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
+
+
+def test_fermat_trace_matrix_vanishes_at_e5():
+    t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 5)
+    assert t.src.dim == 5984 and t.tgt.dim == 1
+    assert map_verdict(t).zero
 
 
 def test_json_schema_shape():
