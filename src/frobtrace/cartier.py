@@ -21,10 +21,8 @@ On top forms, following it by the exponent-1 trace is the identity.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import linalg
-from .forms import DiffForm, TopForm
+from .forms import DiffForm, TopForm, d_columns
 from .poly import Poly, RationalFn, monomials_upto
 
 
@@ -86,8 +84,11 @@ def trace_by_decomposition(f: Poly) -> Poly:
 
     Solves for eta (a polynomial (n-1)-form of degree <= deg f + 1) and tau
     (a polynomial of degree <= (deg f - n(p-1))/p) by linear algebra over
-    the prime field and returns tau.  Independent of the residue-bucket
-    algorithm; prime fields only, where t -> t^p is linear on coefficients.
+    the prime field and returns tau.  The d(eta) columns are the monomial
+    d-columns of :func:`frobtrace.forms.d_columns`, the C^{-1}(tau) columns
+    come from :func:`inverse_cartier_top`, and :func:`frobtrace.linalg.solve`
+    solves the system.  Independent of the residue-bucket algorithm; prime
+    fields only, where t -> t^p is linear on coefficients.
     """
     field = f.field
     if field.s != 1:
@@ -96,36 +97,15 @@ def trace_by_decomposition(f: Poly) -> Poly:
     if f.is_zero():
         return Poly.zero(field, n)
     d = int(f.total_degree())
-
-    row_of = {m: i for i, m in enumerate(monomials_upto(n, d))}
-    columns = []
-    tau_monos = []
-
-    for K in combinations(range(n), n - 1):
-        (j,) = tuple(set(range(n)) - set(K))
-        sign = -1 if sum(1 for i in K if i < j) % 2 else 1
-        for m in monomials_upto(n, d + 1):
-            g = Poly.monomial(field, m).partial(j)
-            if sign < 0:
-                g = -g
-            columns.append({row_of[mono]: c for mono, c in g.terms.items()})
-
-    dtau = (d - n * (p - 1)) // p
-    for t in monomials_upto(n, dtau):
+    full = tuple(range(n))
+    row_of, columns = d_columns(field, n, n, d)
+    tau_monos = monomials_upto(n, (d - n * (p - 1)) // p)
+    for t in tau_monos:
         image = inverse_cartier_top(Poly.monomial(field, t))
-        tau_monos.append(t)
-        columns.append({row_of[mono]: c for mono, c in image.terms.items()})
-
-    nrows = len(row_of)
-    matrix = [[field.zero] * len(columns) for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, value in col.items():
-            matrix[r][c] = value
-    rhs = [field.zero] * nrows
-    for mono, c in f.terms.items():
-        rhs[row_of[mono]] = c
-
-    solution = linalg.solve(matrix, rhs, field)
+        columns.append({row_of[(full, mono)]: c for mono, c in image.terms.items()})
+    rhs = {row_of[(full, mono)]: c for mono, c in f.terms.items()}
+    rows, rhs = linalg.sparse_system(columns, rhs, len(row_of), field)
+    solution = linalg.solve(rows, rhs, field)
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "
                            "this contradicts the exact sequence it satisfies")

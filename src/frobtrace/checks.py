@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 from .cartier import (
     inverse_cartier,
@@ -138,7 +139,8 @@ def check_kernel_exact(cases, seed) -> SuiteReport:
         field = _field(p)
         n = rng.randint(1, 3)
         coeffs = {}
-        for idx in _codim1_subsets(n):
+        for j in range(n):
+            idx = tuple(v for v in range(n) if v != j)
             coeffs[idx] = RationalFn(random_poly(field, n, rng, 3, 4))
         eta = DiffForm(field, n, n - 1, coeffs)
         d_eta = exterior_derivative(eta)
@@ -147,11 +149,6 @@ def check_kernel_exact(cases, seed) -> SuiteReport:
         ok = trace_poly_top(g, 1).is_zero()
         report.record(ok, f"p={p} n={n}: Tr(d eta) != 0 for eta={eta}")
     return report
-
-
-def _codim1_subsets(n):
-    full = tuple(range(n))
-    return [tuple(v for v in full if v != j) for j in range(n)]
 
 
 def check_cartier_roundtrip(cases, seed) -> SuiteReport:
@@ -169,20 +166,13 @@ def check_cartier_roundtrip(cases, seed) -> SuiteReport:
 
         if n >= 2:
             i = rng.randint(1, n - 1)
-            subsets = _increasing_subsets(n, i)
-            idx = rng.choice(subsets)
+            idx = rng.choice(list(combinations(range(n), i)))
             omega = DiffForm(field, n, i,
                              {idx: RationalFn(random_poly(field, n, rng, 3, 3))})
             rep = inverse_cartier(omega)
             ok = exterior_derivative(rep).is_zero()
             report.record(ok, f"p={p} n={n} i={i}: representative of {omega} not closed")
     return report
-
-
-def _increasing_subsets(n, i):
-    from itertools import combinations
-
-    return list(combinations(range(n), i))
 
 
 def check_oracle(cases, seed) -> SuiteReport:

@@ -24,7 +24,7 @@ from .forms import TopForm
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import Poly
-from .projective import ContainmentError, section_space, trace_matrix
+from .projective import ContainmentError, _chart_varnames, section_space, trace_matrix
 
 JSON_VERSION = "1"
 
@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chart",
                         help="chart variable for projective commands (default: last)")
     parser.add_argument("--output", choices=["table", "json"], default="table")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -81,9 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="randomized property suites")
     p_check.add_argument("suite", choices=[*SUITES, "all"])
-    p_check.add_argument("--cases", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                         help="overrides the global --seed")
+    p_check.add_argument("--cases", type=int, default=100,
+                         help="cases per suite, at least 1 (default 100)")
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="seed for the random cases (default 0)")
     p_check.set_defaults(handler=cmd_check)
 
     return parser
@@ -162,7 +161,7 @@ def cmd_trace_matrix(args) -> int:
     t = trace_matrix(e_part, divisor, args.e, chart)
     payload = {"command": "trace-matrix", **t.to_json(varnames)}
     verdict = payload["verdict"]
-    chart_names = [v for i, v in enumerate(varnames) if i != chart]
+    chart_names = _chart_varnames(varnames, chart)
     lines = [
         f"Tr^{args.e}: omega(E + p^e D) -> omega(E + D) over F_{field.q}, "
         f"chart {varnames[chart]}",
@@ -188,7 +187,7 @@ def cmd_sections(args) -> int:
     divisor = parse_divisor(args.divisor, field, varnames)
     space = section_space(divisor, chart)
     payload = {"command": "sections", **space.to_json(varnames)}
-    chart_names = [v for i, v in enumerate(varnames) if i != chart]
+    chart_names = _chart_varnames(varnames, chart)
     lines = [
         f"sections of omega({divisor.to_string(varnames)}) on chart "
         f"{varnames[chart]} over F_{field.q}",
@@ -245,6 +244,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.cases < 1:
+        raise ParseError(f"--cases must be at least 1, got {args.cases}")
     reports = run_suite(args.suite, args.cases, args.seed)
     payload = {
         "command": "check",

@@ -19,7 +19,9 @@ from __future__ import annotations
 from .cartier import trace_iterated, trace_rational_top
 from .field import FiniteField
 from .parsing import parse_poly
-from .projective import DivisorSpec, map_verdict, section_space, trace_matrix
+from .poly import Poly
+from .projective import (DivisorSpec, _chart_varnames, map_verdict, section_space,
+                         trace_matrix)
 
 VARNAMES = ["x", "y", "z", "w"]
 CHART = 3
@@ -27,7 +29,7 @@ CHART = 3
 
 def build_report() -> dict:
     field = FiniteField(2)
-    chart_names = [v for i, v in enumerate(VARNAMES) if i != CHART]
+    chart_names = _chart_varnames(VARNAMES, CHART)
     cubic = parse_poly("x^3+y^3+z^3+w^3", field, VARNAMES)
     cubic_div = DivisorSpec(field, 3, [(cubic, 1)])
     hyperplane = DivisorSpec(field, 3, k=1)
@@ -45,8 +47,7 @@ def build_report() -> dict:
     check("source_dimension", src.dim == 4,
           dim=src.dim, bound=src.bound,
           den=src.den.to_string(chart_names),
-          basis=[b.to_string(chart_names)
-                 for b in map(lambda m: _mono(field, m), src.basis)])
+          basis=[Poly.monomial(field, m).to_string(chart_names) for m in src.basis])
 
     vanishing = []
     for label, k in (("omega(-K-X) ~ omega(1H)", 1), ("omega(-2K-2X) ~ omega(2H)", 2)):
@@ -59,7 +60,7 @@ def build_report() -> dict:
     traces = []
     for i in range(src.dim):
         value = trace_rational_top(src.basis_form(i), 1)
-        traces.append({"basis": _mono(field, src.basis[i]).to_string(chart_names),
+        traces.append({"basis": Poly.monomial(field, src.basis[i]).to_string(chart_names),
                        "trace": value.to_string(chart_names)})
     check("basis_traces_vanish", all(t["trace"] == "0" for t in traces),
           traces=traces)
@@ -82,9 +83,3 @@ def build_report() -> dict:
     report["matrix_e1"] = matrices[1].to_json(VARNAMES)
     report["ok"] = ok
     return report
-
-
-def _mono(field, exps):
-    from .poly import Poly
-
-    return Poly.monomial(field, exps)

@@ -219,14 +219,36 @@ def exterior_derivative(form: DiffForm) -> DiffForm:
             if j in idx:
                 continue
             g = f.partial(j)
-            if g.is_zero():
-                continue
-            sign = -1 if sum(1 for i in idx if i < j) % 2 else 1
-            if sign < 0:
-                g = -g
-            merged = tuple(sorted(idx + (j,)))
-            terms.append((merged, RationalFn(g)))
+            if not g.is_zero():
+                terms.append(((j,) + idx, RationalFn(g)))
     return DiffForm.from_terms(form.field, form.nvars, form.degree + 1, terms)
+
+
+def d_columns(field, n: int, i: int, dbound: int):
+    """Sparse matrix of d from the monomial (i-1)-forms x^m dx_K with
+    deg m <= dbound + 1 to the i-forms with coefficients of degree <= dbound.
+
+    Returns ``(row_of, columns)``.  ``row_of`` numbers the pairs
+    (J, monomial) of the target, J an increasing i-subset; ``columns`` holds
+    one sparse ``{row: value}`` dict per source form, ordered by K, then m.
+    """
+    row_of = {}
+    for J in combinations(range(n), i):
+        for m in monomials_upto(n, dbound):
+            row_of[(J, m)] = len(row_of)
+    columns = []
+    for K in combinations(range(n), i - 1):
+        for m in monomials_upto(n, dbound + 1):
+            x = Poly.monomial(field, m)
+            col = {}
+            for j in range(n):
+                if j in K:
+                    continue
+                J, sign = _normalize_indices((j,) + K)
+                for mono, c in x.partial(j).terms.items():
+                    col[row_of[(J, mono)]] = c if sign > 0 else -c
+            columns.append(col)
+    return row_of, columns
 
 
 def is_exact_bounded(form: DiffForm, dbound: int) -> bool:
@@ -242,33 +264,11 @@ def is_exact_bounded(form: DiffForm, dbound: int) -> bool:
             raise ValueError("exactness testing requires polynomial coefficients")
         if rat.as_poly().total_degree() > dbound:
             raise ValueError("coefficient degree exceeds the declared bound")
-    field, n, i = form.field, form.nvars, form.degree
+    field = form.field
     if form.is_zero():
         return True
-
-    row_of = {}
-    for J in combinations(range(n), i):
-        for m in monomials_upto(n, dbound):
-            row_of[(J, m)] = len(row_of)
-
-    columns = []
-    for K in combinations(range(n), i - 1):
-        for m in monomials_upto(n, dbound + 1):
-            eta = DiffForm(field, n, i - 1, {K: RationalFn(Poly.monomial(field, m))})
-            image = exterior_derivative(eta)
-            col = {}
-            for J, rat in image.coeffs.items():
-                for mono, c in rat.as_poly().terms.items():
-                    col[row_of[(J, mono)]] = c
-            columns.append(col)
-
-    nrows, ncols = len(row_of), len(columns)
-    matrix = [[field.zero] * ncols for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, value in col.items():
-            matrix[r][c] = value
-    rhs = [field.zero] * nrows
-    for J, rat in form.coeffs.items():
-        for mono, c in rat.as_poly().terms.items():
-            rhs[row_of[(J, mono)]] = c
-    return linalg.solve(matrix, rhs, field) is not None
+    row_of, columns = d_columns(field, form.nvars, form.degree, dbound)
+    rhs = {row_of[(J, mono)]: c
+           for J, rat in form.coeffs.items() for mono, c in rat.as_poly().terms.items()}
+    rows, rhs = linalg.sparse_system(columns, rhs, len(row_of), field)
+    return linalg.solve(rows, rhs, field) is not None

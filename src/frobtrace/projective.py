@@ -148,7 +148,7 @@ class SectionSpace:
                 and self.basis == other.basis and self.den == other.den)
 
     def to_json(self, varnames=None) -> dict:
-        chart_names = _chart_varnames(varnames, self.n, self.chart)
+        chart_names = _chart_varnames(varnames, self.chart)
         return {
             "divisor": self.divisor.to_json(varnames),
             "chart": self.chart,
@@ -160,7 +160,8 @@ class SectionSpace:
         }
 
 
-def _chart_varnames(varnames, n, chart):
+def _chart_varnames(varnames, chart):
+    """The variable names left on the chart: all but the chart variable."""
     if varnames is None:
         return None
     return [v for i, v in enumerate(varnames) if i != chart]

@@ -155,6 +155,25 @@ def test_check_deterministic_output(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_check_without_cases_is_usage_error(capsys, cases):
+    code, out, err = run(["check", "all", "--cases", cases], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--cases must be at least 1" in err
+
+
+def test_seed_is_an_option_of_check_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "42", "check", "all", "--cases", "1"])
+    assert exc.value.code == 2
+    _, default, _ = run(["--output", "json", "check", "oracle", "--cases", "3"], capsys)
+    _, zero, _ = run(["--output", "json", "check", "oracle", "--cases", "3",
+                      "--seed", "0"], capsys)
+    assert json.loads(default)["seed"] == 0
+    assert default == zero
+
+
 def test_check_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "no-such-suite"])
