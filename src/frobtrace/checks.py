@@ -223,7 +223,12 @@ SUITES = {
 
 
 def run_suite(name: str, cases: int, seed: int) -> list:
-    """Run one named suite, or all of them; returns a list of reports."""
+    """Run one named suite, or all of them; returns a list of reports.
+
+    At least one case is required: a suite that ran none would pass
+    without checking anything."""
+    if cases < 1:
+        raise ValueError(f"a suite needs at least 1 case, got {cases}")
     if name == "all":
         return [fn(cases, seed) for fn in SUITES.values()]
     if name not in SUITES:

@@ -41,16 +41,6 @@ def _utrim(c: list) -> list:
     return c
 
 
-def _uadd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] + bi) % p
-    return _utrim(out)
-
-
 def _usub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -91,33 +81,19 @@ def _udivmod(a, b, p):
     return _utrim(q), a
 
 
-def _ugcd(a, b, p):
-    a = _utrim(list(a))
-    b = _utrim(list(b))
-    while b:
-        a, b = b, _udivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
 def _uxgcd(a, b, p):
-    """Monic g and (u, v) with u*a + v*b = g."""
+    """Monic g = gcd(a, b) and u with u*a = g modulo b."""
     r0, r1 = _utrim(list(a)), _utrim(list(b))
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         q, r = _udivmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
-        t0, t1 = t1, _usub(t0, _umul(q, t1, p), p)
     if r0:
         inv = pow(r0[-1], -1, p)
         r0 = [(c * inv) % p for c in r0]
         s0 = [(c * inv) % p for c in s0]
-        t0 = [(c * inv) % p for c in t0]
-    return r0, s0, t0
+    return r0, s0
 
 
 def _upow_mod(a, n, m, p):
@@ -141,7 +117,7 @@ def _check_irreducible(modulus, p):
     t = list(x)
     for i in range(1, s // 2 + 1):
         t = _upow_mod(t, p, modulus, p)
-        g = _ugcd(_usub(t, x, p), modulus, p)
+        g = _uxgcd(_usub(t, x, p), modulus, p)[0]
         if g != [1]:
             return False
     return True
@@ -238,7 +214,7 @@ class FiniteField:
             raise ZeroDivisionError("division by zero in " + str(self))
         if self.s == 1:
             return (pow(a[0], -1, self.p),)
-        g, u, _ = _uxgcd(list(a), list(self.modulus), self.p)
+        g, u = _uxgcd(list(a), list(self.modulus), self.p)
         assert g == [1], "modulus validated irreducible, gcd must be 1"
         return tuple(u) + (0,) * (self.s - len(u))
 
@@ -351,18 +327,16 @@ class Scalar:
         return self ** (self.field.p ** e)
 
     def inverse_frobenius(self, e: int = 1) -> "Scalar":
-        """The unique p^e-th root: e applications of a ↦ a^{p^{s-1}}."""
-        step = self.field.p ** (self.field.s - 1)
-        b = self
-        for _ in range(e):
-            b = b ** step
-        return b
+        """The unique p^e-th root: phi^s is the identity on F_{p^s}, so
+        phi^{-e} = phi^{(-e) mod s}, the identity when that exponent is 0."""
+        k = (-e) % self.field.s
+        return self.frobenius(k) if k else self
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 
+from .field import FiniteField
 from .forms import DiffForm
 from .poly import Poly, RationalFn
 from .projective import DivisorSpec
@@ -211,33 +212,28 @@ class _Parser:
         return DiffForm.from_terms(self.field, n, degree, terms)
 
 
-def parse_poly(text: str, field, varnames) -> Poly:
-    """Parse a polynomial over the declared variables."""
+def _parse_whole(text, field, varnames, rule):
+    """Run the grammar ``rule`` (a :class:`_Parser` method) on all of text."""
     parser = _Parser(text, field, varnames)
-    poly = parser.parse_poly()
+    result = rule(parser)
     if not parser.done():
         _, value, pos = parser.peek()
         raise ParseError(f"trailing input starting with {value!r}", pos)
-    return poly
+    return result
+
+
+def parse_poly(text: str, field, varnames) -> Poly:
+    """Parse a polynomial over the declared variables."""
+    return _parse_whole(text, field, varnames, _Parser.parse_poly)
 
 
 def parse_rational(text: str, field, varnames) -> RationalFn:
-    parser = _Parser(text, field, varnames)
-    rat = parser.parse_rational()
-    if not parser.done():
-        _, value, pos = parser.peek()
-        raise ParseError(f"trailing input starting with {value!r}", pos)
-    return rat
+    return _parse_whole(text, field, varnames, _Parser.parse_rational)
 
 
 def parse_form(text: str, field, varnames) -> DiffForm:
     """Parse a differential form such as "(x/(x^3+1)) dx^dy"."""
-    parser = _Parser(text, field, varnames)
-    form = parser.parse_form()
-    if not parser.done():
-        _, value, pos = parser.peek()
-        raise ParseError(f"trailing input starting with {value!r}", pos)
-    return form
+    return _parse_whole(text, field, varnames, _Parser.parse_form)
 
 
 def parse_divisor(text: str, field, varnames) -> DivisorSpec:
@@ -282,8 +278,6 @@ def parse_modulus(text: str, p: int) -> list:
     if len(names) > 1:
         raise ParseError(f"modulus uses several variables: {sorted(names)}")
     var = names.pop() if names else "x"
-    from .field import FiniteField
-
     field = FiniteField(p)
     poly = parse_poly(text, field, [var])
     coeffs = [0] * (int(poly.total_degree()) + 1 if not poly.is_zero() else 1)

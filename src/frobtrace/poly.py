@@ -94,6 +94,15 @@ class Poly:
         return cls(field, nvars, None)
 
     @classmethod
+    def _wrap(cls, field, nvars, terms):
+        """A polynomial over ``terms`` as given, unchecked: the caller
+        guarantees arity-``nvars`` exponent tuples and nonzero coefficients
+        of ``field``."""
+        out = cls(field, nvars)
+        out.terms = terms
+        return out
+
+    @classmethod
     def one(cls, field, nvars):
         return cls.constant(field, nvars, 1)
 
@@ -166,16 +175,12 @@ class Poly:
                 terms[m] = s
             elif m in terms:
                 del terms[m]
-        out = Poly.zero(self.field, self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.field, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.zero(self.field, self.nvars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Poly._wrap(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -192,10 +197,10 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             c0 = self.field.scalar(other)
-            out = Poly.zero(self.field, self.nvars)
-            if c0:
-                out.terms = {m: v for m, v in ((m, c * c0) for m, c in self.terms.items()) if v}
-            return out
+            if not c0:
+                return Poly.zero(self.field, self.nvars)
+            return Poly._wrap(self.field, self.nvars,
+                              {m: c * c0 for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -210,9 +215,7 @@ class Poly:
                     terms[m] = s
                 elif m in terms:
                     del terms[m]
-        out = Poly.zero(self.field, self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.field, self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -254,9 +257,7 @@ class Poly:
             m2 = list(m)
             m2[j] = e - 1
             terms[tuple(m2)] = c2
-        out = Poly.zero(self.field, self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.field, self.nvars, terms)
 
     def dehomogenize(self, chart: int) -> "Poly":
         """Substitute 1 for the chart variable and drop it.
@@ -271,9 +272,7 @@ class Poly:
         terms = {}
         for m, c in self.terms.items():
             terms[m[:chart] + m[chart + 1:]] = c
-        out = Poly.zero(self.field, self.nvars - 1)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.field, self.nvars - 1, terms)
 
     def pe_th_root(self, e: int):
         """g with g^{p^e} = self, or None when self is not such a power."""
@@ -283,9 +282,7 @@ class Poly:
             if any(x % q for x in m):
                 return None
             terms[tuple(x // q for x in m)] = c.inverse_frobenius(e)
-        out = Poly.zero(self.field, self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.field, self.nvars, terms)
 
     def frobenius_decompose(self, e: int) -> dict:
         """Bucket by exponents mod p^e: self = sum_r g_r^{p^e} * x^r.
@@ -299,12 +296,8 @@ class Poly:
             r = tuple(x % q for x in m)
             base = tuple(x // q for x in m)
             buckets.setdefault(r, {})[base] = c.inverse_frobenius(e)
-        out = {}
-        for r, terms in buckets.items():
-            g = Poly.zero(self.field, self.nvars)
-            g.terms = terms
-            out[r] = g
-        return out
+        return {r: Poly._wrap(self.field, self.nvars, terms)
+                for r, terms in buckets.items()}
 
     def exact_divide(self, divisor: "Poly"):
         """self / divisor when the division is exact, else None."""
@@ -324,9 +317,7 @@ class Poly:
             c = rc / dc
             quotient[m] = c
             rem = rem - Poly.monomial(self.field, m, c) * divisor
-        out = Poly.zero(self.field, self.nvars)
-        out.terms = quotient
-        return out
+        return Poly._wrap(self.field, self.nvars, quotient)
 
     # rendering --------------------------------------------------------------
 

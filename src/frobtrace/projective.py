@@ -12,6 +12,8 @@ T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
 matrix . inverse_frobenius^e(c).  Because the inverse Frobenius is a
 bijection of the coefficient field, the image is exactly the column span,
 so the ordinary matrix rank decides surjectivity and the zero verdict.
+A built map carries that verdict as ``t.verdict``, ranked once at
+construction; :func:`map_verdict` returns it.
 """
 
 from __future__ import annotations
@@ -195,20 +197,31 @@ def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
     return space
 
 
+@dataclass(frozen=True)
+class MapVerdict:
+    rank: int
+    surjective: bool
+    zero: bool
+
+
 class SemilinearMap:
     """Matrix of a p^{-e}-semilinear map between two section spaces.
 
     Column b holds the target coordinates of the trace of source basis
     element b; on a coordinate vector the map is matrix . phi^{-e}(vector).
+    A map is a value: its matrix is not mutated after construction, so the
+    :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
 
-    __slots__ = ("src", "tgt", "e", "matrix")
+    __slots__ = ("src", "tgt", "e", "matrix", "verdict")
 
     def __init__(self, src, tgt, e, matrix):
         self.src = src
         self.tgt = tgt
         self.e = e
         self.matrix = matrix
+        r = linalg.rank(matrix, src.field)
+        self.verdict = MapVerdict(rank=r, surjective=r == tgt.dim, zero=r == 0)
 
     @property
     def field(self):
@@ -242,7 +255,7 @@ class SemilinearMap:
                 and self.tgt.same_model(other.tgt) and self.matrix == other.matrix)
 
     def to_json(self, varnames=None) -> dict:
-        verdict = map_verdict(self)
+        verdict = self.verdict
         return {
             "p": self.field.p,
             "s": self.field.s,
@@ -259,19 +272,11 @@ class SemilinearMap:
         }
 
 
-@dataclass(frozen=True)
-class MapVerdict:
-    rank: int
-    surjective: bool
-    zero: bool
-
-
 def map_verdict(t: SemilinearMap) -> MapVerdict:
     """Rank over F_q of the matrix (= dimension of the image, by the
-    semilinear column-span identity), surjectivity, and the zero test."""
-    r = linalg.rank(t.matrix, t.field)
-    zero = all(not entry for row in t.matrix for entry in row)
-    return MapVerdict(rank=r, surjective=(r == t.tgt.dim), zero=zero)
+    semilinear column-span identity), surjectivity, and the zero test
+    (rank 0: every entry is zero).  The map computed it when it was built."""
+    return t.verdict
 
 
 def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,

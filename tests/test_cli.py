@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from frobtrace.checks import run_suite
 from frobtrace.cli import main
 
 
@@ -161,6 +162,13 @@ def test_check_without_cases_is_usage_error(capsys, cases):
     assert code == 2
     assert out == ""
     assert "--cases must be at least 1" in err
+
+
+@pytest.mark.parametrize("cases", [0, -1])
+def test_library_suites_refuse_fewer_than_one_case(cases):
+    for name in ("all", "oracle"):
+        with pytest.raises(ValueError, match="at least 1 case"):
+            run_suite(name, cases, 0)
 
 
 def test_seed_is_an_option_of_check_only(capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from frobtrace import projective
+from frobtrace import linalg, projective
 from frobtrace import (
     ChartError,
     ContainmentError,
@@ -25,6 +25,7 @@ from frobtrace import (
     trace_matrix,
     trace_rational_top,
 )
+from frobtrace.cli import main
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -140,6 +141,26 @@ def test_verdict_identity_like():
     assert verdict.rank == 1 and verdict.surjective and not verdict.zero
 
 
+def test_matrix_is_ranked_once_whatever_reads_its_verdict(monkeypatch, capsys):
+    calls = []
+    rank = linalg.rank
+
+    def counted(rows, field):
+        calls.append(1)
+        return rank(rows, field)
+
+    monkeypatch.setattr(projective.linalg, "rank", counted)
+    t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
+    assert map_verdict(t) is t.verdict
+    assert t.to_json()["verdict"] == {"rank": 1, "surjective": True, "zero": False}
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["--output", "json", "--char", "2", "--vars", "x,y,z",
+                 "trace-matrix", "--D", "H:3", "--e", "1"]) == 0
+    assert '"rank": 1' in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_containment_never_fires_on_grid():
     quadric3 = parse_poly("x^2+y*z+w^2", F2, XYZW)
     conic = parse_poly("x^2+y*z", F2, XYZ)
@@ -163,6 +184,8 @@ def test_containment_never_fires_on_grid():
     for E, D, e in cases:
         t = trace_matrix(E, D, e)  # must not raise ContainmentError
         assert len(t.matrix) == t.tgt.dim
+        assert (t.verdict.zero, t.verdict.rank) == (
+            all(not x for row in t.matrix for x in row), linalg.rank(t.matrix, t.field))
     assert conic is not None and quadric3 is not None
 
 
