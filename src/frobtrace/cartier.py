@@ -1,18 +1,18 @@
 """Trace map of Frobenius on top forms, and the inverse Cartier operator.
 
 On a polynomial chart with coordinates x_1..x_n the trace of exponent e
-acts on f dx_1^...^dx_n by decomposing f over p^e-th powers and keeping
-only the component on x_1^{p^e-1}...x_n^{p^e-1}, whose p^e-th root is the
-result.  Rational coefficients h/g reduce to that rule after the
-denominator is cleared to a p^e-th power:
+acts on f dx_1^...^dx_n by decomposing f over q-th powers (q = p^e) and
+keeping only the component on x_1^{q-1}...x_n^{q-1}, whose q-th root is
+the result.  Rational coefficients h/g reduce to that rule after the
+denominator is cleared to a q-th power:
 
-    Tr^e(h/g dx) = Tr^e(h * g^{p^e - 1} dx) / g
+    Tr^e(h/g dx) = Tr^e(h * g^{q-1} dx) / g.
 
-and this specific clearing (by the original denominator) is what
-:func:`trace_rational_top` always performs.  When g = E * D^{p^e},
-semilinearity gives the smaller Tr^e(h * E^{p^e - 1} dx) / (E * D) instead,
-raising only E to a power; :func:`frobtrace.projective.trace_matrix`
-computes its columns that way.
+The product h * g^{q-1} is never formed: g^{q-1} is decomposed once, and
+:func:`trace_from_buckets` reads the trace of each x^m g^{q-1} from one
+bucket, which the term c x^m of h scales by c^{1/q}.  That one rule serves
+:func:`trace_poly_top` (g = 1), :func:`trace_rational_top` and, through
+semilinearity, :func:`frobtrace.projective.trace_matrix`.
 
 The inverse Cartier operator returns one designated closed representative
 of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively.
@@ -26,22 +26,34 @@ from .forms import DiffForm, TopForm, d_columns
 from .poly import Poly, RationalFn, monomials_upto
 
 
+def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
+    """Tr^e(x^mono * P) as {monomial: coefficient}, with q = p^e and
+    ``buckets`` = ``P.frobenius_decompose(e)``: P = sum_r g_r^q x^r, and only
+    r = (q-1-mono) mod q contributes, as x^s g_r with s = (mono + r - (q-1)) / q."""
+    r = tuple((q - 1 - x) % q for x in mono)
+    g = buckets.get(r)
+    if g is None:
+        return {}
+    s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
+    return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
+
+
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx."""
-    if e < 1:
-        raise ValueError("trace exponent must be positive")
-    q = f.field.p ** e
-    residue = (q - 1,) * f.nvars
-    return f.frobenius_decompose(e).get(residue, Poly.zero(f.field, f.nvars))
+    return trace_rational_top(TopForm(f.field, f.nvars, f), e).coeff.num
 
 
 def trace_rational_top(form: TopForm, e: int = 1) -> TopForm:
-    """Tr^e on a rational top form, clearing the denominator to its p^e-th power."""
+    """Tr^e on a rational top form h/g dx, as Tr^e(h * g^{q-1} dx) / g
+    with the product read term by term off the buckets of g^{q-1}."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
     h, g = form.coeff.num, form.coeff.den
     q = form.field.p ** e
-    num = trace_poly_top(h * g ** (q - 1), e)
+    buckets = (g ** (q - 1)).frobenius_decompose(e)
+    pairs = [(mono, c.inverse_frobenius(e) * v) for m, c in h.terms.items()
+             for mono, v in trace_from_buckets(buckets, m, q).items()]
+    num = Poly(form.field, form.nvars, pairs)
     return TopForm(form.field, form.nvars, RationalFn(num, g))
 
 

@@ -23,7 +23,7 @@ from .field import FiniteField
 from .forms import TopForm
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
-from .poly import Poly
+from .poly import monomial_string
 from .projective import ContainmentError, _chart_varnames, section_space, trace_matrix
 
 JSON_VERSION = "1"
@@ -41,10 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--char", type=int, help="prime characteristic p")
-    parser.add_argument("--ext-degree", type=int, default=1,
-                        help="extension degree s of the coefficient field (default 1)")
     parser.add_argument("--modulus",
-                        help="monic irreducible modulus for s > 1, e.g. 't^2+1'")
+                        help="monic irreducible modulus of degree s > 1 for F_{p^s}, "
+                             "e.g. 't^2+1' (default: the prime field F_p)")
     parser.add_argument("--vars", help="comma-separated variable names")
     parser.add_argument("--chart",
                         help="chart variable for projective commands (default: last)")
@@ -96,12 +95,10 @@ def _require(args, *names):
 
 def _build_field(args) -> FiniteField:
     _require(args, "char")
-    if args.ext_degree == 1:
-        return FiniteField(args.char)
     if args.modulus is None:
-        raise ParseError("--modulus is required when --ext-degree > 1")
-    return FiniteField(args.char, args.ext_degree,
-                       parse_modulus(args.modulus, args.char))
+        return FiniteField(args.char)
+    modulus = parse_modulus(args.modulus, args.char)
+    return FiniteField(args.char, len(modulus) - 1, modulus)
 
 
 def _varnames(args) -> list:
@@ -155,8 +152,6 @@ def cmd_trace_matrix(args) -> int:
     varnames = _varnames(args)
     chart = _chart_index(args, varnames)
     e_part = parse_divisor(args.E, field, varnames)
-    if not e_part.is_effective():
-        raise ParseError("the fixed divisor E must be effective")
     divisor = parse_divisor(args.D, field, varnames)
     t = trace_matrix(e_part, divisor, args.e, chart)
     payload = {"command": "trace-matrix", **t.to_json(varnames)}
@@ -212,7 +207,7 @@ def cmd_fedder(args) -> int:
     if verdict.split:
         if not verify_witness(f, verdict.witness):
             raise ContainmentError("witness failed its certificate check")
-        witness_str = Poly.monomial(field, verdict.witness).to_string(varnames)
+        witness_str = monomial_string(verdict.witness, varnames)
     payload = {
         "command": "fedder",
         "p": field.p,

@@ -231,22 +231,26 @@ def d_columns(field, n: int, i: int, dbound: int):
     Returns ``(row_of, columns)``.  ``row_of`` numbers the pairs
     (J, monomial) of the target, J an increasing i-subset; ``columns`` holds
     one sparse ``{row: value}`` dict per source form, ordered by K, then m.
+    Each d(x^m dx_K) is read off the exponents: the partial of x^m by x_j
+    is m_j x^{m - e_j}, which vanishes when p divides m_j.
     """
+    p = field.p
+    targets = monomials_upto(n, dbound)
+    sources = monomials_upto(n, dbound + 1)
     row_of = {}
     for J in combinations(range(n), i):
-        for m in monomials_upto(n, dbound):
+        for m in targets:
             row_of[(J, m)] = len(row_of)
     columns = []
     for K in combinations(range(n), i - 1):
-        for m in monomials_upto(n, dbound + 1):
-            x = Poly.monomial(field, m)
+        for m in sources:
             col = {}
             for j in range(n):
-                if j in K:
+                if j in K or m[j] % p == 0:
                     continue
                 J, sign = _normalize_indices((j,) + K)
-                for mono, c in x.partial(j).terms.items():
-                    col[row_of[(J, mono)]] = c if sign > 0 else -c
+                lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
+                col[row_of[(J, lowered)]] = field.scalar(sign * m[j])
             columns.append(col)
     return row_of, columns
 

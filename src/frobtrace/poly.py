@@ -321,32 +321,23 @@ class Poly:
 
     # rendering --------------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in descending graded-lex order (print order)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key_desc(kv[0]))
-
     def to_string(self, varnames=None) -> str:
         if not self.terms:
             return "0"
         if varnames is None:
             varnames = default_varnames(self.nvars)
         parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(varnames, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+        for m, c in sorted(self.terms.items(), key=lambda kv: grlex_key_desc(kv[0])):
+            mono = monomial_string(m, varnames)
             cs = str(c)
             if self.field.s > 1 and ("+" in cs or "*" in cs):
                 cs = f"({cs})"
-            if not factors:
+            if mono == "1":
                 parts.append(cs)
             elif cs == "1":
-                parts.append("*".join(factors))
+                parts.append(mono)
             else:
-                parts.append(cs + "*" + "*".join(factors))
+                parts.append(cs + "*" + mono)
         return "+".join(parts)
 
     def __str__(self):
@@ -358,6 +349,15 @@ class Poly:
 
 def default_varnames(nvars: int) -> list:
     return [f"x{i}" for i in range(nvars)]
+
+
+def monomial_string(mono, varnames=None) -> str:
+    """The monomial as printed, e.g. "x^2*z"; "1" for the empty monomial."""
+    if varnames is None:
+        varnames = default_varnames(len(mono))
+    factors = [name if e == 1 else f"{name}^{e}"
+               for name, e in zip(varnames, mono) if e]
+    return "*".join(factors) or "1"
 
 
 class RationalFn:

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
+from .cartier import trace_from_buckets
 from .forms import TopForm
-from .poly import Poly, RationalFn, monomials_upto
+from .poly import Poly, RationalFn, monomial_string, monomials_upto
 
 
 class ChartError(ValueError):
@@ -68,9 +69,6 @@ class DivisorSpec:
     def degree_sum(self) -> int:
         return sum(int(f.total_degree()) * a for f, a in self.hypersurfaces)
 
-    def is_effective(self) -> bool:
-        return self.k >= 0
-
     def combined(self, other: "DivisorSpec", m: int) -> "DivisorSpec":
         """self + m*other, merging equal hypersurface polynomials."""
         if other.field != self.field or other.n != self.n:
@@ -111,7 +109,7 @@ def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
     """E + p^e * D for an effective E."""
     if e < 1:
         raise ValueError("twist exponent must be positive")
-    if not e_part.is_effective():
+    if e_part.k < 0:
         raise ValueError("the fixed part E must be effective")
     return e_part.combined(divisor, e_part.field.p ** e)
 
@@ -157,8 +155,7 @@ class SectionSpace:
             "bound": self.bound,
             "dim": self.dim,
             "den": self.den.to_string(chart_names),
-            "basis": [Poly.monomial(self.field, m).to_string(chart_names)
-                      for m in self.basis],
+            "basis": [monomial_string(m, chart_names) for m in self.basis],
         }
 
 
@@ -263,7 +260,7 @@ class SemilinearMap:
             "chart": self.src.chart,
             "src": self.src.to_json(varnames),
             "tgt": self.tgt.to_json(varnames),
-            "matrix": [[list(c.coeffs) for c in row] for row in self.matrix],
+            "matrix": [[c.coeffs for c in row] for row in self.matrix],
             "verdict": {
                 "rank": verdict.rank,
                 "surjective": verdict.surjective,
@@ -285,12 +282,11 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
 
     With q = p^e, semilinearity gives Tr^e(h / (E D^q)) = Tr^e(h E^{q-1}) / (E D),
     so every traced numerator is already over the target denominator and
-    no exact division is needed.  E^{q-1} is decomposed once as
-    sum_r g_r^q x^r; the trace of x^m E^{q-1} is x^s g_r for the single
-    residue r = (q-1-m) mod q, with s = (m + r - (q-1)) / q, and zero when
-    that bucket is empty.  A traced numerator above the target degree bound
-    cannot happen for a correct trace and raises :class:`ContainmentError`
-    naming the basis element.
+    no exact division is needed.  E^{q-1} is decomposed once, and column m
+    is the trace of x^m E^{q-1} that :func:`frobtrace.cartier.trace_from_buckets`
+    reads off those buckets.  A traced numerator above the target degree
+    bound cannot happen for a correct trace and raises
+    :class:`ContainmentError` naming the basis element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
@@ -302,18 +298,11 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     row_of = {m: i for i, m in enumerate(tgt.basis)}
     matrix = [[field.zero] * src.dim for _ in range(tgt.dim)]
     for b, mono in enumerate(src.basis):
-        r = tuple((q - 1 - x) % q for x in mono)
-        g = buckets.get(r)
-        if g is None:
-            continue
-        s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
-        for m, c in g.terms.items():
-            shifted = tuple(x + y for x, y in zip(m, s))
-            row = row_of.get(shifted)
+        for m, c in trace_from_buckets(buckets, mono, q).items():
+            row = row_of.get(m)
             if row is None:
-                label = Poly.monomial(field, mono).to_string()
                 raise ContainmentError(
-                    f"trace of basis element {label} exceeds the target degree bound "
-                    f"({sum(shifted)} > {tgt.bound})")
+                    f"trace of basis element {monomial_string(mono)} exceeds the "
+                    f"target degree bound ({sum(m)} > {tgt.bound})")
             matrix[row][b] = c
     return SemilinearMap(src, tgt, e, matrix)

@@ -44,6 +44,54 @@ def _rand_top(field, nvars, rng, max_terms=3, max_deg=3):
     return TopForm(field, nvars, RationalFn(num, den))
 
 
+def trace_by_definition(h, g, e):
+    """Numerator of Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g by the definition,
+    without the library's bucket rule: keep the terms of h * g^{q-1} whose
+    exponents are all q-1 mod q, lower each exponent to (m - (q-1))/q and
+    take the q-th root of each coefficient by search over the field."""
+    field = h.field
+    q = field.p ** e
+    terms = {}
+    for m, c in (h * g ** (q - 1)).terms.items():
+        if all(x % q == q - 1 for x in m):
+            root = next(a for a in field.elements() if a ** q == c)
+            terms[tuple((x - (q - 1)) // q for x in m)] = root
+    return Poly(field, h.nvars, terms)
+
+
+ORACLE_FIELDS = [F2, F3, FiniteField(2, 2, [1, 1, 1]), FiniteField(3, 2, [1, 0, 1])]
+
+
+def _rand_element(field, rng):
+    return field.scalar([rng.randrange(field.p) for _ in range(field.s)])
+
+
+def test_trace_matches_definition_over_prime_and_extension_fields():
+    rng = random.Random(53)
+    for field in ORACLE_FIELDS:
+        for e in (1, 2):
+            q = field.p ** e
+            nonzero = 0
+            for _ in range(20):
+                # about half the exponents sit on q-1 mod q, so traces are
+                # often nonzero, and products of h and g^{q-1} can cancel
+                h = Poly(field, 2, [
+                    (tuple(q * rng.randrange(2) + rng.choice((q - 1, rng.randrange(q)))
+                           for _ in range(2)), _rand_element(field, rng))
+                    for _ in range(rng.randint(1, 5))])
+                g = Poly(field, 2, [
+                    (tuple(rng.randint(0, 1 if q > 16 else 2) for _ in range(2)),
+                     _rand_element(field, rng)) for _ in range(3)])
+                if g.is_zero():
+                    g = Poly.one(field, 2)
+                traced = trace_rational_top(TopForm(field, 2, RationalFn(h, g)), e)
+                expected = trace_by_definition(h, g, e)
+                assert traced.coeff.num == expected, (field, e, h, g)
+                assert trace_poly_top(h, e) == trace_by_definition(h, Poly.one(field, 2), e)
+                nonzero += not expected.is_zero()
+            assert nonzero >= 3, (field, e)
+
+
 def test_trace_of_critical_monomial():
     f = parse_poly("x*y*z", F2, XYZ)
     assert trace_poly_top(f, 1) == Poly.one(F2, 3)

@@ -46,11 +46,11 @@ def test_trace_json(capsys):
 
 def test_trace_extension_field(capsys):
     # over F_9 the trace takes a cube root of the coefficient: (2g)^{1/3} = g
-    code, out, _ = run(["--char", "3", "--ext-degree", "2", "--modulus", "t^2+1",
+    code, out, _ = run(["--char", "3", "--modulus", "t^2+1",
                         "--vars", "x", "--output", "json",
                         "trace", "(2*g*x^2) dx", "--e", "1"], capsys)
     assert code == 2  # 'g' is not a declared variable: parse error
-    code, out, _ = run(["--char", "3", "--ext-degree", "2", "--modulus", "t^2+1",
+    code, out, _ = run(["--char", "3", "--modulus", "t^2+1",
                         "--vars", "x", "--output", "json",
                         "trace", "(2*x^2) dx", "--e", "1"], capsys)
     assert code == 0
@@ -180,6 +180,37 @@ def test_seed_is_an_option_of_check_only(capsys):
                       "--seed", "0"], capsys)
     assert json.loads(default)["seed"] == 0
     assert default == zero
+
+
+@pytest.mark.parametrize("modulus, s", [("t^2+1", 2), ("t^3+2*t+1", 3)])
+def test_modulus_degree_is_the_extension_degree(capsys, modulus, s):
+    code, out, _ = run(["--char", "3", "--modulus", modulus, "--vars", "x",
+                        "--output", "json", "trace", "(x^2) dx"], capsys)
+    assert code == 0
+    assert json.loads(out)["s"] == s
+
+
+def test_ext_degree_is_no_longer_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--char", "3", "--ext-degree", "2", "--modulus", "t^2+1",
+              "--vars", "x", "trace", "(x^2) dx"])
+    assert exc.value.code == 2
+
+
+def test_degree_one_modulus_is_usage_error(capsys):
+    code, out, err = run(["--char", "3", "--modulus", "t+1", "--vars", "x",
+                          "trace", "(x^2) dx"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "prime field takes no modulus" in err
+
+
+def test_non_effective_fixed_divisor_is_usage_error(capsys):
+    code, out, err = run(["--char", "2", "--vars", "x,y,z", "trace-matrix",
+                          "--E", "H:-1", "--D", "H:2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be effective" in err
 
 
 def test_check_unknown_suite_is_usage_error(capsys):

@@ -26,6 +26,7 @@ from frobtrace import (
     trace_rational_top,
 )
 from frobtrace.cli import main
+from test_cartier import trace_by_definition
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -242,11 +243,13 @@ def test_apply_matches_traced_forms():
 
 def matches_direct_trace(E, D, e, chart=None):
     """trace_matrix against the direct path: trace each source basis form
-    over the full source denominator, then divide down to the target's."""
+    over the full source denominator by the definition, then divide down
+    to the target's."""
     t = trace_matrix(E, D, e, chart)
     for b in range(t.src.dim):
-        traced = trace_rational_top(t.src.basis_form(b), e)
-        cleared = (traced.coeff.num * t.tgt.den).exact_divide(traced.coeff.den)
+        coeff = t.src.basis_form(b).coeff
+        traced = trace_by_definition(coeff.num, coeff.den, e)
+        cleared = (traced * t.tgt.den).exact_divide(coeff.den)
         assert [row[b] for row in t.matrix] == t.tgt.coords_of(cleared), b
     return t
 
@@ -304,7 +307,7 @@ def test_json_schema_shape():
     assert data["chart"] == 3
     assert data["src"]["dim"] == 4 and data["tgt"]["dim"] == 1
     assert data["src"]["basis"] == ["1", "x", "y", "z"]
-    assert data["matrix"] == [[[0], [0], [0], [0]]]
+    assert data["matrix"] == [[(0,), (0,), (0,), (0,)]]
     assert data["verdict"] == {"rank": 0, "surjective": False, "zero": True}
     assert data["src"]["divisor"]["hypersurfaces"][0]["poly"] == "x^3+y^3+z^3+w^3"
 
