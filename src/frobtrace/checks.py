@@ -47,15 +47,6 @@ class SuiteReport:
             self.failures.append(description)
 
 
-_FIELDS = {}
-
-
-def _field(p):
-    if p not in _FIELDS:
-        _FIELDS[p] = FiniteField(p)
-    return _FIELDS[p]
-
-
 def random_poly(field, nvars, rng, max_terms=3, max_deg=3, nonzero=False):
     terms = {}
     for _ in range(rng.randint(1 if nonzero else 0, max_terms)):
@@ -95,7 +86,7 @@ def check_semilinearity(cases, seed) -> SuiteReport:
     report = SuiteReport("semilinearity")
     for _ in range(cases):
         p, e = _pick_pe(rng)
-        field = _field(p)
+        field = FiniteField(p)
         n = rng.randint(1, 3)
         omega = random_top_form(field, n, rng)
         u = RationalFn(
@@ -122,7 +113,7 @@ def check_composition(cases, seed) -> SuiteReport:
     report = SuiteReport("composition")
     for _ in range(cases):
         p, e = _pick_pe(rng, for_composition=True)
-        field = _field(p)
+        field = FiniteField(p)
         n = rng.randint(1, 3)
         omega = random_top_form(field, n, rng, max_terms=3, max_deg=2)
         ok = trace_iterated(omega, e) == trace_rational_top(omega, e)
@@ -136,7 +127,7 @@ def check_kernel_exact(cases, seed) -> SuiteReport:
     report = SuiteReport("kernel-exact")
     for _ in range(cases):
         p = rng.choice([2, 3, 5])
-        field = _field(p)
+        field = FiniteField(p)
         n = rng.randint(1, 3)
         coeffs = {}
         for j in range(n):
@@ -158,7 +149,7 @@ def check_cartier_roundtrip(cases, seed) -> SuiteReport:
     report = SuiteReport("cartier-roundtrip")
     for _ in range(cases):
         p = rng.choice([2, 3, 5])
-        field = _field(p)
+        field = FiniteField(p)
         n = rng.randint(1, 3)
         f = random_poly(field, n, rng, 3, 3)
         ok = trace_poly_top(inverse_cartier_top(f), 1) == f
@@ -179,7 +170,7 @@ def check_oracle(cases, seed) -> SuiteReport:
     """Decomposition oracle agrees with the residue-bucket trace (p=2, n=2)."""
     rng = random.Random(seed)
     report = SuiteReport("oracle")
-    field = _field(2)
+    field = FiniteField(2)
     for _ in range(cases):
         f = random_poly(field, 2, rng, max_terms=6, max_deg=6)
         ok = trace_by_decomposition(f) == trace_poly_top(f, 1)
@@ -193,7 +184,7 @@ def check_fedder_cert(cases, seed) -> SuiteReport:
     report = SuiteReport("fedder-cert")
     for _ in range(cases):
         p = rng.choice([2, 3, 5])
-        field = _field(p)
+        field = FiniteField(p)
         nvars = rng.choice([3, 4])
         deg = rng.choice([2, 3])
         monos = [m for m in monomials_upto(nvars, deg) if sum(m) == deg]

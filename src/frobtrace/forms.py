@@ -90,9 +90,6 @@ class DiffForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_polynomial(self) -> bool:
-        return all(r.is_polynomial() for r in self.coeffs.values())
-
     def _coerce(self, other):
         if not isinstance(other, DiffForm):
             return None

@@ -27,10 +27,6 @@ class FsplitVerdict:
     witness: tuple = None
 
 
-def _qualifying_monomials(power: Poly, p: int):
-    return [m for m in power.terms if all(e <= p - 1 for e in m)]
-
-
 def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     """Splitting verdict for the cone over V(f), with a checkable witness.
 
@@ -43,7 +39,7 @@ def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     power = f
     for _ in range(p - 2):
         power = power * f
-    good = _qualifying_monomials(power, p)
+    good = [m for m in power.terms if all(e <= p - 1 for e in m)]
     if not good:
         return FsplitVerdict(split=False)
     return FsplitVerdict(split=True, witness=min(good, key=grlex_key))

@@ -38,7 +38,7 @@ def _eliminate(rows, ncols, reduced):
     return pivots
 
 
-def rank(rows, field) -> int:
+def rank(rows) -> int:
     """Rank of the matrix; the input is not modified."""
     rows = [list(r) for r in rows]
     if not rows:

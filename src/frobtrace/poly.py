@@ -114,12 +114,6 @@ class Poly:
     def monomial(cls, field, exps, coeff=1):
         return cls(field, len(exps), {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, field, nvars, index):
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(field, nvars, {tuple(exps): 1})
-
     # predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -274,16 +268,6 @@ class Poly:
             terms[m[:chart] + m[chart + 1:]] = c
         return Poly._wrap(self.field, self.nvars - 1, terms)
 
-    def pe_th_root(self, e: int):
-        """g with g^{p^e} = self, or None when self is not such a power."""
-        q = self.field.p ** e
-        terms = {}
-        for m, c in self.terms.items():
-            if any(x % q for x in m):
-                return None
-            terms[tuple(x // q for x in m)] = c.inverse_frobenius(e)
-        return Poly._wrap(self.field, self.nvars, terms)
-
     def frobenius_decompose(self, e: int) -> dict:
         """Bucket by exponents mod p^e: self = sum_r g_r^{p^e} * x^r.
 
@@ -300,7 +284,11 @@ class Poly:
                 for r, terms in buckets.items()}
 
     def exact_divide(self, divisor: "Poly"):
-        """self / divisor when the division is exact, else None."""
+        """self / divisor when the division is exact, else None.
+
+        Production code never calls this: the trace reads exact numerators
+        off residue buckets.  It stays for the benchmark's traced replay
+        and as an oracle in the tests."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

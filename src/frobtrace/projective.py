@@ -136,17 +136,6 @@ class SectionSpace:
         mono = Poly.monomial(self.field, self.basis[index])
         return TopForm(self.field, self.n, RationalFn(mono, self.den))
 
-    def coords_of(self, h: Poly):
-        """Coordinates of (h/den) dx in the basis; h must fit the bound."""
-        if not h.is_zero() and h.total_degree() > self.bound:
-            raise ValueError("numerator degree exceeds the space's bound")
-        return [h.terms.get(m, self.field.zero) for m in self.basis]
-
-    def same_model(self, other: "SectionSpace") -> bool:
-        return (self.field == other.field and self.n == other.n
-                and self.chart == other.chart and self.bound == other.bound
-                and self.basis == other.basis and self.den == other.den)
-
     def to_json(self, varnames=None) -> dict:
         chart_names = _chart_varnames(varnames, self.chart)
         return {
@@ -217,39 +206,12 @@ class SemilinearMap:
         self.tgt = tgt
         self.e = e
         self.matrix = matrix
-        r = linalg.rank(matrix, src.field)
+        r = linalg.rank(matrix)
         self.verdict = MapVerdict(rank=r, surjective=r == tgt.dim, zero=r == 0)
 
     @property
     def field(self):
         return self.src.field
-
-    def apply(self, coords):
-        """Image of a source coordinate vector."""
-        if len(coords) != self.src.dim:
-            raise ValueError("coordinate vector length mismatch")
-        twisted = [c.inverse_frobenius(self.e) for c in coords]
-        return [
-            sum((m * c for m, c in zip(row, twisted)), self.field.zero)
-            for row in self.matrix
-        ]
-
-    def compose(self, inner: "SemilinearMap") -> "SemilinearMap":
-        """self after inner; exponents add, and the inner matrix is twisted
-        by phi^{-e_outer} before the ordinary product."""
-        if not inner.tgt.same_model(self.src):
-            raise ValueError("inner map's target does not match outer map's source")
-        cols = [self.apply([row[b] for row in inner.matrix])
-                for b in range(inner.src.dim)]
-        matrix = [[cols[b][r] for b in range(inner.src.dim)]
-                  for r in range(self.tgt.dim)]
-        return SemilinearMap(inner.src, self.tgt, self.e + inner.e, matrix)
-
-    def __eq__(self, other):
-        if not isinstance(other, SemilinearMap):
-            return NotImplemented
-        return (self.e == other.e and self.src.same_model(other.src)
-                and self.tgt.same_model(other.tgt) and self.matrix == other.matrix)
 
     def to_json(self, varnames=None) -> dict:
         verdict = self.verdict

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from frobtrace import Poly, TopForm, demo
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
 
@@ -139,6 +140,14 @@ def test_demo_json_is_machine_checkable(capsys):
     for e in (1, 2, 3):
         assert names[f"zero_matrix_e{e}"]["zero"] is True
     assert data["matrix_e1"]["verdict"]["zero"] is True
+
+
+def test_demo_column_check_fails_on_a_nonzero_iterated_trace(monkeypatch):
+    monkeypatch.setattr(demo, "trace_iterated", lambda form, e: TopForm(
+        form.field, form.nvars, Poly.one(form.field, form.nvars)))
+    checks = {c["name"]: c for c in demo.build_report()["checks"]}
+    assert checks["zero_matrix_e2"]["ok"] is False
+    assert checks["zero_matrix_e2"]["iterated_agrees"] is False
 
 
 def test_check_suites_pass(capsys):

@@ -25,7 +25,7 @@ XYZW = ["x", "y", "z", "w"]
 
 def test_poly_terms():
     assert parse_poly("3", F7, XY) == Poly.constant(F7, 2, 3)
-    assert parse_poly("x", F7, XY) == Poly.variable(F7, 2, 0)
+    assert parse_poly("x", F7, XY) == Poly.monomial(F7, (1, 0))
     assert parse_poly("2*x^3*y", F7, XY) == Poly(F7, 2, {(3, 1): 2})
     assert parse_poly("x*x", F7, XY) == Poly(F7, 2, {(2, 0): 1})
     assert parse_poly("x^2+2*x+1", F7, XY) == Poly(F7, 2, {(2, 0): 1, (1, 0): 2, (0, 0): 1})

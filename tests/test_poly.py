@@ -95,12 +95,14 @@ def _homogeneous(field, nvars, deg, rng):
 
 
 def test_pe_th_root_examples():
+    # a p^e-th power decomposes to one bucket, at the zero residue, and
+    # that bucket is its root
     f = parse_poly("x^2*y^4", F2, ["x", "y"])
-    assert f.pe_th_root(1) == parse_poly("x*y^2", F2, ["x", "y"])
-    assert parse_poly("x^3", F2, ["x", "y"]).pe_th_root(1) is None
+    assert f.frobenius_decompose(1) == {(0, 0): parse_poly("x*y^2", F2, ["x", "y"])}
+    assert set(parse_poly("x^3", F2, ["x", "y"]).frobenius_decompose(1)) == {(1, 0)}
     # coefficient roots go through the inverse Frobenius
     f9 = Poly(F9, 1, {(3,): F9.scalar([0, 2])})
-    assert f9.pe_th_root(1) == Poly(F9, 1, {(1,): F9.scalar([0, 1])})
+    assert f9.frobenius_decompose(1) == {(0,): Poly(F9, 1, {(1,): F9.scalar([0, 1])})}
 
 
 def test_pe_th_root_inverts_powers():
@@ -109,7 +111,9 @@ def test_pe_th_root_inverts_powers():
         for _ in range(20):
             f = _random_poly(field, 3, rng)
             q = field.p ** e
-            assert (f ** q).pe_th_root(e) == f
+            buckets = (f ** q).frobenius_decompose(e)
+            assert set(buckets) <= {(0, 0, 0)}
+            assert buckets.get((0, 0, 0), Poly.zero(field, 3)) == f
 
 
 def test_frobenius_decompose_fermat_numerator():
