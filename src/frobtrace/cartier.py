@@ -116,10 +116,10 @@ def trace_by_decomposition(f: Poly) -> Poly:
         image = inverse_cartier_top(Poly.monomial(field, t))
         columns.append({row_of[(full, mono)]: c for mono, c in image.terms.items()})
     rhs = {row_of[(full, mono)]: c for mono, c in f.terms.items()}
-    rows, rhs = linalg.sparse_system(columns, rhs, len(row_of), field)
-    solution = linalg.solve(rows, rhs, field)
+    solution = linalg.solve(linalg.transpose(columns, len(row_of)), rhs, field)
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "
                            "this contradicts the exact sequence it satisfies")
     offset = len(columns) - len(tau_monos)
-    return Poly(field, n, {t: solution[offset + i] for i, t in enumerate(tau_monos)})
+    return Poly(field, n, {tau_monos[c - offset]: value
+                           for c, value in solution.items() if c >= offset})

@@ -72,8 +72,9 @@ def build_report() -> dict:
         # D = H has no hypersurface part, so src.den == tgt.den, and every
         # exponent-1 trace keeps that denominator: column b, read over the
         # target basis, is the numerator of the iterated trace of form b.
+        matrix = t.matrix
         iterated_agrees = all(
-            Poly(field, t.src.n, zip(t.tgt.basis, [row[b] for row in t.matrix]))
+            Poly(field, t.src.n, zip(t.tgt.basis, [row[b] for row in matrix]))
             == trace_iterated(t.src.basis_form(b), e).coeff.num
             for b in range(t.src.dim)
         )

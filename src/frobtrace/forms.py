@@ -271,5 +271,4 @@ def is_exact_bounded(form: DiffForm, dbound: int) -> bool:
     row_of, columns = d_columns(field, form.nvars, form.degree, dbound)
     rhs = {row_of[(J, mono)]: c
            for J, rat in form.coeffs.items() for mono, c in rat.as_poly().terms.items()}
-    rows, rhs = linalg.sparse_system(columns, rhs, len(row_of), field)
-    return linalg.solve(rows, rhs, field) is not None
+    return linalg.solve(linalg.transpose(columns, len(row_of)), rhs, field) is not None

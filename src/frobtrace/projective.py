@@ -6,8 +6,11 @@ are the rational top forms (h / den) dx with deg h <= sum a_j d_j + k - (n+1).
 A negative bound yields the zero space.  The default chart is the last
 homogeneous variable.
 
-A trace matrix stores, per source basis monomial, the coordinates of its
-trace in the target basis.  The map itself is p^{-e}-semilinear, i.e.
+A trace matrix holds, per source basis monomial, the coordinates of its
+trace in the target basis.  It is stored as sparse rows, one
+``{column: nonzero Scalar}`` dict per target basis monomial, because on
+P^n most cells are zero; the dense matrix is a view built on demand.
+The map itself is p^{-e}-semilinear, i.e.
 T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
 matrix . inverse_frobenius^e(c).  Because the inverse Frobenius is a
 bijection of the coefficient field, the image is exactly the column span,
@@ -195,26 +198,37 @@ class SemilinearMap:
 
     Column b holds the target coordinates of the trace of source basis
     element b; on a coordinate vector the map is matrix . phi^{-e}(vector).
-    A map is a value: its matrix is not mutated after construction, so the
+    ``rows`` stores the matrix as one sparse ``{column: nonzero Scalar}``
+    dict per target basis element; the constructor takes dense rows too
+    and keeps their nonzeros.  ``matrix`` is the dense view, built anew on
+    each read, so a caller that reads it in a loop binds it once.
+    A map is a value: its rows are not mutated after construction, so the
     :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
 
-    __slots__ = ("src", "tgt", "e", "matrix", "verdict")
+    __slots__ = ("src", "tgt", "e", "rows", "verdict")
 
-    def __init__(self, src, tgt, e, matrix):
+    def __init__(self, src, tgt, e, rows):
         self.src = src
         self.tgt = tgt
         self.e = e
-        self.matrix = matrix
-        r = linalg.rank(matrix)
+        self.rows = [linalg.sparse_row(row) for row in rows]
+        r = linalg.rank(self.rows)
         self.verdict = MapVerdict(rank=r, surjective=r == tgt.dim, zero=r == 0)
 
     @property
     def field(self):
         return self.src.field
 
+    @property
+    def matrix(self) -> list:
+        """The dense matrix, rows of Scalars, built from ``rows``."""
+        zero, width = self.field.zero, self.src.dim
+        return [_filled(width, zero, row) for row in self.rows]
+
     def to_json(self, varnames=None) -> dict:
         verdict = self.verdict
+        zero, width = self.field.zero.coeffs, self.src.dim
         return {
             "p": self.field.p,
             "s": self.field.s,
@@ -222,13 +236,22 @@ class SemilinearMap:
             "chart": self.src.chart,
             "src": self.src.to_json(varnames),
             "tgt": self.tgt.to_json(varnames),
-            "matrix": [[c.coeffs for c in row] for row in self.matrix],
+            "matrix": [_filled(width, zero, {c: x.coeffs for c, x in row.items()})
+                       for row in self.rows],
             "verdict": {
                 "rank": verdict.rank,
                 "surjective": verdict.surjective,
                 "zero": verdict.zero,
             },
         }
+
+
+def _filled(width, fill, entries) -> list:
+    """A list of ``width`` cells: ``entries[c]`` at column c, ``fill`` elsewhere."""
+    cells = [fill] * width
+    for c, x in entries.items():
+        cells[c] = x
+    return cells
 
 
 def map_verdict(t: SemilinearMap) -> MapVerdict:
@@ -254,11 +277,9 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         raise ValueError("trace exponent must be positive")
     src = section_space(pe_twist(divisor, e_part, e), chart)
     tgt = section_space(e_part.combined(divisor, 1), chart)
-    field = src.field
-    q = field.p ** e
+    q = src.field.p ** e
     buckets = (_chart_product(e_part, src.chart) ** (q - 1)).frobenius_decompose(e)
-    row_of = {m: i for i, m in enumerate(tgt.basis)}
-    matrix = [[field.zero] * src.dim for _ in range(tgt.dim)]
+    row_of = {m: {} for m in tgt.basis}
     for b, mono in enumerate(src.basis):
         for m, c in trace_from_buckets(buckets, mono, q).items():
             row = row_of.get(m)
@@ -266,5 +287,5 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
                 raise ContainmentError(
                     f"trace of basis element {monomial_string(mono)} exceeds the "
                     f"target degree bound ({sum(m)} > {tgt.bound})")
-            matrix[row][b] = c
-    return SemilinearMap(src, tgt, e, matrix)
+            row[b] = c
+    return SemilinearMap(src, tgt, e, list(row_of.values()))

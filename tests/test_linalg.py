@@ -1,12 +1,14 @@
-"""Elimination against brute force: rank by the size of the column span,
-solvability by membership of the right-hand side in that span."""
+"""Elimination against brute force: rank by the size of a row or column
+span, solvability by membership of the right-hand side in the column
+span.  Every matrix goes in both as dense rows and as sparse
+``{column: nonzero}`` rows."""
 
 import random
 
 import pytest
 
 from frobtrace import FiniteField
-from frobtrace.linalg import rank, solve, sparse_system
+from frobtrace.linalg import rank, solve, transpose
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -20,12 +22,32 @@ def columns_of(rows, ncols):
     return [tuple(row[c] for row in rows) for c in range(ncols)]
 
 
-def span(vectors, field, nrows):
-    """Every F_q-combination of the vectors, enumerated."""
-    elements = list(field.elements())
-    out = {(field.zero,) * nrows}
+def flat(vector):
+    """The vector as one tuple of residues, where addition is componentwise mod p."""
+    return tuple(x for scalar in vector for x in scalar.coeffs)
+
+
+def span(vectors, field, length):
+    """Every F_q-combination of the vectors, enumerated as flat tuples; a
+    vector already in the span adds nothing and is skipped."""
+    p = field.p
+    out = {(0,) * (length * field.s)}
     for v in vectors:
-        out = {tuple(s + a * x for s, x in zip(w, v)) for w in out for a in elements}
+        if flat(v) in out:
+            continue
+        multiples = [flat([a * x for x in v]) for a in field.elements()]
+        out = {tuple((x + y) % p for x, y in zip(w, m)) for w in out for m in multiples}
+    return out
+
+
+def sparse_of(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense_of(solution, ncols, field):
+    out = [field.zero] * ncols
+    for c, x in solution.items():
+        out[c] = x
     return out
 
 
@@ -74,13 +96,13 @@ def check_rank(rows, nrows, ncols, field):
 def check_solve(rows, rhs, nrows, ncols, field):
     x = solve(rows, rhs, field)
     columns = columns_of(rows, ncols)
-    if tuple(rhs) not in span(columns, field, nrows):
+    if flat(rhs) not in span(columns, field, nrows):
         assert x is None
         return
     assert x is not None and len(x) == ncols
     assert [dot(row, x, field) for row in rows] == list(rhs)
     for c in range(ncols):
-        if columns[c] in span(columns[:c], field, nrows):
+        if flat(columns[c]) in span(columns[:c], field, nrows):
             assert not x[c], "a free variable must stay zero"
 
 
@@ -114,13 +136,19 @@ def test_solve_matches_exhaustive_search(seed):
 def test_sparse_system_input(seed):
     for field, nrows, ncols, rng in cases(seed):
         columns, sparse_rhs = random_sparse_system(field, nrows, ncols, rng)
-        rows, rhs = sparse_system(columns, sparse_rhs, nrows, field)
-        assert len(rows) == nrows and all(len(row) == ncols for row in rows)
-        for c, col in enumerate(columns):
-            assert all(rows[r][c] == col.get(r, field.zero) for r in range(nrows))
-        assert rhs == [sparse_rhs.get(r, field.zero) for r in range(nrows)]
-        check_rank(rows, nrows, ncols, field)
-        check_solve(rows, rhs, nrows, ncols, field)
+        rows = transpose(columns, nrows)
+        assert rows == [{c: col[r] for c, col in enumerate(columns) if r in col}
+                        for r in range(nrows)]
+        dense = [[col.get(r, field.zero) for col in columns] for r in range(nrows)]
+        rhs = [sparse_rhs.get(r, field.zero) for r in range(nrows)]
+        check_rank(dense, nrows, ncols, field)
+        check_solve(dense, rhs, nrows, ncols, field)
+        assert rank(rows) == rank(dense)
+        x = solve(dense, rhs, field)
+        sparse_x = solve(rows, sparse_rhs, field)
+        assert (sparse_x is None) == (x is None)
+        if x is not None:
+            assert dense_of(sparse_x, ncols, field) == x
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -137,4 +165,56 @@ def test_degenerate_shapes(field):
     assert rank(no_columns) == 0
     assert solve(no_columns, [field.zero] * 3, field) == []
     assert solve(no_columns, [field.zero, one, field.zero], field) is None
-    assert sparse_system([], {1: one}, 2, field) == ([[], []], [field.zero, one])
+    assert transpose([], 2) == [{}, {}]
+    assert rank([{}, {}]) == 0
+    assert solve([{}, {}], {}, field) == {}
+    assert solve([{}, {}], {1: one}, field) is None
+
+
+def kernel_matrices(field, rng):
+    """Every shape up to 4 x 6, 0 x n and n x 0 included, in three kinds:
+    random with zeros; every entry nonzero, so each reduction fills in;
+    and one zero row plus one row repeated."""
+    nonzero = [x for x in field.elements() if x]
+    for nrows in range(5):
+        for ncols in range(7):
+            yield random_matrix(field, nrows, ncols, rng)
+            yield [[rng.choice(nonzero) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows >= 3:
+                rows = random_matrix(field, nrows, ncols, rng)
+                zero_row, copied, copy = rng.sample(range(nrows), 3)
+                rows[zero_row] = [field.zero] * ncols
+                rows[copy] = list(rows[copied])
+                yield rows
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_kernel_against_brute_force(seed):
+    """rank is log_q of the row span's size, found by enumerating row
+    combinations; solve answers exactly when b is in the column span, and
+    dense and sparse rows give the same answer."""
+    rng = random.Random(seed)
+    for field in FIELDS:
+        elements = list(field.elements())
+        for rows in kernel_matrices(field, rng):
+            nrows = len(rows)
+            ncols = len(rows[0]) if rows else 0
+            sparse = sparse_of(rows)
+            original, sparse_original = [list(r) for r in rows], [dict(r) for r in sparse]
+            expected = log_q(len(span(rows, field, ncols)), field.q)
+            assert rank(rows) == rank(sparse) == expected
+            columns = columns_of(rows, ncols)
+            x0 = [rng.choice(elements) for _ in range(ncols)]
+            for rhs in ([dot(row, x0, field) for row in rows],
+                        [rng.choice(elements) for _ in range(nrows)]):
+                x = solve(rows, rhs, field)
+                sparse_x = solve(sparse, {r: b for r, b in enumerate(rhs) if b}, field)
+                if flat(rhs) not in span(columns, field, nrows):
+                    assert x is None and sparse_x is None
+                    continue
+                assert x is not None and sparse_x is not None
+                assert len(x) == ncols if rows else x == []
+                assert [dot(row, x, field) for row in rows] == rhs
+                assert all(sparse_x.values())
+                assert dense_of(sparse_x, len(x), field) == x
+            assert rows == original and sparse == sparse_original

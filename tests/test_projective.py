@@ -1,6 +1,7 @@
 """Tests for section-space models, trace matrices, and verdicts on P^n."""
 
 import itertools
+import json
 import math
 import random
 
@@ -14,6 +15,7 @@ from frobtrace import (
     FiniteField,
     Poly,
     RationalFn,
+    Scalar,
     SemilinearMap,
     TopForm,
     map_verdict,
@@ -121,7 +123,8 @@ def test_p2_trace_matrix_rank_one():
     assert t.tgt.dim == 1
     verdict = map_verdict(t)
     assert verdict.rank == 1 and verdict.surjective and not verdict.zero
-    nonzero_cols = [b for b in range(t.src.dim) if t.matrix[0][b]]
+    first_row = t.matrix[0]
+    nonzero_cols = [b for b in range(t.src.dim) if first_row[b]]
     assert nonzero_cols == [t.src.basis.index((1, 1))]
 
 
@@ -140,6 +143,43 @@ def test_verdict_identity_like():
     t = SemilinearMap(space, space, 1, [[F2.one]])
     verdict = map_verdict(t)
     assert verdict.rank == 1 and verdict.surjective and not verdict.zero
+
+
+def test_sparse_and_dense_rows_give_the_same_map():
+    F4 = FiniteField(2, 2, parse_modulus("t^2+t+1", 2))
+    x_cubed = DivisorSpec(F2, 1, [(parse_poly("x^3", F2, ["x", "y"]), 1)])
+    maps = [
+        (trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1), XYZ),
+        (trace_matrix(*extension_cubic_and_conic(F4), 1), XYZ),
+        (trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=1), 2), XYZ),
+        (trace_matrix(x_cubed, DivisorSpec(F2, 1, k=-1), 1), ["x", "y"]),
+    ]
+    shapes = [(t.tgt.dim, t.src.dim) for t, _ in maps]
+    assert shapes[2:] == [(0, 3), (1, 0)]  # empty target, empty source
+    for t, names in maps:
+        sparse = SemilinearMap(t.src, t.tgt, t.e, [dict(row) for row in t.rows])
+        dense = SemilinearMap(t.src, t.tgt, t.e, t.matrix)
+        assert sparse.verdict == dense.verdict == t.verdict
+        assert sparse.matrix == dense.matrix == t.matrix
+        assert json.dumps(sparse.to_json(names)) == json.dumps(dense.to_json(names))
+
+
+def test_trace_and_json_do_no_work_per_zero_cell(monkeypatch):
+    """The 171 x 1711 P^2 matrix at D = 20H over F_3 has one nonzero per
+    row; building it, ranking it and writing its JSON test few scalars
+    for zero, not one per cell."""
+    calls = []
+    truth = Scalar.__bool__
+
+    def counted(self):
+        calls.append(1)
+        return truth(self)
+
+    monkeypatch.setattr(Scalar, "__bool__", counted)
+    t = trace_matrix(DivisorSpec(F3, 2), DivisorSpec(F3, 2, k=20), 1)
+    t.to_json(XYZ)
+    assert (t.tgt.dim, t.src.dim) == (171, 1711) and t.verdict.surjective
+    assert len(calls) <= 4 * t.tgt.dim
 
 
 def test_matrix_is_ranked_once_whatever_reads_its_verdict(monkeypatch, capsys):
@@ -163,8 +203,6 @@ def test_matrix_is_ranked_once_whatever_reads_its_verdict(monkeypatch, capsys):
 
 
 def test_containment_never_fires_on_grid():
-    quadric3 = parse_poly("x^2+y*z+w^2", F2, XYZW)
-    conic = parse_poly("x^2+y*z", F2, XYZ)
     cases = []
     for p in (2, 3):
         field = FiniteField(p)
@@ -184,10 +222,10 @@ def test_containment_never_fires_on_grid():
                         cases.append((E, DivisorSpec(field, n, k=k), e))
     for E, D, e in cases:
         t = trace_matrix(E, D, e)  # must not raise ContainmentError
-        assert len(t.matrix) == t.tgt.dim
+        matrix = t.matrix
+        assert len(matrix) == t.tgt.dim
         assert (t.verdict.zero, t.verdict.rank) == (
-            all(not x for row in t.matrix for x in row), linalg.rank(t.matrix))
-    assert conic is not None and quadric3 is not None
+            all(not x for row in matrix for x in row), linalg.rank(matrix))
 
 
 def twisted_product(outer, inner):
@@ -239,8 +277,9 @@ def test_apply_matches_traced_forms():
     E = DivisorSpec(F2, 2)
     D = DivisorSpec(F2, 2, k=3)
     t = trace_matrix(E, D, 1)
+    matrix = t.matrix
     for b in range(t.src.dim):
-        column = Poly(t.field, t.src.n, zip(t.tgt.basis, [row[b] for row in t.matrix]))
+        column = Poly(t.field, t.src.n, zip(t.tgt.basis, [row[b] for row in matrix]))
         traced = trace_rational_top(t.src.basis_form(b), 1)
         cleared = (traced.coeff.num * t.tgt.den).exact_divide(traced.coeff.den)
         assert column == cleared, b
@@ -251,11 +290,12 @@ def matches_direct_trace(E, D, e, chart=None):
     over the full source denominator by the definition, then divide down
     to the target's."""
     t = trace_matrix(E, D, e, chart)
+    matrix = t.matrix
     for b in range(t.src.dim):
         coeff = t.src.basis_form(b).coeff
         traced = trace_by_definition(coeff.num, coeff.den, e)
         cleared = (traced * t.tgt.den).exact_divide(coeff.den)
-        column = Poly(t.field, t.src.n, zip(t.tgt.basis, [row[b] for row in t.matrix]))
+        column = Poly(t.field, t.src.n, zip(t.tgt.basis, [row[b] for row in matrix]))
         assert column == cleared, b
     return t
 
