@@ -43,9 +43,12 @@ def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     return trace_rational_top(TopForm(f.field, f.nvars, f), e).coeff.num
 
 
-def trace_rational_top(form: TopForm, e: int = 1) -> TopForm:
+def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     """Tr^e on a rational top form h/g dx, as Tr^e(h * g^{q-1} dx) / g
-    with the product read term by term off the buckets of g^{q-1}."""
+    with the product read term by term off the buckets of g^{q-1}.
+
+    ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
+    raises ValueError below the top degree."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
     h, g = form.coeff.num, form.coeff.den
@@ -57,7 +60,7 @@ def trace_rational_top(form: TopForm, e: int = 1) -> TopForm:
     return TopForm(form.field, form.nvars, RationalFn(num, g))
 
 
-def trace_iterated(form: TopForm, e: int) -> TopForm:
+def trace_iterated(form: DiffForm, e: int) -> TopForm:
     """Tr^e as e successive exponent-1 traces (the composition law)."""
     if e < 1:
         raise ValueError("trace exponent must be positive")

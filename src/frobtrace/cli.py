@@ -20,7 +20,6 @@ from .cartier import trace_rational_top
 from .checks import SUITES, run_suite
 from .demo import build_report
 from .field import FiniteField
-from .forms import TopForm
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import monomial_string
@@ -119,9 +118,13 @@ def _chart_index(args, varnames) -> int:
     return varnames.index(args.chart)
 
 
+def _print_json(payload: dict) -> None:
+    print(json.dumps({"version": JSON_VERSION, **payload}, indent=2))
+
+
 def _emit(args, payload: dict, table_lines: list) -> None:
     if args.output == "json":
-        print(json.dumps({"version": JSON_VERSION, **payload}, indent=2))
+        _print_json(payload)
     else:
         for line in table_lines:
             print(line)
@@ -130,11 +133,7 @@ def _emit(args, payload: dict, table_lines: list) -> None:
 def cmd_trace(args) -> int:
     field = _build_field(args)
     varnames = _varnames(args)
-    form = parse_form(args.form, field, varnames)
-    if form.degree != len(varnames):
-        raise ParseError(f"trace needs a top form of degree {len(varnames)}, "
-                         f"got degree {form.degree}")
-    result = trace_rational_top(TopForm.from_diffform(form), args.e)
+    result = trace_rational_top(parse_form(args.form, field, varnames), args.e)
     payload = {
         "command": "trace",
         "p": field.p,
@@ -154,8 +153,10 @@ def cmd_trace_matrix(args) -> int:
     e_part = parse_divisor(args.E, field, varnames)
     divisor = parse_divisor(args.D, field, varnames)
     t = trace_matrix(e_part, divisor, args.e, chart)
-    payload = {"command": "trace-matrix", **t.to_json(varnames)}
-    verdict = payload["verdict"]
+    if args.output == "json":
+        _print_json({"command": "trace-matrix", **t.to_json(varnames)})
+        return 0
+    verdict = t.verdict
     chart_names = _chart_varnames(varnames, chart)
     lines = [
         f"Tr^{args.e}: omega(E + p^e D) -> omega(E + D) over F_{field.q}, "
@@ -169,9 +170,9 @@ def cmd_trace_matrix(args) -> int:
     ]
     for row in t.matrix:
         lines.append("    [" + " ".join(str(c) for c in row) + "]")
-    lines.append(f"  verdict: rank {verdict['rank']}, surjective "
-                 f"{verdict['surjective']}, zero {verdict['zero']}")
-    _emit(args, payload, lines)
+    lines.append(f"  verdict: rank {verdict.rank}, surjective "
+                 f"{verdict.surjective}, zero {verdict.zero}")
+    print("\n".join(lines))
     return 0
 
 
@@ -268,9 +269,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

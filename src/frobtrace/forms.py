@@ -5,6 +5,10 @@ variable indices to rational-function coefficients.  The sign convention
 is pinned once and for all: dx_j wedged onto dx_J from the left picks up
 (-1)^{#(elements of J below j)}, i.e. the sign of sorting j into J.
 
+One class, :class:`DiffForm`, carries forms of every degree.  The trace
+acts on top forms f dx_1^...^dx_n: :class:`TopForm` builds one from f,
+and :attr:`DiffForm.coeff` reads f back off any top-degree form.
+
 Exactness testing is bounded-degree linear algebra: the graded pieces of
 the polynomial de Rham complex are finite dimensional, so membership in
 the image of d is a solvable linear system once the caller bounds the
@@ -14,6 +18,7 @@ degree.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import ge
 
 from . import linalg
 from .poly import Poly, RationalFn, monomials_upto
@@ -54,14 +59,15 @@ class DiffForm:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for idx, rat in items:
                 idx = tuple(idx)
-                if len(idx) != degree or any(i1 >= i2 for i1, i2 in zip(idx, idx[1:])):
+                if len(idx) != degree or any(map(ge, idx, idx[1:])):
                     raise ValueError(f"index set {idx} is not a strictly increasing "
                                      f"{degree}-subset")
-                if any(not 0 <= i < nvars for i in idx):
+                if idx and not 0 <= idx[0] <= idx[-1] < nvars:
                     raise ValueError(f"index set {idx} out of range")
                 if isinstance(rat, Poly):
                     rat = RationalFn(rat)
-                if rat.field != field or rat.nvars != nvars:
+                num = rat.num
+                if num.nvars != nvars or (num.field is not field and num.field != field):
                     raise ValueError("coefficient from a different context")
                 if not rat.is_zero():
                     clean[idx] = rat
@@ -89,6 +95,20 @@ class DiffForm:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @property
+    def coeff(self) -> RationalFn:
+        """The coefficient of dx_1^...^dx_n; only a top-degree form has one."""
+        if self.degree != self.nvars:
+            raise ValueError(f"degree-{self.degree} form in {self.nvars} variables "
+                             "is not a top form")
+        rat = self.coeffs.get(tuple(range(self.nvars)))
+        return RationalFn(Poly.zero(self.field, self.nvars)) if rat is None else rat
+
+    def scale(self, factor) -> "DiffForm":
+        """Multiply every coefficient by a rational function, polynomial or scalar."""
+        return DiffForm(self.field, self.nvars, self.degree,
+                        {i: r * factor for i, r in self.coeffs.items()})
 
     def _coerce(self, other):
         if not isinstance(other, DiffForm):
@@ -141,68 +161,16 @@ class DiffForm:
         return self.to_string()
 
     def __repr__(self):
-        return f"DiffForm({self.to_string()!r})"
+        return f"{type(self).__name__}({self.to_string()!r})"
 
 
-class TopForm:
-    """Degree-n form f dx_1^...^dx_n, carried by its single coefficient."""
+class TopForm(DiffForm):
+    """The top-degree form coeff dx_1^...^dx_n, as a :class:`DiffForm`."""
 
-    __slots__ = ("field", "nvars", "coeff")
+    __slots__ = ()
 
     def __init__(self, field, nvars, coeff):
-        if isinstance(coeff, Poly):
-            coeff = RationalFn(coeff)
-        if coeff.field != field or coeff.nvars != nvars:
-            raise ValueError("coefficient from a different context")
-        self.field = field
-        self.nvars = nvars
-        self.coeff = coeff
-
-    @classmethod
-    def from_diffform(cls, form: DiffForm) -> "TopForm":
-        if form.degree != form.nvars:
-            raise ValueError(f"degree-{form.degree} form in {form.nvars} variables "
-                             "is not a top form")
-        full = tuple(range(form.nvars))
-        rat = form.coeffs.get(full, RationalFn(Poly.zero(form.field, form.nvars)))
-        return cls(form.field, form.nvars, rat)
-
-    def as_diffform(self) -> DiffForm:
-        return DiffForm(self.field, self.nvars, self.nvars,
-                        {tuple(range(self.nvars)): self.coeff})
-
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-    def scale(self, factor) -> "TopForm":
-        """Multiply by a rational function (or polynomial or scalar)."""
-        if not isinstance(factor, RationalFn):
-            factor = RationalFn(factor) if isinstance(factor, Poly) else \
-                RationalFn(Poly.constant(self.field, self.nvars, factor))
-        return TopForm(self.field, self.nvars, self.coeff * factor)
-
-    def __add__(self, other):
-        if not isinstance(other, TopForm):
-            return NotImplemented
-        if other.field != self.field or other.nvars != self.nvars:
-            raise ValueError("forms from different contexts")
-        return TopForm(self.field, self.nvars, self.coeff + other.coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, TopForm):
-            return NotImplemented
-        if other.field != self.field or other.nvars != self.nvars:
-            raise ValueError("forms from different contexts")
-        return self.coeff == other.coeff
-
-    def to_string(self, varnames=None) -> str:
-        return self.as_diffform().to_string(varnames)
-
-    def __str__(self):
-        return self.to_string()
-
-    def __repr__(self):
-        return f"TopForm({self.to_string()!r})"
+        super().__init__(field, nvars, nvars, {tuple(range(nvars)): coeff})
 
 
 def exterior_derivative(form: DiffForm) -> DiffForm:

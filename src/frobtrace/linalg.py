@@ -59,7 +59,8 @@ def solve(rows, rhs, field):
     Dense rows take a dense ``rhs`` and give a dense list.  Sparse rows
     take a sparse ``{row: value}`` rhs and give ``{column: nonzero value}``.
     Free variables are set to zero, so the solution is the one the
-    reduced row echelon form reads off.
+    reduced row echelon form reads off.  A dense system with no rows
+    carries no width, so ``solve([], [], field)`` can only return ``[]``.
     """
     dense = not isinstance(rhs, dict)
     if dense:

@@ -24,7 +24,13 @@ from frobtrace import (
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
+F4 = FiniteField(2, 2, [1, 1, 1])
+F9 = FiniteField(3, 2, [1, 0, 1])
 XYZ = ["x", "y", "z"]
+
+
+def _rand_element(field, rng):
+    return field.scalar([rng.randrange(field.p) for _ in range(field.s)])
 
 
 def _rand_poly(field, nvars, rng, max_terms=3, max_deg=3):
@@ -32,7 +38,7 @@ def _rand_poly(field, nvars, rng, max_terms=3, max_deg=3):
     for _ in range(rng.randint(0, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         if sum(mono) <= max_deg:
-            terms[mono] = rng.randrange(field.p)
+            terms[mono] = _rand_element(field, rng)
     return Poly(field, nvars, {m: c for m, c in terms.items() if c})
 
 
@@ -59,11 +65,7 @@ def trace_by_definition(h, g, e):
     return Poly(field, h.nvars, terms)
 
 
-ORACLE_FIELDS = [F2, F3, FiniteField(2, 2, [1, 1, 1]), FiniteField(3, 2, [1, 0, 1])]
-
-
-def _rand_element(field, rng):
-    return field.scalar([rng.randrange(field.p) for _ in range(field.s)])
+ORACLE_FIELDS = [F2, F3, F4, F9]
 
 
 def test_trace_matches_definition_over_prime_and_extension_fields():
@@ -123,8 +125,7 @@ def test_trace_residue_rule_exhaustive():
 
 
 def test_trace_rational_eta_x_vanishes():
-    eta_x = TopForm.from_diffform(
-        parse_form("(x/(x^3+y^3+z^3+1)) dx^dy^dz", F2, XYZ))
+    eta_x = parse_form("(x/(x^3+y^3+z^3+1)) dx^dy^dz", F2, XYZ)
     assert trace_rational_top(eta_x, 1).is_zero()
 
 
@@ -141,7 +142,7 @@ def test_trace_rational_agrees_with_polynomial_trace():
 
 
 def test_trace_rational_n1_unit():
-    form = TopForm.from_diffform(parse_form("(x) dx", F2, ["x"]))
+    form = parse_form("(x) dx", F2, ["x"])
     result = trace_rational_top(form, 1)
     assert result == TopForm(F2, 1, RationalFn(Poly.one(F2, 1)))
 
@@ -164,18 +165,20 @@ def test_iterated_equals_direct_random():
 
 
 def test_iterated_fermat_form_vanishes():
-    eta_1 = TopForm.from_diffform(
-        parse_form("(1/(x^3+y^3+z^3+1)) dx^dy^dz", F2, XYZ))
+    eta_1 = parse_form("(1/(x^3+y^3+z^3+1)) dx^dy^dz", F2, XYZ)
     for e in (1, 2, 3):
         assert trace_iterated(eta_1, e).is_zero()
 
 
+# (field, e) pairs for the semilinearity and additivity laws; the prime
+# fields come first, so their random cases do not depend on the others
+LAW_CASES = [(F2, 1), (F3, 1), (F5, 1), (F4, 1), (F4, 2), (F9, 1)]
+
+
 def test_semilinearity():
     rng = random.Random(43)
-    for p in (2, 3, 5):
-        field = FiniteField(p)
-        e = 1
-        q = p ** e
+    for field, e in LAW_CASES:
+        q = field.p ** e
         for _ in range(20):
             n = rng.randint(1, 3)
             omega = _rand_top(field, n, rng)
@@ -192,13 +195,12 @@ def test_semilinearity():
 
 def test_additivity():
     rng = random.Random(47)
-    for p in (2, 3, 5):
-        field = FiniteField(p)
+    for field, e in LAW_CASES:
         for _ in range(15):
             n = rng.randint(1, 3)
             a, b = _rand_top(field, n, rng), _rand_top(field, n, rng)
-            assert trace_rational_top(a + b, 1) == \
-                trace_rational_top(a, 1) + trace_rational_top(b, 1)
+            assert trace_rational_top(a + b, e) == \
+                trace_rational_top(a, e) + trace_rational_top(b, e)
 
 
 def test_representation_independence():

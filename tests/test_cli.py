@@ -7,6 +7,7 @@ import pytest
 from frobtrace import Poly, TopForm, demo
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
+from frobtrace.projective import SemilinearMap
 
 
 def run(args, capsys):
@@ -276,3 +277,28 @@ def test_trace_matrix_table_footer_matches_json_verdict(capsys):
     assert table.splitlines()[-1] == (
         f"  verdict: rank {verdict['rank']}, surjective {verdict['surjective']}, "
         f"zero {verdict['zero']}")
+
+
+def test_trace_of_a_non_top_form_is_usage_error(capsys):
+    code, out, err = run(["--char", "3", "--vars", "x,y", "trace", "(x) dx"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not a top form" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built for the output mode that is not printed")
+
+
+def test_trace_matrix_builds_only_the_format_it_prints(capsys, monkeypatch):
+    cmd = ["--char", "3", "--vars", "x,y,z", "trace-matrix", "--E", "x^2+y*z:1",
+           "--D", "H:2", "--e", "2"]
+    monkeypatch.setattr(SemilinearMap, "matrix", property(_refuse))
+    code, out, _ = run(["--output", "json"] + cmd, capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"]["zero"] is False
+    monkeypatch.undo()
+    monkeypatch.setattr(SemilinearMap, "to_json", _refuse)
+    code, out, _ = run(cmd, capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("  verdict: rank ")

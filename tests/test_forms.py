@@ -11,6 +11,7 @@ from frobtrace import (
     FiniteField,
     Poly,
     RationalFn,
+    TopForm,
     exterior_derivative,
     is_exact_bounded,
     monomials_upto,
@@ -182,3 +183,32 @@ def test_monomials_upto_matches_nested_loops():
                 for c in range(bound + 1)
                 if a + b + c <= bound}
     assert set(monomials_upto(3, bound)) == expected
+
+
+def test_coeff_is_read_only_off_top_degree_forms():
+    one_form = parse_form("(x) dx", F3, ["x", "y"])
+    with pytest.raises(ValueError, match="not a top form"):
+        one_form.coeff
+    assert DiffForm.zero(F3, 2, 2).coeff.is_zero()
+
+
+def test_top_degree_diffform_is_the_topform_with_its_coefficient():
+    names = ["x", "y"]
+    parsed = parse_form("(x/(y+1)) dx^dy", F3, names)
+    built = TopForm(F3, 2, RationalFn(parse_poly("x", F3, names),
+                                      parse_poly("y+1", F3, names)))
+    assert parsed == built and built == parsed
+    assert parsed.coeff == built.coeff
+    assert parsed.to_string(names) == built.to_string(names)
+    assert str(parsed) == str(built)
+
+
+def test_scale_multiplies_every_coefficient():
+    names = ["x", "y"]
+    form = parse_form("(x) dx + (y) dy", F3, names)
+    y = parse_poly("y", F3, names)
+    expected = parse_form("(x*y) dx + (y^2) dy", F3, names)
+    assert form.scale(y) == expected
+    assert form.scale(RationalFn(y)) == expected
+    assert form.scale(2) == -form
+    assert form.scale(0).is_zero()

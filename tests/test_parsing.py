@@ -139,3 +139,20 @@ def test_roundtrip_through_printer():
     for text in texts:
         f = parse_poly(text, F3, XYZ)
         assert parse_poly(f.to_string(XYZ), F3, XYZ) == f
+
+
+def test_printer_roundtrip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [F2, F3, FiniteField(5), F7]
+    monomials = st.tuples(*[st.integers(0, 4)] * len(XYZ))
+
+    @hypothesis.settings(database=None, derandomize=True, deadline=None)
+    @hypothesis.given(st.sampled_from(fields),
+                      st.dictionaries(monomials, st.integers(0, 6), max_size=6))
+    def roundtrip(field, terms):
+        # the grammar reads integer coefficients only, so draw prime-field ones
+        f = Poly(field, len(XYZ), {m: c % field.p for m, c in terms.items()})
+        assert parse_poly(f.to_string(XYZ), field, XYZ) == f
+
+    roundtrip()
