@@ -10,10 +10,10 @@ from .cartier import (
     trace_poly_top,
     trace_rational_top,
 )
-from .field import FiniteField, Scalar, frobenius, inverse_frobenius
-from .forms import DiffForm, TopForm, exterior_derivative, is_exact_bounded
-from .fsplit import FsplitVerdict, fedder_hypersurface, pn_trace_surjectivity, verify_witness
-from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly, parse_rational
+from .field import FiniteField, Scalar
+from .forms import DiffForm, TopForm, exterior_derivative
+from .fsplit import FsplitVerdict, fedder_hypersurface, verify_witness
+from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import NEG_INFINITY, Poly, RationalFn, monomials_upto
 from .projective import (
     ChartError,
@@ -29,15 +29,15 @@ from .projective import (
 )
 
 __all__ = [
-    "FiniteField", "Scalar", "frobenius", "inverse_frobenius",
+    "FiniteField", "Scalar",
     "Poly", "RationalFn", "NEG_INFINITY", "monomials_upto",
-    "DiffForm", "TopForm", "exterior_derivative", "is_exact_bounded",
+    "DiffForm", "TopForm", "exterior_derivative",
     "trace_poly_top", "trace_rational_top", "trace_iterated",
     "inverse_cartier", "inverse_cartier_top", "trace_by_decomposition",
     "DivisorSpec", "SectionSpace", "SemilinearMap", "MapVerdict",
     "section_space", "pe_twist", "trace_matrix", "map_verdict",
     "ChartError", "ContainmentError",
-    "FsplitVerdict", "fedder_hypersurface", "verify_witness", "pn_trace_surjectivity",
-    "ParseError", "parse_poly", "parse_rational", "parse_form",
+    "FsplitVerdict", "fedder_hypersurface", "verify_witness",
+    "ParseError", "parse_poly", "parse_form",
     "parse_divisor", "parse_modulus",
 ]

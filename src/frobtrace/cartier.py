@@ -99,10 +99,11 @@ def trace_by_decomposition(f: Poly) -> Poly:
 
     Solves for eta (a polynomial (n-1)-form of degree <= deg f + 1) and tau
     (a polynomial of degree <= (deg f - n(p-1))/p) by linear algebra over
-    the prime field and returns tau.  The d(eta) columns are the monomial
-    d-columns of :func:`frobtrace.forms.d_columns`, the C^{-1}(tau) columns
-    come from :func:`inverse_cartier_top`, and :func:`frobtrace.linalg.solve`
-    solves the system.  Independent of the residue-bucket algorithm; prime
+    the prime field and returns tau.  Rows are the monomials of degree
+    <= deg f.  The d(eta) columns are the top-degree monomial d-columns of
+    :func:`frobtrace.forms.d_columns`, the C^{-1}(tau) columns come from
+    :func:`inverse_cartier_top`, and :func:`frobtrace.linalg.solve` solves
+    the system.  Independent of the residue-bucket algorithm; prime
     fields only, where t -> t^p is linear on coefficients.
     """
     field = f.field
@@ -112,13 +113,12 @@ def trace_by_decomposition(f: Poly) -> Poly:
     if f.is_zero():
         return Poly.zero(field, n)
     d = int(f.total_degree())
-    full = tuple(range(n))
-    row_of, columns = d_columns(field, n, n, d)
+    row_of, columns = d_columns(field, n, d)
     tau_monos = monomials_upto(n, (d - n * (p - 1)) // p)
     for t in tau_monos:
         image = inverse_cartier_top(Poly.monomial(field, t))
-        columns.append({row_of[(full, mono)]: c for mono, c in image.terms.items()})
-    rhs = {row_of[(full, mono)]: c for mono, c in f.terms.items()}
+        columns.append({row_of[mono]: c for mono, c in image.terms.items()})
+    rhs = {row_of[mono]: c for mono, c in f.terms.items()}
     solution = linalg.solve(linalg.transpose(columns, len(row_of)), rhs, field)
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "

@@ -7,9 +7,8 @@ respect to the power basis of the modulus; for s = 1 that vector has a
 single entry and the field behaves like plain modular arithmetic.
 
 The p^e-th power map and its inverse (the p^e-th root, well defined
-because the power map is bijective on a finite field) are exposed both
-as Scalar methods and as the module-level functions :func:`frobenius`
-and :func:`inverse_frobenius`.
+because the power map is bijective on a finite field) are the Scalar
+methods :meth:`Scalar.frobenius` and :meth:`Scalar.inverse_frobenius`.
 """
 
 from __future__ import annotations
@@ -273,12 +272,6 @@ class Scalar:
         p = self.field.p
         return Scalar(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         p = self.field.p
         return Scalar(self.field, tuple((-a) % p for a in self.coeffs))
@@ -296,12 +289,6 @@ class Scalar:
         if other is None:
             return NotImplemented
         return Scalar(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def inverse(self) -> "Scalar":
         return Scalar(self.field, self.field._inv(self.coeffs))
@@ -331,9 +318,6 @@ class Scalar:
         phi^{-e} = phi^{(-e) mod s}, the identity when that exponent is 0."""
         k = (-e) % self.field.s
         return self.frobenius(k) if k else self
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -367,16 +351,3 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self})"
 
-
-def frobenius(a: Scalar, e: int) -> Scalar:
-    """The p^e-th power of a."""
-    if e < 1:
-        raise ValueError("Frobenius exponent must be positive")
-    return a.frobenius(e)
-
-
-def inverse_frobenius(a: Scalar, e: int) -> Scalar:
-    """The unique b with b^{p^e} = a."""
-    if e < 1:
-        raise ValueError("Frobenius exponent must be positive")
-    return a.inverse_frobenius(e)

@@ -9,18 +9,15 @@ One class, :class:`DiffForm`, carries forms of every degree.  The trace
 acts on top forms f dx_1^...^dx_n: :class:`TopForm` builds one from f,
 and :attr:`DiffForm.coeff` reads f back off any top-degree form.
 
-Exactness testing is bounded-degree linear algebra: the graded pieces of
-the polynomial de Rham complex are finite dimensional, so membership in
-the image of d is a solvable linear system once the caller bounds the
-degree.
+:func:`d_columns` writes d into the top degree as a sparse matrix on
+monomials; the decomposition oracle
+:func:`frobtrace.cartier.trace_by_decomposition` solves against it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import ge
 
-from . import linalg
 from .poly import Poly, RationalFn, monomials_upto
 
 
@@ -74,10 +71,6 @@ class DiffForm:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, field, nvars, degree):
-        return cls(field, nvars, degree)
-
-    @classmethod
     def from_terms(cls, field, nvars, degree, terms):
         """Build from (index sequence, coefficient) pairs, normalizing the
         index order with signs and dropping repeated-index wedges."""
@@ -86,8 +79,6 @@ class DiffForm:
             idx, sign = _normalize_indices(indices)
             if idx is None:
                 continue
-            if isinstance(rat, Poly):
-                rat = RationalFn(rat)
             if sign < 0:
                 rat = -rat
             acc[idx] = acc[idx] + rat if idx in acc else rat
@@ -126,16 +117,6 @@ class DiffForm:
         for idx, rat in other.coeffs.items():
             acc[idx] = acc[idx] + rat if idx in acc else rat
         return DiffForm(self.field, self.nvars, self.degree, acc)
-
-    def __neg__(self):
-        return DiffForm(self.field, self.nvars, self.degree,
-                        {i: -r for i, r in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -189,54 +170,26 @@ def exterior_derivative(form: DiffForm) -> DiffForm:
     return DiffForm.from_terms(form.field, form.nvars, form.degree + 1, terms)
 
 
-def d_columns(field, n: int, i: int, dbound: int):
-    """Sparse matrix of d from the monomial (i-1)-forms x^m dx_K with
-    deg m <= dbound + 1 to the i-forms with coefficients of degree <= dbound.
+def d_columns(field, n: int, dbound: int):
+    """Sparse matrix of d from the monomial (n-1)-forms x^m dx_K with
+    deg m <= dbound + 1 to the top forms with coefficients of degree <= dbound.
 
-    Returns ``(row_of, columns)``.  ``row_of`` numbers the pairs
-    (J, monomial) of the target, J an increasing i-subset; ``columns`` holds
-    one sparse ``{row: value}`` dict per source form, ordered by K, then m.
-    Each d(x^m dx_K) is read off the exponents: the partial of x^m by x_j
-    is m_j x^{m - e_j}, which vanishes when p divides m_j.
+    Returns ``(row_of, columns)``.  ``row_of`` numbers the target
+    monomials; ``columns`` holds one sparse ``{row: value}`` dict per source
+    form, ordered by K, then m.  K is every index but one, j, so
+    d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n, which vanishes when p
+    divides m_j.
     """
     p = field.p
-    targets = monomials_upto(n, dbound)
+    row_of = {m: r for r, m in enumerate(monomials_upto(n, dbound))}
     sources = monomials_upto(n, dbound + 1)
-    row_of = {}
-    for J in combinations(range(n), i):
-        for m in targets:
-            row_of[(J, m)] = len(row_of)
     columns = []
-    for K in combinations(range(n), i - 1):
+    for j in reversed(range(n)):  # K = (0..n-1) without j, increasing in K
+        sign = -1 if j % 2 else 1
         for m in sources:
             col = {}
-            for j in range(n):
-                if j in K or m[j] % p == 0:
-                    continue
-                J, sign = _normalize_indices((j,) + K)
+            if m[j] % p:
                 lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
-                col[row_of[(J, lowered)]] = field.scalar(sign * m[j])
+                col[row_of[lowered]] = field.scalar(sign * m[j])
             columns.append(col)
     return row_of, columns
-
-
-def is_exact_bounded(form: DiffForm, dbound: int) -> bool:
-    """Is form = d(eta) for a polynomial form eta of degree <= dbound + 1?
-
-    Decided by solving for eta's coefficients on the monomial-form basis.
-    The input must have polynomial coefficients of total degree <= dbound.
-    """
-    if form.degree < 1:
-        raise ValueError("exactness is tested for forms of degree >= 1")
-    for rat in form.coeffs.values():
-        if not rat.is_polynomial():
-            raise ValueError("exactness testing requires polynomial coefficients")
-        if rat.as_poly().total_degree() > dbound:
-            raise ValueError("coefficient degree exceeds the declared bound")
-    field = form.field
-    if form.is_zero():
-        return True
-    row_of, columns = d_columns(field, form.nvars, form.degree, dbound)
-    rhs = {row_of[(J, mono)]: c
-           for J, rat in form.coeffs.items() for mono, c in rat.as_poly().terms.items()}
-    return linalg.solve(linalg.transpose(columns, len(row_of)), rhs, field) is not None

@@ -227,10 +227,6 @@ def parse_poly(text: str, field, varnames) -> Poly:
     return _parse_whole(text, field, varnames, _Parser.parse_poly)
 
 
-def parse_rational(text: str, field, varnames) -> RationalFn:
-    return _parse_whole(text, field, varnames, _Parser.parse_rational)
-
-
 def parse_form(text: str, field, varnames) -> DiffForm:
     """Parse a differential form such as "(x/(x^3+1)) dx^dy"."""
     return _parse_whole(text, field, varnames, _Parser.parse_form)

@@ -182,12 +182,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             c0 = self.field.scalar(other)
@@ -408,18 +402,6 @@ class RationalFn:
     def __neg__(self):
         return RationalFn(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -428,21 +410,9 @@ class RationalFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            if self.num.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFn(self.den ** (-n), self.num ** (-n))
         return RationalFn(self.num ** n, self.den ** n)
 
     def __eq__(self, other):

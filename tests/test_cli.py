@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from frobtrace import Poly, TopForm, demo
+from frobtrace import Poly, Scalar, TopForm, demo
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
 from frobtrace.projective import SemilinearMap
@@ -146,9 +146,11 @@ def test_demo_json_is_machine_checkable(capsys):
 def test_demo_column_check_fails_on_a_nonzero_iterated_trace(monkeypatch):
     monkeypatch.setattr(demo, "trace_iterated", lambda form, e: TopForm(
         form.field, form.nvars, Poly.one(form.field, form.nvars)))
-    checks = {c["name"]: c for c in demo.build_report()["checks"]}
+    report = demo.build_report()
+    checks = {c["name"]: c for c in report["checks"]}
     assert checks["zero_matrix_e2"]["ok"] is False
     assert checks["zero_matrix_e2"]["iterated_agrees"] is False
+    assert report["ok"] is False
 
 
 def test_check_suites_pass(capsys):
@@ -157,6 +159,14 @@ def test_check_suites_pass(capsys):
     assert "FAIL" not in out
     code, out, _ = run(["check", "composition", "--cases", "10"], capsys)
     assert code == 0
+
+
+def test_check_suites_catch_a_dropped_coefficient_root(monkeypatch):
+    # the p^e-th root is the identity on F_p, so only the suites' extension
+    # fields can tell a trace that skips it from the true one
+    monkeypatch.setattr(Scalar, "inverse_frobenius", lambda self, e=1: self)
+    reports = run_suite("all", 50, 42)
+    assert not all(r.ok for r in reports)
 
 
 def test_check_deterministic_output(capsys):

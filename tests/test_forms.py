@@ -1,5 +1,5 @@
-"""Tests for differential forms, the exterior derivative, and bounded
-exactness testing."""
+"""Tests for differential forms, the exterior derivative, and the
+top-degree d-columns of the decomposition oracle."""
 
 import itertools
 import random
@@ -13,11 +13,11 @@ from frobtrace import (
     RationalFn,
     TopForm,
     exterior_derivative,
-    is_exact_bounded,
     monomials_upto,
     parse_form,
     parse_poly,
 )
+from frobtrace.forms import d_columns
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -120,45 +120,6 @@ def test_sign_convention():
     assert d.coeffs[(0, 2)] == -RationalFn(Poly.one(F3, 3))
 
 
-def test_exactness_of_derivatives():
-    rng = random.Random(8)
-    for p in (2, 3, 5):
-        field = FiniteField(p)
-        for n in (2, 3):
-            for i in range(0, n - 1):
-                eta = _random_form(field, n, i, rng, max_terms=2, max_deg=3)
-                omega = exterior_derivative(eta)
-                if omega.is_zero():
-                    continue
-                dbound = max(int(r.as_poly().total_degree())
-                             for r in omega.coeffs.values())
-                assert is_exact_bounded(omega, dbound)
-
-
-def test_x_dx_is_not_exact_in_char_2():
-    # no f over F_2 has f' = x: exhaustively over degrees <= 4
-    for coeffs in itertools.product(range(2), repeat=5):
-        f = Poly(F2, 1, {(i,): c for i, c in enumerate(coeffs) if c})
-        assert f.partial(0) != parse_poly("x", F2, ["x"])
-    form = parse_form("(x) dx", F2, ["x"])
-    assert not is_exact_bounded(form, 3)
-
-
-def test_x2_dx_is_exact_in_char_2():
-    form = parse_form("(x^2) dx", F2, ["x"])
-    assert is_exact_bounded(form, 2)
-
-
-def test_zero_form_is_exact():
-    assert is_exact_bounded(DiffForm.zero(F2, 2, 1), 4)
-
-
-def test_exactness_rejects_degree_overflow():
-    form = parse_form("(x^3) dx", F2, ["x", "y"])
-    with pytest.raises(ValueError):
-        is_exact_bounded(form, 2)
-
-
 def test_form_equality_is_coefficientwise_cross_multiplication():
     names = ["x", "y"]
     a = parse_form("(x/(y)) dx", F2, names)
@@ -171,8 +132,30 @@ def test_from_terms_normalizes_wedge_order():
     names = ["x", "y", "z"]
     plus = parse_form("(x) dy^dx", F3, names)
     minus = parse_form("(x) dx^dy", F3, names)
-    assert plus + minus == DiffForm.zero(F3, 3, 2)
+    assert plus + minus == DiffForm(F3, 3, 2)
     assert parse_form("(x) dx^dx", F3, names).is_zero()
+
+
+def test_d_columns_match_the_exterior_derivative():
+    # d_columns reads d(x^m dx_K) off the exponents; exterior_derivative
+    # differentiates and signs the wedge through from_terms
+    for p in (2, 3, 5):
+        field = FiniteField(p)
+        for n in (1, 2, 3):
+            for dbound in (0, 2, 4):
+                row_of, columns = d_columns(field, n, dbound)
+                assert list(row_of.values()) == list(range(len(row_of)))
+                assert set(row_of) == set(monomials_upto(n, dbound))
+                mono_of = {r: m for m, r in row_of.items()}
+                sources = [(K, m) for K in itertools.combinations(range(n), n - 1)
+                           for m in monomials_upto(n, dbound + 1)]
+                assert len(columns) == len(sources)
+                for (K, m), col in zip(sources, columns):
+                    eta = DiffForm(field, n, n - 1,
+                                   {K: RationalFn(Poly.monomial(field, m))})
+                    expected = exterior_derivative(eta).coeff.as_poly()
+                    got = Poly(field, n, {mono_of[r]: c for r, c in col.items()})
+                    assert got == expected, (p, n, K, m)
 
 
 def test_monomials_upto_matches_nested_loops():
@@ -189,7 +172,7 @@ def test_coeff_is_read_only_off_top_degree_forms():
     one_form = parse_form("(x) dx", F3, ["x", "y"])
     with pytest.raises(ValueError, match="not a top form"):
         one_form.coeff
-    assert DiffForm.zero(F3, 2, 2).coeff.is_zero()
+    assert DiffForm(F3, 2, 2).coeff.is_zero()
 
 
 def test_top_degree_diffform_is_the_topform_with_its_coefficient():
@@ -210,5 +193,6 @@ def test_scale_multiplies_every_coefficient():
     expected = parse_form("(x*y) dx + (y^2) dy", F3, names)
     assert form.scale(y) == expected
     assert form.scale(RationalFn(y)) == expected
-    assert form.scale(2) == -form
+    negated = DiffForm(F3, 2, 1, {i: -r for i, r in form.coeffs.items()})
+    assert form.scale(2) == negated
     assert form.scale(0).is_zero()
