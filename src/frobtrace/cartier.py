@@ -114,6 +114,7 @@ def trace_by_decomposition(f: Poly) -> Poly:
         return Poly.zero(field, n)
     d = int(f.total_degree())
     row_of, columns = d_columns(field, n, d)
+    offset = len(columns)  # the C^{-1}(tau) columns follow the d columns
     tau_monos = monomials_upto(n, (d - n * (p - 1)) // p)
     for t in tau_monos:
         image = inverse_cartier_top(Poly.monomial(field, t))
@@ -123,6 +124,5 @@ def trace_by_decomposition(f: Poly) -> Poly:
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "
                            "this contradicts the exact sequence it satisfies")
-    offset = len(columns) - len(tau_monos)
     return Poly(field, n, {tau_monos[c - offset]: value
                            for c, value in solution.items() if c >= offset})

@@ -2,9 +2,20 @@
 
 A :class:`FiniteField` validates its characteristic and, for extension
 fields, the irreducibility of the user-supplied modulus.  Elements are
-immutable :class:`Scalar` values carrying their coordinate vector with
-respect to the power basis of the modulus; for s = 1 that vector has a
-single entry and the field behaves like plain modular arithmetic.
+immutable :class:`Scalar` values holding one int ``v`` in [0, q): on F_p
+the residue itself, on F_{p^s} the coordinate vector with respect to the
+power basis of the modulus read as base-p digits (constant term lowest).
+The code depends only on p and the modulus, so scalars of two equal
+fields mix freely; :attr:`Scalar.coeffs` gives the vector back.
+
+On F_p every operation is native arithmetic modulo p.  An extension field
+builds three tables once, at construction, from the primitive element g
+of smallest code: antilogs (g^k), logs, and Zech logarithms
+(log(1 + g^k)).  Multiplication, inversion, powers and the Frobenius are
+then index arithmetic on logs, and addition is one Zech lookup, as in
+FLINT's ``fq_zech``.  The tables hold O(q) ints, so fields are limited
+to q = p^s <= 2^16, and larger ones are refused before any table is
+built.
 
 The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
@@ -14,9 +25,10 @@ methods :meth:`Scalar.frobenius` and :meth:`Scalar.inverse_frobenius`.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
-# Residue products must fit comfortably in native integers.
-MAX_CHAR = 1 << 16
+# Extension fields keep antilog, log and Zech tables with O(q) entries.
+MAX_ORDER = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -122,6 +134,150 @@ def _check_irreducible(modulus, p):
     return True
 
 
+def _prime_factors(n: int) -> list:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digits(code: int, p: int, s: int) -> tuple:
+    """The s base-p digits of ``code``, lowest first: its coefficient vector."""
+    out = []
+    for _ in range(s):
+        code, d = divmod(code, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _primitive_powers(p, s, modulus) -> list:
+    """Codes of g^0, ..., g^{q-2} for the primitive element g of smallest code.
+
+    g has order q - 1 exactly when g^{(q-1)/r} != 1 for every prime r
+    dividing q - 1.  Constants (codes below p) have order dividing
+    p - 1 < q - 1, so the search starts at x (code p)."""
+    m = p ** s - 1
+    cofactors = [m // r for r in _prime_factors(m)]
+    for code in range(p, m + 1):
+        g = _utrim(list(_digits(code, p, s)))
+        if all(_upow_mod(g, k, modulus, p) != [1] for k in cofactors):
+            break
+    low = [-c % p for c in modulus[:s]]  # x^s = low(x) modulo the modulus
+    weights = [p ** i for i in range(s)]
+    powers = [0] * m
+    vec = [1] + [0] * (s - 1)
+    for k in range(m):
+        powers[k] = sum(map(mul, vec, weights))
+        # vec * g = sum_i g_i x^i vec, each x^i vec by shifting and reducing
+        acc, shifted = [0] * s, vec
+        for i, gi in enumerate(g):
+            if i:
+                top = shifted[-1]
+                shifted = [0] + shifted[:-1]
+                if top:
+                    shifted = [(a + top * b) % p for a, b in zip(shifted, low)]
+            if gi:
+                acc = [(a + gi * b) % p for a, b in zip(acc, shifted)]
+        vec = acc
+    return powers
+
+
+def _prime_ops(p: int, name: str):
+    """add, sub, neg, mul, inv, pow and Frobenius on residues modulo p."""
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def neg(a):
+        return -a % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero in " + name)
+        return pow(a, -1, p)
+
+    def power(a, n):
+        if n < 0:
+            a, n = inv(a), -n
+        return pow(a, n, p)
+
+    def frobenius(a, e):
+        return a
+
+    return add, sub, neg, mul, inv, power, frobenius
+
+
+def _table_ops(p: int, s: int, modulus, name: str):
+    """The operations of :func:`_prime_ops` on codes of F_{p^s}, by table.
+
+    With m = q - 1, ``exp`` lists g^k for k in [0, 2m) and then zeros up to
+    index 4m; ``log[0]`` is 2m, so any sum of two logs that involves zero
+    lands on a zero, and ``exp[log[a] + log[b]]`` is the product without a
+    test.  ``zech[k]`` is log(1 + g^k) (2m when that is zero), repeated
+    twice so that differences of logs in (-2m, 2m) index it directly."""
+    powers = _primitive_powers(p, s, modulus)
+    m = len(powers)
+    half = m // 2 if p > 2 else 0  # -1 = g^half
+    log = [2 * m] * (m + 1)
+    for k, v in enumerate(powers):
+        log[v] = k
+    exp = powers * 2 + [0] * (2 * m + 1)
+    # adding 1 changes the constant digit only
+    zech = [log[v - v % p + (v + 1) % p] for v in powers] * 2
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        return exp[la + zech[log[b] - la]]
+
+    def sub(a, b):
+        if not b:
+            return a
+        lb = log[b] + half
+        if not a:
+            return exp[lb]
+        la = log[a]
+        return exp[la + zech[lb - la]]
+
+    def neg(a):
+        return exp[log[a] + half]
+
+    def mul(a, b):
+        return exp[log[a] + log[b]]
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero in " + name)
+        return exp[m - log[a]]
+
+    def power(a, n):
+        if a:
+            return exp[log[a] * n % m]
+        if n < 0:
+            raise ZeroDivisionError("division by zero in " + name)
+        return 0 if n else 1
+
+    def frobenius(a, e):
+        return exp[log[a] * pow(p, e, m) % m] if a else 0
+
+    return add, sub, neg, mul, inv, power, frobenius
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -130,18 +286,26 @@ class FiniteField:
 
     For s > 1 a monic irreducible modulus of degree s over F_p must be
     supplied as a little-endian coefficient list, e.g. ``[1, 0, 1]`` for
-    x^2 + 1.  Irreducibility is checked at construction.
+    x^2 + 1.  Irreducibility is checked at construction.  The order
+    q = p^s may be at most ``MAX_ORDER`` = 2^16.
     """
 
-    __slots__ = ("p", "s", "modulus")
+    __slots__ = ("p", "s", "q", "modulus", "zero", "one", "_hash",
+                 "_add", "_sub", "_neg", "_mul", "_inv", "_pow", "_frob")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int):
             raise ValueError(f"characteristic {p!r} is not prime")
-        if p >= MAX_CHAR:
-            raise ValueError(f"characteristic {p} exceeds the limit {MAX_CHAR}")
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"extension degree {s!r} must be a positive integer")
+        # p >= 2 for any prime, so q <= 2^16 forces s <= 16
+        if s > 16 or p ** s > MAX_ORDER:
+            order = (p if s == 1 else f"{p}^{s}" if s > 16
+                     else f"{p}^{s} = {p ** s}")
+            raise ValueError(f"field order q = {order} exceeds the limit "
+                             f"q <= {MAX_ORDER} (2^16)")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p!r} is not prime")
         if s == 1:
             if modulus is not None:
                 raise ValueError("a prime field takes no modulus")
@@ -160,65 +324,46 @@ class FiniteField:
             self.modulus = tuple(m)
         self.p = p
         self.s = s
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.s
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, (0,) * self.s)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, (1,) + (0,) * (self.s - 1))
+        self.q = p ** s
+        self._hash = hash((p, s, self.modulus))
+        ops = (_prime_ops(p, str(self)) if s == 1
+               else _table_ops(p, s, self.modulus, str(self)))
+        (self._add, self._sub, self._neg, self._mul, self._inv, self._pow,
+         self._frob) = ops
+        self.zero = Scalar(self, 0)
+        self.one = Scalar(self, 1)
 
     @property
     def generator(self) -> "Scalar":
         """The class of x in F_p[x]/(modulus); for s = 1 this is 1."""
         if self.s == 1:
             return self.one
-        return Scalar(self, (0, 1) + (0,) * (self.s - 2))
+        return Scalar(self, self.p)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an integer or a residue sequence into the field."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError("scalar belongs to a different field")
             return value
+        p = self.p
         if isinstance(value, int):
-            return Scalar(self, (value % self.p,) + (0,) * (self.s - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return Scalar(self, value % p)
+        coeffs = [int(c) % p for c in value]
         if len(coeffs) > self.s:
             raise ValueError(f"residue vector longer than extension degree {self.s}")
-        coeffs = coeffs + (0,) * (self.s - len(coeffs))
-        return Scalar(self, coeffs)
+        code = 0
+        for c in reversed(coeffs):
+            code = code * p + c
+        return Scalar(self, code)
 
     def elements(self):
         """Iterate over all q field elements (for exhaustive tests)."""
         for coeffs in itertools.product(range(self.p), repeat=self.s):
-            yield Scalar(self, coeffs)
-
-    # internal tuple arithmetic -------------------------------------------
-
-    def _mul(self, a: tuple, b: tuple) -> tuple:
-        if self.s == 1:
-            return ((a[0] * b[0]) % self.p,)
-        prod = _umul(list(a), list(b), self.p)
-        red = _udivmod(prod, list(self.modulus), self.p)[1]
-        return tuple(red) + (0,) * (self.s - len(red))
-
-    def _inv(self, a: tuple) -> tuple:
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("division by zero in " + str(self))
-        if self.s == 1:
-            return (pow(a[0], -1, self.p),)
-        g, u = _uxgcd(list(a), list(self.modulus), self.p)
-        assert g == [1], "modulus validated irreducible, gcd must be 1"
-        return tuple(u) + (0,) * (self.s - len(u))
+            yield self.scalar(coeffs)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FiniteField)
             and self.p == other.p
             and self.s == other.s
@@ -226,7 +371,7 @@ class FiniteField:
         )
 
     def __hash__(self):
-        return hash((self.p, self.s, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.s == 1:
@@ -238,80 +383,83 @@ class FiniteField:
 
 
 class Scalar:
-    """Immutable element of a :class:`FiniteField`."""
+    """Immutable element of a :class:`FiniteField`, held as its int code
+    ``v`` (see the module docstring); build one with
+    :meth:`FiniteField.scalar`."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field: FiniteField, coeffs: tuple):
+    def __init__(self, field: FiniteField, v: int):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.v = v
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinate vector in the power basis, constant term first."""
+        field = self.field
+        return _digits(self.v, field.p, field.s)
 
     def _coerce(self, other):
+        """The code of ``other`` in this field, or None for a foreign type."""
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed-field arithmetic between "
                                  f"{self.field} and {other.field}")
-            return other
+            return other.v
         if isinstance(other, int):
-            return self.field.scalar(other)
+            return other % self.field.p
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        p = self.field.p
-        return Scalar(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        field = self.field
+        return Scalar(field, field._add(self.v, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        p = self.field.p
-        return Scalar(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        field = self.field
+        return Scalar(field, field._sub(self.v, b))
 
     def __neg__(self):
-        p = self.field.p
-        return Scalar(self.field, tuple((-a) % p for a in self.coeffs))
+        field = self.field
+        return Scalar(field, field._neg(self.v))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return Scalar(self.field, self.field._mul(self.coeffs, other.coeffs))
+        field = self.field
+        return Scalar(field, field._mul(self.v, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return Scalar(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
+        field = self.field
+        return Scalar(field, field._mul(self.v, field._inv(b)))
 
     def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field._inv(self.coeffs))
+        field = self.field
+        return Scalar(field, field._inv(self.v))
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        if self.field.s == 1:
-            return Scalar(self.field, (pow(self.coeffs[0], n, self.field.p),))
-        result = self.field.one
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        field = self.field
+        return Scalar(field, field._pow(self.v, n))
 
     def frobenius(self, e: int = 1) -> "Scalar":
-        """a ↦ a^{p^e}, by square-and-multiply."""
-        return self ** (self.field.p ** e)
+        """a ↦ a^{p^e}, the identity on F_p."""
+        field = self.field
+        return Scalar(field, field._frob(self.v, e))
 
     def inverse_frobenius(self, e: int = 1) -> "Scalar":
         """The unique p^e-th root: phi^s is the identity on F_{p^s}, so
@@ -320,23 +468,23 @@ class Scalar:
         return self.frobenius(k) if k else self
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.v != 0
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("mixed-field comparison")
+            return self.v == other.v
         if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError("mixed-field comparison")
-        return self.coeffs == other.coeffs
+            return self.v == other % self.field.p
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.v))
 
     def __str__(self):
         if self.field.s == 1:
-            return str(self.coeffs[0])
+            return str(self.v)
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -350,4 +498,3 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
-

@@ -175,10 +175,10 @@ def d_columns(field, n: int, dbound: int):
     deg m <= dbound + 1 to the top forms with coefficients of degree <= dbound.
 
     Returns ``(row_of, columns)``.  ``row_of`` numbers the target
-    monomials; ``columns`` holds one sparse ``{row: value}`` dict per source
-    form, ordered by K, then m.  K is every index but one, j, so
-    d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n, which vanishes when p
-    divides m_j.
+    monomials; ``columns`` holds one single-entry ``{row: value}`` dict per
+    source form with nonzero d, ordered by K, then m.  K is every index but
+    one, j, so d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n, which
+    vanishes when p divides m_j; those forms get no column.
     """
     p = field.p
     row_of = {m: r for r, m in enumerate(monomials_upto(n, dbound))}
@@ -187,9 +187,7 @@ def d_columns(field, n: int, dbound: int):
     for j in reversed(range(n)):  # K = (0..n-1) without j, increasing in K
         sign = -1 if j % 2 else 1
         for m in sources:
-            col = {}
             if m[j] % p:
                 lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
-                col[row_of[lowered]] = field.scalar(sign * m[j])
-            columns.append(col)
+                columns.append({row_of[lowered]: field.scalar(sign * m[j])})
     return row_of, columns

@@ -11,6 +11,8 @@ cross-multiplication, which is all the trace computations need.
 
 from __future__ import annotations
 
+from operator import add as _plus
+
 from .field import FiniteField, Scalar
 
 NEG_INFINITY = float("-inf")
@@ -47,10 +49,6 @@ def monomials_upto(nvars: int, bound: int) -> list:
     rec(0, bound)
     out.sort(key=grlex_key)
     return out
-
-
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _mono_divides(a, b):
@@ -192,18 +190,19 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
+        # Sum int codes per output monomial; one Scalar per surviving term.
+        field = self.field
+        mul, add = field._mul, field._add
+        right = [(m2, c2.v) for m2, c2 in other.terms.items()]
+        sums = {}
+        get = sums.get
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = terms.get(m)
-                s = c if s is None else s + c
-                if s:
-                    terms[m] = s
-                elif m in terms:
-                    del terms[m]
-        return Poly._wrap(self.field, self.nvars, terms)
+            a = c1.v
+            for m2, b in right:
+                m = tuple(map(_plus, m1, m2))
+                sums[m] = add(get(m, 0), mul(a, b))
+        return Poly._wrap(field, self.nvars,
+                          {m: Scalar(field, v) for m, v in sums.items() if v})
 
     __rmul__ = __mul__
 

@@ -225,6 +225,15 @@ def test_degree_one_modulus_is_usage_error(capsys):
     assert "prime field takes no modulus" in err
 
 
+def test_field_over_the_order_limit_is_usage_error(capsys):
+    # t^17+t^3+1 is irreducible over F_2, but F_{2^17} is past q <= 2^16
+    code, out, err = run(["--char", "2", "--modulus", "t^17+t^3+1", "--vars", "x",
+                          "trace", "(x) dx"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "q = 2^17 exceeds the limit q <= 65536" in err
+
+
 def test_non_effective_fixed_divisor_is_usage_error(capsys):
     code, out, err = run(["--char", "2", "--vars", "x,y,z", "trace-matrix",
                           "--E", "H:-1", "--D", "H:2"], capsys)

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from frobtrace import FiniteField
+from frobtrace import FiniteField, Poly
+from frobtrace import field as field_module
+from frobtrace.field import MAX_ORDER, _primitive_powers, _udivmod, _umul
 
 F4 = FiniteField(2, 2, [1, 1, 1])
 F8 = FiniteField(2, 3, [1, 1, 0, 1])
@@ -16,6 +18,7 @@ F81 = FiniteField(3, 4, [2, 0, 0, 2, 1])
 
 ALL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),
               F4, F8, F9, F16, F25, F27, F81]
+TABLE_FIELDS = [F4, F8, F9, F16, F25, F27, F81]
 
 
 def test_basic_arithmetic():
@@ -158,3 +161,162 @@ def test_scalar_hash_and_str():
     assert len({F9.scalar([1, 2]), F9.scalar([1, 2]), F9.scalar([2, 1])}) == 2
     assert str(FiniteField(5).scalar(3)) == "3"
     assert str(F9.scalar([1, 2])) == "1+2*g"
+
+
+def test_field_order_is_limited_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(field_module, "_primitive_powers",
+                        lambda *args: built.append(args))
+    # t^17 is reducible: the order check fires before the modulus is read
+    with pytest.raises(ValueError, match=r"q = 2\^17 exceeds the limit q <= 65536"):
+        FiniteField(2, 17, [0] * 17 + [1])
+    with pytest.raises(ValueError, match=r"q = 257\^2 = 66049 exceeds the limit q <= 65536"):
+        FiniteField(257, 2, [3, 0, 1])
+    with pytest.raises(ValueError, match=r"q = 65537 exceeds the limit q <= 65536"):
+        FiniteField(65537)
+    with pytest.raises(ValueError, match=r"q = 2\^100 exceeds"):
+        FiniteField(2, 100, [1] * 101)
+    assert built == []
+
+
+class _SlowField:
+    """F_{p^s} on coefficient tuples, independent of the tables: products
+    by _umul and reduction by _udivmod modulo the modulus, inverses by
+    search over all products."""
+
+    def __init__(self, field):
+        self.p, self.s, self.modulus = field.p, field.s, list(field.modulus)
+        self.one = (1,) + (0,) * (self.s - 1)
+
+    def _pad(self, c):
+        return tuple(c) + (0,) * (self.s - len(c))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        prod = _umul(list(a), list(b), self.p)
+        return self._pad(_udivmod(prod, self.modulus, self.p)[1])
+
+    def pow(self, a, n, inverse):
+        if n < 0:
+            a, n = inverse[a], -n
+        out = self.one
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+
+def _slow_tables(field):
+    slow = _SlowField(field)
+    elements = [x.coeffs for x in field.elements()]
+    products = {(a, b): slow.mul(a, b) for a in elements for b in elements}
+    inverse = {a: b for (a, b), c in products.items() if c == slow.one}
+    return slow, elements, products, inverse
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+def test_table_arithmetic_matches_polynomial_arithmetic(field):
+    slow, elements, products, inverse = _slow_tables(field)
+    assert len(inverse) == field.q - 1
+    for a in elements:
+        x = field.scalar(a)
+        assert x.coeffs == a and field.scalar(x.coeffs) == x
+        assert (-x).coeffs == slow.neg(a)
+        for b in elements:
+            y = field.scalar(b)
+            assert (x + y).coeffs == slow.add(a, b)
+            assert (x - y).coeffs == slow.add(a, slow.neg(b))
+            assert (x * y).coeffs == products[a, b]
+            if b in inverse:
+                assert (x / y).coeffs == products[a, inverse[b]]
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+def test_table_powers_and_frobenius_match_polynomial_arithmetic(field):
+    slow, elements, products, inverse = _slow_tables(field)
+    p, q = field.p, field.q
+    exponents = [0, 1, 2, 3, p, q - 2, q - 1, q, q + 1, 2 * q + 3]
+    for a in elements:
+        x = field.scalar(a)
+        for n in exponents:
+            assert (x ** n).coeffs == slow.pow(a, n, inverse), (a, n)
+        for n in (-1, -2, -(q + 1)):
+            if a in inverse:
+                assert (x ** n).coeffs == slow.pow(a, n, inverse), (a, n)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x ** n
+        for e in range(field.s + 2):
+            image = slow.pow(a, p ** e, inverse)
+            assert x.frobenius(e).coeffs == image, (a, e)
+            assert field.scalar(image).inverse_frobenius(e) == x, (a, e)
+
+
+def test_scalar_str_format():
+    assert str(F9.zero) == "0" and str(F9.one) == "1"
+    assert str(F9.generator) == "g"
+    assert str(F9.scalar([0, 2])) == "2*g"
+    assert str(F27.scalar([2, 0, 1])) == "2+g^2"
+    assert str(F81.scalar([1, 1, 2, 1])) == "1+g+2*g^2+g^3"
+    assert str(FiniteField(7).scalar(-1)) == "6"
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+def test_tables_use_the_primitive_element_of_smallest_code(field):
+    p, q = field.p, field.q
+    powers = _primitive_powers(p, field.s, field.modulus)
+    assert powers[0] == 1 and sorted(powers) == list(range(1, q))
+
+    def order(code):
+        one = field.one
+        g = field.scalar([(code // p ** i) % p for i in range(field.s)])
+        x, k = g, 1
+        while x != one:
+            x, k = x * g, k + 1
+        return k
+
+    assert order(powers[1]) == q - 1
+    assert all(order(code) < q - 1 for code in range(p, powers[1]))
+
+
+def test_x_is_skipped_when_it_is_not_primitive():
+    # in F_3[t]/(t^2+1), t^2 = -1 gives t order 4; 1 + t (code 4) has order 8
+    assert _primitive_powers(3, 2, [1, 0, 1])[:3] == [1, 4, 6]
+
+
+def test_largest_field_builds_and_computes():
+    # t^16+t^12+t^3+t+1 over F_2: q = 2^16 sits exactly at the limit
+    field = FiniteField(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1])
+    assert field.q == MAX_ORDER
+    slow = _SlowField(field)
+    rng = random.Random(5)
+    for _ in range(200):
+        a = tuple(rng.randrange(2) for _ in range(16))
+        b = tuple(rng.randrange(2) for _ in range(16))
+        x, y = field.scalar(a), field.scalar(b)
+        assert (x * y).coeffs == slow.mul(a, b)
+        assert (x + y).coeffs == slow.add(a, b)
+        if x:
+            assert x * x.inverse() == field.one
+        assert x.inverse_frobenius(5).frobenius(5) == x
+
+
+def test_scalars_of_equal_fields_mix():
+    twin = FiniteField(3, 2, [1, 0, 1])
+    assert twin is not F9 and twin == F9 and hash(twin) == hash(F9)
+    for x in F9.elements():
+        y = twin.scalar(x.coeffs)
+        assert y == x and x == y and hash(y) == hash(x)
+        assert twin.scalar(x) is x
+        assert (x + y) == x * 2 and y * x == x ** 2 and (x - y) == 0
+    assert len({F9.generator, twin.generator}) == 1
+    f = Poly(F9, 2, {(1, 0): F9.generator, (0, 1): 1})
+    g = Poly(twin, 2, {(1, 0): twin.generator, (0, 1): 1})
+    assert f == g and f * g == f ** 2 and (f + g) - g == f

@@ -11,6 +11,7 @@ from frobtrace import (
     FiniteField,
     Poly,
     RationalFn,
+    Scalar,
     monomials_upto,
     parse_poly,
 )
@@ -55,6 +56,39 @@ def test_context_mismatch_rejected():
         P("x") + parse_poly("x", F3, XYZW)
     with pytest.raises(ValueError):
         P("x") * Poly.one(F2, 2)
+
+
+def test_product_multiplies_codes_not_scalars(monkeypatch):
+    """Poly.__mul__ works on the int codes: no Scalar.__mul__ per product."""
+    rng = random.Random(11)
+    cases = []
+    for field in (F5, F9):
+        for _ in range(10):
+            f, g = (Poly(field, 3, {tuple(rng.randint(0, 3) for _ in range(3)):
+                                    field.scalar([rng.randrange(field.p)
+                                                  for _ in range(field.s)])
+                                    for _ in range(rng.randint(1, 6))})
+                    for _ in range(2))
+            # term by term through Scalar.__mul__, before it is counted
+            expected = Poly.zero(field, 3)
+            for m1, c1 in f.terms.items():
+                for m2, c2 in g.terms.items():
+                    mono = tuple(a + b for a, b in zip(m1, m2))
+                    expected = expected + Poly.monomial(field, mono, c1 * c2)
+            cases.append((f, g, expected))
+    calls = []
+    product = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    for f, g, expected in cases:
+        assert f * g == expected
+    assert calls == []
+    assert any(not expected.is_zero() for _, _, expected in cases)
 
 
 def test_total_degree():
