@@ -8,11 +8,16 @@ denominator is cleared to a q-th power:
 
     Tr^e(h/g dx) = Tr^e(h * g^{q-1} dx) / g.
 
-The product h * g^{q-1} is never formed: g^{q-1} is decomposed once, and
-:func:`trace_from_buckets` reads the trace of each x^m g^{q-1} from one
-bucket, which the term c x^m of h scales by c^{1/q}.  That one rule serves
-:func:`trace_poly_top` (g = 1), :func:`trace_rational_top` and, through
-semilinearity, :func:`frobtrace.projective.trace_matrix`.
+The product h * g^{q-1} is never formed: g^{q-1} = sum_r g_r^q x^r is
+decomposed once, and the trace of x^m g^{q-1} is x^s g_r for the one
+residue r = (q-1-m) mod q, with s = (m + r - (q-1)) / q.  That one rule
+is read in two directions.  Per term, :func:`trace_from_buckets` finds
+the bucket of a given x^m, which the term c x^m of h scales by c^{1/q};
+it serves :func:`trace_poly_top` (g = 1) and :func:`trace_rational_top`.
+Per bucket, :func:`traces_by_bucket` lists the monomials x^m that read
+g_r, namely m = (q-1) - r + q s, so that
+:func:`frobtrace.projective.trace_matrix` does work only for the
+monomials whose trace is nonzero.
 
 The inverse Cartier operator returns one designated closed representative
 of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively.
@@ -21,7 +26,10 @@ On top forms, following it by the exponent-1 trace is the identity.
 
 from __future__ import annotations
 
+from operator import add as _plus
+
 from . import linalg
+from .field import Scalar
 from .forms import DiffForm, TopForm, d_columns
 from .poly import Poly, RationalFn, monomials_upto
 
@@ -38,6 +46,25 @@ def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
     return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
 
 
+def traces_by_bucket(buckets: dict, q: int, bound: int):
+    """Yield (mono, Tr^e(x^mono * P)) for every monomial of total degree
+    <= bound whose trace is nonzero, the trace as {monomial: coefficient}.
+
+    ``buckets`` and q are as in :func:`trace_from_buckets`.  Bucket g_r is
+    read by exactly the monomials mono = c + q*s with c = (q-1) - r, whose
+    trace is x^s g_r; every other monomial traces to zero and is skipped.
+    """
+    for r, g in buckets.items():
+        left = bound - len(r) * (q - 1) + sum(r)  # bound - |c|
+        if left < 0:
+            continue
+        c = tuple(q - 1 - x for x in r)
+        terms = g.terms.items()
+        for s in monomials_upto(len(c), left // q):
+            mono = tuple(x + q * y for x, y in zip(c, s))
+            yield mono, {tuple(map(_plus, m, s)): v for m, v in terms}
+
+
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx."""
     return trace_rational_top(TopForm(f.field, f.nvars, f), e).coeff.num
@@ -52,12 +79,19 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     if e < 1:
         raise ValueError("trace exponent must be positive")
     h, g = form.coeff.num, form.coeff.den
-    q = form.field.p ** e
+    field = form.field
+    q = field.p ** e
     buckets = (g ** (q - 1)).frobenius_decompose(e)
-    pairs = [(mono, c.inverse_frobenius(e) * v) for m, c in h.terms.items()
-             for mono, v in trace_from_buckets(buckets, m, q).items()]
-    num = Poly(form.field, form.nvars, pairs)
-    return TopForm(form.field, form.nvars, RationalFn(num, g))
+    # sum int codes per traced monomial, as Poly.__mul__ does
+    mul, add = field._mul, field._add
+    sums = {}
+    for m, c in h.terms.items():
+        a = c.inverse_frobenius(e).v
+        for mono, v in trace_from_buckets(buckets, m, q).items():
+            sums[mono] = add(sums.get(mono, 0), mul(a, v.v))
+    num = Poly._wrap(field, form.nvars,
+                     {m: Scalar(field, v) for m, v in sums.items() if v})
+    return TopForm(field, form.nvars, RationalFn(num, g))
 
 
 def trace_iterated(form: DiffForm, e: int) -> TopForm:

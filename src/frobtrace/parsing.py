@@ -1,17 +1,23 @@
 """Text grammars for polynomials, differential forms, and divisor specs.
 
-Polynomial grammar (coefficients are integers reduced mod p):
+Polynomial grammar (integer coefficients are reduced mod p):
 
     poly     = ['-'] term (('+'|'-') term)*
-    term     = coeff | monomial | coeff '*' monomial
-    monomial = var ('^' uint)? ('*' var ('^' uint)?)*
+    term     = factor | factor '*' monomial | monomial
+    factor   = uint | '(' poly ')'
+    monomial = name ('^' uint)? ('*' name ('^' uint)?)*
+
+where a name is a declared variable.  Over F_{p^s} with s > 1 the name
+``g`` is the field generator, the class of the modulus variable, and
+reads as a coefficient factor, so the coefficients that
+:meth:`Poly.to_string` prints, such as ``g^2*x`` and ``(1+g)*x*y^3``,
+parse back; ``g`` may then not be declared as a variable.
 
 Form grammar:
 
     form     = ['-'] summand (('+'|'-') summand)*
     summand  = '(' rational ')' dvar ('^' dvar)*
-    rational = ratom ('/' ratom)?
-    ratom    = '(' poly ')' | poly
+    rational = poly ('/' poly)?
 
 where dvar is 'd' immediately followed by a declared variable name.
 
@@ -61,10 +67,22 @@ def _tokenize(text: str):
     return tokens
 
 
+GENERATOR = "g"
+
+
+def _check_varnames(field, varnames):
+    """Refuse a variable that shadows the generator name over F_{p^s}."""
+    if field.s > 1 and GENERATOR in varnames:
+        raise ParseError(f"{GENERATOR!r} names the generator of {field}; "
+                         "declare the variables under other names")
+
+
 class _Parser:
     def __init__(self, text, field, varnames):
+        _check_varnames(field, varnames)
         self.text = text
         self.field = field
+        self.generator = field.generator if field.s > 1 else None
         self.varnames = list(varnames)
         self.index = {v: i for i, v in enumerate(self.varnames)}
         self.tokens = _tokenize(text)
@@ -110,27 +128,30 @@ class _Parser:
 
     def _parse_term(self, nvars):
         kind, value, pos = self.peek()
-        coeff = 1
+        coeff, factor = 1, None
         if kind == "int":
             self.next()
             coeff = value
-            if not self.at_op("*"):
-                return Poly.constant(self.field, nvars, coeff)
-            save = self.i
+        elif self.at_op("("):
             self.next()
-            kind2, _, _ = self.peek()
-            if kind2 != "name":
-                # "coeff *" not followed by a monomial: rewind, let caller fail
-                self.i = save
-                return Poly.constant(self.field, nvars, coeff)
+            factor = self.parse_poly(nvars)
+            self.expect_op(")")
         elif kind != "name":
             raise ParseError(f"expected a term, found {value!r}", pos)
+        if kind != "name":
+            if not self._at_monomial_factor():
+                # a factor alone; a "*" not followed by a monomial is left
+                # for the caller to reject
+                return Poly.constant(self.field, nvars, coeff) if factor is None \
+                    else factor
+            self.next()
         exps = [0] * nvars
         while True:
             kind, value, pos = self.next()
             if kind != "name":
                 raise ParseError(f"expected a variable name, found {value!r}", pos)
-            if value not in self.index:
+            is_generator = self.generator is not None and value == GENERATOR
+            if not is_generator and value not in self.index:
                 raise ParseError(f"unknown variable {value!r}; declared: "
                                  + ",".join(self.varnames), pos)
             exp = 1
@@ -140,33 +161,28 @@ class _Parser:
                 if kind2 != "int":
                     raise ParseError(f"expected an exponent, found {value2!r}", pos2)
                 exp = value2
-            exps[self.index[value]] += exp
-            if self.at_op("*"):
-                save = self.i
-                self.next()
-                kind2, _, _ = self.peek()
-                if kind2 != "name":
-                    self.i = save
-                    break
+            if is_generator:
+                coeff = self.generator ** exp * coeff
             else:
+                exps[self.index[value]] += exp
+            if not self._at_monomial_factor():
                 break
-        return Poly.monomial(self.field, tuple(exps), coeff)
+            self.next()
+        term = Poly.monomial(self.field, tuple(exps), coeff)
+        return term if factor is None else factor * term
+
+    def _at_monomial_factor(self):
+        """Is the next token a '*' followed by a name?"""
+        return (self.at_op("*") and self.i + 1 < len(self.tokens)
+                and self.tokens[self.i + 1][0] == "name")
 
     # rational and form ---------------------------------------------------
 
-    def _parse_ratom(self):
-        if self.at_op("("):
-            self.next()
-            poly = self.parse_poly()
-            self.expect_op(")")
-            return poly
-        return self.parse_poly()
-
     def parse_rational(self):
-        num = self._parse_ratom()
+        num = self.parse_poly()
         if self.at_op("/"):
             self.next()
-            den = self._parse_ratom()
+            den = self.parse_poly()
             if den.is_zero():
                 raise ParseError("zero denominator")
             return RationalFn(num, den)
@@ -215,7 +231,10 @@ class _Parser:
 def _parse_whole(text, field, varnames, rule):
     """Run the grammar ``rule`` (a :class:`_Parser` method) on all of text."""
     parser = _Parser(text, field, varnames)
-    result = rule(parser)
+    try:
+        result = rule(parser)
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply") from None
     if not parser.done():
         _, value, pos = parser.peek()
         raise ParseError(f"trailing input starting with {value!r}", pos)
@@ -236,6 +255,7 @@ def parse_divisor(text: str, field, varnames) -> DivisorSpec:
     """Parse "poly:mult[,poly:mult...][,H:k]" into a DivisorSpec on P^n,
     n + 1 being the number of declared variables.  Empty text (or "0") is
     the zero divisor."""
+    _check_varnames(field, varnames)
     n = len(varnames) - 1
     hypersurfaces = []
     k = 0

@@ -29,26 +29,21 @@ def grlex_key_desc(mono):
 
 
 def monomials_upto(nvars: int, bound: int) -> list:
-    """All exponent tuples of total degree <= bound, in graded-lex order."""
+    """All exponent tuples of total degree <= bound, in graded-lex order.
+
+    Built degree by degree, already in order: the degree-d monomials in
+    k variables are the first exponent a from d down to 0, each followed
+    by the degree-(d - a) monomials in the last k - 1 variables."""
     if bound < 0 or nvars < 0:
         return []
     if nvars == 0:
         return [()]
-    out = []
-    mono = [0] * nvars
-
-    def rec(i, left):
-        if i == nvars:
-            out.append(tuple(mono))
-            return
-        for e in range(left + 1):
-            mono[i] = e
-            rec(i + 1, left - e)
-        mono[i] = 0
-
-    rec(0, bound)
-    out.sort(key=grlex_key)
-    return out
+    # by_degree[d]: the degree-d monomials in the last k variables, in order
+    by_degree = [[(d,)] for d in range(bound + 1)]
+    for _ in range(nvars - 1):
+        by_degree = [[(a,) + m for a in range(d, -1, -1) for m in by_degree[d - a]]
+                     for d in range(bound + 1)]
+    return [m for layer in by_degree for m in layer]
 
 
 def _mono_divides(a, b):
@@ -89,24 +84,28 @@ class Poly:
 
     @classmethod
     def zero(cls, field, nvars):
-        return cls(field, nvars, None)
+        return cls._wrap(field, nvars, {})
 
     @classmethod
     def _wrap(cls, field, nvars, terms):
         """A polynomial over ``terms`` as given, unchecked: the caller
         guarantees arity-``nvars`` exponent tuples and nonzero coefficients
-        of ``field``."""
-        out = cls(field, nvars)
+        of ``field``.  Every polynomial the library builds from its own
+        data comes through here; only the public constructor validates."""
+        out = object.__new__(cls)
+        out.field = field
+        out.nvars = nvars
         out.terms = terms
         return out
 
     @classmethod
     def one(cls, field, nvars):
-        return cls.constant(field, nvars, 1)
+        return cls._wrap(field, nvars, {(0,) * nvars: field.one})
 
     @classmethod
     def constant(cls, field, nvars, value):
-        return cls(field, nvars, {(0,) * nvars: field.scalar(value)})
+        c = field.scalar(value)
+        return cls._wrap(field, nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def monomial(cls, field, exps, coeff=1):
@@ -209,14 +208,17 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        result = Poly.one(self.field, self.nvars)
+        if n == 0:
+            return Poly.one(self.field, self.nvars)
+        result = None
         base = self
-        while n > 0:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):

@@ -10,6 +10,9 @@ A trace matrix holds, per source basis monomial, the coordinates of its
 trace in the target basis.  It is stored as sparse rows, one
 ``{column: nonzero Scalar}`` dict per target basis monomial, because on
 P^n most cells are zero; the dense matrix is a view built on demand.
+It is filled bucket by bucket: each residue bucket of E^{q-1} is read
+only by the source monomials whose trace it gives, so the work grows with
+the nonzero columns, not with the source dimension.
 The map itself is p^{-e}-semilinear, i.e.
 T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
 matrix . inverse_frobenius^e(c).  Because the inverse Frobenius is a
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .cartier import trace_from_buckets
+from .cartier import traces_by_bucket
 from .forms import TopForm
 from .poly import Poly, RationalFn, monomial_string, monomials_upto
 
@@ -268,10 +271,12 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     With q = p^e, semilinearity gives Tr^e(h / (E D^q)) = Tr^e(h E^{q-1}) / (E D),
     so every traced numerator is already over the target denominator and
     no exact division is needed.  E^{q-1} is decomposed once, and column m
-    is the trace of x^m E^{q-1} that :func:`frobtrace.cartier.trace_from_buckets`
-    reads off those buckets.  A traced numerator above the target degree
-    bound cannot happen for a correct trace and raises
-    :class:`ContainmentError` naming the basis element.
+    is the trace of x^m E^{q-1}.  The loop runs over the buckets, not the
+    columns: :func:`frobtrace.cartier.traces_by_bucket` lists, for each
+    bucket, the source monomials that read it, so the work grows with the
+    nonzero columns, and a column no bucket reaches stays zero.  A traced
+    numerator above the target degree bound cannot happen for a correct
+    trace and raises :class:`ContainmentError` naming the basis element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
@@ -279,9 +284,11 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     tgt = section_space(e_part.combined(divisor, 1), chart)
     q = src.field.p ** e
     buckets = (_chart_product(e_part, src.chart) ** (q - 1)).frobenius_decompose(e)
+    col_of = {m: b for b, m in enumerate(src.basis)}
     row_of = {m: {} for m in tgt.basis}
-    for b, mono in enumerate(src.basis):
-        for m, c in trace_from_buckets(buckets, mono, q).items():
+    for mono, traced in traces_by_bucket(buckets, q, src.bound):
+        b = col_of[mono]
+        for m, c in traced.items():
             row = row_of.get(m)
             if row is None:
                 raise ContainmentError(

@@ -13,6 +13,7 @@ from frobtrace import (
     exterior_derivative,
     inverse_cartier,
     inverse_cartier_top,
+    monomials_upto,
     parse_form,
     parse_poly,
     trace_by_decomposition,
@@ -20,6 +21,7 @@ from frobtrace import (
     trace_poly_top,
     trace_rational_top,
 )
+from frobtrace.cartier import trace_from_buckets, traces_by_bucket
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -92,6 +94,30 @@ def test_trace_matches_definition_over_prime_and_extension_fields():
                 assert trace_poly_top(h, e) == trace_by_definition(h, Poly.one(field, 2), e)
                 nonzero += not expected.is_zero()
             assert nonzero >= 3, (field, e)
+
+
+def test_bucket_reader_agrees_with_term_reader():
+    """traces_by_bucket, which loops over the buckets, yields each monomial
+    whose trace_from_buckets value is nonzero once, with that value, and
+    skips only monomials whose trace is zero."""
+    rng = random.Random(29)
+    for field in ORACLE_FIELDS:
+        for e in (1, 2, 3):
+            q = field.p ** e
+            for nvars in (1, 2, 3) if q <= 9 else (1, 2):
+                # 1 + x_1 + ... + x_n keeps every power dense
+                dense = Poly(field, nvars, {m: 1 for m in monomials_upto(nvars, 1)})
+                for _ in range(3):
+                    power = (dense + _rand_poly(field, nvars, rng, max_terms=4)) ** (q - 1)
+                    buckets = power.frobenius_decompose(e)
+                    bound = rng.randint(0, 3 * q)
+                    read = {}
+                    for mono, traced in traces_by_bucket(buckets, q, bound):
+                        assert mono not in read and sum(mono) <= bound and traced
+                        read[mono] = traced
+                    for mono in monomials_upto(nvars, bound):
+                        assert read.pop(mono, {}) == trace_from_buckets(buckets, mono, q)
+                    assert not read
 
 
 def test_trace_of_critical_monomial():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from frobtrace import Poly, Scalar, TopForm, demo
+from frobtrace import (FiniteField, Poly, RationalFn, Scalar, TopForm, demo,
+                       parse_form, parse_poly, trace_rational_top)
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
 from frobtrace.projective import SemilinearMap
@@ -51,7 +52,8 @@ def test_trace_extension_field(capsys):
     code, out, _ = run(["--char", "3", "--modulus", "t^2+1",
                         "--vars", "x", "--output", "json",
                         "trace", "(2*g*x^2) dx", "--e", "1"], capsys)
-    assert code == 2  # 'g' is not a declared variable: parse error
+    assert code == 0
+    assert json.loads(out)["num"] == "g"
     code, out, _ = run(["--char", "3", "--modulus", "t^2+1",
                         "--vars", "x", "--output", "json",
                         "trace", "(2*x^2) dx", "--e", "1"], capsys)
@@ -59,6 +61,39 @@ def test_trace_extension_field(capsys):
     data = json.loads(out)
     assert data["s"] == 2
     assert data["num"] == "2"  # 2 in the prime field is its own cube root
+
+
+def test_trace_reads_generator_coefficients(capsys):
+    # over F_9 = F_3[t]/(t^2+1) the printed result parses back to the
+    # library's trace of the same form, built without the parser
+    field, names = FiniteField(3, 2, [1, 0, 1]), ["x", "y"]
+    g = field.generator
+    code, out, _ = run(["--char", "3", "--modulus", "t^2+1", "--vars", "x,y",
+                        "--output", "json", "trace", "(g*x^3*y/(x^2+g*y+1)) dx^dy"],
+                       capsys)
+    assert code == 0
+    data = json.loads(out)
+    num = Poly(field, 2, {(3, 1): g})
+    den = Poly(field, 2, {(2, 0): 1, (0, 1): g, (0, 0): 1})
+    expected = trace_rational_top(TopForm(field, 2, RationalFn(num, den)), 1).coeff
+    assert (data["num"], data["den"]) == (expected.num.to_string(names),
+                                          expected.den.to_string(names))
+    assert RationalFn(parse_poly(data["num"], field, names),
+                      parse_poly(data["den"], field, names)) == expected
+    # over F_4 the printed form has parenthesised coefficients; it reads back
+    f4 = FiniteField(2, 2, [1, 1, 1])
+    form = "(g*x^3*y/(x^2+g*y+1)) dx^dy"
+    code, out, _ = run(["--char", "2", "--modulus", "t^2+t+1", "--vars", "x,y",
+                        "trace", form], capsys)
+    printed = out.strip().removeprefix("Tr^1 = ")
+    assert code == 0 and "(1+g)*x" in printed
+    assert parse_form(printed, f4, names).coeff == \
+        trace_rational_top(parse_form(form, f4, names), 1).coeff
+    code, _, err = run(["--char", "3", "--modulus", "t^2+1", "--vars", "x,g",
+                        "trace", "(x) dx^dg"], capsys)
+    assert code == 2 and "generator of F_9" in err
+    code, out, _ = run(["--char", "3", "--vars", "g", "trace", "(g^2) dg"], capsys)
+    assert code == 0 and out.strip() == "Tr^1 = (1) dg"
 
 
 def test_trace_matrix_fermat(capsys):

@@ -17,6 +17,9 @@ from frobtrace import (
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F7 = FiniteField(7)
+F4 = FiniteField(2, 2, [1, 1, 1])
+F8 = FiniteField(2, 3, [1, 1, 0, 1])
+F9 = FiniteField(3, 2, [1, 0, 1])
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
 XYZW = ["x", "y", "z", "w"]
@@ -56,6 +59,10 @@ def test_poly_errors_carry_position():
         parse_poly("2*3", F7, XY)
     with pytest.raises(ParseError):
         parse_poly("x $ y", F7, XY)
+    with pytest.raises(ParseError, match="expected a term"):
+        parse_poly("x+()", F7, XY)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 5000 + "x" + ")" * 5000, F7, XY)
 
 
 def test_rational():
@@ -143,15 +150,45 @@ def test_roundtrip_through_printer():
 def test_printer_roundtrip_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    fields = [F2, F3, FiniteField(5), F7]
+    fields = [F2, F3, FiniteField(5), F7, F4, F8, F9]
     monomials = st.tuples(*[st.integers(0, 4)] * len(XYZ))
+    # a coefficient is drawn as its power-basis vector, so over F_{p^s}
+    # every element, generator terms included, can occur
+    vectors = st.lists(st.integers(0, 6), min_size=3, max_size=3)
 
     @hypothesis.settings(database=None, derandomize=True, deadline=None)
     @hypothesis.given(st.sampled_from(fields),
-                      st.dictionaries(monomials, st.integers(0, 6), max_size=6))
+                      st.dictionaries(monomials, vectors, max_size=6))
     def roundtrip(field, terms):
-        # the grammar reads integer coefficients only, so draw prime-field ones
-        f = Poly(field, len(XYZ), {m: c % field.p for m, c in terms.items()})
+        f = Poly(field, len(XYZ), {m: field.scalar(v[:field.s]) for m, v in terms.items()})
         assert parse_poly(f.to_string(XYZ), field, XYZ) == f
 
     roundtrip()
+
+
+def test_generator_coefficients_over_extension_fields():
+    g = F9.generator
+    x, y = parse_poly("x", F9, XY), parse_poly("y", F9, XY)
+    assert parse_poly("g", F9, XY) == Poly.constant(F9, 2, g)
+    assert parse_poly("2*g*x+x*g^3", F9, XY) == x * (2 * g + g ** 3)
+    assert parse_poly("(1+g)*x*y^3", F9, XY) == x * y ** 3 * (g + 1)
+    assert parse_poly("(2*g)+g^2*y", F9, XY) == Poly.constant(F9, 2, 2 * g) - y
+    assert parse_poly("((1+g)*x+1)*y", F9, XY) == (x * (g + 1) + 1) * y
+    form = parse_form("((1+g)*x/((g)*y+1)) dx^dy", F9, XY)
+    assert form.coeff == RationalFn(x * (g + 1), y * g + 1)
+    h = F8.generator
+    assert parse_poly("g^2*x+(1+g+g^2)", F8, XY) == \
+        parse_poly("x", F8, XY) * h ** 2 + (h ** 2 + h + 1)
+    # over a prime field g is an ordinary name: a variable or unknown
+    assert parse_poly("g^2", F3, ["g"]) == Poly.monomial(F3, (2,))
+    with pytest.raises(ParseError, match="unknown variable 'g'"):
+        parse_poly("g*x", F3, XY)
+
+
+def test_generator_name_is_refused_as_variable_over_extension_fields():
+    with pytest.raises(ParseError, match="generator of F_9"):
+        parse_poly("x", F9, ["x", "y", "g"])
+    with pytest.raises(ParseError, match="generator of F_9"):
+        parse_divisor("H:1", F9, ["x", "y", "g"])  # no polynomial to read
+    with pytest.raises(ParseError, match="generator of F_4"):
+        parse_form("(x) dx", F4, ["x", "g"])

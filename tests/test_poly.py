@@ -8,13 +8,18 @@ import pytest
 
 from frobtrace import (
     NEG_INFINITY,
+    DivisorSpec,
     FiniteField,
     Poly,
     RationalFn,
     Scalar,
+    TopForm,
     monomials_upto,
     parse_poly,
+    trace_matrix,
+    trace_rational_top,
 )
+from frobtrace.poly import grlex_key
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -216,6 +221,57 @@ def test_monomials_upto_count():
             assert len(set(monos)) == len(monos)
             assert all(sum(m) <= bound for m in monos)
     assert monomials_upto(3, -1) == []
+
+
+def _monomials_sorted_reference(nvars, bound):
+    """Every exponent tuple of degree <= bound, enumerated recursively and
+    then sorted by the graded-lex key."""
+    def rec(k, left):
+        if k == 0:
+            return [()]
+        return [(e,) + rest for e in range(left + 1) for rest in rec(k - 1, left - e)]
+    return sorted(rec(nvars, bound), key=grlex_key)
+
+
+def test_monomials_upto_is_sorted_graded_lex():
+    for n in range(5):
+        for bound in range(13):
+            assert monomials_upto(n, bound) == _monomials_sorted_reference(n, bound), (n, bound)
+    assert monomials_upto(0, 0) == monomials_upto(0, 7) == [()]
+    assert monomials_upto(0, -1) == monomials_upto(2, -3) == []
+    assert monomials_upto(-1, 3) == monomials_upto(-1, -1) == []
+
+
+def test_internal_construction_never_validates(monkeypatch):
+    """Products, powers, decompositions, a trace and a whole trace matrix
+    build their polynomials unchecked; only the public constructor
+    validates."""
+    fermat = P("x^3+y^3+z^3+w^3")
+    h = P("x+2*y*z+w^2+1", F9) * F9.generator
+    form = TopForm(F9, 4, RationalFn(P("x^2*y^2*z^2*w^2+x^5", F9), h))
+    validated = []
+    init = Poly.__init__
+
+    def counting(self, field, nvars, terms=None):
+        if terms:
+            validated.append(terms)
+        init(self, field, nvars, terms)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    assert not (fermat * fermat).is_zero() and not (h * h).is_zero()
+    assert not (h ** 4).is_zero() and (fermat ** 0).is_constant()
+    assert len((fermat ** 7).frobenius_decompose(2)) > 1
+    assert not trace_rational_top(form, 1).coeff.is_zero()
+    t = trace_matrix(DivisorSpec(F2, 3, [(fermat, 1)]), DivisorSpec(F2, 3, k=1), 3)
+    assert t.src.dim == 120 and t.verdict.zero
+    assert validated == []
+    with pytest.raises(ValueError, match="arity"):
+        Poly(F2, 2, {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(F2, 2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="different field"):
+        Poly(F2, 2, {(1, 0): F3.one})
+    assert len(validated) == 3
 
 
 def test_print_order_and_roundtrip():

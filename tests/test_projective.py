@@ -27,6 +27,7 @@ from frobtrace import (
     trace_matrix,
     trace_rational_top,
 )
+from frobtrace.cartier import trace_from_buckets
 from frobtrace.cli import main
 from test_cartier import trace_by_definition
 
@@ -328,6 +329,30 @@ def test_trace_matrix_matches_direct_trace_on_special_divisors():
     matches_direct_trace(*extension_cubic_and_conic(F4), 1, chart=0)
     no_e = matches_direct_trace(DivisorSpec(F3, 2), DivisorSpec(F3, 2, k=2), 2)
     assert map_verdict(no_e).surjective
+
+
+def rows_by_column(t, e_part):
+    """The rows of t rebuilt column by column: each source basis monomial
+    read through trace_from_buckets on its own."""
+    q = t.field.p ** t.e
+    power = projective._chart_product(e_part, t.src.chart) ** (q - 1)
+    buckets = power.frobenius_decompose(t.e)
+    rows = {m: {} for m in t.tgt.basis}
+    for b, mono in enumerate(t.src.basis):
+        for m, c in trace_from_buckets(buckets, mono, q).items():
+            rows[m][b] = c  # a KeyError here is a term past the target bound
+    return list(rows.values())
+
+
+def test_bucket_loop_matches_column_loop():
+    fields = [F2, F3, FiniteField(2, 2, parse_modulus("t^2+t+1", 2)),
+              FiniteField(3, 2, parse_modulus("t^2+1", 3))]
+    for field in fields:
+        E, D = extension_cubic_and_conic(field)
+        for e in (1, 2, 3):
+            t = trace_matrix(E, D, e)
+            assert t.rows == rows_by_column(t, E), (field, e)
+            assert not t.verdict.zero
 
 
 def test_containment_error_names_column_past_degree_bound(monkeypatch):
