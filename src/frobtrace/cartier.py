@@ -103,11 +103,17 @@ def trace_iterated(form: DiffForm, e: int) -> TopForm:
     return form
 
 
-def inverse_cartier_top(f: Poly) -> Poly:
-    """Coefficient of the designated representative on top forms:
-    f dx -> f^p * (x_1...x_n)^{p-1} dx."""
+def _inverse_cartier_coeff(f: Poly, J) -> Poly:
+    """f^p * x_J^{p-1}, the coefficient C^{-1} gives f dx_J."""
     p = f.field.p
-    return f ** p * Poly.monomial(f.field, (p - 1,) * f.nvars)
+    exps = tuple(p - 1 if j in J else 0 for j in range(f.nvars))
+    return f ** p * Poly.monomial(f.field, exps)
+
+
+def inverse_cartier_top(f: Poly) -> Poly:
+    """Coefficient action of :func:`inverse_cartier` on top forms:
+    f dx -> f^p * (x_1...x_n)^{p-1} dx."""
+    return _inverse_cartier_coeff(f, range(f.nvars))
 
 
 def inverse_cartier(form: DiffForm) -> DiffForm:
@@ -117,15 +123,9 @@ def inverse_cartier(form: DiffForm) -> DiffForm:
     partial of f^p vanishes, and the x_J^{p-1} factor only differentiates
     into indices already present in the wedge.
     """
-    p = form.field.p
-    coeffs = {}
-    for idx, rat in form.coeffs.items():
-        f = rat.as_poly()
-        exps = [0] * form.nvars
-        for j in idx:
-            exps[j] = p - 1
-        coeffs[idx] = RationalFn(f ** p * Poly.monomial(form.field, tuple(exps)))
-    return DiffForm(form.field, form.nvars, form.degree, coeffs)
+    return DiffForm(form.field, form.nvars, form.degree,
+                    {J: _inverse_cartier_coeff(rat.as_poly(), J)
+                     for J, rat in form.coeffs.items()})
 
 
 def trace_by_decomposition(f: Poly) -> Poly:
@@ -134,11 +134,12 @@ def trace_by_decomposition(f: Poly) -> Poly:
     Solves for eta (a polynomial (n-1)-form of degree <= deg f + 1) and tau
     (a polynomial of degree <= (deg f - n(p-1))/p) by linear algebra over
     the prime field and returns tau.  Rows are the monomials of degree
-    <= deg f.  The d(eta) columns are the top-degree monomial d-columns of
-    :func:`frobtrace.forms.d_columns`, the C^{-1}(tau) columns come from
-    :func:`inverse_cartier_top`, and :func:`frobtrace.linalg.solve` solves
-    the system.  Independent of the residue-bucket algorithm; prime
-    fields only, where t -> t^p is linear on coefficients.
+    <= deg f.  :func:`frobtrace.forms.d_columns` fills them with the d(eta)
+    columns, the C^{-1}(tau) columns from :func:`inverse_cartier_top` follow
+    in the same rows from column ``ncols`` on, and
+    :func:`frobtrace.linalg.solve` solves the system.  Independent of the
+    residue-bucket algorithm; prime fields only, where t -> t^p is linear
+    on coefficients.
     """
     field = f.field
     if field.s != 1:
@@ -147,16 +148,16 @@ def trace_by_decomposition(f: Poly) -> Poly:
     if f.is_zero():
         return Poly.zero(field, n)
     d = int(f.total_degree())
-    row_of, columns = d_columns(field, n, d)
-    offset = len(columns)  # the C^{-1}(tau) columns follow the d columns
+    row_of, rows, ncols = d_columns(field, n, d)
     tau_monos = monomials_upto(n, (d - n * (p - 1)) // p)
-    for t in tau_monos:
+    for c, t in enumerate(tau_monos, ncols):
         image = inverse_cartier_top(Poly.monomial(field, t))
-        columns.append({row_of[mono]: c for mono, c in image.terms.items()})
+        for mono, value in image.terms.items():
+            rows[row_of[mono]][c] = value
     rhs = {row_of[mono]: c for mono, c in f.terms.items()}
-    solution = linalg.solve(linalg.transpose(columns, len(row_of)), rhs, field)
+    solution = linalg.solve(rows, rhs, field)
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "
                            "this contradicts the exact sequence it satisfies")
-    return Poly(field, n, {tau_monos[c - offset]: value
-                           for c, value in solution.items() if c >= offset})
+    return Poly(field, n, {tau_monos[c - ncols]: value
+                           for c, value in solution.items() if c >= ncols})

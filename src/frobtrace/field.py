@@ -31,17 +31,6 @@ from operator import mul
 MAX_ORDER = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomial helpers over F_p.  Coefficient lists are little-endian
 # (constant term first) with no trailing zeros; [] is the zero polynomial.
@@ -73,48 +62,32 @@ def _umul(a, b, p):
     return _utrim(out)
 
 
-def _udivmod(a, b, p):
+def _umod(a, b, p):
+    """a modulo b."""
     a = _utrim(list(a))
     b = _utrim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
         c = (a[-1] * inv) % p
-        shift = len(a) - len(b)
         if c:
-            q[shift] = c
+            shift = len(a) - len(b)
             for i, bi in enumerate(b):
                 a[shift + i] = (a[shift + i] - c * bi) % p
         a.pop()
         _utrim(a)
-    return _utrim(q), a
-
-
-def _uxgcd(a, b, p):
-    """Monic g = gcd(a, b) and u with u*a = g modulo b."""
-    r0, r1 = _utrim(list(a)), _utrim(list(b))
-    s0, s1 = [1], []
-    while r1:
-        q, r = _udivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        r0 = [(c * inv) % p for c in r0]
-        s0 = [(c * inv) % p for c in s0]
-    return r0, s0
+    return a
 
 
 def _upow_mod(a, n, m, p):
     """a^n modulo the monic polynomial m."""
     result = [1]
-    base = _udivmod(a, m, p)[1]
+    base = _umod(a, m, p)
     while n > 0:
         if n & 1:
-            result = _udivmod(_umul(result, base, p), m, p)[1]
-        base = _udivmod(_umul(base, base, p), m, p)[1]
+            result = _umod(_umul(result, base, p), m, p)
+        base = _umod(_umul(base, base, p), m, p)
         n >>= 1
     return result
 
@@ -126,10 +99,12 @@ def _check_irreducible(modulus, p):
     s = len(modulus) - 1
     x = [0, 1]
     t = list(x)
-    for i in range(1, s // 2 + 1):
+    for _ in range(s // 2):
         t = _upow_mod(t, p, modulus, p)
-        g = _uxgcd(_usub(t, x, p), modulus, p)[0]
-        if g != [1]:
+        a, b = _usub(t, x, p), modulus
+        while b:  # Euclid; the gcd is a unit exactly when it is a constant
+            a, b = b, _umod(a, b, p)
+        if len(a) != 1:
             return False
     return True
 
@@ -304,7 +279,7 @@ class FiniteField:
                      else f"{p}^{s} = {p ** s}")
             raise ValueError(f"field order q = {order} exceeds the limit "
                              f"q <= {MAX_ORDER} (2^16)")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:  # [] below 2
             raise ValueError(f"characteristic {p!r} is not prime")
         if s == 1:
             if modulus is not None:

@@ -9,9 +9,10 @@ One class, :class:`DiffForm`, carries forms of every degree.  The trace
 acts on top forms f dx_1^...^dx_n: :class:`TopForm` builds one from f,
 and :attr:`DiffForm.coeff` reads f back off any top-degree form.
 
-:func:`d_columns` writes d into the top degree as a sparse matrix on
+:func:`d_columns` writes d into the top degree as sparse rows on
 monomials; the decomposition oracle
-:func:`frobtrace.cartier.trace_by_decomposition` solves against it.
+:func:`frobtrace.cartier.trace_by_decomposition` adds its own columns to
+those rows and solves.
 """
 
 from __future__ import annotations
@@ -113,10 +114,8 @@ class DiffForm:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.coeffs)
-        for idx, rat in other.coeffs.items():
-            acc[idx] = acc[idx] + rat if idx in acc else rat
-        return DiffForm(self.field, self.nvars, self.degree, acc)
+        return DiffForm.from_terms(self.field, self.nvars, self.degree,
+                                   [*self.coeffs.items(), *other.coeffs.items()])
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -174,20 +173,23 @@ def d_columns(field, n: int, dbound: int):
     """Sparse matrix of d from the monomial (n-1)-forms x^m dx_K with
     deg m <= dbound + 1 to the top forms with coefficients of degree <= dbound.
 
-    Returns ``(row_of, columns)``.  ``row_of`` numbers the target
-    monomials; ``columns`` holds one single-entry ``{row: value}`` dict per
-    source form with nonzero d, ordered by K, then m.  K is every index but
-    one, j, so d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n, which
-    vanishes when p divides m_j; those forms get no column.
+    Returns ``(row_of, rows, ncols)``.  ``row_of`` numbers the target
+    monomials, ``rows`` holds one ``{column: value}`` dict per target
+    monomial, and ``ncols`` counts the columns: one per source form with
+    nonzero d, ordered by K, then m.  K is every index but one, j, so
+    d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n, which vanishes when
+    p divides m_j; those forms get no column.
     """
     p = field.p
     row_of = {m: r for r, m in enumerate(monomials_upto(n, dbound))}
+    rows = [{} for _ in row_of]
     sources = monomials_upto(n, dbound + 1)
-    columns = []
+    ncols = 0
     for j in reversed(range(n)):  # K = (0..n-1) without j, increasing in K
         sign = -1 if j % 2 else 1
         for m in sources:
             if m[j] % p:
                 lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
-                columns.append({row_of[lowered]: field.scalar(sign * m[j])})
-    return row_of, columns
+                rows[row_of[lowered]][ncols] = field.scalar(sign * m[j])
+                ncols += 1
+    return row_of, rows, ncols

@@ -93,13 +93,3 @@ def solve(rows, rhs, field):
     for c, value in solution.items():
         out[c] = value
     return out
-
-
-def transpose(columns, nrows) -> list:
-    """Sparse rows of the matrix whose columns are the sparse ``{row: value}``
-    dicts in ``columns``."""
-    rows = [{} for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, value in col.items():
-            rows[r][c] = value
-    return rows

@@ -84,6 +84,7 @@ class _Parser:
         self.field = field
         self.generator = field.generator if field.s > 1 else None
         self.varnames = list(varnames)
+        self.nvars = len(self.varnames)
         self.index = {v: i for i, v in enumerate(self.varnames)}
         self.tokens = _tokenize(text)
         self.i = 0
@@ -110,15 +111,14 @@ class _Parser:
 
     # polynomial ----------------------------------------------------------
 
-    def parse_poly(self, nvars=None):
-        nvars = len(self.varnames) if nvars is None else nvars
-        result = Poly.zero(self.field, nvars)
+    def parse_poly(self):
+        result = Poly.zero(self.field, self.nvars)
         negate = False
         if self.at_op("-"):
             self.next()
             negate = True
         while True:
-            term = self._parse_term(nvars)
+            term = self._parse_term()
             result = result - term if negate else result + term
             if self.at_op("+", "-"):
                 _, op, _ = self.next()
@@ -126,7 +126,7 @@ class _Parser:
             else:
                 return result
 
-    def _parse_term(self, nvars):
+    def _parse_term(self):
         kind, value, pos = self.peek()
         coeff, factor = 1, None
         if kind == "int":
@@ -134,7 +134,7 @@ class _Parser:
             coeff = value
         elif self.at_op("("):
             self.next()
-            factor = self.parse_poly(nvars)
+            factor = self.parse_poly()
             self.expect_op(")")
         elif kind != "name":
             raise ParseError(f"expected a term, found {value!r}", pos)
@@ -142,10 +142,10 @@ class _Parser:
             if not self._at_monomial_factor():
                 # a factor alone; a "*" not followed by a monomial is left
                 # for the caller to reject
-                return Poly.constant(self.field, nvars, coeff) if factor is None \
+                return Poly.constant(self.field, self.nvars, coeff) if factor is None \
                     else factor
             self.next()
-        exps = [0] * nvars
+        exps = [0] * self.nvars
         while True:
             kind, value, pos = self.next()
             if kind != "name":
@@ -198,7 +198,6 @@ class _Parser:
         return self.index[var]
 
     def parse_form(self):
-        n = len(self.varnames)
         terms = []
         degree = None
         negate = False
@@ -225,7 +224,7 @@ class _Parser:
                 negate = op == "-"
             else:
                 break
-        return DiffForm.from_terms(self.field, n, degree, terms)
+        return DiffForm.from_terms(self.field, self.nvars, degree, terms)
 
 
 def _parse_whole(text, field, varnames, rule):

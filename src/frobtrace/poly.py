@@ -129,11 +129,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, self.field.zero)
-
     def leading_term(self):
         """(monomial, coefficient) maximal in graded-lex order."""
         if not self.terms:
@@ -269,13 +264,15 @@ class Poly:
         Returns {residue monomial r: g_r} over the residues actually
         present; the root extraction always succeeds by construction.
         """
-        q = self.field.p ** e
+        field = self.field
+        q = field.p ** e
+        k = (-e) % field.s  # c^{1/q} = c^{p^k}, as in Scalar.inverse_frobenius
+        residue, base = q.__rmod__, q.__rfloordiv__
         buckets = {}
         for m, c in self.terms.items():
-            r = tuple(x % q for x in m)
-            base = tuple(x // q for x in m)
-            buckets.setdefault(r, {})[base] = c.inverse_frobenius(e)
-        return {r: Poly._wrap(self.field, self.nvars, terms)
+            bucket = buckets.setdefault(tuple(map(residue, m)), {})
+            bucket[tuple(map(base, m))] = c.frobenius(k) if k else c
+        return {r: Poly._wrap(field, self.nvars, terms)
                 for r, terms in buckets.items()}
 
     def exact_divide(self, divisor: "Poly"):
@@ -383,14 +380,12 @@ class RationalFn:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        """True when the denominator is a (nonzero) constant."""
-        return self.den.is_constant()
-
     def as_poly(self) -> Poly:
-        if not self.is_polynomial():
+        """num / den as a polynomial; the denominator must be constant."""
+        den = self.den
+        if not den.is_constant():
             raise ValueError("rational function has a non-constant denominator")
-        return self.num * self.den.constant_value().inverse()
+        return self.num * den.terms[(0,) * den.nvars].inverse()
 
     def __add__(self, other):
         other = self._coerce(other)

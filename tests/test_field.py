@@ -1,12 +1,13 @@
 """Tests for finite field arithmetic and the Frobenius actions."""
 
+import itertools
 import random
 
 import pytest
 
 from frobtrace import FiniteField, Poly
 from frobtrace import field as field_module
-from frobtrace.field import MAX_ORDER, _primitive_powers, _udivmod, _umul
+from frobtrace.field import MAX_ORDER, _check_irreducible, _primitive_powers, _umod, _umul
 
 F4 = FiniteField(2, 2, [1, 1, 1])
 F8 = FiniteField(2, 3, [1, 1, 0, 1])
@@ -57,6 +58,20 @@ def test_characteristic_validation():
     FiniteField(65521)  # largest prime under 2^16
 
 
+def test_characteristic_accepted_exactly_for_primes():
+    bound = 3000
+    sieve = [False, False] + [True] * (bound - 2)
+    for d in range(2, bound):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    for n in range(-3, bound):
+        if n >= 0 and sieve[n]:
+            assert FiniteField(n).p == n
+        else:
+            with pytest.raises(ValueError, match="is not prime"):
+                FiniteField(n)
+
+
 def _is_irreducible_bruteforce(coeffs, p):
     """Exhaustive check: no factorization into two smaller monic factors."""
     s = len(coeffs) - 1
@@ -101,6 +116,16 @@ def test_reducible_moduli_rejected(p, coeffs):
     assert not _is_irreducible_bruteforce(coeffs, p)
     with pytest.raises(ValueError):
         FiniteField(p, len(coeffs) - 1, coeffs)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 9)), (3, range(2, 6)),
+                                       (5, range(2, 4)), (7, [2])])
+def test_irreducibility_matches_brute_force_on_every_monic_modulus(p, degrees):
+    for s in degrees:
+        for tail in itertools.product(range(p), repeat=s):
+            coeffs = list(tail) + [1]
+            assert _check_irreducible(coeffs, p) == \
+                _is_irreducible_bruteforce(coeffs, p), coeffs
 
 
 def test_modulus_shape_validation():
@@ -181,7 +206,7 @@ def test_field_order_is_limited_before_any_work(monkeypatch):
 
 class _SlowField:
     """F_{p^s} on coefficient tuples, independent of the tables: products
-    by _umul and reduction by _udivmod modulo the modulus, inverses by
+    by _umul and reduction by _umod modulo the modulus, inverses by
     search over all products."""
 
     def __init__(self, field):
@@ -199,7 +224,7 @@ class _SlowField:
 
     def mul(self, a, b):
         prod = _umul(list(a), list(b), self.p)
-        return self._pad(_udivmod(prod, self.modulus, self.p)[1])
+        return self._pad(_umod(prod, self.modulus, self.p))
 
     def pow(self, a, n, inverse):
         if n < 0:

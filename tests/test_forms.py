@@ -138,15 +138,19 @@ def test_from_terms_normalizes_wedge_order():
 
 def test_d_columns_match_the_exterior_derivative():
     # d_columns reads d(x^m dx_K) off the exponents; exterior_derivative
-    # differentiates and signs the wedge through from_terms.  The columns
-    # are the nonzero images, in source order: a form with d = 0 gets none.
+    # differentiates and signs the wedge through from_terms.  The columns,
+    # read back out of the rows, are the nonzero images, in source order:
+    # a form with d = 0 gets none.
     for p in (2, 3, 5):
         field = FiniteField(p)
         for n in (1, 2, 3):
             for dbound in (0, 2, 4):
-                row_of, columns = d_columns(field, n, dbound)
+                row_of, rows, ncols = d_columns(field, n, dbound)
                 assert list(row_of.values()) == list(range(len(row_of)))
                 assert set(row_of) == set(monomials_upto(n, dbound))
+                assert len(rows) == len(row_of)
+                columns = [{r: row[c] for r, row in enumerate(rows) if c in row}
+                           for c in range(ncols)]
                 mono_of = {r: m for m, r in row_of.items()}
                 images = []
                 for K in itertools.combinations(range(n), n - 1):
