@@ -1,23 +1,25 @@
 """Trace map of Frobenius on top forms, and the inverse Cartier operator.
 
-On a polynomial chart with coordinates x_1..x_n the trace of exponent e
-acts on f dx_1^...^dx_n by decomposing f over q-th powers (q = p^e) and
-keeping only the component on x_1^{q-1}...x_n^{q-1}, whose q-th root is
-the result.  Rational coefficients h/g reduce to that rule after the
-denominator is cleared to a q-th power:
+On a polynomial chart with coordinates x_1..x_n, write q = p^e and
+decompose a polynomial over q-th powers, F = sum_a F_a^q x^a with every
+residue 0 <= a_i <= q-1 (:meth:`Poly.frobenius_decompose`, where the
+coefficient roots are taken).  The trace of exponent e keeps one bucket:
+Tr^e(F dx_1^...^dx_n) = F_{(q-1,...,q-1)} dx_1^...^dx_n.
 
-    Tr^e(h/g dx) = Tr^e(h * g^{q-1} dx) / g.
+A rational coefficient h/g is read through Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g,
+and the product h g^{q-1} is never formed.  With H = the buckets of h and
+G = the buckets of g^{q-1}, the trace is the pairing
 
-The product h * g^{q-1} is never formed: g^{q-1} = sum_r g_r^q x^r is
-decomposed once, and the trace of x^m g^{q-1} is x^s g_r for the one
-residue r = (q-1-m) mod q, with s = (m + r - (q-1)) / q.  That one rule
-is read in two directions.  Per term, :func:`trace_from_buckets` finds
-the bucket of a given x^m, which the term c x^m of h scales by c^{1/q};
-it serves :func:`trace_poly_top` (g = 1) and :func:`trace_rational_top`.
-Per bucket, :func:`traces_by_bucket` lists the monomials x^m that read
-g_r, namely m = (q-1) - r + q s, so that
-:func:`frobtrace.projective.trace_matrix` does work only for the
-monomials whose trace is nonzero.
+    Tr^e(h/g dx) = (sum_a H_a * G_{(q-1)-a}) / g dx,
+
+because residues with a_i + r_i = q-1 mod q and 0 <= a_i, r_i <= q-1 have
+a_i + r_i = q-1 exactly.  :func:`trace_rational_top` sums those
+products; :func:`trace_poly_top` (g = 1) reads the one bucket directly.
+:func:`traces_by_bucket` is the same pairing for monomial numerators
+x^m, read per bucket G_r: x^m pairs with G_r exactly when
+m = (q-1) - r + q s, with trace x^s G_r.  That is why
+:func:`frobtrace.projective.trace_matrix` does work only for the columns
+whose trace is nonzero.
 
 The inverse Cartier operator returns one designated closed representative
 of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively.
@@ -29,30 +31,19 @@ from __future__ import annotations
 from operator import add as _plus
 
 from . import linalg
-from .field import Scalar
 from .forms import DiffForm, TopForm, d_columns
-from .poly import Poly, RationalFn, monomials_upto
-
-
-def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
-    """Tr^e(x^mono * P) as {monomial: coefficient}, with q = p^e and
-    ``buckets`` = ``P.frobenius_decompose(e)``: P = sum_r g_r^q x^r, and only
-    r = (q-1-mono) mod q contributes, as x^s g_r with s = (mono + r - (q-1)) / q."""
-    r = tuple((q - 1 - x) % q for x in mono)
-    g = buckets.get(r)
-    if g is None:
-        return {}
-    s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
-    return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
+from .poly import Poly, RationalFn, monomials_upto, sum_of_products
 
 
 def traces_by_bucket(buckets: dict, q: int, bound: int):
     """Yield (mono, Tr^e(x^mono * P)) for every monomial of total degree
     <= bound whose trace is nonzero, the trace as {monomial: coefficient}.
 
-    ``buckets`` and q are as in :func:`trace_from_buckets`.  Bucket g_r is
-    read by exactly the monomials mono = c + q*s with c = (q-1) - r, whose
-    trace is x^s g_r; every other monomial traces to zero and is skipped.
+    ``buckets`` = ``P.frobenius_decompose(e)`` with q = p^e.  This is the
+    pairing of the module docstring for the numerator x^mono, read per
+    bucket: g_r pairs with exactly the monomials mono = c + q*s with
+    c = (q-1) - r, whose trace is x^s g_r; every other monomial traces to
+    zero and is skipped.
     """
     for r, g in buckets.items():
         left = bound - len(r) * (q - 1) + sum(r)  # bound - |c|
@@ -66,32 +57,31 @@ def traces_by_bucket(buckets: dict, q: int, bound: int):
 
 
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
-    """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx."""
-    return trace_rational_top(TopForm(f.field, f.nvars, f), e).coeff.num
+    """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx,
+    the bucket of f at x^{(q-1,...,q-1)}, q = p^e."""
+    if e < 1:
+        raise ValueError("trace exponent must be positive")
+    bucket = f.frobenius_decompose(e).get((f.field.p ** e - 1,) * f.nvars)
+    return Poly.zero(f.field, f.nvars) if bucket is None else bucket
 
 
 def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
-    """Tr^e on a rational top form h/g dx, as Tr^e(h * g^{q-1} dx) / g
-    with the product read term by term off the buckets of g^{q-1}.
+    """Tr^e on a rational top form h/g dx, as the pairing
+    (sum_a H_a * G_{(q-1)-a}) / g of the buckets of h and of g^{q-1}.
 
     ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
     raises ValueError below the top degree."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
     h, g = form.coeff.num, form.coeff.den
-    field = form.field
+    field, n = form.field, form.nvars
     q = field.p ** e
-    buckets = (g ** (q - 1)).frobenius_decompose(e)
-    # sum int codes per traced monomial, as Poly.__mul__ does
-    mul, add = field._mul, field._add
-    sums = {}
-    for m, c in h.terms.items():
-        a = c.inverse_frobenius(e).v
-        for mono, v in trace_from_buckets(buckets, m, q).items():
-            sums[mono] = add(sums.get(mono, 0), mul(a, v.v))
-    num = Poly._wrap(field, form.nvars,
-                     {m: Scalar(field, v) for m, v in sums.items() if v})
-    return TopForm(field, form.nvars, RationalFn(num, g))
+    h_buckets = h.frobenius_decompose(e)
+    g_buckets = (g ** (q - 1)).frobenius_decompose(e)
+    pairs = [(h_a, g_buckets[r]) for a, h_a in h_buckets.items()
+             if (r := tuple(q - 1 - x for x in a)) in g_buckets]
+    num = sum_of_products(field, n, pairs)
+    return TopForm(field, n, RationalFn(num, g))
 
 
 def trace_iterated(form: DiffForm, e: int) -> TopForm:

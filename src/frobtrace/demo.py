@@ -71,7 +71,7 @@ def build_report() -> dict:
         # target basis, is the numerator of the iterated trace of form b.
         matrix = t.matrix
         iterated_agrees = all(
-            Poly(field, t.src.n, zip(t.tgt.basis, [row[b] for row in matrix]))
+            Poly(field, t.src.n, dict(zip(t.tgt.basis, [row[b] for row in matrix])))
             == trace_iterated(t.src.basis_form(b), e).coeff.num
             for b in range(t.src.dim)
         )

@@ -54,8 +54,7 @@ class DiffForm:
         self.degree = degree
         clean = {}
         if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for idx, rat in items:
+            for idx, rat in coeffs.items():
                 idx = tuple(idx)
                 if len(idx) != degree or any(map(ge, idx, idx[1:])):
                     raise ValueError(f"index set {idx} is not a strictly increasing "
@@ -98,7 +97,7 @@ class DiffForm:
         return RationalFn(Poly.zero(self.field, self.nvars)) if rat is None else rat
 
     def scale(self, factor) -> "DiffForm":
-        """Multiply every coefficient by a rational function, polynomial or scalar."""
+        """Multiply every coefficient by a rational function."""
         return DiffForm(self.field, self.nvars, self.degree,
                         {i: r * factor for i, r in self.coeffs.items()})
 

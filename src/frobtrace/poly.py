@@ -5,6 +5,12 @@ Monomials are exponent tuples; a :class:`Poly` maps monomials to nonzero
 order (first variable heaviest) fixes printing and leading terms, so all
 rendered output is deterministic.
 
+A :class:`Poly` adds, subtracts and compares only with a Poly of its
+field and arity, and multiplies by such a Poly or by a Scalar of its
+field.  A :class:`RationalFn` combines only with a RationalFn.  Both are
+unhashable.  :func:`sum_of_products` is the one product loop: it sums
+int codes, and a Poly product is that loop on one pair.
+
 Rational functions are kept unreduced; equality is decided by
 cross-multiplication, which is all the trace computations need.
 """
@@ -51,6 +57,25 @@ def _mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def sum_of_products(field: FiniteField, nvars: int, pairs) -> "Poly":
+    """sum P * Q over the (P, Q) pairs, all in ``nvars`` variables over ``field``.
+
+    Int codes are summed per output monomial, and one Scalar is built per
+    surviving term."""
+    mul, add = field._mul, field._add
+    sums = {}
+    get = sums.get
+    for left, right in pairs:
+        right = [(m2, c2.v) for m2, c2 in right.terms.items()]
+        for m1, c1 in left.terms.items():
+            a = c1.v
+            for m2, b in right:
+                m = tuple(map(_plus, m1, m2))
+                sums[m] = add(get(m, 0), mul(a, b))
+    return Poly._wrap(field, nvars,
+                      {m: Scalar(field, v) for m, v in sums.items() if v})
+
+
 class Poly:
     """Sparse polynomial in ``nvars`` variables over a finite field."""
 
@@ -61,8 +86,7 @@ class Poly:
         self.nvars = nvars
         clean = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
+            for mono, coeff in terms.items():
                 mono = tuple(int(e) for e in mono)
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} has arity {len(mono)}, expected {nvars}")
@@ -72,12 +96,8 @@ class Poly:
                     coeff = field.scalar(coeff)
                 elif coeff.field != field:
                     raise ValueError("coefficient from a different field")
-                if mono in clean:
-                    coeff = clean[mono] + coeff
                 if coeff:
                     clean[mono] = coeff
-                elif mono in clean:
-                    del clean[mono]
         self.terms = clean
 
     # construction ---------------------------------------------------------
@@ -139,15 +159,13 @@ class Poly:
     # arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.field != self.field or other.nvars != self.nvars:
-                raise ValueError("polynomials from different contexts "
-                                 f"({other.field} in {other.nvars} vars vs "
-                                 f"{self.field} in {self.nvars} vars)")
-            return other
-        if isinstance(other, (int, Scalar)):
-            return Poly.constant(self.field, self.nvars, self.field.scalar(other))
-        return None
+        if not isinstance(other, Poly):
+            return None
+        if other.field != self.field or other.nvars != self.nvars:
+            raise ValueError("polynomials from different contexts "
+                             f"({other.field} in {other.nvars} vars vs "
+                             f"{self.field} in {self.nvars} vars)")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -163,8 +181,6 @@ class Poly:
                 del terms[m]
         return Poly._wrap(self.field, self.nvars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly._wrap(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
 
@@ -175,7 +191,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, Scalar):
             c0 = self.field.scalar(other)
             if not c0:
                 return Poly.zero(self.field, self.nvars)
@@ -184,21 +200,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Sum int codes per output monomial; one Scalar per surviving term.
-        field = self.field
-        mul, add = field._mul, field._add
-        right = [(m2, c2.v) for m2, c2 in other.terms.items()]
-        sums = {}
-        get = sums.get
-        for m1, c1 in self.terms.items():
-            a = c1.v
-            for m2, b in right:
-                m = tuple(map(_plus, m1, m2))
-                sums[m] = add(get(m, 0), mul(a, b))
-        return Poly._wrap(field, self.nvars,
-                          {m: Scalar(field, v) for m, v in sums.items() if v})
-
-    __rmul__ = __mul__
+        return sum_of_products(self.field, self.nvars, [(self, other)])
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -216,15 +218,10 @@ class Poly:
             base = base * base
 
     def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Poly.constant(self.field, self.nvars, self.field.scalar(other))
         if not isinstance(other, Poly):
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
     # calculus and Frobenius structure --------------------------------------
 
@@ -367,16 +364,6 @@ class RationalFn:
     def nvars(self):
         return self.num.nvars
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFn):
-            self.num._coerce(other.num)
-            return other
-        if isinstance(other, (int, Scalar, Poly)):
-            p = self.num._coerce(other) if isinstance(other, Poly) else \
-                Poly.constant(self.field, self.nvars, self.field.scalar(other))
-            return RationalFn(p)
-        return None
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -385,26 +372,21 @@ class RationalFn:
         den = self.den
         if not den.is_constant():
             raise ValueError("rational function has a non-constant denominator")
-        return self.num * den.terms[(0,) * den.nvars].inverse()
+        c = den.terms[(0,) * den.nvars]
+        return self.num if c == self.field.one else self.num * c.inverse()
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RationalFn(-self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -412,8 +394,7 @@ class RationalFn:
         return RationalFn(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 

@@ -21,7 +21,7 @@ from frobtrace import (
     trace_poly_top,
     trace_rational_top,
 )
-from frobtrace.cartier import trace_from_buckets, traces_by_bucket
+from frobtrace.cartier import traces_by_bucket
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -67,23 +67,47 @@ def trace_by_definition(h, g, e):
     return Poly(field, h.nvars, terms)
 
 
+def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
+    """Tr^e(x^mono * P) as {monomial: coefficient}, with q = p^e and
+    ``buckets`` = ``P.frobenius_decompose(e)``, read for one monomial:
+    P = sum_r g_r^q x^r, and only r = (q-1-mono) mod q contributes, as
+    x^s g_r with s = (mono + r - (q-1)) / q."""
+    r = tuple((q - 1 - x) % q for x in mono)
+    g = buckets.get(r)
+    if g is None:
+        return {}
+    s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
+    return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
+
+
+def _summed(field, nvars, pairs):
+    """The polynomial sum of c x^m over the (m, c) pairs, repeated
+    monomials added up."""
+    terms = {}
+    for mono, c in pairs:
+        terms[mono] = terms.get(mono, field.zero) + c
+    return Poly(field, nvars, terms)
+
+
 ORACLE_FIELDS = [F2, F3, F4, F9]
 
 
 def test_trace_matches_definition_over_prime_and_extension_fields():
     rng = random.Random(53)
     for field in ORACLE_FIELDS:
-        for e in (1, 2):
+        for e in (1, 2, 3) if field.s == 1 else (1, 2):
             q = field.p ** e
             nonzero = 0
             for _ in range(20):
                 # about half the exponents sit on q-1 mod q, so traces are
-                # often nonzero, and products of h and g^{q-1} can cancel
-                h = Poly(field, 2, [
+                # often nonzero, and products of h and g^{q-1} can cancel;
+                # with up to 25 terms, products of several bucket pairs land
+                # on one monomial
+                h = _summed(field, 2, [
                     (tuple(q * rng.randrange(2) + rng.choice((q - 1, rng.randrange(q)))
                            for _ in range(2)), _rand_element(field, rng))
-                    for _ in range(rng.randint(1, 5))])
-                g = Poly(field, 2, [
+                    for _ in range(rng.randint(1, 25))])
+                g = _summed(field, 2, [
                     (tuple(rng.randint(0, 1 if q > 16 else 2) for _ in range(2)),
                      _rand_element(field, rng)) for _ in range(3)])
                 if g.is_zero():
@@ -156,15 +180,17 @@ def test_trace_rational_eta_x_vanishes():
 
 
 def test_trace_rational_agrees_with_polynomial_trace():
+    # with g = 1 the pairing of trace_rational_top must give the one
+    # bucket that trace_poly_top reads
     rng = random.Random(31)
-    for p in (2, 3, 5):
-        field = FiniteField(p)
+    for field in (F2, F3, F5, F4, F9):
         for _ in range(15):
             n = rng.randint(1, 3)
             f = _rand_poly(field, n, rng)
             form = TopForm(field, n, RationalFn(f))
-            assert trace_rational_top(form, 1) == \
-                TopForm(field, n, RationalFn(trace_poly_top(f, 1)))
+            for e in (1, 2, 3):
+                assert trace_rational_top(form, e) == \
+                    TopForm(field, n, RationalFn(trace_poly_top(f, e))), (field, e, f)
 
 
 def test_trace_rational_n1_unit():

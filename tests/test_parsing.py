@@ -173,12 +173,13 @@ def test_generator_coefficients_over_extension_fields():
     assert parse_poly("2*g*x+x*g^3", F9, XY) == x * (2 * g + g ** 3)
     assert parse_poly("(1+g)*x*y^3", F9, XY) == x * y ** 3 * (g + 1)
     assert parse_poly("(2*g)+g^2*y", F9, XY) == Poly.constant(F9, 2, 2 * g) - y
-    assert parse_poly("((1+g)*x+1)*y", F9, XY) == (x * (g + 1) + 1) * y
+    one = Poly.one(F9, 2)
+    assert parse_poly("((1+g)*x+1)*y", F9, XY) == (x * (g + 1) + one) * y
     form = parse_form("((1+g)*x/((g)*y+1)) dx^dy", F9, XY)
-    assert form.coeff == RationalFn(x * (g + 1), y * g + 1)
+    assert form.coeff == RationalFn(x * (g + 1), y * g + one)
     h = F8.generator
     assert parse_poly("g^2*x+(1+g+g^2)", F8, XY) == \
-        parse_poly("x", F8, XY) * h ** 2 + (h ** 2 + h + 1)
+        parse_poly("x", F8, XY) * h ** 2 + Poly.constant(F8, 2, h ** 2 + h + 1)
     # over a prime field g is an ordinary name: a variable or unknown
     assert parse_poly("g^2", F3, ["g"]) == Poly.monomial(F3, (2,))
     with pytest.raises(ParseError, match="unknown variable 'g'"):

@@ -53,7 +53,8 @@ def test_fermat_square():
 def test_additive_identity():
     f = P("x^2+y*z")
     assert f + Poly.zero(F2, 4) == f
-    assert f + 0 == f
+    with pytest.raises(TypeError):
+        f + 0
 
 
 def test_context_mismatch_rejected():

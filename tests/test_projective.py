@@ -27,9 +27,8 @@ from frobtrace import (
     trace_matrix,
     trace_rational_top,
 )
-from frobtrace.cartier import trace_from_buckets
 from frobtrace.cli import main
-from test_cartier import trace_by_definition
+from test_cartier import trace_by_definition, trace_from_buckets
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -280,7 +279,7 @@ def test_apply_matches_traced_forms():
     t = trace_matrix(E, D, 1)
     matrix = t.matrix
     for b in range(t.src.dim):
-        column = Poly(t.field, t.src.n, zip(t.tgt.basis, [row[b] for row in matrix]))
+        column = Poly(t.field, t.src.n, dict(zip(t.tgt.basis, [row[b] for row in matrix])))
         traced = trace_rational_top(t.src.basis_form(b), 1)
         cleared = (traced.coeff.num * t.tgt.den).exact_divide(traced.coeff.den)
         assert column == cleared, b
@@ -296,7 +295,7 @@ def matches_direct_trace(E, D, e, chart=None):
         coeff = t.src.basis_form(b).coeff
         traced = trace_by_definition(coeff.num, coeff.den, e)
         cleared = (traced * t.tgt.den).exact_divide(coeff.den)
-        column = Poly(t.field, t.src.n, zip(t.tgt.basis, [row[b] for row in matrix]))
+        column = Poly(t.field, t.src.n, dict(zip(t.tgt.basis, [row[b] for row in matrix])))
         assert column == cleared, b
     return t
 
