@@ -21,6 +21,15 @@ m = (q-1) - r + q s, with trace x^s G_r.  That is why
 :func:`frobtrace.projective.trace_matrix` does work only for the columns
 whose trace is nonzero.
 
+Unread buckets are never decomposed: each trace passes
+:meth:`Poly.frobenius_decompose` a test on the residue, applied before
+any base monomial or coefficient root is built.  :func:`trace_rational_top`
+keeps the residues of h that pair with a bucket of g^{q-1},
+:func:`trace_poly_top` the one corner bucket, and
+:func:`traces_by_bucket` the residues r with |r| >= n(q-1) - bound, the
+only ones a numerator of degree <= bound reads.  For the Fermat-cubic
+trace matrices that is none (the matrices are zero; tested to e = 5).
+
 The inverse Cartier operator returns one designated closed representative
 of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively.
 On top forms, following it by the exponent-1 trace is the identity.
@@ -35,20 +44,22 @@ from .forms import DiffForm, TopForm, d_columns
 from .poly import Poly, RationalFn, monomials_upto, sum_of_products
 
 
-def traces_by_bucket(buckets: dict, q: int, bound: int):
-    """Yield (mono, Tr^e(x^mono * P)) for every monomial of total degree
+def traces_by_bucket(power: Poly, e: int, bound: int):
+    """Yield (mono, Tr^e(x^mono * power)) for every monomial of total degree
     <= bound whose trace is nonzero, the trace as {monomial: coefficient}.
 
-    ``buckets`` = ``P.frobenius_decompose(e)`` with q = p^e.  This is the
-    pairing of the module docstring for the numerator x^mono, read per
-    bucket: g_r pairs with exactly the monomials mono = c + q*s with
-    c = (q-1) - r, whose trace is x^s g_r; every other monomial traces to
-    zero and is skipped.
+    This is the pairing of the module docstring for the numerator x^mono,
+    read per bucket of ``power`` = sum_r g_r^q x^r, q = p^e: g_r pairs
+    with exactly the monomials mono = c + q*s with c = (q-1) - r, whose
+    trace is x^s g_r; every other monomial traces to zero and is skipped.
+    Bucket r is read only if |c| <= bound, that is |r| >= n(q-1) - bound,
+    and no other bucket is decomposed.
     """
+    q = power.field.p ** e
+    floor = power.nvars * (q - 1) - bound
+    buckets = power.frobenius_decompose(e, lambda r: sum(r) >= floor)
     for r, g in buckets.items():
-        left = bound - len(r) * (q - 1) + sum(r)  # bound - |c|
-        if left < 0:
-            continue
+        left = sum(r) - floor  # bound - |c|
         c = tuple(q - 1 - x for x in r)
         terms = g.terms.items()
         for s in monomials_upto(len(c), left // q):
@@ -58,10 +69,12 @@ def traces_by_bucket(buckets: dict, q: int, bound: int):
 
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx,
-    the bucket of f at x^{(q-1,...,q-1)}, q = p^e."""
+    the bucket of f at x^{(q-1,...,q-1)}, q = p^e; no other bucket is
+    decomposed."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
-    bucket = f.frobenius_decompose(e).get((f.field.p ** e - 1,) * f.nvars)
+    corner = (f.field.p ** e - 1,) * f.nvars
+    bucket = f.frobenius_decompose(e, {corner}.__contains__).get(corner)
     return Poly.zero(f.field, f.nvars) if bucket is None else bucket
 
 
@@ -69,6 +82,8 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     """Tr^e on a rational top form h/g dx, as the pairing
     (sum_a H_a * G_{(q-1)-a}) / g of the buckets of h and of g^{q-1}.
 
+    g^{q-1} is decomposed first, and h only at the residues a that pair
+    with one of its buckets, so no coefficient of h outside them is rooted.
     ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
     raises ValueError below the top degree."""
     if e < 1:
@@ -76,10 +91,10 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     h, g = form.coeff.num, form.coeff.den
     field, n = form.field, form.nvars
     q = field.p ** e
-    h_buckets = h.frobenius_decompose(e)
-    g_buckets = (g ** (q - 1)).frobenius_decompose(e)
-    pairs = [(h_a, g_buckets[r]) for a, h_a in h_buckets.items()
-             if (r := tuple(q - 1 - x for x in a)) in g_buckets]
+    partner = {tuple(q - 1 - x for x in r): g_r
+               for r, g_r in (g ** (q - 1)).frobenius_decompose(e).items()}
+    pairs = [(h_a, partner[a])
+             for a, h_a in h.frobenius_decompose(e, partner.__contains__).items()]
     num = sum_of_products(field, n, pairs)
     return TopForm(field, n, RationalFn(num, g))
 

@@ -23,7 +23,8 @@ from .field import FiniteField
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import monomial_string
-from .projective import ContainmentError, _chart_varnames, section_space, trace_matrix
+from .projective import (ContainmentError, _chart_varnames, _filled, section_space,
+                         trace_matrix)
 
 JSON_VERSION = "1"
 
@@ -168,8 +169,10 @@ def cmd_trace_matrix(args) -> int:
         f"den {t.tgt.den.to_string(chart_names)}",
         f"  matrix ({t.tgt.dim} x {t.src.dim}):",
     ]
-    for row in t.matrix:
-        lines.append("    [" + " ".join(str(c) for c in row) + "]")
+    zero, width = str(field.zero), t.src.dim
+    for row in t.rows:
+        cells = _filled(width, zero, {c: str(x) for c, x in row.items()})
+        lines.append("    [" + " ".join(cells) + "]")
     lines.append(f"  verdict: rank {verdict.rank}, surjective "
                  f"{verdict.surjective}, zero {verdict.zero}")
     print("\n".join(lines))

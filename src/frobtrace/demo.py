@@ -19,7 +19,7 @@ from __future__ import annotations
 from .cartier import trace_iterated, trace_rational_top
 from .field import FiniteField
 from .parsing import parse_poly
-from .poly import Poly, monomial_string
+from .poly import Poly, monomial_strings_upto
 from .projective import (DivisorSpec, _chart_varnames, map_verdict, section_space,
                          trace_matrix)
 
@@ -41,10 +41,10 @@ def build_report() -> dict:
         report["checks"].append({"name": name, "ok": passed, **payload})
 
     src = section_space(cubic_div.combined(hyperplane, 2))
+    basis = monomial_strings_upto(src.n, src.bound, chart_names)
     check("source_dimension", src.dim == 4,
           dim=src.dim, bound=src.bound,
-          den=src.den.to_string(chart_names),
-          basis=[monomial_string(m, chart_names) for m in src.basis])
+          den=src.den.to_string(chart_names), basis=basis)
 
     vanishing = []
     for label, k in (("omega(-K-X) ~ omega(1H)", 1), ("omega(-2K-2X) ~ omega(2H)", 2)):
@@ -57,7 +57,7 @@ def build_report() -> dict:
     traces = []
     for i in range(src.dim):
         value = trace_rational_top(src.basis_form(i), 1)
-        traces.append({"basis": monomial_string(src.basis[i], chart_names),
+        traces.append({"basis": basis[i],
                        "trace": value.to_string(chart_names)})
     check("basis_traces_vanish", all(t["trace"] == "0" for t in traces),
           traces=traces)

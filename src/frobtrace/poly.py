@@ -34,22 +34,31 @@ def grlex_key_desc(mono):
     return (-sum(mono), tuple(-e for e in mono))
 
 
-def monomials_upto(nvars: int, bound: int) -> list:
-    """All exponent tuples of total degree <= bound, in graded-lex order.
+def _graded_lex(nvars: int, bound: int, heads: list, unit) -> list:
+    """The products heads[0][a_0] + ... + heads[nvars-1][a_{nvars-1}] over
+    all exponent tuples a of total degree <= bound, in graded-lex order of
+    a; ``unit`` for nvars = 0, nothing for a negative nvars or bound.
 
-    Built degree by degree, already in order: the degree-d monomials in
-    k variables are the first exponent a from d down to 0, each followed
-    by the degree-(d - a) monomials in the last k - 1 variables."""
+    ``heads[j]`` lists the piece of variable j for the exponents 0..bound.
+    The products are built degree by degree, already in order: the
+    degree-d products over k variables are the first exponent a from d
+    down to 0, each followed by the degree-(d - a) products over the last
+    k - 1 variables."""
     if bound < 0 or nvars < 0:
         return []
     if nvars == 0:
-        return [()]
-    # by_degree[d]: the degree-d monomials in the last k variables, in order
-    by_degree = [[(d,)] for d in range(bound + 1)]
-    for _ in range(nvars - 1):
-        by_degree = [[(a,) + m for a in range(d, -1, -1) for m in by_degree[d - a]]
+        return [unit]
+    # by_degree[d]: the degree-d products over the last k variables, in order
+    by_degree = [[h] for h in heads[-1]]
+    for head in heads[-2::-1]:
+        by_degree = [[head[a] + m for a in range(d, -1, -1) for m in by_degree[d - a]]
                      for d in range(bound + 1)]
     return [m for layer in by_degree for m in layer]
+
+
+def monomials_upto(nvars: int, bound: int) -> list:
+    """All exponent tuples of total degree <= bound, in graded-lex order."""
+    return _graded_lex(nvars, bound, [[(a,) for a in range(bound + 1)]] * nvars, ())
 
 
 def _mono_divides(a, b):
@@ -255,11 +264,14 @@ class Poly:
             terms[m[:chart] + m[chart + 1:]] = c
         return Poly._wrap(self.field, self.nvars - 1, terms)
 
-    def frobenius_decompose(self, e: int) -> dict:
+    def frobenius_decompose(self, e: int, keep=None) -> dict:
         """Bucket by exponents mod p^e: self = sum_r g_r^{p^e} * x^r.
 
         Returns {residue monomial r: g_r} over the residues actually
         present; the root extraction always succeeds by construction.
+        ``keep``, a predicate on residue tuples, limits the result to the
+        residues it accepts: a term it rejects is dropped before its base
+        monomial or coefficient root is computed.
         """
         field = self.field
         q = field.p ** e
@@ -267,7 +279,10 @@ class Poly:
         residue, base = q.__rmod__, q.__rfloordiv__
         buckets = {}
         for m, c in self.terms.items():
-            bucket = buckets.setdefault(tuple(map(residue, m)), {})
+            r = tuple(map(residue, m))
+            if keep is not None and not keep(r):
+                continue
+            bucket = buckets.setdefault(r, {})
             bucket[tuple(map(base, m))] = c.frobenius(k) if k else c
         return {r: Poly._wrap(field, self.nvars, terms)
                 for r, terms in buckets.items()}
@@ -335,6 +350,19 @@ def monomial_string(mono, varnames=None) -> str:
     factors = [name if e == 1 else f"{name}^{e}"
                for name, e in zip(varnames, mono) if e]
     return "*".join(factors) or "1"
+
+
+def monomial_strings_upto(nvars: int, bound: int, varnames=None) -> list:
+    """:func:`monomial_string` of each monomial of ``monomials_upto(nvars,
+    bound)``, in that order, built in the same layered pass: each factor
+    string ("*x", "*x^2", ...) is made once and prefixed to the strings of
+    the later variables, and the leading "*" is cut at the end.
+    ``varnames`` names exactly the nvars variables."""
+    if varnames is None:
+        varnames = default_varnames(nvars)
+    heads = [[""] + [f"*{name}" if a == 1 else f"*{name}^{a}" for a in range(1, bound + 1)]
+             for name in varnames]
+    return [s[1:] or "1" for s in _graded_lex(nvars, bound, heads, "")]
 
 
 class RationalFn:

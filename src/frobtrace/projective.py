@@ -12,7 +12,11 @@ trace in the target basis.  It is stored as sparse rows, one
 P^n most cells are zero; the dense matrix is a view built on demand.
 It is filled bucket by bucket: each residue bucket of E^{q-1} is read
 only by the source monomials whose trace it gives, so the work grows with
-the nonzero columns, not with the source dimension.
+the nonzero columns, not with the source dimension, and a bucket that no
+source monomial reads is never decomposed.
+A basis is the list of :func:`frobtrace.poly.monomials_upto`, and is
+printed layer by layer with :func:`frobtrace.poly.monomial_strings_upto`,
+which makes one factor string per (variable, exponent).
 The map itself is p^{-e}-semilinear, i.e.
 T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
 matrix . inverse_frobenius^e(c).  Because the inverse Frobenius is a
@@ -30,7 +34,8 @@ from math import comb
 from . import linalg
 from .cartier import traces_by_bucket
 from .forms import TopForm
-from .poly import Poly, RationalFn, monomial_string, monomials_upto
+from .poly import (Poly, RationalFn, monomial_string, monomial_strings_upto,
+                   monomials_upto)
 
 
 class ChartError(ValueError):
@@ -121,7 +126,8 @@ def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
 
 
 class SectionSpace:
-    """Monomial-basis chart model of a twisted canonical section space."""
+    """Monomial-basis chart model of a twisted canonical section space;
+    ``basis`` is ``monomials_upto(n, bound)``."""
 
     __slots__ = ("divisor", "chart", "field", "n", "den", "bound", "basis")
 
@@ -150,7 +156,7 @@ class SectionSpace:
             "bound": self.bound,
             "dim": self.dim,
             "den": self.den.to_string(chart_names),
-            "basis": [monomial_string(m, chart_names) for m in self.basis],
+            "basis": monomial_strings_upto(self.n, self.bound, chart_names),
         }
 
 
@@ -270,11 +276,12 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
 
     With q = p^e, semilinearity gives Tr^e(h / (E D^q)) = Tr^e(h E^{q-1}) / (E D),
     so every traced numerator is already over the target denominator and
-    no exact division is needed.  E^{q-1} is decomposed once, and column m
-    is the trace of x^m E^{q-1}.  The loop runs over the buckets, not the
-    columns: :func:`frobtrace.cartier.traces_by_bucket` lists, for each
-    bucket, the source monomials that read it, so the work grows with the
-    nonzero columns, and a column no bucket reaches stays zero.  A traced
+    no exact division is needed.  Column m is the trace of x^m E^{q-1}.
+    The loop runs over the buckets, not the columns:
+    :func:`frobtrace.cartier.traces_by_bucket` decomposes E^{q-1} once,
+    into only the buckets some source monomial reads, and lists for each
+    the source monomials that read it, so the work grows with the nonzero
+    columns, and a column no bucket reaches stays zero.  A traced
     numerator above the target degree bound cannot happen for a correct
     trace and raises :class:`ContainmentError` naming the basis element.
     """
@@ -283,10 +290,11 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     src = section_space(pe_twist(divisor, e_part, e), chart)
     tgt = section_space(e_part.combined(divisor, 1), chart)
     q = src.field.p ** e
-    buckets = (_chart_product(e_part, src.chart) ** (q - 1)).frobenius_decompose(e)
-    col_of = {m: b for b, m in enumerate(src.basis)}
+    power = _chart_product(e_part, src.chart) ** (q - 1)
+    traces = list(traces_by_bucket(power, e, src.bound))
+    col_of = {m: b for b, m in enumerate(src.basis)} if traces else {}
     row_of = {m: {} for m in tgt.basis}
-    for mono, traced in traces_by_bucket(buckets, q, src.bound):
+    for mono, traced in traces:
         b = col_of[mono]
         for m, c in traced.items():
             row = row_of.get(m)

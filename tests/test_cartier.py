@@ -9,6 +9,7 @@ from frobtrace import (
     FiniteField,
     Poly,
     RationalFn,
+    Scalar,
     TopForm,
     exterior_derivative,
     inverse_cartier,
@@ -27,6 +28,7 @@ F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
 F4 = FiniteField(2, 2, [1, 1, 1])
+F8 = FiniteField(2, 3, [1, 1, 0, 1])
 F9 = FiniteField(3, 2, [1, 0, 1])
 XYZ = ["x", "y", "z"]
 
@@ -89,7 +91,7 @@ def _summed(field, nvars, pairs):
     return Poly(field, nvars, terms)
 
 
-ORACLE_FIELDS = [F2, F3, F4, F9]
+ORACLE_FIELDS = [F2, F3, F4, F9, F8]
 
 
 def test_trace_matches_definition_over_prime_and_extension_fields():
@@ -120,6 +122,50 @@ def test_trace_matches_definition_over_prime_and_extension_fields():
             assert nonzero >= 3, (field, e)
 
 
+def test_trace_roots_only_paired_coefficients(monkeypatch):
+    """trace_rational_top decomposes g^{q-1} whole and h only at the
+    residues that pair with one of its buckets.  Over F_9 a root is a
+    Scalar.frobenius call at odd e and the identity at e = 2, so the
+    buckets built are counted as well as the Frobenius calls."""
+    rng = random.Random(47)
+    rooted, bucketed = [], []
+    frobenius, decompose = Scalar.frobenius, Poly.frobenius_decompose
+
+    def counting_frobenius(self, e=1):
+        rooted.append(self)
+        return frobenius(self, e)
+
+    def counting_decompose(self, e, keep=None):
+        buckets = decompose(self, e, keep)
+        bucketed.extend(m for g in buckets.values() for m in g.terms)
+        return buckets
+
+    unpaired = 0
+    for e in (1, 2, 3):
+        q = 3 ** e
+        for _ in range(10):
+            h = _summed(F9, 2, [(tuple(rng.randint(0, 12) for _ in range(2)),
+                                 _rand_element(F9, rng)) for _ in range(25)])
+            g = _rand_poly(F9, 2, rng, max_terms=2, max_deg=1)
+            if g.is_zero():
+                g = Poly.one(F9, 2)
+            power = g ** (q - 1)
+            g_residues = {tuple(x % q for x in m) for m in power.terms}
+            paired = sum(tuple(q - 1 - x % q for x in m) in g_residues for m in h.terms)
+            unpaired += len(h.terms) - paired
+            expected = trace_by_definition(h, g, e)
+            rooted.clear()
+            bucketed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Scalar, "frobenius", counting_frobenius)
+                patch.setattr(Poly, "frobenius_decompose", counting_decompose)
+                traced = trace_rational_top(TopForm(F9, 2, RationalFn(h, g)), e)
+            assert traced.coeff.num == expected, (e, h, g)
+            assert len(bucketed) == len(power.terms) + paired, (e, h, g)
+            assert len(rooted) == (len(bucketed) if e % 2 else 0), (e, h, g)
+    assert unpaired > 500
+
+
 def test_bucket_reader_agrees_with_term_reader():
     """traces_by_bucket, which loops over the buckets, yields each monomial
     whose trace_from_buckets value is nonzero once, with that value, and
@@ -136,7 +182,7 @@ def test_bucket_reader_agrees_with_term_reader():
                     buckets = power.frobenius_decompose(e)
                     bound = rng.randint(0, 3 * q)
                     read = {}
-                    for mono, traced in traces_by_bucket(buckets, q, bound):
+                    for mono, traced in traces_by_bucket(power, e, bound):
                         assert mono not in read and sum(mono) <= bound and traced
                         read[mono] = traced
                     for mono in monomials_upto(nvars, bound):

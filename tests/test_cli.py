@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from frobtrace import (FiniteField, Poly, RationalFn, Scalar, TopForm, demo,
-                       parse_form, parse_poly, trace_rational_top)
+from frobtrace import (DivisorSpec, FiniteField, Poly, RationalFn, Scalar, TopForm,
+                       demo, parse_form, parse_poly, trace_matrix, trace_rational_top)
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
 from frobtrace.projective import SemilinearMap
@@ -368,3 +368,19 @@ def test_trace_matrix_builds_only_the_format_it_prints(capsys, monkeypatch):
     code, out, _ = run(cmd, capsys)
     assert code == 0
     assert out.splitlines()[-1].startswith("  verdict: rank ")
+
+
+def test_trace_matrix_table_stringifies_only_nonzeros(capsys, monkeypatch):
+    """The table of the 171 x 1711 F_3 matrix is printed from the sparse
+    rows: one shared zero string, and str() only on the nonzero cells."""
+    cmd = ["--char", "3", "--vars", "x,y,z", "trace-matrix", "--D", "H:20", "--e", "1"]
+    f3 = FiniteField(3)
+    t = trace_matrix(DivisorSpec(f3, 2), DivisorSpec(f3, 2, k=20), 1)
+    assert (t.tgt.dim, t.src.dim) == (171, 1711)
+    nonzeros = sum(len(row) for row in t.rows)
+    calls = []
+    to_str = Scalar.__str__
+    monkeypatch.setattr(Scalar, "__str__", lambda self: calls.append(self) or to_str(self))
+    code, out, _ = run(cmd, capsys)
+    assert code == 0 and "matrix (171 x 1711)" in out
+    assert nonzeros <= len(calls) <= nonzeros + 5

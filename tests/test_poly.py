@@ -19,7 +19,7 @@ from frobtrace import (
     trace_matrix,
     trace_rational_top,
 )
-from frobtrace.poly import grlex_key
+from frobtrace.poly import grlex_key, monomial_string, monomial_strings_upto
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -177,6 +177,7 @@ def test_frobenius_decompose_pure_power():
 
 def test_frobenius_decompose_reassembles():
     rng = random.Random(5)
+    pick = random.Random(6)  # the filters; rng alone draws the polynomials
     for p in (2, 3, 5):
         field = FiniteField(p)
         for n in (1, 2, 3, 4):
@@ -186,10 +187,19 @@ def test_frobenius_decompose_reassembles():
                 f = _random_poly(field, n, rng)
                 q = p ** e
                 total = Poly.zero(field, n)
-                for r, g in f.frobenius_decompose(e).items():
+                full = f.frobenius_decompose(e)
+                for r, g in full.items():
                     assert all(0 <= x < q for x in r)
                     total = total + g ** q * Poly.monomial(field, r)
                 assert total == f
+                # a filtered decomposition is the full one restricted to
+                # the residues its test keeps
+                floor = pick.randint(0, n * (q - 1))
+                chosen = set(pick.sample(sorted(full), k=len(full) // 2))
+                for keep in (lambda r: sum(r) >= floor, chosen.__contains__,
+                             lambda r: False, lambda r: True):
+                    assert f.frobenius_decompose(e, keep) == \
+                        {r: g for r, g in full.items() if keep(r)}
 
 
 def test_exact_divide():
@@ -236,11 +246,21 @@ def _monomials_sorted_reference(nvars, bound):
 
 def test_monomials_upto_is_sorted_graded_lex():
     for n in range(5):
+        chart_names = ["x", "y", "z", "w"][:n]
         for bound in range(13):
-            assert monomials_upto(n, bound) == _monomials_sorted_reference(n, bound), (n, bound)
+            monos = monomials_upto(n, bound)
+            assert monos == _monomials_sorted_reference(n, bound), (n, bound)
+            # the layered strings are monomial_string of each monomial
+            assert monomial_strings_upto(n, bound) == \
+                [monomial_string(m) for m in monos], (n, bound)
+            assert monomial_strings_upto(n, bound, chart_names) == \
+                [monomial_string(m, chart_names) for m in monos], (n, bound)
     assert monomials_upto(0, 0) == monomials_upto(0, 7) == [()]
+    assert monomial_strings_upto(0, 0) == monomial_strings_upto(0, 7, []) == ["1"]
     assert monomials_upto(0, -1) == monomials_upto(2, -3) == []
     assert monomials_upto(-1, 3) == monomials_upto(-1, -1) == []
+    assert monomial_strings_upto(0, -1) == monomial_strings_upto(2, -3, ["x", "y"]) == []
+    assert monomial_strings_upto(-1, 3) == monomial_strings_upto(-1, -1) == []
 
 
 def test_internal_construction_never_validates(monkeypatch):

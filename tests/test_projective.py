@@ -354,6 +354,24 @@ def test_bucket_loop_matches_column_loop():
             assert not t.verdict.zero
 
 
+def test_fermat_trace_matrix_decomposes_no_bucket(monkeypatch):
+    """At e = 4 no residue bucket of E^15 is read by a source monomial of
+    degree <= 15, so the one decomposition returns no bucket Poly."""
+    decompositions = []
+    decompose = Poly.frobenius_decompose
+
+    def recording(self, e, keep=None):
+        buckets = decompose(self, e, keep)
+        decompositions.append((len(self.terms), buckets))
+        return buckets
+
+    monkeypatch.setattr(Poly, "frobenius_decompose", recording)
+    t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 4)
+    assert t.src.dim == 816 and t.verdict.zero
+    [(power_terms, buckets)] = decompositions
+    assert power_terms > 0 and buckets == {}
+
+
 def test_containment_error_names_column_past_degree_bound(monkeypatch):
     # a chart product with a stray factor x^3 pushes the trace of the
     # basis element y (printed x1) out of the degree-0 target
