@@ -23,8 +23,8 @@ from .field import FiniteField
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import monomial_string
-from .projective import (ContainmentError, _chart_varnames, _filled, section_space,
-                         trace_matrix)
+from .projective import (ChartError, ContainmentError, _chart_varnames, _filled,
+                         section_space, trace_matrix)
 
 JSON_VERSION = "1"
 
@@ -186,12 +186,11 @@ def cmd_sections(args) -> int:
     divisor = parse_divisor(args.divisor, field, varnames)
     space = section_space(divisor, chart)
     payload = {"command": "sections", **space.to_json(varnames)}
-    chart_names = _chart_varnames(varnames, chart)
     lines = [
         f"sections of omega({divisor.to_string(varnames)}) on chart "
         f"{varnames[chart]} over F_{field.q}",
         f"  bound {space.bound}, dim {space.dim}",
-        f"  denominator: {space.den.to_string(chart_names)}",
+        f"  denominator: {payload['den']}",
         "  basis: " + (", ".join(payload["basis"]) if space.dim else "(empty)"),
     ]
     _emit(args, payload, lines)
@@ -272,6 +271,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except ChartError as exc:  # raised only after --vars was read
+        print(f"error: {exc.to_string(_varnames(args))}", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

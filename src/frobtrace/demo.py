@@ -19,9 +19,8 @@ from __future__ import annotations
 from .cartier import trace_iterated, trace_rational_top
 from .field import FiniteField
 from .parsing import parse_poly
-from .poly import Poly, monomial_strings_upto
-from .projective import (DivisorSpec, _chart_varnames, map_verdict, section_space,
-                         trace_matrix)
+from .poly import Poly
+from .projective import DivisorSpec, _chart_varnames, section_space, trace_matrix
 
 VARNAMES = ["x", "y", "z", "w"]
 CHART = 3
@@ -41,10 +40,10 @@ def build_report() -> dict:
         report["checks"].append({"name": name, "ok": passed, **payload})
 
     src = section_space(cubic_div.combined(hyperplane, 2))
-    basis = monomial_strings_upto(src.n, src.bound, chart_names)
+    shown = src.to_json(VARNAMES)
+    basis = shown["basis"]
     check("source_dimension", src.dim == 4,
-          dim=src.dim, bound=src.bound,
-          den=src.den.to_string(chart_names), basis=basis)
+          **{key: shown[key] for key in ("dim", "bound", "den", "basis")})
 
     vanishing = []
     for label, k in (("omega(-K-X) ~ omega(1H)", 1), ("omega(-2K-2X) ~ omega(2H)", 2)):
@@ -65,13 +64,13 @@ def build_report() -> dict:
     matrices = {}
     for e in (1, 2, 3):
         t = trace_matrix(cubic_div, hyperplane, e)
-        verdict = map_verdict(t)
+        verdict = t.verdict
         # D = H has no hypersurface part, so src.den == tgt.den, and every
         # exponent-1 trace keeps that denominator: column b, read over the
         # target basis, is the numerator of the iterated trace of form b.
-        matrix = t.matrix
         iterated_agrees = all(
-            Poly(field, t.src.n, dict(zip(t.tgt.basis, [row[b] for row in matrix])))
+            Poly(field, t.src.n,
+                 {m: row[b] for m, row in zip(t.tgt.basis, t.rows) if b in row})
             == trace_iterated(t.src.basis_form(b), e).coeff.num
             for b in range(t.src.dim)
         )

@@ -6,16 +6,17 @@ immutable :class:`Scalar` values holding one int ``v`` in [0, q): on F_p
 the residue itself, on F_{p^s} the coordinate vector with respect to the
 power basis of the modulus read as base-p digits (constant term lowest).
 The code depends only on p and the modulus, so scalars of two equal
-fields mix freely; :attr:`Scalar.coeffs` gives the vector back.
+fields mix freely; :attr:`Scalar.coeffs` gives the vector back.  An
+element prints as a sum of powers of the generator ``GENERATOR`` ("g").
 
 On F_p every operation is native arithmetic modulo p.  An extension field
 builds three tables once, at construction, from the primitive element g
-of smallest code: antilogs (g^k), logs, and Zech logarithms
-(log(1 + g^k)).  Multiplication, inversion, powers and the Frobenius are
-then index arithmetic on logs, and addition is one Zech lookup, as in
-FLINT's ``fq_zech``.  The tables hold O(q) ints, so fields are limited
-to q = p^s <= 2^16, and larger ones are refused before any table is
-built.
+of smallest code: antilogs (g^k, by the F_p[t] product that also tests
+the modulus), logs, and Zech logarithms (log(1 + g^k)).  Multiplication,
+inversion, powers and the Frobenius are then index arithmetic on logs,
+and addition is one Zech lookup, as in FLINT's ``fq_zech``.  The tables
+hold O(q) ints, so fields are limited to q = p^s <= 2^16, and larger
+ones are refused before any table is built.
 
 The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
@@ -25,10 +26,12 @@ methods :meth:`Scalar.frobenius` and :meth:`Scalar.inverse_frobenius`.
 from __future__ import annotations
 
 import itertools
-from operator import mul
 
 # Extension fields keep antilog, log and Zech tables with O(q) entries.
 MAX_ORDER = 1 << 16
+
+# The printed name of the class of the modulus variable; the parser reads it.
+GENERATOR = "g"
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,15 @@ def _digits(code: int, p: int, s: int) -> tuple:
     return tuple(out)
 
 
+def _code(digits, p: int) -> int:
+    """The int whose base-p digits, lowest first, are ``digits``: the
+    inverse of :func:`_digits`."""
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d
+    return code
+
+
 def _primitive_powers(p, s, modulus) -> list:
     """Codes of g^0, ..., g^{q-2} for the primitive element g of smallest code.
 
@@ -144,23 +156,10 @@ def _primitive_powers(p, s, modulus) -> list:
         g = _utrim(list(_digits(code, p, s)))
         if all(_upow_mod(g, k, modulus, p) != [1] for k in cofactors):
             break
-    low = [-c % p for c in modulus[:s]]  # x^s = low(x) modulo the modulus
-    weights = [p ** i for i in range(s)]
-    powers = [0] * m
-    vec = [1] + [0] * (s - 1)
-    for k in range(m):
-        powers[k] = sum(map(mul, vec, weights))
-        # vec * g = sum_i g_i x^i vec, each x^i vec by shifting and reducing
-        acc, shifted = [0] * s, vec
-        for i, gi in enumerate(g):
-            if i:
-                top = shifted[-1]
-                shifted = [0] + shifted[:-1]
-                if top:
-                    shifted = [(a + top * b) % p for a, b in zip(shifted, low)]
-            if gi:
-                acc = [(a + gi * b) % p for a, b in zip(acc, shifted)]
-        vec = acc
+    powers, vec = [], [1]
+    for _ in range(m):
+        powers.append(_code(vec, p))
+        vec = _umod(_umul(vec, g, p), modulus, p)
     return powers
 
 
@@ -327,10 +326,7 @@ class FiniteField:
         coeffs = [int(c) % p for c in value]
         if len(coeffs) > self.s:
             raise ValueError(f"residue vector longer than extension degree {self.s}")
-        code = 0
-        for c in reversed(coeffs):
-            code = code * p + c
-        return Scalar(self, code)
+        return Scalar(self, _code(coeffs, p))
 
     def elements(self):
         """Iterate over all q field elements (for exhaustive tests)."""
@@ -467,7 +463,7 @@ class Scalar:
             if i == 0:
                 parts.append(str(c))
             else:
-                g = "g" if i == 1 else f"g^{i}"
+                g = GENERATOR if i == 1 else f"{GENERATOR}^{i}"
                 parts.append(g if c == 1 else f"{c}*{g}")
         return "+".join(parts) if parts else "0"
 

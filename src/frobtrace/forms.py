@@ -4,6 +4,8 @@ A degree-i form is a map from strictly increasing i-subsets of the
 variable indices to rational-function coefficients.  The sign convention
 is pinned once and for all: dx_j wedged onto dx_J from the left picks up
 (-1)^{#(elements of J below j)}, i.e. the sign of sorting j into J.
+Any index sequence is normalized the same way: it is sorted, its sign is
+the parity of its inversions, and a repeated index makes the wedge zero.
 
 One class, :class:`DiffForm`, carries forms of every degree.  The trace
 acts on top forms f dx_1^...^dx_n: :class:`TopForm` builds one from f,
@@ -17,28 +19,23 @@ those rows and solves.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import ge
 
-from .poly import Poly, RationalFn, monomials_upto
+from .poly import Poly, RationalFn, default_varnames, monomials_upto
 
 
 def _normalize_indices(indices):
-    """Sorted index tuple and the sign of the sorting permutation.
+    """Sorted index tuple and the sign of the sorting permutation, the
+    parity of the inversions of ``indices``.
 
     Returns (None, 0) when an index repeats (the wedge vanishes).
     """
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None, 0
-    return tuple(idx), sign
+    idx = tuple(sorted(indices))
+    if len(set(idx)) < len(idx):
+        return None, 0
+    inversions = sum(a > b for a, b in combinations(indices, 2))
+    return idx, -1 if inversions % 2 else 1
 
 
 class DiffForm:
@@ -128,7 +125,7 @@ class DiffForm:
         if not self.coeffs:
             return "0"
         if varnames is None:
-            varnames = [f"x{i}" for i in range(self.nvars)]
+            varnames = default_varnames(self.nvars)
         parts = []
         for idx in sorted(self.coeffs):
             wedge = "^".join("d" + varnames[i] for i in idx)

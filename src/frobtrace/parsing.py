@@ -20,6 +20,7 @@ Form grammar:
     rational = poly ('/' poly)?
 
 where dvar is 'd' immediately followed by a declared variable name.
+Both sums, of terms and of summands, are read by one signed-sum loop.
 
 Divisor grammar: comma-separated components, each "poly:mult" or "H:k".
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 
-from .field import FiniteField
+from .field import GENERATOR, FiniteField
 from .forms import DiffForm
 from .poly import Poly, RationalFn
 from .projective import DivisorSpec
@@ -65,9 +66,6 @@ def _tokenize(text: str):
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     return tokens
-
-
-GENERATOR = "g"
 
 
 def _check_varnames(field, varnames):
@@ -111,20 +109,23 @@ class _Parser:
 
     # polynomial ----------------------------------------------------------
 
+    def _signed(self, item):
+        """Yield (negate, item()) for the items of a sum: items joined by
+        '+' or '-', the first optionally preceded by '-'."""
+        negate = self.at_op("-")
+        if negate:
+            self.next()
+        while True:
+            yield negate, item()
+            if not self.at_op("+", "-"):
+                return
+            negate = self.next()[1] == "-"
+
     def parse_poly(self):
         result = Poly.zero(self.field, self.nvars)
-        negate = False
-        if self.at_op("-"):
-            self.next()
-            negate = True
-        while True:
-            term = self._parse_term()
+        for negate, term in self._signed(self._parse_term):
             result = result - term if negate else result + term
-            if self.at_op("+", "-"):
-                _, op, _ = self.next()
-                negate = op == "-"
-            else:
-                return result
+        return result
 
     def _parse_term(self):
         kind, value, pos = self.peek()
@@ -197,33 +198,23 @@ class _Parser:
             raise ParseError(f"unknown variable {var!r} in {value!r}", pos)
         return self.index[var]
 
+    def _parse_summand(self):
+        self.expect_op("(")
+        rat = self.parse_rational()
+        self.expect_op(")")
+        indices = [self._parse_dvar()]
+        while self.at_op("^"):
+            self.next()
+            indices.append(self._parse_dvar())
+        return tuple(indices), rat
+
     def parse_form(self):
         terms = []
-        degree = None
-        negate = False
-        if self.at_op("-"):
-            self.next()
-            negate = True
-        while True:
-            self.expect_op("(")
-            rat = self.parse_rational()
-            self.expect_op(")")
-            indices = [self._parse_dvar()]
-            while self.at_op("^"):
-                self.next()
-                indices.append(self._parse_dvar())
-            if degree is None:
-                degree = len(indices)
-            elif degree != len(indices):
+        for negate, (indices, rat) in self._signed(self._parse_summand):
+            degree = len(terms[0][0]) if terms else len(indices)
+            if degree != len(indices):
                 raise ParseError(f"mixed form degrees {degree} and {len(indices)}")
-            if negate:
-                rat = -rat
-            terms.append((tuple(indices), rat))
-            if self.at_op("+", "-"):
-                _, op, _ = self.next()
-                negate = op == "-"
-            else:
-                break
+            terms.append((indices, -rat if negate else rat))
         return DiffForm.from_terms(self.field, self.nvars, degree, terms)
 
 

@@ -4,12 +4,13 @@ Global sections of omega(sum a_j V(f_j) + k H) are modeled on one affine
 chart: with den the product of the dehomogenized f_j^{a_j}, the sections
 are the rational top forms (h / den) dx with deg h <= sum a_j d_j + k - (n+1).
 A negative bound yields the zero space.  The default chart is the last
-homogeneous variable.
+homogeneous variable.  A hypersurface the chart misses raises
+:class:`ChartError`, which keeps the polynomial and the chart index.
 
 A trace matrix holds, per source basis monomial, the coordinates of its
-trace in the target basis.  It is stored as sparse rows, one
+trace in the target basis.  Its only form is sparse rows, one
 ``{column: nonzero Scalar}`` dict per target basis monomial, because on
-P^n most cells are zero; the dense matrix is a view built on demand.
+P^n most cells are zero; column b is read as ``row.get(b)`` over the rows.
 It is filled bucket by bucket: each residue bucket of E^{q-1} is read
 only by the source monomials whose trace it gives, so the work grows with
 the nonzero columns, not with the source dimension, and a bucket that no
@@ -34,12 +35,23 @@ from math import comb
 from . import linalg
 from .cartier import traces_by_bucket
 from .forms import TopForm
-from .poly import (Poly, RationalFn, monomial_string, monomial_strings_upto,
-                   monomials_upto)
+from .poly import (Poly, RationalFn, default_varnames, monomial_string,
+                   monomial_strings_upto, monomials_upto)
 
 
 class ChartError(ValueError):
-    """A hypersurface is supported entirely in the chart complement."""
+    """The hypersurface ``poly`` lies in the complement of chart ``chart``;
+    :meth:`to_string` names both in the given variable names."""
+
+    def __init__(self, poly, chart):
+        self.poly = poly
+        self.chart = chart
+        super().__init__(self.to_string())
+
+    def to_string(self, varnames=None) -> str:
+        name = (varnames or default_varnames(self.poly.nvars))[self.chart]
+        return (f"hypersurface {self.poly.to_string(varnames)} is contained in the "
+                f"chart complement {name} = 0")
 
 
 class ContainmentError(RuntimeError):
@@ -172,10 +184,8 @@ def _chart_product(divisor: DivisorSpec, chart: int) -> Poly:
     product = Poly.one(divisor.field, divisor.n)
     for f, a in divisor.hypersurfaces:
         fd = f.dehomogenize(chart)
-        if fd.is_zero():
-            raise ChartError(f"hypersurface {f} vanishes identically on the chart")
         if f.total_degree() >= 1 and fd.is_constant():
-            raise ChartError(f"hypersurface {f} is contained in the chart complement")
+            raise ChartError(f, chart)
         product = product * fd ** a
     return product
 
@@ -186,7 +196,7 @@ def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
     if chart is None:
         chart = n
     if not 0 <= chart <= n:
-        raise ChartError(f"chart index {chart} out of range for P^{n}")
+        raise ValueError(f"chart index {chart} out of range for P^{n}")
     den = _chart_product(divisor, chart)
     bound = divisor.degree_sum() + divisor.k - (n + 1)
     basis = monomials_upto(n, bound)
@@ -207,10 +217,9 @@ class SemilinearMap:
 
     Column b holds the target coordinates of the trace of source basis
     element b; on a coordinate vector the map is matrix . phi^{-e}(vector).
-    ``rows`` stores the matrix as one sparse ``{column: nonzero Scalar}``
-    dict per target basis element; the constructor takes dense rows too
-    and keeps their nonzeros.  ``matrix`` is the dense view, built anew on
-    each read, so a caller that reads it in a loop binds it once.
+    ``rows`` is the matrix's only form: one sparse ``{column: nonzero
+    Scalar}`` dict per target basis element.  The constructor takes dense
+    rows too and keeps their nonzeros.
     A map is a value: its rows are not mutated after construction, so the
     :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
@@ -228,12 +237,6 @@ class SemilinearMap:
     @property
     def field(self):
         return self.src.field
-
-    @property
-    def matrix(self) -> list:
-        """The dense matrix, rows of Scalars, built from ``rows``."""
-        zero, width = self.field.zero, self.src.dim
-        return [_filled(width, zero, row) for row in self.rows]
 
     def to_json(self, varnames=None) -> dict:
         verdict = self.verdict

@@ -17,7 +17,7 @@ from frobtrace import (
     parse_form,
     parse_poly,
 )
-from frobtrace.forms import d_columns
+from frobtrace.forms import _normalize_indices, d_columns
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -118,6 +118,29 @@ def test_sign_convention():
     d = exterior_derivative(f)
     assert list(d.coeffs) == [(0, 2)]
     assert d.coeffs[(0, 2)] == -RationalFn(Poly.one(F3, 3))
+
+
+def test_normalize_indices_is_the_sign_of_the_sorting_permutation():
+    # every sequence of length <= 4 over range(4), repeats included; the
+    # sign is counted independently, as (-1)^(length - number of cycles)
+    # of the permutation that sorts the sequence
+    for length in range(5):
+        for seq in itertools.product(range(4), repeat=length):
+            if len(set(seq)) < length:
+                assert _normalize_indices(seq) == (None, 0), seq
+                continue
+            perm = sorted(range(length), key=seq.__getitem__)
+            cycles, seen = 0, set()
+            for start in range(length):
+                if start not in seen:
+                    cycles += 1
+                    i = start
+                    while i not in seen:
+                        seen.add(i)
+                        i = perm[i]
+            sign = -1 if (length - cycles) % 2 else 1
+            assert _normalize_indices(seq) == (tuple(sorted(seq)), sign), seq
+            assert _normalize_indices(list(seq)) == (tuple(sorted(seq)), sign), seq
 
 
 def test_form_equality_is_coefficientwise_cross_multiplication():

@@ -112,6 +112,27 @@ def test_form_errors():
         parse_form("(x) dx dy", F2, XY)  # stray trailing token
 
 
+def test_polynomials_and_forms_read_sums_by_one_rule():
+    # a leading '-' negates the first item only
+    assert parse_poly("-x-y", F3, XY) == Poly(F3, 2, {(1, 0): 2, (0, 1): 2})
+    assert parse_form("-(x) dx + (y) dy", F3, XY) == parse_form("(2*x) dx + (y) dy", F3, XY)
+    # a sign where an item belongs, or a trailing sign, is reported there
+    for parse, text, message in (
+        (parse_poly, "x + -y", "expected a term, found '-' (at position 4)"),
+        (parse_poly, "- -x", "expected a term, found '-' (at position 2)"),
+        (parse_poly, "x+", "expected a term, found None (at position 2)"),
+        (parse_form, "(x) dx + -(y) dy", "expected '(', found '-' (at position 9)"),
+        (parse_form, "(x) dx+", "expected '(', found None (at position 7)"),
+        # the degree of the first summand is the form's
+        (parse_form, "-(x) dx - (y) dx^dy", "mixed form degrees 1 and 2"),
+        (parse_form, "(x) dx^dy + (y) dx", "mixed form degrees 2 and 1"),
+        (parse_form, "(x) dx + (y) dy + (1) dx^dy", "mixed form degrees 1 and 2"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text, F3, XY)
+        assert str(info.value) == message, text
+
+
 def test_divisor_specs():
     spec = parse_divisor("x^3+y^3+z^3+w^3:1,H:2", F2, XYZW)
     assert spec.k == 2 and len(spec.hypersurfaces) == 1
