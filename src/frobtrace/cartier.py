@@ -17,9 +17,13 @@ a_i + r_i = q-1 exactly.  :func:`trace_rational_top` sums those
 products; :func:`trace_poly_top` (g = 1) reads the one bucket directly.
 :func:`traces_by_bucket` is the same pairing for monomial numerators
 x^m, read per bucket G_r: x^m pairs with G_r exactly when
-m = (q-1) - r + q s, with trace x^s G_r.  That is why
-:func:`frobtrace.projective.trace_matrix` does work only for the columns
-whose trace is nonzero.
+m = (q-1) - r + q s, with trace x^s G_r.  Read the other way, x^s is in
+the trace of x^m exactly when m = (q-1) - r + q (s - t) for a term x^t of
+some G_r, which gives the rows of the same map.
+:func:`frobtrace.projective.trace_matrix` applies both at q = p, to the
+buckets of E^{p-1}: the first exponent-1 level column by column through
+:func:`traces_by_bucket`, and every later level row by row, at the rows
+its partial product reached, so the work goes only to nonzero entries.
 
 Unread buckets are never decomposed: each trace passes
 :meth:`Poly.frobenius_decompose` a test on the residue, applied before
@@ -28,10 +32,12 @@ keeps the residues of h that pair with a bucket of g^{q-1},
 :func:`trace_poly_top` the one corner bucket, and
 :func:`traces_by_bucket` the residues r with |r| >= n(q-1) - bound, the
 only ones a numerator of degree <= bound reads.  For the Fermat-cubic
-trace matrices that is none (the matrices are zero; tested to e = 5).
+trace matrices that is none at the first level, so the matrices are zero
+with no bucket decomposed (tested to e = 8).
 
 The inverse Cartier operator returns one designated closed representative
-of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively.
+of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively;
+f^p is a Frobenius twist of f (:meth:`Poly.__pow__`), with no product.
 On top forms, following it by the exponent-1 trace is the identity.
 """
 

@@ -9,7 +9,10 @@ A :class:`Poly` adds, subtracts and compares only with a Poly of its
 field and arity, and multiplies by such a Poly or by a Scalar of its
 field.  A :class:`RationalFn` combines only with a RationalFn.  Both are
 unhashable.  :func:`sum_of_products` is the one product loop: it sums
-int codes, and a Poly product is that loop on one pair.
+int codes, and a Poly product is that loop on one pair.  A power needs a
+product only between its base-p digits: a p^k-th power is a Frobenius
+twist, which scales the exponents and maps each code, and multiplies
+nothing.
 
 Rational functions are kept unreduced; equality is decided by
 cross-multiplication, which is all the trace computations need.
@@ -17,6 +20,7 @@ cross-multiplication, which is all the trace computations need.
 
 from __future__ import annotations
 
+from math import comb
 from operator import add as _plus
 
 from .field import FiniteField, Scalar
@@ -59,6 +63,31 @@ def _graded_lex(nvars: int, bound: int, heads: list, unit) -> list:
 def monomials_upto(nvars: int, bound: int) -> list:
     """All exponent tuples of total degree <= bound, in graded-lex order."""
     return _graded_lex(nvars, bound, [[(a,) for a in range(bound + 1)]] * nvars, ())
+
+
+def monomial_count(nvars: int, bound: int) -> int:
+    """len(monomials_upto(nvars, bound)) for nvars >= 0: C(bound + nvars, nvars),
+    or 0 for a negative bound."""
+    return comb(bound + nvars, nvars) if bound >= 0 else 0
+
+
+def monomial_rank(mono) -> int:
+    """The index of ``mono`` in ``monomials_upto(len(mono), bound)``, the
+    same for every bound >= its degree d.  The C(d - 1 + n, n) monomials
+    of degree < d in its n variables come first.  Within degree d, when
+    mono's exponent a of a variable leaves degree r to the k variables
+    after it, the monomials that agree with mono before that variable and
+    exceed a there come first: they are counted by the monomials of degree
+    < r in those k variables (the hockey-stick identity)."""
+    n = len(mono)
+    r = sum(mono)
+    rank = comb(r - 1 + n, n) if r else 0
+    for a in mono[:-1]:
+        n -= 1
+        r -= a
+        if r:
+            rank += comb(r - 1 + n, n)
+    return rank
 
 
 def _mono_divides(a, b):
@@ -212,10 +241,25 @@ class Poly:
         return sum_of_products(self.field, self.nvars, [(self, other)])
 
     def __pow__(self, n: int):
+        """self^n from the base-p digits of n: with n = sum d_k p^k,
+        self^n = prod_k (self^{d_k})^{p^k}, and each p^k-th power is a
+        :meth:`_twist`, which multiplies nothing.  A pure p^k-th power
+        makes no product at all."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        if n == 0:
-            return Poly.one(self.field, self.nvars)
+        p = self.field.p
+        result = None
+        k = 0
+        while n:
+            n, d = divmod(n, p)
+            if d:
+                piece = self._small_pow(d)._twist(k)
+                result = piece if result is None else result * piece
+            k += 1
+        return Poly.one(self.field, self.nvars) if result is None else result
+
+    def _small_pow(self, n: int) -> "Poly":
+        """self^n for n >= 1, by repeated squaring."""
         result = None
         base = self
         while True:
@@ -225,6 +269,20 @@ class Poly:
             if not n:
                 return result
             base = base * base
+
+    def _twist(self, k: int) -> "Poly":
+        """self^{p^k}.  The p^k-th power map is additive in characteristic
+        p, so each term c x^m goes to c^{p^k} x^{p^k m}: the exponents are
+        scaled and each int code is sent through the field's Frobenius."""
+        if not k:
+            return self
+        field = self.field
+        scale = (field.p ** k).__mul__
+        j = k % field.s
+        frob = field._frob
+        return Poly._wrap(field, self.nvars,
+                          {tuple(map(scale, m)): Scalar(field, frob(c.v, j)) if j else c
+                           for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -11,12 +11,15 @@ A trace matrix holds, per source basis monomial, the coordinates of its
 trace in the target basis.  Its only form is sparse rows, one
 ``{column: nonzero Scalar}`` dict per target basis monomial, because on
 P^n most cells are zero; column b is read as ``row.get(b)`` over the rows.
-It is filled bucket by bucket: each residue bucket of E^{q-1} is read
-only by the source monomials whose trace it gives, so the work grows with
-the nonzero columns, not with the source dimension, and a bucket that no
-source monomial reads is never decomposed.
-A basis is the list of :func:`frobtrace.poly.monomials_upto`, and is
-printed layer by layer with :func:`frobtrace.poly.monomial_strings_upto`,
+Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
+row, so its matrix is a twisted product of level matrices, taken from
+the target end (:func:`trace_matrix`).  E^{p-1} is the only power of E
+formed, and the cost grows with e and the nonzero entries, not with p^e
+or the source dimension.
+A space's dimension is a binomial coefficient, and its basis, the list of
+:func:`frobtrace.poly.monomials_upto`, is built only when read; a column
+is placed by :func:`frobtrace.poly.monomial_rank` without it.  A basis
+is printed layer by layer with :func:`frobtrace.poly.monomial_strings_upto`,
 which makes one factor string per (variable, exponent).
 The map itself is p^{-e}-semilinear, i.e.
 T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
@@ -30,13 +33,14 @@ construction; :func:`map_verdict` returns it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from operator import add as _plus
 
 from . import linalg
 from .cartier import traces_by_bucket
+from .field import Scalar
 from .forms import TopForm
-from .poly import (Poly, RationalFn, default_varnames, monomial_string,
-                   monomial_strings_upto, monomials_upto)
+from .poly import (Poly, RationalFn, default_varnames, monomial_count, monomial_rank,
+                   monomial_string, monomial_strings_upto, monomials_upto)
 
 
 class ChartError(ValueError):
@@ -138,23 +142,29 @@ def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
 
 
 class SectionSpace:
-    """Monomial-basis chart model of a twisted canonical section space;
-    ``basis`` is ``monomials_upto(n, bound)``."""
+    """Monomial-basis chart model of a twisted canonical section space.
 
-    __slots__ = ("divisor", "chart", "field", "n", "den", "bound", "basis")
+    ``dim`` is the binomial count of the monomials of degree <= ``bound``;
+    ``basis``, the list ``monomials_upto(n, bound)``, is built on first
+    read, so a space whose basis nothing reads never lists it."""
 
-    def __init__(self, divisor, chart, den, bound, basis):
+    __slots__ = ("divisor", "chart", "field", "n", "den", "bound", "dim", "_basis")
+
+    def __init__(self, divisor, chart, den, bound):
         self.divisor = divisor
         self.chart = chart
         self.field = divisor.field
         self.n = divisor.n
         self.den = den
         self.bound = bound
-        self.basis = basis
+        self.dim = monomial_count(self.n, bound)
+        self._basis = None
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list:
+        if self._basis is None:
+            self._basis = monomials_upto(self.n, self.bound)
+        return self._basis
 
     def basis_form(self, index: int) -> TopForm:
         mono = Poly.monomial(self.field, self.basis[index])
@@ -198,11 +208,7 @@ def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
     if not 0 <= chart <= n:
         raise ValueError(f"chart index {chart} out of range for P^{n}")
     den = _chart_product(divisor, chart)
-    bound = divisor.degree_sum() + divisor.k - (n + 1)
-    basis = monomials_upto(n, bound)
-    space = SectionSpace(divisor, chart, den, bound, basis)
-    assert space.dim == (comb(bound + n, n) if bound >= 0 else 0)
-    return space
+    return SectionSpace(divisor, chart, den, divisor.degree_sum() + divisor.k - (n + 1))
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,14 @@ class SemilinearMap:
     def to_json(self, varnames=None) -> dict:
         verdict = self.verdict
         zero, width = self.field.zero.coeffs, self.src.dim
+        cell = {}  # int code -> coefficient vector, computed once per value
+
+        def coeffs(x):
+            vec = cell.get(x.v)
+            if vec is None:
+                vec = cell[x.v] = x.coeffs
+            return vec
+
         return {
             "p": self.field.p,
             "s": self.field.s,
@@ -248,7 +262,7 @@ class SemilinearMap:
             "chart": self.src.chart,
             "src": self.src.to_json(varnames),
             "tgt": self.tgt.to_json(varnames),
-            "matrix": [_filled(width, zero, {c: x.coeffs for c, x in row.items()})
+            "matrix": [_filled(width, zero, {c: coeffs(x) for c, x in row.items()})
                        for row in self.rows],
             "verdict": {
                 "rank": verdict.rank,
@@ -278,32 +292,109 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     """Matrix of Tr^e between the models of omega(E + p^e D) and omega(E + D).
 
     With q = p^e, semilinearity gives Tr^e(h / (E D^q)) = Tr^e(h E^{q-1}) / (E D),
-    so every traced numerator is already over the target denominator and
-    no exact division is needed.  Column m is the trace of x^m E^{q-1}.
-    The loop runs over the buckets, not the columns:
-    :func:`frobtrace.cartier.traces_by_bucket` decomposes E^{q-1} once,
-    into only the buckets some source monomial reads, and lists for each
-    the source monomials that read it, so the work grows with the nonzero
-    columns, and a column no bucket reaches stays zero.  A traced
-    numerator above the target degree bound cannot happen for a correct
-    trace and raises :class:`ContainmentError` naming the basis element.
+    so column m is the polynomial trace Tr^e(x^m E^{q-1}) and no division
+    is needed.  Since q - 1 = (p - 1) + p (p^{e-1} - 1), that trace is
+    L^e(x^m) for the exponent-1 level L(N) = Tr^1(N E^{p-1}), which maps
+    numerators of level j (degree <= the bound of E + p^j D) to level
+    j - 1.  With A_j the matrix of L out of level j and phi the Frobenius
+    on entries, the matrix is the twisted product
+    A_1 . phi^{-1}(A_2) ... phi^{-(e-1)}(A_e), so E^{p-1} is the only
+    power of E ever formed.
+
+    The product runs from the target end, so every partial product has
+    one row per target basis element.  A_1 is read column by column
+    through :func:`frobtrace.cartier.traces_by_bucket`; each later factor
+    is read only at the rows the partial product reached
+    (:func:`_next_level`), and a zero partial product ends the work.
+    Entries are int codes until the columns, placed by
+    :func:`frobtrace.poly.monomial_rank`, are built.  A traced numerator
+    above its level's degree bound cannot happen for a correct trace and
+    raises :class:`ContainmentError` naming the basis element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
     src = section_space(pe_twist(divisor, e_part, e), chart)
     tgt = section_space(e_part.combined(divisor, 1), chart)
-    q = src.field.p ** e
-    power = _chart_product(e_part, src.chart) ** (q - 1)
-    traces = list(traces_by_bucket(power, e, src.bound))
-    col_of = {m: b for b, m in enumerate(src.basis)} if traces else {}
+    field = src.field
+    p = field.p
+    step = divisor.degree_sum() + divisor.k
+
+    def bound(j):  # the numerator degree bound of omega(E + p^j D)
+        return tgt.bound + (p ** j - 1) * step
+
+    power = _chart_product(e_part, src.chart) ** (p - 1)
     row_of = {m: {} for m in tgt.basis}
-    for mono, traced in traces:
-        b = col_of[mono]
+    for mono, traced in traces_by_bucket(power, 1, bound(1)):
         for m, c in traced.items():
             row = row_of.get(m)
             if row is None:
-                raise ContainmentError(
-                    f"trace of basis element {monomial_string(mono)} exceeds the "
-                    f"target degree bound ({sum(m)} > {tgt.bound})")
-            row[b] = c
-    return SemilinearMap(src, tgt, e, list(row_of.values()))
+                raise _containment(mono, sum(m), tgt.bound)
+            row[mono] = c.v
+    rows = list(row_of.values())
+    if e > 1 and any(rows):
+        buckets = [(tuple(p - 1 - x for x in r), [(t, c.v) for t, c in g.terms.items()])
+                   for r, g in power.frobenius_decompose(1).items()]
+        for j in range(1, e):
+            rows = _next_level(rows, buckets, field, j, bound(j), bound(j + 1))
+            if not any(rows):
+                break
+    return SemilinearMap(src, tgt, e, [{monomial_rank(m): Scalar(field, v) for m, v in row.items()}
+                                       for row in rows])
+
+
+def _next_level(rows, buckets, field, j, bound, next_bound) -> list:
+    """rows . phi^{-j}(A_{j+1}) on int codes, for rows over the level-j
+    monomials; the result is over the level-(j+1) monomials.
+
+    ``buckets`` pairs c = (p-1) - r with the (t, code) terms of bucket r
+    of E^{p-1}, decomposed at exponent 1.  L(x^m) = x^u G_r for
+    m = c + p u, so x^s is in L(x^m) exactly when m = c + p (s - t) for a
+    term x^t of G_r, with coefficient G_r[t]: row s of A_{j+1} is read from
+    the buckets, once per s that some row reaches.  The top-degree term of
+    G_r gives the largest degree any level-(j+1) column reaches through
+    bucket r, so each bucket is checked against ``bound`` before any row
+    is read."""
+    p = field.p
+    k = (-j) % field.s
+    mul, add, frob = field._mul, field._add, field._frob
+    read = []  # (c - p t, |t|, |u| cap, code) per term x^t of a bucket some column reads
+    for c, terms in buckets:
+        left = next_bound - sum(c)  # p |u| <= left for a level-(j+1) column
+        if left < 0:
+            continue
+        top = max(sum(t) for t, _ in terms)
+        if left // p + top > bound:
+            u = max(0, bound + 1 - top)
+            raise _containment((c[0] + p * u,) + c[1:], u + top, bound)
+        read.extend((tuple(x - p * y for x, y in zip(c, t)), sum(t), left // p,
+                     frob(v, k) if k else v) for t, v in terms)
+    level_row = {}
+
+    def row_at(s):
+        # m = c + p (s - t) has u = s - t >= 0 exactly when m >= 0, since 0 <= c < p
+        ps, ds = tuple(p * x for x in s), sum(s)
+        entries = level_row[s] = []
+        for base, dt, cap, v in read:
+            if ds - dt <= cap:
+                m = tuple(map(_plus, base, ps))
+                if min(m, default=0) >= 0:
+                    entries.append((m, v))
+        return entries
+
+    out = []
+    for row in rows:
+        sums = {}
+        get = sums.get
+        for s, a in row.items():
+            entries = level_row.get(s)
+            if entries is None:
+                entries = row_at(s)
+            for m, b in entries:
+                sums[m] = add(get(m, 0), mul(a, b))
+        out.append({m: v for m, v in sums.items() if v})
+    return out
+
+
+def _containment(mono, degree, bound) -> ContainmentError:
+    return ContainmentError(f"trace of basis element {monomial_string(mono)} exceeds the "
+                            f"target degree bound ({degree} > {bound})")

@@ -19,12 +19,15 @@ from frobtrace import (
     trace_matrix,
     trace_rational_top,
 )
-from frobtrace.poly import grlex_key, monomial_string, monomial_strings_upto
+from frobtrace import poly
+from frobtrace.poly import (grlex_key, monomial_count, monomial_rank, monomial_string,
+                           monomial_strings_upto)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
 F9 = FiniteField(3, 2, [1, 0, 1])
+F4 = FiniteField(2, 2, [1, 1, 1])
 XYZW = ["x", "y", "z", "w"]
 
 
@@ -95,6 +98,45 @@ def test_product_multiplies_codes_not_scalars(monkeypatch):
         assert f * g == expected
     assert calls == []
     assert any(not expected.is_zero() for _, _, expected in cases)
+
+
+def test_power_matches_repeated_multiplication(monkeypatch):
+    """Poly.__pow__ multiplies Frobenius twists of the powers of its base-p
+    digits; it must equal n-fold multiplication, and a pure p^k-th power,
+    a twist alone, makes no product."""
+    rng = random.Random(29)
+    for field in (F2, F3, F5, F4, F9):
+        p = field.p
+        for nvars in (1, 2, 3):
+            f = Poly(field, nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                                    field.scalar([rng.randrange(p) for _ in range(field.s)])
+                                    for _ in range(rng.randint(1, 3))})
+            if field.s > 1:  # a coefficient outside F_p, so the twist moves codes
+                f = f + Poly.monomial(field, (1,) * nvars, field.generator)
+            top = {n for k in range(1, 5) if p ** k <= 32 for n in (p ** k, p ** k - 1)}
+            exponents = sorted(set(range(2 * p * p + 1)) | top)
+            power = Poly.one(field, nvars)
+            for n in range(max(exponents) + 1):
+                if n in exponents:
+                    assert f ** n == power, (field, f, n)
+                power = power * f
+    products = []
+    product = poly.sum_of_products
+
+    def counted(field, nvars, pairs):
+        products.append(1)
+        return product(field, nvars, pairs)
+
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    for field in (F2, F3, F4, F9):
+        f = Poly(field, 2, {(1, 0): field.generator, (0, 2): field.one, (0, 0): field.one})
+        for k in (1, 2, 3):
+            q = field.p ** k
+            twisted = f ** q
+            assert twisted == Poly(field, 2, {(q, 0): field.generator.frobenius(k),
+                                              (0, 2 * q): field.one, (0, 0): field.one})
+    assert products == []
+    assert (f ** 2).terms and products
 
 
 def test_total_degree():
@@ -250,6 +292,9 @@ def test_monomials_upto_is_sorted_graded_lex():
         for bound in range(13):
             monos = monomials_upto(n, bound)
             assert monos == _monomials_sorted_reference(n, bound), (n, bound)
+            # the ranking formula places each monomial without the list
+            assert [monomial_rank(m) for m in monos] == list(range(len(monos))), (n, bound)
+            assert monomial_count(n, bound) == len(monos)
             # the layered strings are monomial_string of each monomial
             assert monomial_strings_upto(n, bound) == \
                 [monomial_string(m) for m in monos], (n, bound)

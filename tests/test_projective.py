@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from frobtrace import linalg, projective
+from frobtrace import cartier, linalg, projective
 from frobtrace import (
     ChartError,
     ContainmentError,
@@ -86,6 +86,24 @@ def test_dimension_formula_matches_enumeration():
                     if sum(exps) <= bound)
         assert space.dim == brute
         assert space.dim == (math.comb(bound + n, n) if bound >= 0 else 0)
+
+
+def test_section_space_lists_its_basis_on_first_read(monkeypatch):
+    listed = []
+    upto = projective.monomials_upto
+
+    def recording(nvars, bound):
+        listed.append((nvars, bound))
+        return upto(nvars, bound)
+
+    monkeypatch.setattr(projective, "monomials_upto", recording)
+    for n in range(5):
+        for k in (n - 1, n, n + 1, n + 4):  # bounds -2, -1, 0 and 3
+            space = section_space(DivisorSpec(F3, n, k=k))
+            assert listed == []
+            assert space.dim == len(space.basis) == len(space.basis), (n, k)
+            assert listed == [(n, k - (n + 1))]
+            listed.clear()
 
 
 def test_chart_error_for_chart_complement_component():
@@ -340,17 +358,22 @@ def test_trace_matrix_matches_direct_trace_on_special_divisors():
     assert map_verdict(no_e).surjective
 
 
-def rows_by_column(t, e_part):
-    """The rows of t rebuilt column by column: each source basis monomial
-    read through trace_from_buckets on its own."""
-    q = t.field.p ** t.e
-    power = projective._chart_product(e_part, t.src.chart) ** (q - 1)
-    buckets = power.frobenius_decompose(t.e)
-    rows = {m: {} for m in t.tgt.basis}
-    for b, mono in enumerate(t.src.basis):
+def direct_trace_matrix(e_part, divisor, e, chart=None):
+    """The exponent-e rule in one step, as an oracle for the level product:
+    E^{q-1} decomposed once by Poly.frobenius_decompose(e), and each source
+    basis monomial read through trace_from_buckets on its own."""
+    src = section_space(pe_twist(divisor, e_part, e), chart)
+    tgt = section_space(e_part.combined(divisor, 1), chart)
+    q = src.field.p ** e
+    power = projective._chart_product(e_part, src.chart) ** (q - 1)
+    buckets = power.frobenius_decompose(e)
+    rows = {m: {} for m in tgt.basis}
+    for b, mono in enumerate(src.basis):
         for m, c in trace_from_buckets(buckets, mono, q).items():
-            rows[m][b] = c  # a KeyError here is a term past the target bound
-    return list(rows.values())
+            if m not in rows:
+                raise ContainmentError(f"column {b} exceeds the target degree bound")
+            rows[m][b] = c
+    return SemilinearMap(src, tgt, e, list(rows.values()))
 
 
 def test_bucket_loop_matches_column_loop():
@@ -360,26 +383,115 @@ def test_bucket_loop_matches_column_loop():
         E, D = extension_cubic_and_conic(field)
         for e in (1, 2, 3):
             t = trace_matrix(E, D, e)
-            assert t.rows == rows_by_column(t, E), (field, e)
+            assert t.rows == direct_trace_matrix(E, D, e).rows, (field, e)
             assert not t.verdict.zero
 
 
-def test_fermat_trace_matrix_decomposes_no_bucket(monkeypatch):
-    """At e = 4 no residue bucket of E^15 is read by a source monomial of
-    degree <= 15, so the one decomposition returns no bucket Poly."""
-    decompositions = []
-    decompose = Poly.frobenius_decompose
+ORACLE_FIELDS = [F2, F3, FiniteField(5), FiniteField(7),
+                 FiniteField(2, 2, parse_modulus("t^2+t+1", 2)),
+                 FiniteField(3, 2, parse_modulus("t^2+1", 3)),
+                 FiniteField(5, 2, parse_modulus("t^2+2", 5))]
 
-    def recording(self, e, keep=None):
+
+def _random_form(field, nvars, degree, rng):
+    """A nonzero homogeneous polynomial with up to four random terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = [0] * nvars
+        for _ in range(degree):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = field.scalar([rng.randrange(1, field.p)] +
+                                          [rng.randrange(field.p) for _ in range(field.s - 1)])
+    return Poly(field, nvars, terms)
+
+
+def _random_trace_case(rng):
+    """(E, D, e, chart) with n <= 3 and e <= 3; D may carry a hypersurface
+    and a negative k.  e is lowered until the oracle's source bound and
+    the degree of E^{q-1} stay small."""
+    field = rng.choice(ORACLE_FIELDS)
+    n = rng.randint(1, 3)
+    forms = [(_random_form(field, n + 1, rng.randint(1, 3), rng), rng.randint(1, 2))
+             for _ in range(2)]
+    E = DivisorSpec(field, n, forms[:rng.randint(0, 1)], rng.randint(0, 1))
+    D = DivisorSpec(field, n, forms[1:rng.randint(1, 2)], rng.randint(-3, 3))
+    e = rng.randint(1, 3)
+    while e > 1 and (section_bound(pe_twist(D, E, e)) > 24
+                     or E.degree_sum() * (field.p ** e - 1) > 40):
+        e -= 1
+    return E, D, e, rng.randint(0, n)
+
+
+def section_bound(divisor):
+    return divisor.degree_sum() + divisor.k - (divisor.n + 1)
+
+
+def test_level_product_matches_direct_rule_on_random_divisors():
+    """trace_matrix, built level by level, against the one-step exponent-e
+    rule: the same JSON byte for byte, or the same exception."""
+    rng = random.Random(2013)
+    seen = {"e>1 nonzero": 0, "D hypersurface, k<0": 0, "raised": 0}
+    for _ in range(180):
+        E, D, e, chart = _random_trace_case(rng)
+        names = XYZW[: E.n + 1]
+        outcomes = []
+        for build in (trace_matrix, direct_trace_matrix):
+            try:
+                outcomes.append(json.dumps(build(E, D, e, chart).to_json(names)))
+            except (ChartError, ContainmentError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (E, D, e, chart)
+        seen["raised"] += isinstance(outcomes[0], type)
+        seen["e>1 nonzero"] += e > 1 and '"zero": false' in str(outcomes[0])
+        seen["D hypersurface, k<0"] += bool(D.hypersurfaces) and D.k < 0
+    assert min(seen.values()) >= 10, seen
+    # D = -H: the level bounds fall from the target's 7 to the source's 0,
+    # so a bucket of E^{p-1} that level 2 reads can lie below the source's
+    # reach, and must still be read
+    nonzero = 0
+    for _ in range(6):
+        f = _random_form(F2, 3, 11, rng) + _random_form(F2, 3, 11, rng)
+        if f.is_zero():
+            continue
+        E, D = DivisorSpec(F2, 2, [(f, 1)]), DivisorSpec(F2, 2, k=-1)
+        t = trace_matrix(E, D, 3)
+        assert t.rows == direct_trace_matrix(E, D, 3).rows, f
+        nonzero += not t.verdict.zero
+    assert nonzero >= 2
+
+
+def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
+    """At e = 8 the source has 2 829 056 basis monomials, but A_1 = 0: the
+    one decomposition, of E^{p-1} = E, keeps no bucket, no higher power of
+    E is formed, and no basis of the source bound is listed."""
+    decompositions, powers, listed = [], [], []
+    decompose, power, upto = Poly.frobenius_decompose, Poly.__pow__, projective.monomials_upto
+
+    def recording_decompose(self, e, keep=None):
         buckets = decompose(self, e, keep)
-        decompositions.append((len(self.terms), buckets))
+        decompositions.append((self, e, buckets))
         return buckets
 
-    monkeypatch.setattr(Poly, "frobenius_decompose", recording)
-    t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 4)
-    assert t.src.dim == 816 and t.verdict.zero
-    [(power_terms, buckets)] = decompositions
-    assert power_terms > 0 and buckets == {}
+    def recording_power(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    def recording_upto(nvars, bound):
+        listed.append(bound)
+        return upto(nvars, bound)
+
+    monkeypatch.setattr(Poly, "frobenius_decompose", recording_decompose)
+    monkeypatch.setattr(Poly, "__pow__", recording_power)
+    for module in (projective, cartier):
+        monkeypatch.setattr(module, "monomials_upto", recording_upto)
+    t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 8)
+    assert (t.tgt.dim, t.src.dim) == (1, 2829056) and t.src.bound == 255
+    assert t.verdict.zero and t.rows == [{}]
+    [(decomposed, e, buckets)] = decompositions
+    assert decomposed == projective._chart_product(fermat_divisor(), 3) and e == 1
+    assert buckets == {}
+    assert max(powers) == 1  # p - 1, and the multiplicity of E in each chart product
+    assert 255 not in listed
 
 
 def test_containment_error_names_column_past_degree_bound(monkeypatch):
@@ -390,6 +502,22 @@ def test_containment_error_names_column_past_degree_bound(monkeypatch):
                         chart_product(divisor, chart) * Poly.monomial(F2, (3, 0)))
     with pytest.raises(ContainmentError, match="basis element x1 exceeds"):
         trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
+
+
+def test_containment_error_fires_at_a_later_level(monkeypatch):
+    # E = 2H, D = H on P^2 over F_2 with a stray factor x*y + x^4 in every
+    # chart product: level 1 (degree <= 1 to degree <= 0) reads only the
+    # bucket of x*y, and its trace stays in the target; level 2 (degree
+    # <= 3 to degree <= 1) also reads the bucket of x^4 = (x^2)^2, whose
+    # column x*y traces to x^2
+    chart_product = projective._chart_product
+    stray = parse_poly("x*y+x^4", F2, ["x", "y"])
+    monkeypatch.setattr(projective, "_chart_product",
+                        lambda divisor, chart: chart_product(divisor, chart) * stray)
+    E, D = DivisorSpec(F2, 2, k=2), DivisorSpec(F2, 2, k=1)
+    assert trace_matrix(E, D, 1).verdict.rank == 1
+    with pytest.raises(ContainmentError, match=r"basis element x0\*x1 exceeds .* \(2 > 1\)"):
+        trace_matrix(E, D, 2)
 
 
 def test_fermat_trace_matrix_vanishes_at_e5():
