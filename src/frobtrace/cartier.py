@@ -17,11 +17,12 @@ a_i + r_i = q-1 exactly.  :func:`trace_rational_top` sums those
 products; :func:`trace_poly_top` (g = 1) reads the one bucket directly.
 :func:`traces_by_bucket` is the same pairing for monomial numerators
 x^m, read per bucket G_r: x^m pairs with G_r exactly when
-m = (q-1) - r + q s, with trace x^s G_r.  Read the other way, x^s is in
+m = (q-1) - r + q s, with trace x^s G_r, so it returns each bucket read
+with the degree bound on its shifts s.  Read the other way, x^s is in
 the trace of x^m exactly when m = (q-1) - r + q (s - t) for a term x^t of
 some G_r, which gives the rows of the same map.
 :func:`frobtrace.projective.trace_matrix` applies both at q = p, to the
-buckets of E^{p-1}: the first exponent-1 level column by column through
+buckets of E^{p-1}: the first exponent-1 level bucket by bucket through
 :func:`traces_by_bucket`, and every later level row by row, at the rows
 its partial product reached, so the work goes only to nonzero entries.
 
@@ -43,34 +44,29 @@ On top forms, following it by the exponent-1 trace is the identity.
 
 from __future__ import annotations
 
-from operator import add as _plus
-
 from . import linalg
+from .field import Scalar
 from .forms import DiffForm, TopForm, d_columns
 from .poly import Poly, RationalFn, monomials_upto, sum_of_products
 
 
-def traces_by_bucket(power: Poly, e: int, bound: int):
-    """Yield (mono, Tr^e(x^mono * power)) for every monomial of total degree
-    <= bound whose trace is nonzero, the trace as {monomial: coefficient}.
+def traces_by_bucket(power: Poly, e: int, bound: int) -> list:
+    """The buckets of ``power`` that monomial numerators of total degree
+    <= bound read, as (c, d, g_r) triples: Tr^e(x^{c + q s} * power) is
+    x^s g_r for every s with |s| <= d, and every other monomial of degree
+    <= bound traces to zero.
 
-    This is the pairing of the module docstring for the numerator x^mono,
-    read per bucket of ``power`` = sum_r g_r^q x^r, q = p^e: g_r pairs
-    with exactly the monomials mono = c + q*s with c = (q-1) - r, whose
-    trace is x^s g_r; every other monomial traces to zero and is skipped.
-    Bucket r is read only if |c| <= bound, that is |r| >= n(q-1) - bound,
-    and no other bucket is decomposed.
+    This is the pairing of the module docstring for numerators x^m, read
+    per bucket of ``power`` = sum_r g_r^q x^r, q = p^e: g_r pairs with
+    exactly the monomials m = c + q s with c = (q-1) - r.  Bucket r is read
+    only if |c| <= bound, that is |r| >= n(q-1) - bound, and then
+    d = (bound - |c|) // q; no other bucket is decomposed.
     """
     q = power.field.p ** e
     floor = power.nvars * (q - 1) - bound
     buckets = power.frobenius_decompose(e, lambda r: sum(r) >= floor)
-    for r, g in buckets.items():
-        left = sum(r) - floor  # bound - |c|
-        c = tuple(q - 1 - x for x in r)
-        terms = g.terms.items()
-        for s in monomials_upto(len(c), left // q):
-            mono = tuple(x + q * y for x, y in zip(c, s))
-            yield mono, {tuple(map(_plus, m, s)): v for m, v in terms}
+    return [(tuple(q - 1 - x for x in r), (sum(r) - floor) // q, g)
+            for r, g in buckets.items()]
 
 
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
@@ -143,18 +139,17 @@ def trace_by_decomposition(f: Poly) -> Poly:
     """Brute-force exponent-1 trace through the splitting f dx = d(eta) + C^{-1}(tau).
 
     Solves for eta (a polynomial (n-1)-form of degree <= deg f + 1) and tau
-    (a polynomial of degree <= (deg f - n(p-1))/p) by linear algebra over
-    the prime field and returns tau.  Rows are the monomials of degree
-    <= deg f.  :func:`frobtrace.forms.d_columns` fills them with the d(eta)
-    columns, the C^{-1}(tau) columns from :func:`inverse_cartier_top` follow
-    in the same rows from column ``ncols`` on, and
-    :func:`frobtrace.linalg.solve` solves the system.  Independent of the
-    residue-bucket algorithm; prime fields only, where t -> t^p is linear
-    on coefficients.
+    (a polynomial of degree <= (deg f - n(p-1))/p) by linear algebra and
+    returns tau.  C^{-1}(c x^t dx) = c^p x^{pt + p - 1} dx is linear over
+    F_q in u = c^p, so the system is solved for the u_t, and each c_t is
+    the p-th root of u_t.  Rows are the monomials of degree <= deg f.
+    :func:`frobtrace.forms.d_columns` fills them with the d(eta) columns,
+    the C^{-1}(tau) columns from :func:`inverse_cartier_top` follow in the
+    same rows from column ``ncols`` on, all as int codes, and
+    :func:`frobtrace.linalg.solve_codes` solves the system.  Independent
+    of the residue-bucket algorithm.
     """
     field = f.field
-    if field.s != 1:
-        raise ValueError("the decomposition oracle works over prime fields")
     n, p = f.nvars, field.p
     if f.is_zero():
         return Poly.zero(field, n)
@@ -164,11 +159,11 @@ def trace_by_decomposition(f: Poly) -> Poly:
     for c, t in enumerate(tau_monos, ncols):
         image = inverse_cartier_top(Poly.monomial(field, t))
         for mono, value in image.terms.items():
-            rows[row_of[mono]][c] = value
-    rhs = {row_of[mono]: c for mono, c in f.terms.items()}
-    solution = linalg.solve(rows, rhs, field)
+            rows[row_of[mono]][c] = value.v
+    rhs = {row_of[mono]: c.v for mono, c in f.terms.items()}
+    solution = linalg.solve_codes(rows, rhs, field)
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "
                            "this contradicts the exact sequence it satisfies")
-    return Poly(field, n, {tau_monos[c - ncols]: value
-                           for c, value in solution.items() if c >= ncols})
+    return Poly(field, n, {tau_monos[c - ncols]: Scalar(field, u).inverse_frobenius()
+                           for c, u in solution.items() if c >= ncols})

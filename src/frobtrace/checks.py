@@ -9,7 +9,8 @@ exactly.
 
 The trace laws are drawn over :data:`FIELDS`, which holds extension
 fields, where inverse Frobenius on coefficients is not the identity.  The
-decomposition oracle and the splitting certificates stay on prime fields.
+`oracle` suite draws over F_2 only, although the decomposition oracle
+works over any F_q, and the splitting certificates stay on prime fields.
 
 Random polynomials are kept sparse (few terms) so high powers of
 denominators stay cheap.

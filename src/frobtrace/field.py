@@ -21,6 +21,14 @@ ones are refused before any table is built.
 The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
 methods :meth:`Scalar.frobenius` and :meth:`Scalar.inverse_frobenius`.
+
+Hot loops elsewhere (products, decompositions, trace levels, elimination)
+work on the codes themselves through the field's ``_add``, ``_mul``, ...
+closures and build a Scalar only where a caller reads one.  Printing
+goes through one per-field table, :meth:`FiniteField._cell`, from a code
+to its coefficient vector and its printed string: :attr:`Scalar.coeffs`,
+``str()`` and the JSON cells of a trace map all read it.  It is filled
+on first use, one entry per code read, so it never holds more than q.
 """
 
 from __future__ import annotations
@@ -144,6 +152,21 @@ def _code(digits, p: int) -> int:
     return code
 
 
+def _element_string(digits) -> str:
+    """An element printed from its coefficient vector: a sum of powers of
+    the generator, constant first, e.g. "2+g^2"; "0" for zero."""
+    parts = []
+    for i, c in enumerate(digits):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            g = GENERATOR if i == 1 else f"{GENERATOR}^{i}"
+            parts.append(g if c == 1 else f"{c}*{g}")
+    return "+".join(parts) if parts else "0"
+
+
 def _primitive_powers(p, s, modulus) -> list:
     """Codes of g^0, ..., g^{q-2} for the primitive element g of smallest code.
 
@@ -264,7 +287,7 @@ class FiniteField:
     q = p^s may be at most ``MAX_ORDER`` = 2^16.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "zero", "one", "_hash",
+    __slots__ = ("p", "s", "q", "modulus", "zero", "one", "_hash", "_cells",
                  "_add", "_sub", "_neg", "_mul", "_inv", "_pow", "_frob")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
@@ -304,6 +327,7 @@ class FiniteField:
                else _table_ops(p, s, self.modulus, str(self)))
         (self._add, self._sub, self._neg, self._mul, self._inv, self._pow,
          self._frob) = ops
+        self._cells = {}
         self.zero = Scalar(self, 0)
         self.one = Scalar(self, 1)
 
@@ -313,6 +337,15 @@ class FiniteField:
         if self.s == 1:
             return self.one
         return Scalar(self, self.p)
+
+    def _cell(self, code: int) -> tuple:
+        """(coefficient vector, printed string) of the element ``code``,
+        from the field's table; a code's entry is made when first read."""
+        cell = self._cells.get(code)
+        if cell is None:
+            digits = _digits(code, self.p, self.s)
+            cell = self._cells[code] = (digits, _element_string(digits))
+        return cell
 
     def scalar(self, value) -> "Scalar":
         """Coerce an integer or a residue sequence into the field."""
@@ -367,8 +400,7 @@ class Scalar:
     @property
     def coeffs(self) -> tuple:
         """The coordinate vector in the power basis, constant term first."""
-        field = self.field
-        return _digits(self.v, field.p, field.s)
+        return self.field._cell(self.v)[0]
 
     def _coerce(self, other):
         """The code of ``other`` in this field, or None for a foreign type."""
@@ -454,18 +486,7 @@ class Scalar:
         return hash((self.field, self.v))
 
     def __str__(self):
-        if self.field.s == 1:
-            return str(self.v)
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                g = GENERATOR if i == 1 else f"{GENERATOR}^{i}"
-                parts.append(g if c == 1 else f"{c}*{g}")
-        return "+".join(parts) if parts else "0"
+        return self.field._cell(self.v)[1]
 
     def __repr__(self):
         return f"Scalar({self})"

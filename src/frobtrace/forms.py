@@ -11,8 +11,8 @@ One class, :class:`DiffForm`, carries forms of every degree.  The trace
 acts on top forms f dx_1^...^dx_n: :class:`TopForm` builds one from f,
 and :attr:`DiffForm.coeff` reads f back off any top-degree form.
 
-:func:`d_columns` writes d into the top degree as sparse rows on
-monomials; the decomposition oracle
+:func:`d_columns` writes d into the top degree as sparse int-code rows
+on monomials; the decomposition oracle
 :func:`frobtrace.cartier.trace_by_decomposition` adds its own columns to
 those rows and solves.
 """
@@ -170,11 +170,13 @@ def d_columns(field, n: int, dbound: int):
     deg m <= dbound + 1 to the top forms with coefficients of degree <= dbound.
 
     Returns ``(row_of, rows, ncols)``.  ``row_of`` numbers the target
-    monomials, ``rows`` holds one ``{column: value}`` dict per target
-    monomial, and ``ncols`` counts the columns: one per source form with
-    nonzero d, ordered by K, then m.  K is every index but one, j, so
-    d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n, which vanishes when
-    p divides m_j; those forms get no column.
+    monomials, ``rows`` holds one ``{column: code}`` dict per target
+    monomial, the entries as int codes of ``field`` (see
+    :mod:`frobtrace.linalg`), and ``ncols`` counts the columns: one per
+    source form with nonzero d, ordered by K, then m.  K is every index
+    but one, j, so d(x^m dx_K) = (-1)^j m_j x^{m - e_j} dx_1^...^dx_n,
+    which vanishes when p divides m_j; those forms get no column.  The
+    entry is an integer, whose code is its residue mod p.
     """
     p = field.p
     row_of = {m: r for r, m in enumerate(monomials_upto(n, dbound))}
@@ -186,6 +188,6 @@ def d_columns(field, n: int, dbound: int):
         for m in sources:
             if m[j] % p:
                 lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
-                rows[row_of[lowered]][ncols] = field.scalar(sign * m[j])
+                rows[row_of[lowered]][ncols] = sign * m[j] % p
                 ncols += 1
     return row_of, rows, ncols

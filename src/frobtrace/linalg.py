@@ -1,36 +1,69 @@
-"""Exact Gaussian elimination over a finite field.
+"""Exact Gaussian elimination over a finite field, on int codes.
 
-A matrix is a list of rows, and a row is either dense, a sequence of
-Scalars, or sparse, a ``{column: nonzero Scalar}`` dict.  Trace matrices
-are wide and mostly zero: the P^n grid reaches 171 x 1711 with one
-nonzero per row, and the Fermat cubic at e = 5 is a zero 1 x 5984.
-One routine, :func:`_echelon`, does every elimination.  It works on
-sparse rows only and touches nothing but their nonzeros; dense rows are
-read into sparse ones first.
+Inside the library a matrix is a list of sparse code rows, one
+``{column: nonzero code}`` dict per row, the codes being the ints in
+[0, q) of :class:`frobtrace.field.Scalar`.  Trace matrices are wide and
+mostly zero: the P^n grid reaches 171 x 1711 with one nonzero per row,
+and the Fermat cubic at e = 5 is a zero 1 x 5984.  One routine,
+:func:`_echelon`, does every elimination: it touches only the nonzeros,
+with the field's code operations, and builds no Scalar.
+:func:`code_rank` and :func:`solve_codes` are its code-row entry points.
+
+The public :func:`rank` and :func:`solve` take dense rows (sequences of
+Scalars) or sparse ``{column: nonzero Scalar}`` rows, and read them into
+code rows first (:func:`code_rows`).  That boundary is where mixed fields
+are refused: codes carry no field, so an entry of another field raises
+ValueError there, as do dense rows of unequal length.  :func:`solve`
+gives its solution back as Scalars.
 """
 
 from __future__ import annotations
 
-
-def sparse_row(row) -> dict:
-    """A fresh ``{column: nonzero Scalar}`` copy of a dense or sparse row."""
-    if isinstance(row, dict):
-        return dict(row)
-    return {c: x for c, x in enumerate(row) if x}
+from .field import Scalar
 
 
-def _echelon(rows) -> dict:
-    """Echelon basis of the span of the sparse ``rows``, keyed by leading
-    (smallest) column; the rows are consumed.
+def code_rows(rows, field) -> list:
+    """Fresh ``{column: nonzero code}`` copies of dense or sparse Scalar rows.
 
-    Rows are inserted one at a time.  While a row's leading entry a sits
-    in a column that keys a basis row with leading entry b, that basis row
-    times a / b is subtracted from it.  A row with a new leading column
-    joins the basis, and a row that vanishes is dropped.  Basis rows are
-    never rescaled or changed again.  The leading columns are the pivot
-    columns of the reduced row echelon form.
+    Raises ValueError for an entry from a field other than ``field`` and
+    for dense rows of unequal length."""
+    out = []
+    width = None
+    for row in rows:
+        if isinstance(row, dict):
+            cells = row.items()
+        else:
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError(f"dense rows of unequal length ({width} and {len(row)})")
+            cells = enumerate(row)
+        codes = {}
+        for c, x in cells:
+            if x:
+                if x.field is not field and x.field != field:
+                    raise ValueError(f"matrix entry from {x.field} in a matrix over {field}")
+                codes[c] = x.v
+        out.append(codes)
+    return out
+
+
+def _echelon(rows, field) -> dict:
+    """Echelon basis of the span of the sparse code ``rows``, keyed by
+    leading (smallest) column; the rows are consumed.
+
+    Rows are inserted one at a time.  While a row's leading column keys a
+    basis row, that basis row times f = a / b is subtracted from it, with
+    a and b the two leading codes.  1 / b is taken once per basis row,
+    when the row is first used, so f costs one product and no step
+    divides; a basis row that eliminates nothing costs no inverse.  A row
+    with a new leading column joins the basis, and a row that vanishes is
+    dropped.  Basis rows are never changed again.  The leading columns are
+    the pivot columns of the reduced row echelon form.
     """
+    mul, sub, inv = field._mul, field._sub, field._inv
     basis = {}
+    inverse = {}  # lead -> 1 / (leading code of basis[lead])
     for row in rows:
         while row:
             lead = min(row)
@@ -38,9 +71,13 @@ def _echelon(rows) -> dict:
             if pivot is None:
                 basis[lead] = row
                 break
-            f = row[lead] / pivot[lead]
+            b = inverse.get(lead)
+            if b is None:
+                b = inverse[lead] = inv(pivot[lead])
+            f = mul(row[lead], b)
+            get = row.get
             for c, y in pivot.items():
-                x = row[c] - f * y if c in row else -(f * y)
+                x = sub(get(c, 0), mul(f, y))
                 if x:
                     row[c] = x
                 else:
@@ -48,48 +85,91 @@ def _echelon(rows) -> dict:
     return basis
 
 
-def rank(rows) -> int:
-    """Rank of the matrix of dense or sparse rows; the input is not modified."""
-    return len(_echelon(map(sparse_row, rows)))
+def code_rank(rows, field) -> int:
+    """Rank of the matrix of sparse code ``rows`` over ``field``; the rows
+    are not modified."""
+    return len(_echelon(map(dict, rows), field))
 
 
-def solve(rows, rhs, field):
-    """One solution of A x = b, or None when the system is inconsistent.
+def solve_codes(rows, rhs, field):
+    """One solution ``{column: nonzero code}`` of A x = b, for sparse code
+    rows A and a sparse ``{row: code}`` rhs b, or None when the system is
+    inconsistent; the rows are not modified.
 
-    Dense rows take a dense ``rhs`` and give a dense list.  Sparse rows
-    take a sparse ``{row: value}`` rhs and give ``{column: nonzero value}``.
     Free variables are set to zero, so the solution is the one the
-    reduced row echelon form reads off.  A dense system with no rows
-    carries no width, so ``solve([], [], field)`` can only return ``[]``.
-    """
-    dense = not isinstance(rhs, dict)
-    if dense:
-        n = len(rows[0]) if rows else 0
-        rhs = dict(enumerate(rhs))
-    else:
-        n = 1 + max((c for row in rows for c in row), default=-1)
-    augmented = []
-    for i, row in enumerate(rows):
-        row = sparse_row(row)
-        b = rhs.get(i)
+    reduced row echelon form reads off.  A rhs key that names no row of
+    A raises ValueError, whatever its value."""
+    missing = [i for i in rhs if not 0 <= i < len(rows)]
+    if missing:
+        raise ValueError(f"right-hand side names row {missing[0]} of a "
+                         f"{len(rows)}-row matrix")
+    n = 1 + max((c for row in rows for c in row), default=-1)  # the rhs column
+    augmented = [dict(row) for row in rows]
+    for i, b in rhs.items():
         if b:
-            row[n] = b
-        augmented.append(row)
-    basis = _echelon(augmented)
+            augmented[i][n] = b
+    basis = _echelon(augmented, field)
     if n in basis:
         return None
+    mul, sub, inv = field._mul, field._sub, field._inv
     solution = {}
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
-        value = row.get(n, field.zero)
+        value = row.get(n, 0)
         for c, a in row.items():
             if c in solution:
-                value = value - a * solution[c]
+                value = sub(value, mul(a, solution[c]))
         if value:
-            solution[lead] = value / row[lead]
+            solution[lead] = mul(value, inv(row[lead]))
+    return solution
+
+
+def _field_of(rows):
+    """The field of the first nonzero entry of the rows, or None."""
+    for row in rows:
+        for x in row.values() if isinstance(row, dict) else row:
+            if x:
+                return x.field
+    return None
+
+
+def rank(rows) -> int:
+    """Rank of the matrix of dense or sparse Scalar rows; the input is not
+    modified.  Entries from two fields raise ValueError."""
+    rows = list(rows)  # read twice: once for the field, once for the codes
+    field = _field_of(rows)
+    return 0 if field is None else len(_echelon(code_rows(rows, field), field))
+
+
+def solve(rows, rhs, field):
+    """One solution of A x = b over ``field``, or None when the system is
+    inconsistent; :func:`solve_codes` on the rows read as codes.
+
+    Dense rows take a dense ``rhs`` with one value per row and give a
+    dense list.  Sparse rows take a sparse ``{row: value}`` rhs, whose keys
+    must name rows, and give ``{column: nonzero value}``.  A dense system
+    with no rows carries no width, so ``solve([], [], field)`` can only
+    return ``[]``.  The values are Scalars of ``field``; any other field,
+    a rhs that does not fit the rows, a dense rhs with sparse rows, and
+    ragged dense rows raise ValueError.
+    """
+    codes = code_rows(rows, field)
+    dense = not isinstance(rhs, dict)
+    if dense:
+        if len(rhs) != len(codes):
+            raise ValueError(f"right-hand side of length {len(rhs)} for a "
+                             f"{len(codes)}-row matrix")
+        if any(isinstance(row, dict) for row in rows):
+            raise ValueError("a dense right-hand side needs dense rows, "
+                             "which give the solution its width")
+        rhs = dict(enumerate(rhs))
+    nonzero = code_rows([rhs], field)[0]
+    solution = solve_codes(codes, {i: nonzero.get(i, 0) for i in rhs}, field)
+    if solution is None:
+        return None
     if not dense:
-        return solution
-    out = [field.zero] * n
-    for c, value in solution.items():
-        out[c] = value
+        return {c: Scalar(field, v) for c, v in solution.items()}
+    out = [field.zero] * (len(rows[0]) if rows else 0)
+    for c, v in solution.items():
+        out[c] = Scalar(field, v)
     return out

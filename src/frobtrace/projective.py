@@ -8,9 +8,13 @@ homogeneous variable.  A hypersurface the chart misses raises
 :class:`ChartError`, which keeps the polynomial and the chart index.
 
 A trace matrix holds, per source basis monomial, the coordinates of its
-trace in the target basis.  Its only form is sparse rows, one
-``{column: nonzero Scalar}`` dict per target basis monomial, because on
-P^n most cells are zero; column b is read as ``row.get(b)`` over the rows.
+trace in the target basis.  Its form is sparse rows of int codes, one
+``{column: nonzero code}`` dict per target basis monomial in ``codes``,
+because on P^n most cells are zero; column b is read as ``row.get(b)``
+over the rows.  The codes go from the trace to the rank
+(:func:`frobtrace.linalg.code_rank`) and the JSON cells (the field's cell
+table) with no Scalar per entry; ``rows``, the Scalar view, is built
+only when read.
 Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
 row, so its matrix is a twisted product of level matrices, taken from
 the target end (:func:`trace_matrix`).  E^{p-1} is the only power of E
@@ -223,38 +227,56 @@ class SemilinearMap:
 
     Column b holds the target coordinates of the trace of source basis
     element b; on a coordinate vector the map is matrix . phi^{-e}(vector).
-    ``rows`` is the matrix's only form: one sparse ``{column: nonzero
-    Scalar}`` dict per target basis element.  The constructor takes dense
-    rows too and keeps their nonzeros.
-    A map is a value: its rows are not mutated after construction, so the
+    ``codes`` is the matrix: one sparse ``{column: nonzero code}`` dict per
+    target basis element, over the int codes of the field.  ``rows`` is
+    the same matrix with Scalar entries, built on first read.  The
+    constructor takes dense or sparse Scalar rows, keeps their nonzeros as
+    codes, and refuses an entry from another field with ValueError.
+    A map is a value: its matrix is not mutated after construction, so the
     :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
 
-    __slots__ = ("src", "tgt", "e", "rows", "verdict")
+    __slots__ = ("src", "tgt", "e", "codes", "verdict", "_rows")
 
     def __init__(self, src, tgt, e, rows):
+        self._set(src, tgt, e, linalg.code_rows(rows, src.field))
+
+    @classmethod
+    def _wrap(cls, src, tgt, e, codes):
+        """A map over the code rows ``codes`` as given, unchecked: the
+        library's own path, which builds them already checked."""
+        out = object.__new__(cls)
+        out._set(src, tgt, e, codes)
+        return out
+
+    def _set(self, src, tgt, e, codes):
         self.src = src
         self.tgt = tgt
         self.e = e
-        self.rows = [linalg.sparse_row(row) for row in rows]
-        r = linalg.rank(self.rows)
+        self.codes = codes
+        self._rows = None
+        r = linalg.code_rank(codes, src.field)
         self.verdict = MapVerdict(rank=r, surjective=r == tgt.dim, zero=r == 0)
 
     @property
     def field(self):
         return self.src.field
 
+    @property
+    def rows(self) -> list:
+        """The matrix as sparse ``{column: nonzero Scalar}`` rows."""
+        if self._rows is None:
+            field = self.field
+            self._rows = [{c: Scalar(field, v) for c, v in row.items()}
+                          for row in self.codes]
+        return self._rows
+
     def to_json(self, varnames=None) -> dict:
+        """The map as a JSON-ready dict; each matrix cell is a coefficient
+        vector read from the field's cell table (the zero cell is shared)."""
         verdict = self.verdict
-        zero, width = self.field.zero.coeffs, self.src.dim
-        cell = {}  # int code -> coefficient vector, computed once per value
-
-        def coeffs(x):
-            vec = cell.get(x.v)
-            if vec is None:
-                vec = cell[x.v] = x.coeffs
-            return vec
-
+        cell = self.field._cell
+        zero, width = cell(0)[0], self.src.dim
         return {
             "p": self.field.p,
             "s": self.field.s,
@@ -262,8 +284,8 @@ class SemilinearMap:
             "chart": self.src.chart,
             "src": self.src.to_json(varnames),
             "tgt": self.tgt.to_json(varnames),
-            "matrix": [_filled(width, zero, {c: coeffs(x) for c, x in row.items()})
-                       for row in self.rows],
+            "matrix": [_filled(width, zero, {c: cell(v)[0] for c, v in row.items()})
+                       for row in self.codes],
             "verdict": {
                 "rank": verdict.rank,
                 "surjective": verdict.surjective,
@@ -302,14 +324,17 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     power of E ever formed.
 
     The product runs from the target end, so every partial product has
-    one row per target basis element.  A_1 is read column by column
-    through :func:`frobtrace.cartier.traces_by_bucket`; each later factor
-    is read only at the rows the partial product reached
-    (:func:`_next_level`), and a zero partial product ends the work.
-    Entries are int codes until the columns, placed by
-    :func:`frobtrace.poly.monomial_rank`, are built.  A traced numerator
-    above its level's degree bound cannot happen for a correct trace and
-    raises :class:`ContainmentError` naming the basis element.
+    one row per target basis element.  A_1 is read bucket by bucket
+    through :func:`frobtrace.cartier.traces_by_bucket`: the shifts s are
+    listed once, in graded-lex order up to the largest degree any bucket
+    needs, and each bucket reads a :func:`frobtrace.poly.monomial_count`
+    prefix of them.  Each later factor is read only at the rows the
+    partial product reached (:func:`_next_level`), and a zero partial
+    product ends the work.  Every entry is an int code, written straight
+    into the rows; each source column is placed once, by
+    :func:`frobtrace.poly.monomial_rank`.  A traced numerator above its
+    level's degree bound cannot happen for a correct trace and raises
+    :class:`ContainmentError` naming the basis element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
@@ -323,14 +348,21 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         return tgt.bound + (p ** j - 1) * step
 
     power = _chart_product(e_part, src.chart) ** (p - 1)
-    row_of = {m: {} for m in tgt.basis}
-    for mono, traced in traces_by_bucket(power, 1, bound(1)):
-        for m, c in traced.items():
-            row = row_of.get(m)
-            if row is None:
-                raise _containment(mono, sum(m), tgt.bound)
-            row[mono] = c.v
-    rows = list(row_of.values())
+    read = traces_by_bucket(power, 1, bound(1))
+    shifts = [(s, tuple(p * x for x in s))
+              for s in monomials_upto(src.n, max((d for _, d, _ in read), default=-1))]
+    rows = [{} for _ in range(tgt.dim)]
+    row_of = dict(zip(tgt.basis, rows))
+    for c, d, g in read:
+        terms = [(t, x.v) for t, x in g.terms.items()]
+        for s, ps in shifts[:monomial_count(src.n, d)]:
+            mono = tuple(map(_plus, c, ps))
+            column = monomial_rank(mono) if e == 1 else mono
+            for t, v in terms:
+                row = row_of.get(tuple(map(_plus, t, s)))
+                if row is None:
+                    raise _containment(mono, sum(t) + sum(s), tgt.bound)
+                row[column] = v
     if e > 1 and any(rows):
         buckets = [(tuple(p - 1 - x for x in r), [(t, c.v) for t, c in g.terms.items()])
                    for r, g in power.frobenius_decompose(1).items()]
@@ -338,8 +370,9 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
             rows = _next_level(rows, buckets, field, j, bound(j), bound(j + 1))
             if not any(rows):
                 break
-    return SemilinearMap(src, tgt, e, [{monomial_rank(m): Scalar(field, v) for m, v in row.items()}
-                                       for row in rows])
+        rank = {m: monomial_rank(m) for row in rows for m in row}
+        rows = [{rank[m]: v for m, v in row.items()} for row in rows]
+    return SemilinearMap._wrap(src, tgt, e, rows)
 
 
 def _next_level(rows, buckets, field, j, bound, next_bound) -> list:

@@ -167,9 +167,10 @@ def test_trace_roots_only_paired_coefficients(monkeypatch):
 
 
 def test_bucket_reader_agrees_with_term_reader():
-    """traces_by_bucket, which loops over the buckets, yields each monomial
-    whose trace_from_buckets value is nonzero once, with that value, and
-    skips only monomials whose trace is zero."""
+    """traces_by_bucket, which loops over the buckets, covers each monomial
+    whose trace_from_buckets value is nonzero once, as x^{c + q s} with
+    |s| <= d and trace x^s g_r, and skips only monomials whose trace is
+    zero."""
     rng = random.Random(29)
     for field in ORACLE_FIELDS:
         for e in (1, 2, 3):
@@ -182,9 +183,13 @@ def test_bucket_reader_agrees_with_term_reader():
                     buckets = power.frobenius_decompose(e)
                     bound = rng.randint(0, 3 * q)
                     read = {}
-                    for mono, traced in traces_by_bucket(power, e, bound):
-                        assert mono not in read and sum(mono) <= bound and traced
-                        read[mono] = traced
+                    for c, d, g in traces_by_bucket(power, e, bound):
+                        for s in monomials_upto(nvars, d):
+                            mono = tuple(x + q * y for x, y in zip(c, s))
+                            traced = {tuple(x + y for x, y in zip(m, s)): v
+                                      for m, v in g.terms.items()}
+                            assert mono not in read and sum(mono) <= bound and traced
+                            read[mono] = traced
                     for mono in monomials_upto(nvars, bound):
                         assert read.pop(mono, {}) == trace_from_buckets(buckets, mono, q)
                     assert not read
@@ -398,10 +403,21 @@ def test_decomposition_oracle_char3():
     assert trace_by_decomposition(f) == parse_poly("x", F3, ["x"])
 
 
-def test_decomposition_oracle_rejects_extension_fields():
-    F9 = FiniteField(3, 2, [1, 0, 1])
-    with pytest.raises(ValueError):
-        trace_by_decomposition(Poly.one(F9, 2))
+def test_decomposition_oracle_over_extension_fields():
+    """Over F_q the oracle solves for u = c^p and roots each value once;
+    without the root it would be wrong whenever a solved value is not in
+    F_p, which the count below makes sure happens."""
+    F25 = FiniteField(5, 2, [2, 0, 1])
+    rng = random.Random(83)
+    for field in (F4, F9, F25):
+        unrooted = 0
+        for _ in range(40):
+            nvars = rng.randint(1, 2)
+            f = _rand_poly(field, nvars, rng, max_terms=6, max_deg=3 * field.p)
+            expected = trace_poly_top(f, 1)
+            assert trace_by_decomposition(f) == expected, (field, f)
+            unrooted += any(c.frobenius() != c for c in expected.terms.values())
+        assert unrooted >= 5, field
 
 
 def test_trace_exponent_validation():

@@ -216,3 +216,86 @@ def test_kernel_against_brute_force(seed):
                 assert all(sparse_x.values())
                 assert dense_of(sparse_x, len(x), field) == x
             assert rows == original and sparse == sparse_original
+
+
+F25 = FiniteField(5, 2, [2, 0, 1])
+
+
+def test_solve_refuses_a_rhs_that_does_not_fit():
+    one, zero = F2.one, F2.zero
+    with pytest.raises(ValueError, match="length 2 for a 1-row"):
+        solve([[one]], [one, one], F2)
+    with pytest.raises(ValueError, match="length 0 for a 1-row"):
+        solve([[one]], [], F2)
+    for key in (1, 5, -1):
+        with pytest.raises(ValueError, match=f"names row {key} of a 1-row"):
+            solve([{0: one}], {key: one}, F2)
+    with pytest.raises(ValueError, match="names row 2"):
+        solve([{0: one}, {}], {0: one, 2: zero}, F2)
+    with pytest.raises(ValueError, match="unequal length"):
+        solve([[one, one], [one]], [one, one], F2)
+    with pytest.raises(ValueError, match="needs dense rows"):
+        solve([{3: one}], [one], F2)
+    with pytest.raises(ValueError, match="unequal length"):
+        rank([[one], [one, one]])
+    assert solve([{0: one}, {}], {0: one, 1: zero}, F2) == {0: one}
+
+
+def test_rows_mixing_two_fields_are_refused():
+    with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
+        rank([[F2.one], [F3.one]])
+    with pytest.raises(ValueError):
+        rank([{0: F4.one}, {1: F9.one}])
+    with pytest.raises(ValueError):
+        solve([[F2.one], [F3.one]], [F2.one, F2.one], F2)
+    with pytest.raises(ValueError):
+        solve([[F3.one]], [F3.one], F2)
+    with pytest.raises(ValueError):
+        solve([{0: F2.one}], {0: F3.one}, F2)
+    # a zero entry of another field carries no code, so it mixes nothing
+    assert rank([[F2.one, F3.zero]]) == 1
+
+
+def random_sparse_rows(field, nrows, ncols, rng):
+    """Sparse rows of random density; now and then a row is a combination
+    of two earlier ones, so ranks below min(nrows, ncols) are common."""
+    nonzero = [x for x in field.elements() if x]
+    density = rng.choice([0.02, 0.1, 0.5])
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.choice(nonzero), rng.choice(nonzero)
+            row = {c: s * a.get(c, field.zero) + t * b.get(c, field.zero)
+                   for c in set(a) | set(b)}
+            rows.append({c: x for c, x in row.items() if x})
+        else:
+            rows.append({c: rng.choice(nonzero) for c in range(ncols)
+                         if rng.random() < density})
+    return rows
+
+
+def times(rows, x, field):
+    return {i: v for i, row in enumerate(rows)
+            if (v := sum((a * x[c] for c, a in row.items() if c in x), field.zero))}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_rank_and_solve_properties(seed):
+    """On sparse matrices up to 12 x 140: rank(A) = rank(A^T), and solve
+    finds an x with A x = b whenever b = A x0."""
+    rng = random.Random(seed)
+    for field in (F2, F3, F4, F9, F25):
+        elements = list(field.elements())
+        for _ in range(6):
+            nrows, ncols = rng.randint(0, 12), rng.randint(0, 140)
+            rows = random_sparse_rows(field, nrows, ncols, rng)
+            transposed = [{i: row[c] for i, row in enumerate(rows) if c in row}
+                          for c in range(ncols)]
+            r = rank(rows)
+            assert r == rank(transposed) == rank(iter(rows)) <= min(nrows, ncols)
+            x0 = {c: v for c in range(ncols) if (v := rng.choice(elements))}
+            b = times(rows, x0, field)
+            x = solve(rows, b, field)
+            assert x is not None and all(x.values())
+            assert times(rows, x, field) == b

@@ -218,13 +218,13 @@ def test_trace_and_json_do_no_work_per_zero_cell(monkeypatch):
 
 def test_matrix_is_ranked_once_whatever_reads_its_verdict(monkeypatch, capsys):
     calls = []
-    rank = linalg.rank
+    rank = linalg.code_rank
 
-    def counted(rows):
+    def counted(rows, field):
         calls.append(1)
-        return rank(rows)
+        return rank(rows, field)
 
-    monkeypatch.setattr(projective.linalg, "rank", counted)
+    monkeypatch.setattr(projective.linalg, "code_rank", counted)
     t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
     assert map_verdict(t) is t.verdict
     assert t.to_json()["verdict"] == {"rank": 1, "surjective": True, "zero": False}
@@ -234,6 +234,46 @@ def test_matrix_is_ranked_once_whatever_reads_its_verdict(monkeypatch, capsys):
                  "trace-matrix", "--D", "H:3", "--e", "1"]) == 0
     assert '"rank": 1' in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_trace_matrix_builds_scalars_per_term_not_per_nonzero(monkeypatch):
+    """On the F_25 cubic-and-conic input the matrix stays in int codes.
+    trace_matrix builds its Scalars in the powers and the decomposition,
+    whose sizes do not depend on k in D = conic + kH, so k = 3 builds as
+    many as k = 1 while the nonzeros more than double.  Ranking builds
+    none, also when rows are eliminated (each row twice)."""
+    field = FiniteField(5, 2, parse_modulus("t^2+2", 5))
+    E, D = extension_cubic_and_conic(field)
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, field, v):
+        built.append(v)
+        init(self, field, v)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    counts, nonzeros = [], []
+    for k in (1, 3):
+        built.clear()
+        t = trace_matrix(E, DivisorSpec(field, 2, D.hypersurfaces, k=k), 1)
+        counts.append(len(built))
+        nonzeros.append(sum(map(len, t.codes)))
+        built.clear()
+        assert linalg.code_rank(t.codes * 2, field) == t.verdict.rank == t.tgt.dim
+        assert built == []
+    assert (t.src.dim, t.tgt.dim) == (351, 21)
+    assert nonzeros[1] > 2 * nonzeros[0] and nonzeros[0] == 154
+    assert counts[1] == counts[0] < nonzeros[0]
+
+
+def test_mixed_field_rows_are_refused():
+    t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
+    mixed = [dict(row) for row in t.rows]
+    mixed[0][1] = F3.one
+    with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
+        SemilinearMap(t.src, t.tgt, t.e, mixed)
+    with pytest.raises(ValueError):
+        SemilinearMap(t.src, t.tgt, t.e, [[F3.one] * t.src.dim] * t.tgt.dim)
 
 
 def test_containment_never_fires_on_grid():
