@@ -4,37 +4,27 @@ On a polynomial chart with coordinates x_1..x_n, write q = p^e and
 decompose a polynomial over q-th powers, F = sum_a F_a^q x^a with every
 residue 0 <= a_i <= q-1 (:meth:`Poly.frobenius_decompose`, where the
 coefficient roots are taken).  The trace of exponent e keeps one bucket:
-Tr^e(F dx_1^...^dx_n) = F_{(q-1,...,q-1)} dx_1^...^dx_n.
+Tr^e(F dx_1^...^dx_n) = F_{(q-1,...,q-1)} dx_1^...^dx_n, which
+:func:`trace_poly_top` reads with no other bucket decomposed.
 
-A rational coefficient h/g is read through Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g,
-and the product h g^{q-1} is never formed.  With H = the buckets of h and
-G = the buckets of g^{q-1}, the trace is the pairing
+A rational coefficient h/g is read through Tr^1(h/g dx) = Tr^1(h g^{p-1} dx) / g,
+and the product h g^{p-1} is never formed.  With H = the exponent-1
+buckets of h and G = those of g^{p-1}, the trace is the pairing
 
-    Tr^e(h/g dx) = (sum_a H_a * G_{(q-1)-a}) / g dx,
+    Tr^1(h/g dx) = (sum_a H_a * G_{(p-1)-a}) / g dx,
 
-because residues with a_i + r_i = q-1 mod q and 0 <= a_i, r_i <= q-1 have
-a_i + r_i = q-1 exactly.  :func:`trace_rational_top` sums those
-products; :func:`trace_poly_top` (g = 1) reads the one bucket directly.
-:func:`traces_by_bucket` is the same pairing for monomial numerators
-x^m, read per bucket G_r: x^m pairs with G_r exactly when
-m = (q-1) - r + q s, with trace x^s G_r, so it returns each bucket read
-with the degree bound on its shifts s.  Read the other way, x^s is in
-the trace of x^m exactly when m = (q-1) - r + q (s - t) for a term x^t of
-some G_r, which gives the rows of the same map.
-:func:`frobtrace.projective.trace_matrix` applies both at q = p, to the
-buckets of E^{p-1}: the first exponent-1 level bucket by bucket through
-:func:`traces_by_bucket`, and every later level row by row, at the rows
-its partial product reached, so the work goes only to nonzero entries.
-
-Unread buckets are never decomposed: each trace passes
-:meth:`Poly.frobenius_decompose` a test on the residue, applied before
-any base monomial or coefficient root is built.  :func:`trace_rational_top`
-keeps the residues of h that pair with a bucket of g^{q-1},
-:func:`trace_poly_top` the one corner bucket, and
-:func:`traces_by_bucket` the residues r with |r| >= n(q-1) - bound, the
-only ones a numerator of degree <= bound reads.  For the Fermat-cubic
-trace matrices that is none at the first level, so the matrices are zero
-with no bucket decomposed (tested to e = 8).
+because residues with a_i + r_i = p-1 mod p and 0 <= a_i, r_i <= p-1 have
+a_i + r_i = p-1 exactly.  The pairing table of g, {(p-1) - r: G_r}, is
+read from one decomposition of g^{p-1}, and the denominator stays g, so
+Tr^e = Tr^1 o Tr^{e-1} is e pairings of the numerator against the same
+table: :func:`trace_rational_top` forms no power of g above p - 1, and
+its cost grows with e, not with p^e.  Each pairing roots the numerator
+only at the residues that pair with a bucket of the table.
+:func:`frobtrace.projective.trace_matrix` reads its levels from the table
+of the chart product of E: a monomial numerator x^m pairs with G_r
+exactly when m = c + p s for c = (p-1) - r, with trace x^s G_r.  The
+direct rule Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g stays only as an oracle,
+:func:`trace_by_direct_rule`.
 
 The inverse Cartier operator returns one designated closed representative
 of its class: f dx_J goes to f^p * x_J^{p-1} dx_J, extended additively;
@@ -50,23 +40,13 @@ from .forms import DiffForm, TopForm, d_columns
 from .poly import Poly, RationalFn, monomials_upto, sum_of_products
 
 
-def traces_by_bucket(power: Poly, e: int, bound: int) -> list:
-    """The buckets of ``power`` that monomial numerators of total degree
-    <= bound read, as (c, d, g_r) triples: Tr^e(x^{c + q s} * power) is
-    x^s g_r for every s with |s| <= d, and every other monomial of degree
-    <= bound traces to zero.
-
-    This is the pairing of the module docstring for numerators x^m, read
-    per bucket of ``power`` = sum_r g_r^q x^r, q = p^e: g_r pairs with
-    exactly the monomials m = c + q s with c = (q-1) - r.  Bucket r is read
-    only if |c| <= bound, that is |r| >= n(q-1) - bound, and then
-    d = (bound - |c|) // q; no other bucket is decomposed.
-    """
-    q = power.field.p ** e
-    floor = power.nvars * (q - 1) - bound
-    buckets = power.frobenius_decompose(e, lambda r: sum(r) >= floor)
-    return [(tuple(q - 1 - x for x in r), (sum(r) - floor) // q, g)
-            for r, g in buckets.items()]
+def _pairing_table(g: Poly) -> dict:
+    """The exponent-1 pairing table of the denominator g, {(p-1) - r: G_r}
+    over the buckets of g^{p-1} = sum_r G_r^p x^r, read from one
+    decomposition: a numerator bucket H_a pairs with ``table[a]``."""
+    p = g.field.p
+    return {tuple(p - 1 - x for x in r): g_r
+            for r, g_r in (g ** (p - 1)).frobenius_decompose(1).items()}
 
 
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
@@ -81,33 +61,38 @@ def trace_poly_top(f: Poly, e: int = 1) -> Poly:
 
 
 def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
-    """Tr^e on a rational top form h/g dx, as the pairing
-    (sum_a H_a * G_{(q-1)-a}) / g of the buckets of h and of g^{q-1}.
+    """Tr^e on a rational top form h/g dx, as e exponent-1 pairings
+    h <- sum_a H_a * G_{(p-1)-a} of the numerator against the pairing
+    table of g; the denominator stays g.
 
-    g^{q-1} is decomposed first, and h only at the residues a that pair
-    with one of its buckets, so no coefficient of h outside them is rooted.
-    ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
-    raises ValueError below the top degree."""
+    g^{p-1} is the only power of g formed, and it is decomposed once; each
+    step roots the numerator only at the residues a that pair with one of
+    its buckets.  ``form`` is any top-degree :class:`DiffForm`; reading its
+    ``coeff`` raises ValueError below the top degree."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
     h, g = form.coeff.num, form.coeff.den
     field, n = form.field, form.nvars
-    q = field.p ** e
-    partner = {tuple(q - 1 - x for x in r): g_r
-               for r, g_r in (g ** (q - 1)).frobenius_decompose(e).items()}
-    pairs = [(h_a, partner[a])
-             for a, h_a in h.frobenius_decompose(e, partner.__contains__).items()]
-    num = sum_of_products(field, n, pairs)
-    return TopForm(field, n, RationalFn(num, g))
-
-
-def trace_iterated(form: DiffForm, e: int) -> TopForm:
-    """Tr^e as e successive exponent-1 traces (the composition law)."""
-    if e < 1:
-        raise ValueError("trace exponent must be positive")
+    table = _pairing_table(g)
     for _ in range(e):
-        form = trace_rational_top(form, 1)
-    return form
+        h = sum_of_products(field, n, [
+            (h_a, table[a])
+            for a, h_a in h.frobenius_decompose(1, table.__contains__).items()])
+    return TopForm(field, n, RationalFn(h, g))
+
+
+# The composition law Tr^e = Tr^1 o Tr^{e-1} is how trace_rational_top
+# computes; the name stays public.
+trace_iterated = trace_rational_top
+
+
+def trace_by_direct_rule(form: DiffForm, e: int) -> TopForm:
+    """Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g in one step, q = p^e: an oracle
+    for :func:`trace_rational_top` that forms g^{q-1} and the product."""
+    h, g = form.coeff.num, form.coeff.den
+    q = form.field.p ** e
+    return TopForm(form.field, form.nvars,
+                   RationalFn(trace_poly_top(h * g ** (q - 1), e), g))
 
 
 def _inverse_cartier_coeff(f: Poly, J) -> Poly:

@@ -10,13 +10,13 @@ every exponent e.  The report assembles, on the w != 0 chart:
       realized through linear equivalence as omega(1H) and omega(2H),
   (c) the trace of each e = 1 basis form (all zero),
   (d) the matrix verdict for e = 1,
-  (e) the e = 2 and e = 3 matrices, cross-checked column by column
-      against the iterated exponent-1 trace.
+  (e) the e = 2 and e = 3 matrices, built level by level, cross-checked
+      column by column against the direct exponent-e rule.
 """
 
 from __future__ import annotations
 
-from .cartier import trace_iterated, trace_rational_top
+from .cartier import trace_by_direct_rule, trace_rational_top
 from .field import FiniteField
 from .parsing import parse_poly
 from .poly import Poly
@@ -65,13 +65,13 @@ def build_report() -> dict:
     for e in (1, 2, 3):
         t = trace_matrix(cubic_div, hyperplane, e)
         verdict = t.verdict
-        # D = H has no hypersurface part, so src.den == tgt.den, and every
-        # exponent-1 trace keeps that denominator: column b, read over the
-        # target basis, is the numerator of the iterated trace of form b.
+        # D = H has no hypersurface part, so src.den == tgt.den, and the
+        # trace keeps that denominator: column b, read over the target
+        # basis, is the numerator of the direct-rule trace of form b.
         iterated_agrees = all(
             Poly(field, t.src.n,
                  {m: row[b] for m, row in zip(t.tgt.basis, t.rows) if b in row})
-            == trace_iterated(t.src.basis_form(b), e).coeff.num
+            == trace_by_direct_rule(t.src.basis_form(b), e).coeff.num
             for b in range(t.src.dim)
         )
         matrices[e] = t

@@ -18,8 +18,8 @@ only when read.
 Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
 row, so its matrix is a twisted product of level matrices, taken from
 the target end (:func:`trace_matrix`).  E^{p-1} is the only power of E
-formed, and the cost grows with e and the nonzero entries, not with p^e
-or the source dimension.
+formed, and it is decomposed once for every level.  The cost grows with
+e and the nonzero entries, not with p^e or the source dimension.
 A space's dimension is a binomial coefficient, and its basis, the list of
 :func:`frobtrace.poly.monomials_upto`, is built only when read; a column
 is placed by :func:`frobtrace.poly.monomial_rank` without it.  A basis
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import add as _plus
 
 from . import linalg
-from .cartier import traces_by_bucket
+from .cartier import _pairing_table
 from .field import Scalar
 from .forms import TopForm
 from .poly import (Poly, RationalFn, default_varnames, monomial_count, monomial_rank,
@@ -324,17 +324,21 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     power of E ever formed.
 
     The product runs from the target end, so every partial product has
-    one row per target basis element.  A_1 is read bucket by bucket
-    through :func:`frobtrace.cartier.traces_by_bucket`: the shifts s are
-    listed once, in graded-lex order up to the largest degree any bucket
-    needs, and each bucket reads a :func:`frobtrace.poly.monomial_count`
-    prefix of them.  Each later factor is read only at the rows the
-    partial product reached (:func:`_next_level`), and a zero partial
-    product ends the work.  Every entry is an int code, written straight
-    into the rows; each source column is placed once, by
-    :func:`frobtrace.poly.monomial_rank`.  A traced numerator above its
-    level's degree bound cannot happen for a correct trace and raises
-    :class:`ContainmentError` naming the basis element.
+    one row per target basis element.  Every level is read from one
+    pairing table of E (:func:`frobtrace.cartier._pairing_table`), so
+    E^{p-1} is decomposed once.  A_1 is read bucket by bucket: the bucket
+    G_r at c = (p-1) - r traces x^{c + p s} to x^s G_r, and a numerator of
+    degree <= bound(1) reaches it only if |c| <= bound(1), with
+    |s| <= d = (bound(1) - |c|) // p.  The shifts s are listed once, in
+    graded-lex order up to the largest d, and each bucket reads a
+    :func:`frobtrace.poly.monomial_count` prefix of them.  Each later
+    factor is read only at the rows the partial product reached
+    (:func:`_next_level`), and a zero partial product ends the work.
+    Every entry is an int code, written straight into the rows; each
+    source column is placed once, by :func:`frobtrace.poly.monomial_rank`.
+    A traced numerator above its level's degree bound cannot happen for a
+    correct trace and raises :class:`ContainmentError` naming the basis
+    element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
@@ -347,8 +351,9 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     def bound(j):  # the numerator degree bound of omega(E + p^j D)
         return tgt.bound + (p ** j - 1) * step
 
-    power = _chart_product(e_part, src.chart) ** (p - 1)
-    read = traces_by_bucket(power, 1, bound(1))
+    table = _pairing_table(_chart_product(e_part, src.chart))
+    level1 = bound(1)
+    read = [(c, (level1 - sum(c)) // p, g) for c, g in table.items() if sum(c) <= level1]
     shifts = [(s, tuple(p * x for x in s))
               for s in monomials_upto(src.n, max((d for _, d, _ in read), default=-1))]
     rows = [{} for _ in range(tgt.dim)]
@@ -364,10 +369,8 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
                     raise _containment(mono, sum(t) + sum(s), tgt.bound)
                 row[column] = v
     if e > 1 and any(rows):
-        buckets = [(tuple(p - 1 - x for x in r), [(t, c.v) for t, c in g.terms.items()])
-                   for r, g in power.frobenius_decompose(1).items()]
         for j in range(1, e):
-            rows = _next_level(rows, buckets, field, j, bound(j), bound(j + 1))
+            rows = _next_level(rows, table, field, j, bound(j), bound(j + 1))
             if not any(rows):
                 break
         rank = {m: monomial_rank(m) for row in rows for m in row}
@@ -375,12 +378,12 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     return SemilinearMap._wrap(src, tgt, e, rows)
 
 
-def _next_level(rows, buckets, field, j, bound, next_bound) -> list:
+def _next_level(rows, table, field, j, bound, next_bound) -> list:
     """rows . phi^{-j}(A_{j+1}) on int codes, for rows over the level-j
     monomials; the result is over the level-(j+1) monomials.
 
-    ``buckets`` pairs c = (p-1) - r with the (t, code) terms of bucket r
-    of E^{p-1}, decomposed at exponent 1.  L(x^m) = x^u G_r for
+    ``table`` is the pairing table of the chart product E, which maps
+    c = (p-1) - r to bucket G_r of E^{p-1}.  L(x^m) = x^u G_r for
     m = c + p u, so x^s is in L(x^m) exactly when m = c + p (s - t) for a
     term x^t of G_r, with coefficient G_r[t]: row s of A_{j+1} is read from
     the buckets, once per s that some row reaches.  The top-degree term of
@@ -391,16 +394,16 @@ def _next_level(rows, buckets, field, j, bound, next_bound) -> list:
     k = (-j) % field.s
     mul, add, frob = field._mul, field._add, field._frob
     read = []  # (c - p t, |t|, |u| cap, code) per term x^t of a bucket some column reads
-    for c, terms in buckets:
+    for c, g in table.items():
         left = next_bound - sum(c)  # p |u| <= left for a level-(j+1) column
         if left < 0:
             continue
-        top = max(sum(t) for t, _ in terms)
+        top = max(sum(t) for t in g.terms)
         if left // p + top > bound:
             u = max(0, bound + 1 - top)
             raise _containment((c[0] + p * u,) + c[1:], u + top, bound)
         read.extend((tuple(x - p * y for x, y in zip(c, t)), sum(t), left // p,
-                     frob(v, k) if k else v) for t, v in terms)
+                     frob(a.v, k) if k else a.v) for t, a in g.terms.items())
     level_row = {}
 
     def row_at(s):

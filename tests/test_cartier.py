@@ -14,7 +14,6 @@ from frobtrace import (
     exterior_derivative,
     inverse_cartier,
     inverse_cartier_top,
-    monomials_upto,
     parse_form,
     parse_poly,
     trace_by_decomposition,
@@ -22,7 +21,6 @@ from frobtrace import (
     trace_poly_top,
     trace_rational_top,
 )
-from frobtrace.cartier import traces_by_bucket
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -92,44 +90,47 @@ def _summed(field, nvars, pairs):
 
 
 ORACLE_FIELDS = [F2, F3, F4, F9, F8]
+DEFINITION_CASES = [(field, e) for field in ORACLE_FIELDS
+                    for e in ((1, 2, 3) if field.s == 1 else (1, 2))] + [(F2, 4), (F4, 3)]
 
 
 def test_trace_matches_definition_over_prime_and_extension_fields():
     rng = random.Random(53)
-    for field in ORACLE_FIELDS:
-        for e in (1, 2, 3) if field.s == 1 else (1, 2):
-            q = field.p ** e
-            nonzero = 0
-            for _ in range(20):
-                # about half the exponents sit on q-1 mod q, so traces are
-                # often nonzero, and products of h and g^{q-1} can cancel;
-                # with up to 25 terms, products of several bucket pairs land
-                # on one monomial
-                h = _summed(field, 2, [
-                    (tuple(q * rng.randrange(2) + rng.choice((q - 1, rng.randrange(q)))
-                           for _ in range(2)), _rand_element(field, rng))
-                    for _ in range(rng.randint(1, 25))])
-                g = _summed(field, 2, [
-                    (tuple(rng.randint(0, 1 if q > 16 else 2) for _ in range(2)),
-                     _rand_element(field, rng)) for _ in range(3)])
-                if g.is_zero():
-                    g = Poly.one(field, 2)
-                traced = trace_rational_top(TopForm(field, 2, RationalFn(h, g)), e)
-                expected = trace_by_definition(h, g, e)
-                assert traced.coeff.num == expected, (field, e, h, g)
-                assert trace_poly_top(h, e) == trace_by_definition(h, Poly.one(field, 2), e)
-                nonzero += not expected.is_zero()
-            assert nonzero >= 3, (field, e)
+    for field, e in DEFINITION_CASES:
+        q = field.p ** e
+        nonzero = 0
+        for _ in range(20):
+            # about half the exponents sit on q-1 mod q, so traces are
+            # often nonzero, and products of h and g^{q-1} can cancel;
+            # with up to 25 terms, products of several bucket pairs land
+            # on one monomial
+            h = _summed(field, 2, [
+                (tuple(q * rng.randrange(2) + rng.choice((q - 1, rng.randrange(q)))
+                       for _ in range(2)), _rand_element(field, rng))
+                for _ in range(rng.randint(1, 25))])
+            g = _summed(field, 2, [
+                (tuple(rng.randint(0, 1 if q > 16 else 2) for _ in range(2)),
+                 _rand_element(field, rng)) for _ in range(3)])
+            if g.is_zero():
+                g = Poly.one(field, 2)
+            traced = trace_rational_top(TopForm(field, 2, RationalFn(h, g)), e)
+            expected = trace_by_definition(h, g, e)
+            assert traced.coeff.num == expected, (field, e, h, g)
+            assert trace_poly_top(h, e) == trace_by_definition(h, Poly.one(field, 2), e)
+            nonzero += not expected.is_zero()
+        assert nonzero >= 3, (field, e)
 
 
 def test_trace_roots_only_paired_coefficients(monkeypatch):
-    """trace_rational_top decomposes g^{q-1} whole and h only at the
-    residues that pair with one of its buckets.  Over F_9 a root is a
-    Scalar.frobenius call at odd e and the identity at e = 2, so the
-    buckets built are counted as well as the Frobenius calls."""
+    """trace_rational_top forms g^{p-1} and no other power of g, and
+    decomposes it once, whole; each of its e steps decomposes the
+    numerator at exponent 1, only at the residues that pair with a bucket
+    of g^{p-1}.  Over F_9 each exponent-1 root is one Scalar.frobenius
+    call, so the buckets built are counted as well as the roots."""
     rng = random.Random(47)
-    rooted, bucketed = [], []
-    frobenius, decompose = Scalar.frobenius, Poly.frobenius_decompose
+    p = F9.p
+    rooted, powers, calls = [], [], []
+    frobenius, decompose, power = Scalar.frobenius, Poly.frobenius_decompose, Poly.__pow__
 
     def counting_frobenius(self, e=1):
         rooted.append(self)
@@ -137,62 +138,64 @@ def test_trace_roots_only_paired_coefficients(monkeypatch):
 
     def counting_decompose(self, e, keep=None):
         buckets = decompose(self, e, keep)
-        bucketed.extend(m for g in buckets.values() for m in g.terms)
+        calls.append((self, e, keep, sum(len(g.terms) for g in buckets.values())))
         return buckets
+
+    def counting_power(self, n):
+        powers.append(n)
+        return power(self, n)
 
     unpaired = 0
     for e in (1, 2, 3):
-        q = 3 ** e
         for _ in range(10):
             h = _summed(F9, 2, [(tuple(rng.randint(0, 12) for _ in range(2)),
                                  _rand_element(F9, rng)) for _ in range(25)])
             g = _rand_poly(F9, 2, rng, max_terms=2, max_deg=1)
             if g.is_zero():
                 g = Poly.one(F9, 2)
-            power = g ** (q - 1)
-            g_residues = {tuple(x % q for x in m) for m in power.terms}
-            paired = sum(tuple(q - 1 - x % q for x in m) in g_residues for m in h.terms)
-            unpaired += len(h.terms) - paired
+            g_power = g ** (p - 1)
+            g_residues = {tuple(x % p for x in m) for m in g_power.terms}
             expected = trace_by_definition(h, g, e)
             rooted.clear()
-            bucketed.clear()
+            powers.clear()
+            calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(Scalar, "frobenius", counting_frobenius)
                 patch.setattr(Poly, "frobenius_decompose", counting_decompose)
+                patch.setattr(Poly, "__pow__", counting_power)
                 traced = trace_rational_top(TopForm(F9, 2, RationalFn(h, g)), e)
             assert traced.coeff.num == expected, (e, h, g)
-            assert len(bucketed) == len(power.terms) + paired, (e, h, g)
-            assert len(rooted) == (len(bucketed) if e % 2 else 0), (e, h, g)
+            assert powers == [p - 1], (e, h, g)
+            (table_of, e0, keep0, kept0), *steps = calls
+            assert (table_of, e0, keep0, kept0) == (g_power, 1, None, len(g_power.terms))
+            assert len(steps) == e, (e, h, g)
+            for numerator, step_e, keep, kept in steps:
+                paired = sum(tuple(p - 1 - x % p for x in m) in g_residues
+                             for m in numerator.terms)
+                assert step_e == 1 and keep is not None and kept == paired, (e, h, g)
+                unpaired += len(numerator.terms) - paired
+            assert len(rooted) == sum(kept for *_, kept in calls), (e, h, g)
     assert unpaired > 500
 
 
-def test_bucket_reader_agrees_with_term_reader():
-    """traces_by_bucket, which loops over the buckets, covers each monomial
-    whose trace_from_buckets value is nonzero once, as x^{c + q s} with
-    |s| <= d and trace x^s g_r, and skips only monomials whose trace is
-    zero."""
-    rng = random.Random(29)
-    for field in ORACLE_FIELDS:
-        for e in (1, 2, 3):
-            q = field.p ** e
-            for nvars in (1, 2, 3) if q <= 9 else (1, 2):
-                # 1 + x_1 + ... + x_n keeps every power dense
-                dense = Poly(field, nvars, {m: 1 for m in monomials_upto(nvars, 1)})
-                for _ in range(3):
-                    power = (dense + _rand_poly(field, nvars, rng, max_terms=4)) ** (q - 1)
-                    buckets = power.frobenius_decompose(e)
-                    bound = rng.randint(0, 3 * q)
-                    read = {}
-                    for c, d, g in traces_by_bucket(power, e, bound):
-                        for s in monomials_upto(nvars, d):
-                            mono = tuple(x + q * y for x, y in zip(c, s))
-                            traced = {tuple(x + y for x, y in zip(m, s)): v
-                                      for m, v in g.terms.items()}
-                            assert mono not in read and sum(mono) <= bound and traced
-                            read[mono] = traced
-                    for mono in monomials_upto(nvars, bound):
-                        assert read.pop(mono, {}) == trace_from_buckets(buckets, mono, q)
-                    assert not read
+def test_trace_at_a_large_exponent_forms_no_high_power(monkeypatch):
+    """At e = 60 over F_3 the direct rule would form g^{3^60 - 1}; the
+    trace forms g^2 only.  1/g dx^dy is fixed by Tr^1 here, as the
+    definition shows at e = 1, so it is fixed by every Tr^e."""
+    names = ["x", "y"]
+    g = parse_poly("x^3+y^3+x*y+1", F3, names)
+    form = parse_form("(1/(x^3+y^3+x*y+1)) dx^dy", F3, names)
+    assert trace_by_definition(Poly.one(F3, 2), g, 1) == Poly.one(F3, 2)
+    powers = []
+    power = Poly.__pow__
+
+    def counting_power(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", counting_power)
+    assert trace_rational_top(form, 60) == form
+    assert powers == [2]
 
 
 def test_trace_of_critical_monomial():
@@ -250,10 +253,16 @@ def test_trace_rational_n1_unit():
     assert result == TopForm(F2, 1, RationalFn(Poly.one(F2, 1)))
 
 
+def by_definition(form, e):
+    """Tr^e of a rational top form through :func:`trace_by_definition`."""
+    h, g = form.coeff.num, form.coeff.den
+    return TopForm(form.field, form.nvars, RationalFn(trace_by_definition(h, g, e), g))
+
+
 def test_iterated_equals_direct_e1():
     rng = random.Random(37)
     form = _rand_top(F2, 2, rng)
-    assert trace_iterated(form, 1) == trace_rational_top(form, 1)
+    assert trace_iterated(form, 1) == by_definition(form, 1)
 
 
 def test_iterated_equals_direct_random():
@@ -264,12 +273,13 @@ def test_iterated_equals_direct_random():
             n = rng.randint(1, 3)
             form = _rand_top(field, n, rng, max_terms=3, max_deg=2)
             for e in range(2, emax + 1):
-                assert trace_iterated(form, e) == trace_rational_top(form, e)
+                assert trace_iterated(form, e) == by_definition(form, e)
 
 
 def test_iterated_fermat_form_vanishes():
     eta_1 = parse_form("(1/(x^3+y^3+z^3+1)) dx^dy^dz", F2, XYZ)
     for e in (1, 2, 3):
+        assert by_definition(eta_1, e).is_zero()
         assert trace_iterated(eta_1, e).is_zero()
 
 

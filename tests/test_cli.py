@@ -5,7 +5,8 @@ import json
 import pytest
 
 from frobtrace import (DivisorSpec, FiniteField, Poly, RationalFn, Scalar, TopForm,
-                       demo, parse_form, parse_poly, trace_matrix, trace_rational_top)
+                       checks, demo, parse_form, parse_poly, trace_matrix,
+                       trace_rational_top)
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
 from frobtrace.projective import SemilinearMap
@@ -190,7 +191,7 @@ def test_demo_json_is_machine_checkable(capsys):
 
 
 def test_demo_column_check_fails_on_a_nonzero_iterated_trace(monkeypatch):
-    monkeypatch.setattr(demo, "trace_iterated", lambda form, e: TopForm(
+    monkeypatch.setattr(demo, "trace_by_direct_rule", lambda form, e: TopForm(
         form.field, form.nvars, Poly.one(form.field, form.nvars)))
     report = demo.build_report()
     checks = {c["name"]: c for c in report["checks"]}
@@ -214,6 +215,26 @@ def test_check_suites_catch_a_dropped_coefficient_root(monkeypatch):
     monkeypatch.setattr(Scalar, "frobenius", lambda self, e=1: self)
     reports = run_suite("all", 50, 42)
     assert not all(r.ok for r in reports)
+
+
+def test_oracle_suite_catches_a_dropped_root_in_the_oracle(monkeypatch):
+    # the decomposition oracle solves for c^p and roots each value with
+    # Scalar.inverse_frobenius, the identity on F_p: only the suite's
+    # extension fields can tell an oracle that skips the root
+    monkeypatch.setattr(Scalar, "inverse_frobenius", lambda self, e=1: self)
+    [report] = run_suite("oracle", 200, 42)
+    assert report.failures and all(" n=" in line for line in report.failures)
+    assert any(line.startswith(("F_4 ", "F_8 ", "F_9 ")) for line in report.failures)
+
+
+def test_composition_suite_catches_a_trace_one_step_short(monkeypatch):
+    # composition compares the trace with the direct exponent-e rule, not
+    # with itself, so a trace that stops one pairing early fails it
+    trace = checks.trace_rational_top
+    monkeypatch.setattr(checks, "trace_rational_top",
+                        lambda form, e=1: trace(form, max(1, e - 1)))
+    [report] = run_suite("composition", 200, 42)
+    assert not report.ok
 
 
 def test_check_deterministic_output(capsys):

@@ -501,10 +501,10 @@ def test_level_product_matches_direct_rule_on_random_divisors():
 
 
 def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
-    """At e = 8 the source has 2 829 056 basis monomials, but A_1 = 0: the
-    one decomposition, of E^{p-1} = E, keeps no bucket, no higher power of
-    E is formed, and no basis of the source bound is listed."""
-    decompositions, powers, listed = [], [], []
+    """At e = 8 the source has 2 829 056 basis monomials, but A_1 = 0: E^{p-1}
+    = E is decomposed once, no later level is read, no higher power of E
+    is formed, and no basis of the source bound is listed."""
+    decompositions, powers, listed, levels = [], [], [], []
     decompose, power, upto = Poly.frobenius_decompose, Poly.__pow__, projective.monomials_upto
 
     def recording_decompose(self, e, keep=None):
@@ -522,6 +522,7 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
 
     monkeypatch.setattr(Poly, "frobenius_decompose", recording_decompose)
     monkeypatch.setattr(Poly, "__pow__", recording_power)
+    monkeypatch.setattr(projective, "_next_level", lambda *args: levels.append(args))
     for module in (projective, cartier):
         monkeypatch.setattr(module, "monomials_upto", recording_upto)
     t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 8)
@@ -529,7 +530,7 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     assert t.verdict.zero and t.rows == [{}]
     [(decomposed, e, buckets)] = decompositions
     assert decomposed == projective._chart_product(fermat_divisor(), 3) and e == 1
-    assert buckets == {}
+    assert len(buckets) == 4 and levels == []
     assert max(powers) == 1  # p - 1, and the multiplicity of E in each chart product
     assert 255 not in listed
 
