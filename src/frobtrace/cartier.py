@@ -18,7 +18,8 @@ a_i + r_i = p-1 exactly.  The pairing table of g, {(p-1) - r: G_r}, is
 read from one decomposition of g^{p-1}, and the denominator stays g, so
 Tr^e = Tr^1 o Tr^{e-1} is e pairings of the numerator against the same
 table: :func:`trace_rational_top` forms no power of g above p - 1, and
-its cost grows with e, not with p^e.  Each pairing roots the numerator
+stops at the first repeated numerator, so a large e costs no more steps
+than the numerators take to repeat.  Each pairing roots the numerator
 only at the residues that pair with a bucket of the table.
 :func:`frobtrace.projective.trace_matrix` reads its levels from the table
 of the chart product of E: a monomial numerator x^m pairs with G_r
@@ -67,17 +68,35 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
 
     g^{p-1} is the only power of g formed, and it is decomposed once; each
     step roots the numerator only at the residues a that pair with one of
-    its buckets.  ``form`` is any top-degree :class:`DiffForm`; reading its
-    ``coeff`` raises ValueError below the top degree."""
+    its buckets.  Every step keeps g and a bounded numerator degree, so
+    the numerators are eventually periodic: when the numerator of step k
+    repeats that of step j, only (e - k) mod (k - j) steps remain, and a
+    large e runs about as many steps as the numerators take to repeat.
+    ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
+    raises ValueError below the top degree."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
     h, g = form.coeff.num, form.coeff.den
     field, n = form.field, form.nvars
     table = _pairing_table(g)
-    for _ in range(e):
-        h = sum_of_products(field, n, [
+
+    def pair(h):
+        return sum_of_products(field, n, [
             (h_a, table[a])
             for a, h_a in h.frobenius_decompose(1, table.__contains__).items()])
+
+    # the codes of each step's numerator -> the step.  Steps 0 and e - 1
+    # are not recorded: a repeat found there saves one step at most, and
+    # a small e then builds no key.
+    seen = {}
+    for k in range(e):
+        if 0 < k < e - 1:
+            first = seen.setdefault(frozenset((m, x.v) for m, x in h.terms.items()), k)
+            if first < k:
+                for _ in range((e - k) % (k - first)):
+                    h = pair(h)
+                break
+        h = pair(h)
     return TopForm(field, n, RationalFn(h, g))
 
 

@@ -169,9 +169,10 @@ def cmd_trace_matrix(args) -> int:
         f"den {t.tgt.den.to_string(chart_names)}",
         f"  matrix ({t.tgt.dim} x {t.src.dim}):",
     ]
-    zero, width = str(field.zero), t.src.dim
-    for row in t.rows:
-        cells = _filled(width, zero, {c: str(x) for c, x in row.items()})
+    cell = field._cell
+    zero, width = cell(0)[1], t.src.dim
+    for row in t.codes:
+        cells = _filled(width, zero, {c: cell(v)[1] for c, v in row.items()})
         lines.append("    [" + " ".join(cells) + "]")
     lines.append(f"  verdict: rank {verdict.rank}, surjective "
                  f"{verdict.surjective}, zero {verdict.zero}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from .cartier import trace_by_direct_rule, trace_rational_top
 from .field import FiniteField
 from .parsing import parse_poly
-from .poly import Poly
 from .projective import DivisorSpec, _chart_varnames, section_space, trace_matrix
 
 VARNAMES = ["x", "y", "z", "w"]
@@ -67,11 +66,12 @@ def build_report() -> dict:
         verdict = t.verdict
         # D = H has no hypersurface part, so src.den == tgt.den, and the
         # trace keeps that denominator: column b, read over the target
-        # basis, is the numerator of the direct-rule trace of form b.
+        # basis, holds the codes of the numerator of the direct-rule trace
+        # of form b.
         iterated_agrees = all(
-            Poly(field, t.src.n,
-                 {m: row[b] for m, row in zip(t.tgt.basis, t.rows) if b in row})
-            == trace_by_direct_rule(t.src.basis_form(b), e).coeff.num
+            {m: row[b] for m, row in zip(t.tgt.basis, t.codes) if b in row}
+            == {m: x.v for m, x in
+                trace_by_direct_rule(t.src.basis_form(b), e).coeff.num.terms.items()}
             for b in range(t.src.dim)
         )
         matrices[e] = t

@@ -9,12 +9,12 @@ and the Fermat cubic at e = 5 is a zero 1 x 5984.  One routine,
 with the field's code operations, and builds no Scalar.
 :func:`code_rank` and :func:`solve_codes` are its code-row entry points.
 
-The public :func:`rank` and :func:`solve` take dense rows (sequences of
-Scalars) or sparse ``{column: nonzero Scalar}`` rows, and read them into
-code rows first (:func:`code_rows`).  That boundary is where mixed fields
-are refused: codes carry no field, so an entry of another field raises
-ValueError there, as do dense rows of unequal length.  :func:`solve`
-gives its solution back as Scalars.
+Scalar rows, dense (sequences of Scalars) or sparse
+``{column: nonzero Scalar}``, are read into code rows by
+:func:`code_rows`.  That boundary is where mixed fields are refused:
+codes carry no field, so an entry of another field raises ValueError
+there, as do dense rows of unequal length.  :func:`solve` takes a dense
+Scalar system and gives its solution back as a dense list of Scalars.
 """
 
 from __future__ import annotations
@@ -124,51 +124,27 @@ def solve_codes(rows, rhs, field):
     return solution
 
 
-def _field_of(rows):
-    """The field of the first nonzero entry of the rows, or None."""
-    for row in rows:
-        for x in row.values() if isinstance(row, dict) else row:
-            if x:
-                return x.field
-    return None
-
-
-def rank(rows) -> int:
-    """Rank of the matrix of dense or sparse Scalar rows; the input is not
-    modified.  Entries from two fields raise ValueError."""
-    rows = list(rows)  # read twice: once for the field, once for the codes
-    field = _field_of(rows)
-    return 0 if field is None else len(_echelon(code_rows(rows, field), field))
-
-
 def solve(rows, rhs, field):
-    """One solution of A x = b over ``field``, or None when the system is
-    inconsistent; :func:`solve_codes` on the rows read as codes.
+    """One solution of A x = b over ``field`` as a dense list of Scalars,
+    or None when the system is inconsistent; :func:`solve_codes` on the
+    rows read as codes.
 
-    Dense rows take a dense ``rhs`` with one value per row and give a
-    dense list.  Sparse rows take a sparse ``{row: value}`` rhs, whose keys
-    must name rows, and give ``{column: nonzero value}``.  A dense system
-    with no rows carries no width, so ``solve([], [], field)`` can only
-    return ``[]``.  The values are Scalars of ``field``; any other field,
-    a rhs that does not fit the rows, a dense rhs with sparse rows, and
-    ragged dense rows raise ValueError.
+    A is dense rows of Scalars and b a dense sequence with one value per
+    row.  A system with no rows carries no width, so
+    ``solve([], [], field)`` can only return ``[]``.  Values of any other
+    field, ragged rows, a rhs of another length than the rows, and sparse
+    rows or a sparse rhs raise ValueError.
     """
+    if isinstance(rhs, dict) or any(isinstance(row, dict) for row in rows):
+        raise ValueError("solve needs dense rows and a dense right-hand side; "
+                         "the rows give the solution its width")
     codes = code_rows(rows, field)
-    dense = not isinstance(rhs, dict)
-    if dense:
-        if len(rhs) != len(codes):
-            raise ValueError(f"right-hand side of length {len(rhs)} for a "
-                             f"{len(codes)}-row matrix")
-        if any(isinstance(row, dict) for row in rows):
-            raise ValueError("a dense right-hand side needs dense rows, "
-                             "which give the solution its width")
-        rhs = dict(enumerate(rhs))
-    nonzero = code_rows([rhs], field)[0]
-    solution = solve_codes(codes, {i: nonzero.get(i, 0) for i in rhs}, field)
+    if len(rhs) != len(codes):
+        raise ValueError(f"right-hand side of length {len(rhs)} for a "
+                         f"{len(codes)}-row matrix")
+    solution = solve_codes(codes, code_rows([rhs], field)[0], field)
     if solution is None:
         return None
-    if not dense:
-        return {c: Scalar(field, v) for c, v in solution.items()}
     out = [field.zero] * (len(rows[0]) if rows else 0)
     for c, v in solution.items():
         out[c] = Scalar(field, v)

@@ -244,8 +244,12 @@ def parse_form(text: str, field, varnames) -> DiffForm:
 def parse_divisor(text: str, field, varnames) -> DivisorSpec:
     """Parse "poly:mult[,poly:mult...][,H:k]" into a DivisorSpec on P^n,
     n + 1 being the number of declared variables.  Empty text (or "0") is
-    the zero divisor."""
+    the zero divisor.  A variable named H is refused, since "H:1" and
+    "H^1:1" would then be two divisors that both print as 1*H."""
     _check_varnames(field, varnames)
+    if "H" in varnames:
+        raise ParseError("'H' names the hyperplane class in a divisor; "
+                         "declare the variables under other names")
     n = len(varnames) - 1
     hypersurfaces = []
     k = 0

@@ -12,9 +12,9 @@ trace in the target basis.  Its form is sparse rows of int codes, one
 ``{column: nonzero code}`` dict per target basis monomial in ``codes``,
 because on P^n most cells are zero; column b is read as ``row.get(b)``
 over the rows.  The codes go from the trace to the rank
-(:func:`frobtrace.linalg.code_rank`) and the JSON cells (the field's cell
-table) with no Scalar per entry; ``rows``, the Scalar view, is built
-only when read.
+(:func:`frobtrace.linalg.code_rank`) and to the printed and JSON cells
+(the field's cell table) with no Scalar per entry; they are the only
+matrix a map has.
 Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
 row, so its matrix is a twisted product of level matrices, taken from
 the target end (:func:`trace_matrix`).  E^{p-1} is the only power of E
@@ -41,7 +41,6 @@ from operator import add as _plus
 
 from . import linalg
 from .cartier import _pairing_table
-from .field import Scalar
 from .forms import TopForm
 from .poly import (Poly, RationalFn, default_varnames, monomial_count, monomial_rank,
                    monomial_string, monomial_strings_upto, monomials_upto)
@@ -228,15 +227,14 @@ class SemilinearMap:
     Column b holds the target coordinates of the trace of source basis
     element b; on a coordinate vector the map is matrix . phi^{-e}(vector).
     ``codes`` is the matrix: one sparse ``{column: nonzero code}`` dict per
-    target basis element, over the int codes of the field.  ``rows`` is
-    the same matrix with Scalar entries, built on first read.  The
+    target basis element, over the int codes of the field.  The
     constructor takes dense or sparse Scalar rows, keeps their nonzeros as
     codes, and refuses an entry from another field with ValueError.
     A map is a value: its matrix is not mutated after construction, so the
     :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
 
-    __slots__ = ("src", "tgt", "e", "codes", "verdict", "_rows")
+    __slots__ = ("src", "tgt", "e", "codes", "verdict")
 
     def __init__(self, src, tgt, e, rows):
         self._set(src, tgt, e, linalg.code_rows(rows, src.field))
@@ -254,22 +252,12 @@ class SemilinearMap:
         self.tgt = tgt
         self.e = e
         self.codes = codes
-        self._rows = None
         r = linalg.code_rank(codes, src.field)
         self.verdict = MapVerdict(rank=r, surjective=r == tgt.dim, zero=r == 0)
 
     @property
     def field(self):
         return self.src.field
-
-    @property
-    def rows(self) -> list:
-        """The matrix as sparse ``{column: nonzero Scalar}`` rows."""
-        if self._rows is None:
-            field = self.field
-            self._rows = [{c: Scalar(field, v) for c, v in row.items()}
-                          for row in self.codes]
-        return self._rows
 
     def to_json(self, varnames=None) -> dict:
         """The map as a JSON-ready dict; each matrix cell is a coefficient
@@ -334,8 +322,10 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     :func:`frobtrace.poly.monomial_count` prefix of them.  Each later
     factor is read only at the rows the partial product reached
     (:func:`_next_level`), and a zero partial product ends the work.
-    Every entry is an int code, written straight into the rows; each
-    source column is placed once, by :func:`frobtrace.poly.monomial_rank`.
+    Every entry is an int code, written straight into rows keyed by
+    source monomial at every level; each source column the product
+    reaches is placed once, at the end, by
+    :func:`frobtrace.poly.monomial_rank`.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
@@ -362,20 +352,18 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         terms = [(t, x.v) for t, x in g.terms.items()]
         for s, ps in shifts[:monomial_count(src.n, d)]:
             mono = tuple(map(_plus, c, ps))
-            column = monomial_rank(mono) if e == 1 else mono
             for t, v in terms:
                 row = row_of.get(tuple(map(_plus, t, s)))
                 if row is None:
                     raise _containment(mono, sum(t) + sum(s), tgt.bound)
-                row[column] = v
-    if e > 1 and any(rows):
-        for j in range(1, e):
-            rows = _next_level(rows, table, field, j, bound(j), bound(j + 1))
-            if not any(rows):
-                break
-        rank = {m: monomial_rank(m) for row in rows for m in row}
-        rows = [{rank[m]: v for m, v in row.items()} for row in rows]
-    return SemilinearMap._wrap(src, tgt, e, rows)
+                row[mono] = v
+    for j in range(1, e):
+        if not any(rows):
+            break
+        rows = _next_level(rows, table, field, j, bound(j), bound(j + 1))
+    rank = {m: monomial_rank(m) for m in set().union(*rows)}
+    return SemilinearMap._wrap(src, tgt, e, [{rank[m]: v for m, v in row.items()}
+                                             for row in rows])
 
 
 def _next_level(rows, table, field, j, bound, next_bound) -> list:

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from frobtrace import cartier
+from frobtrace.cartier import trace_by_direct_rule
+from frobtrace.checks import FIELDS, random_top_form
 from frobtrace import (
     DiffForm,
     FiniteField,
@@ -196,6 +199,44 @@ def test_trace_at_a_large_exponent_forms_no_high_power(monkeypatch):
     monkeypatch.setattr(Poly, "__pow__", counting_power)
     assert trace_rational_top(form, 60) == form
     assert powers == [2]
+
+
+def test_trace_stops_at_a_repeated_numerator(monkeypatch):
+    """The numerators of the pairing steps are eventually periodic, so
+    e = 10^9 takes a few steps: over F_2 a form whose trace is zero, over
+    F_3 a fixed point and a cycle of period 2, where both parities of e
+    land on the right member of the cycle."""
+    fixed = parse_form("(1/(x^3+y^3+x*y+1)) dx^dy", F3, ["x", "y"])
+    cycle = parse_form("((2*x^5+1)/(x^2+1)) dx", F3, ["x"])
+    odd, even = (parse_form(f"(({h})/(x^2+1)) dx", F3, ["x"]) for h in ("2*x+2", "2*x+1"))
+    assert [by_definition(cycle, e) for e in (1, 2, 3)] == [odd, even, odd]
+    cases = [(parse_form("(x/(x+y+1)) dx^dy", F2, ["x", "y"]), 10 ** 9,
+              TopForm(F2, 2, RationalFn(Poly.zero(F2, 2)))),
+             (fixed, 10 ** 9, fixed), (cycle, 10 ** 9, even), (cycle, 10 ** 9 + 1, odd)]
+    steps = []
+    pair = cartier.sum_of_products
+    monkeypatch.setattr(cartier, "sum_of_products",
+                        lambda *args: steps.append(1) or pair(*args))
+    for form, e, expected in cases:
+        steps.clear()
+        assert trace_rational_top(form, e) == expected, (form, e)
+        assert len(steps) <= 4, (form, e, len(steps))
+
+
+def test_trace_of_a_periodic_form_matches_the_direct_rule():
+    """Seeded one-variable forms over every suite field whose numerators
+    still change after five steps (most of them over F_{p^s}, where the
+    twist on the coefficients cycles) agree with the direct rule for
+    e = 1..6, across the repeat the trace stops at."""
+    rng = random.Random(0)
+    periodic = 0
+    for _ in range(300):
+        form = random_top_form(rng.choice(FIELDS), 1, rng)
+        traces = [trace_rational_top(form, e) for e in range(1, 7)]
+        if traces[4] != traces[5]:
+            periodic += 1
+            assert traces == [trace_by_direct_rule(form, e) for e in range(1, 7)], form
+    assert periodic >= 20
 
 
 def test_trace_of_critical_monomial():

@@ -108,6 +108,15 @@ def test_trace_reads_generator_coefficients(capsys):
     assert code == 0 and out.strip() == "Tr^1 = (1) dg"
 
 
+def test_hyperplane_name_is_refused_as_variable_in_divisor_commands(capsys):
+    for cmd in (["sections", "H:1"], ["sections", "H^1:1"],
+                ["trace-matrix", "--E", "y:1", "--D", "H:1", "--e", "1"]):
+        code, out, err = run(["--char", "2", "--vars", "H,y,z", *cmd], capsys)
+        assert code == 2 and out == "" and "'H' names the hyperplane class" in err, cmd
+    code, out, _ = run(["--char", "2", "--vars", "H,y", "trace", "(H*y) dH^dy"], capsys)
+    assert code == 0 and out.strip() == "Tr^1 = (1) dH^dy"
+
+
 def test_trace_matrix_fermat(capsys):
     code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "trace-matrix",
                         "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1", "--e", "1"], capsys)
@@ -401,16 +410,22 @@ def test_trace_matrix_builds_only_the_format_it_prints(capsys, monkeypatch):
 
 
 def test_trace_matrix_table_stringifies_only_nonzeros(capsys, monkeypatch):
-    """The table of the 171 x 1711 F_3 matrix is printed from the sparse
-    rows: one shared zero string, and str() only on the nonzero cells."""
+    """The table of the 171 x 1711 F_3 matrix is printed from the code
+    rows through the field's cell table: one shared zero string, a table
+    read only for the nonzero cells, and no Scalar built per cell or per
+    nonzero."""
     cmd = ["--char", "3", "--vars", "x,y,z", "trace-matrix", "--D", "H:20", "--e", "1"]
     f3 = FiniteField(3)
     t = trace_matrix(DivisorSpec(f3, 2), DivisorSpec(f3, 2, k=20), 1)
     assert (t.tgt.dim, t.src.dim) == (171, 1711)
-    nonzeros = sum(len(row) for row in t.rows)
-    calls = []
-    to_str = Scalar.__str__
-    monkeypatch.setattr(Scalar, "__str__", lambda self: calls.append(self) or to_str(self))
+    nonzeros = sum(len(row) for row in t.codes)
+    built, read = [], []
+    init, cell = Scalar.__init__, FiniteField._cell
+    monkeypatch.setattr(Scalar, "__init__",
+                        lambda self, field, v: built.append(v) or init(self, field, v))
+    monkeypatch.setattr(FiniteField, "_cell",
+                        lambda self, code: read.append(code) or cell(self, code))
     code, out, _ = run(cmd, capsys)
     assert code == 0 and "matrix (171 x 1711)" in out
-    assert nonzeros <= len(calls) <= nonzeros + 5
+    assert nonzeros == 171 and len(built) <= 5
+    assert nonzeros <= len(read) <= nonzeros + 5

@@ -1,14 +1,16 @@
 """Elimination against brute force: rank by the size of a row or column
 span, solvability by membership of the right-hand side in the column
 span.  Every matrix goes in both as dense rows and as sparse
-``{column: nonzero}`` rows."""
+``{column: nonzero}`` rows: ranks are taken by ``code_rank`` on the rows
+read by ``code_rows``, dense systems are solved by ``solve`` and sparse
+ones by ``solve_codes``."""
 
 import random
 
 import pytest
 
-from frobtrace import FiniteField
-from frobtrace.linalg import rank, solve
+from frobtrace import FiniteField, Scalar
+from frobtrace.linalg import code_rank, code_rows, solve, solve_codes
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -16,6 +18,18 @@ F4 = FiniteField(2, 2, [1, 1, 1])
 F9 = FiniteField(3, 2, [1, 0, 1])
 FIELDS = [F2, F3, F4, F9]
 SHAPES = [(1, 1), (2, 2), (3, 3), (2, 5), (5, 2), (4, 3), (3, 4), (1, 6), (6, 1)]
+
+
+def rank_of(rows, field):
+    """Rank of dense or sparse Scalar rows, read as code rows."""
+    return code_rank(code_rows(rows, field), field)
+
+
+def solve_sparse(rows, rhs, field):
+    """solve_codes on sparse Scalar rows and a sparse ``{row: value}`` rhs;
+    the solution is read back as ``{column: nonzero Scalar}``."""
+    x = solve_codes(code_rows(rows, field), code_rows([rhs], field)[0], field)
+    return None if x is None else {c: Scalar(field, v) for c, v in x.items()}
 
 
 def columns_of(rows, ncols):
@@ -89,7 +103,7 @@ def dot(row, x, field):
 def check_rank(rows, nrows, ncols, field):
     original = [list(r) for r in rows]
     expected = log_q(len(span(columns_of(rows, ncols), field, nrows)), field.q)
-    assert rank(rows) == expected
+    assert rank_of(rows, field) == expected
     assert rows == original
 
 
@@ -142,9 +156,9 @@ def test_sparse_system_input(seed):
         rhs = [sparse_rhs.get(r, field.zero) for r in range(nrows)]
         check_rank(dense, nrows, ncols, field)
         check_solve(dense, rhs, nrows, ncols, field)
-        assert rank(rows) == rank(dense)
+        assert rank_of(rows, field) == rank_of(dense, field)
         x = solve(dense, rhs, field)
-        sparse_x = solve(rows, sparse_rhs, field)
+        sparse_x = solve_sparse(rows, sparse_rhs, field)
         assert (sparse_x is None) == (x is None)
         if x is not None:
             assert dense_of(sparse_x, ncols, field) == x
@@ -155,18 +169,18 @@ def test_degenerate_shapes(field):
     one = field.one
     for nrows, ncols in SHAPES:
         zero = [[field.zero] * ncols for _ in range(nrows)]
-        assert rank(zero) == 0
+        assert rank_of(zero, field) == 0
         assert solve(zero, [field.zero] * nrows, field) == [field.zero] * ncols
         assert solve(zero, [one] + [field.zero] * (nrows - 1), field) is None
-    assert rank([]) == 0
+    assert rank_of([], field) == 0
     assert solve([], [], field) == []
     no_columns = [[], [], []]
-    assert rank(no_columns) == 0
+    assert rank_of(no_columns, field) == 0
     assert solve(no_columns, [field.zero] * 3, field) == []
     assert solve(no_columns, [field.zero, one, field.zero], field) is None
-    assert rank([{}, {}]) == 0
-    assert solve([{}, {}], {}, field) == {}
-    assert solve([{}, {}], {1: one}, field) is None
+    assert rank_of([{}, {}], field) == 0
+    assert solve_sparse([{}, {}], {}, field) == {}
+    assert solve_sparse([{}, {}], {1: one}, field) is None
 
 
 def kernel_matrices(field, rng):
@@ -200,13 +214,13 @@ def test_kernel_against_brute_force(seed):
             sparse = sparse_of(rows)
             original, sparse_original = [list(r) for r in rows], [dict(r) for r in sparse]
             expected = log_q(len(span(rows, field, ncols)), field.q)
-            assert rank(rows) == rank(sparse) == expected
+            assert rank_of(rows, field) == rank_of(sparse, field) == expected
             columns = columns_of(rows, ncols)
             x0 = [rng.choice(elements) for _ in range(ncols)]
             for rhs in ([dot(row, x0, field) for row in rows],
                         [rng.choice(elements) for _ in range(nrows)]):
                 x = solve(rows, rhs, field)
-                sparse_x = solve(sparse, {r: b for r, b in enumerate(rhs) if b}, field)
+                sparse_x = solve_sparse(sparse, {r: b for r, b in enumerate(rhs) if b}, field)
                 if flat(rhs) not in span(columns, field, nrows):
                     assert x is None and sparse_x is None
                     continue
@@ -229,31 +243,34 @@ def test_solve_refuses_a_rhs_that_does_not_fit():
         solve([[one]], [], F2)
     for key in (1, 5, -1):
         with pytest.raises(ValueError, match=f"names row {key} of a 1-row"):
-            solve([{0: one}], {key: one}, F2)
+            solve_codes([{0: 1}], {key: 1}, F2)
     with pytest.raises(ValueError, match="names row 2"):
-        solve([{0: one}, {}], {0: one, 2: zero}, F2)
+        solve_codes([{0: 1}, {}], {0: 1, 2: 0}, F2)
     with pytest.raises(ValueError, match="unequal length"):
         solve([[one, one], [one]], [one, one], F2)
     with pytest.raises(ValueError, match="needs dense rows"):
         solve([{3: one}], [one], F2)
+    with pytest.raises(ValueError, match="dense right-hand side"):
+        solve([[one]], {0: one}, F2)
     with pytest.raises(ValueError, match="unequal length"):
-        rank([[one], [one, one]])
-    assert solve([{0: one}, {}], {0: one, 1: zero}, F2) == {0: one}
+        rank_of([[one], [one, one]], F2)
+    assert solve_codes([{0: 1}, {}], {0: 1, 1: 0}, F2) == {0: 1}
+    assert solve([[one], [zero]], [one, zero], F2) == [one]
 
 
 def test_rows_mixing_two_fields_are_refused():
     with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
-        rank([[F2.one], [F3.one]])
+        rank_of([[F2.one], [F3.one]], F2)
     with pytest.raises(ValueError):
-        rank([{0: F4.one}, {1: F9.one}])
+        rank_of([{0: F4.one}, {1: F9.one}], F4)
     with pytest.raises(ValueError):
         solve([[F2.one], [F3.one]], [F2.one, F2.one], F2)
     with pytest.raises(ValueError):
         solve([[F3.one]], [F3.one], F2)
     with pytest.raises(ValueError):
-        solve([{0: F2.one}], {0: F3.one}, F2)
+        solve([[F2.one]], [F3.one], F2)
     # a zero entry of another field carries no code, so it mixes nothing
-    assert rank([[F2.one, F3.zero]]) == 1
+    assert rank_of([[F2.one, F3.zero]], F2) == 1
 
 
 def random_sparse_rows(field, nrows, ncols, rng):
@@ -282,7 +299,7 @@ def times(rows, x, field):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_sparse_rank_and_solve_properties(seed):
-    """On sparse matrices up to 12 x 140: rank(A) = rank(A^T), and solve
+    """On sparse matrices up to 12 x 140: rank(A) = rank(A^T), and solve_codes
     finds an x with A x = b whenever b = A x0."""
     rng = random.Random(seed)
     for field in (F2, F3, F4, F9, F25):
@@ -292,10 +309,10 @@ def test_sparse_rank_and_solve_properties(seed):
             rows = random_sparse_rows(field, nrows, ncols, rng)
             transposed = [{i: row[c] for i, row in enumerate(rows) if c in row}
                           for c in range(ncols)]
-            r = rank(rows)
-            assert r == rank(transposed) == rank(iter(rows)) <= min(nrows, ncols)
+            r = rank_of(rows, field)
+            assert r == rank_of(transposed, field) == rank_of(iter(rows), field) <= min(nrows, ncols)
             x0 = {c: v for c in range(ncols) if (v := rng.choice(elements))}
             b = times(rows, x0, field)
-            x = solve(rows, b, field)
+            x = solve_sparse(rows, b, field)
             assert x is not None and all(x.values())
             assert times(rows, x, field) == b

@@ -214,3 +214,13 @@ def test_generator_name_is_refused_as_variable_over_extension_fields():
         parse_divisor("H:1", F9, ["x", "y", "g"])  # no polynomial to read
     with pytest.raises(ParseError, match="generator of F_4"):
         parse_form("(x) dx", F4, ["x", "g"])
+
+
+def test_hyperplane_name_is_refused_as_variable_in_divisors():
+    # with a variable H, "H:1" and "H^1:1" would both print as 1*H
+    for text in ("H:1", "H^1:1", "x:1", "0"):
+        with pytest.raises(ParseError, match="'H' names the hyperplane class"):
+            parse_divisor(text, F3, ["H", "y", "z"])
+    # polynomials and forms still read H as a variable
+    assert parse_poly("H^2", F3, ["H", "y"]) == Poly.monomial(F3, (2, 0))
+    assert parse_divisor("H:1", F3, ["x", "y", "z"]).k == 1

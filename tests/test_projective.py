@@ -27,7 +27,10 @@ from frobtrace import (
     trace_matrix,
     trace_rational_top,
 )
+from frobtrace.checks import FIELDS
 from frobtrace.cli import main
+from frobtrace.fsplit import fedder_hypersurface
+from frobtrace.poly import monomials_upto
 from test_cartier import trace_by_definition, trace_from_buckets
 
 F2 = FiniteField(2)
@@ -37,15 +40,21 @@ XYZ = ["x", "y", "z"]
 
 
 def dense(t):
-    """The dense matrix of a trace map, rows of Scalars, from its sparse rows."""
-    zero = t.field.zero
-    return [[row.get(b, zero) for b in range(t.src.dim)] for row in t.rows]
+    """The dense matrix of a trace map, rows of Scalars, read from its code rows."""
+    field = t.field
+    return [[Scalar(field, row.get(b, 0)) for b in range(t.src.dim)] for row in t.codes]
+
+
+def sparse(t):
+    """The sparse matrix of a trace map, ``{column: nonzero Scalar}`` rows."""
+    field = t.field
+    return [{c: Scalar(field, v) for c, v in row.items()} for row in t.codes]
 
 
 def column(t, b):
     """Column b of a trace map, read over the target basis, as a polynomial."""
-    return Poly(t.field, t.src.n,
-                {m: row[b] for m, row in zip(t.tgt.basis, t.rows) if b in row})
+    return Poly(t.field, t.src.n, {m: Scalar(t.field, row[b])
+                                   for m, row in zip(t.tgt.basis, t.codes) if b in row})
 
 
 def fermat_divisor(field=F2):
@@ -167,7 +176,7 @@ def test_zero_target_gives_empty_vacuously_surjective_matrix():
     D = DivisorSpec(F2, 2, k=1)  # target bound 1 - 3 < 0
     t = trace_matrix(E, D, 2)
     assert t.tgt.dim == 0
-    assert t.rows == []
+    assert t.codes == []
     verdict = map_verdict(t)
     assert verdict.surjective and verdict.zero and verdict.rank == 0
 
@@ -191,11 +200,11 @@ def test_sparse_and_dense_rows_give_the_same_map():
     shapes = [(t.tgt.dim, t.src.dim) for t, _ in maps]
     assert shapes[2:] == [(0, 3), (1, 0)]  # empty target, empty source
     for t, names in maps:
-        sparse = SemilinearMap(t.src, t.tgt, t.e, [dict(row) for row in t.rows])
+        from_sparse = SemilinearMap(t.src, t.tgt, t.e, sparse(t))
         from_dense = SemilinearMap(t.src, t.tgt, t.e, dense(t))
-        assert sparse.verdict == from_dense.verdict == t.verdict
-        assert sparse.rows == from_dense.rows == t.rows
-        assert json.dumps(sparse.to_json(names)) == json.dumps(from_dense.to_json(names))
+        assert from_sparse.verdict == from_dense.verdict == t.verdict
+        assert from_sparse.codes == from_dense.codes == t.codes
+        assert json.dumps(from_sparse.to_json(names)) == json.dumps(from_dense.to_json(names))
 
 
 def test_trace_and_json_do_no_work_per_zero_cell(monkeypatch):
@@ -268,7 +277,11 @@ def test_trace_matrix_builds_scalars_per_term_not_per_nonzero(monkeypatch):
 
 def test_mixed_field_rows_are_refused():
     t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
-    mixed = [dict(row) for row in t.rows]
+    mixed = dense(t)
+    mixed[0][1] = F3.one
+    with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
+        SemilinearMap(t.src, t.tgt, t.e, mixed)
+    mixed = sparse(t)
     mixed[0][1] = F3.one
     with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
         SemilinearMap(t.src, t.tgt, t.e, mixed)
@@ -299,7 +312,8 @@ def test_containment_never_fires_on_grid():
         matrix = dense(t)
         assert len(matrix) == t.tgt.dim
         assert (t.verdict.zero, t.verdict.rank) == (
-            all(not x for row in matrix for x in row), linalg.rank(matrix))
+            all(not x for row in matrix for x in row),
+            linalg.code_rank(linalg.code_rows(matrix, t.field), t.field))
 
 
 def twisted_product(outer, inner):
@@ -344,6 +358,37 @@ def test_chart_independence_of_verdicts():
     verdicts = [map_verdict(trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1, chart=c))
                 for c in range(3)]
     assert all(v == verdicts[0] for v in verdicts)
+
+
+def test_rank_one_exactly_when_fedder_splits_on_every_chart():
+    """E = V(f) of degree d <= n + 1 and D = (n + 1 - d)H give the target
+    omega(E + D) = O, of dimension 1: the exponent-1 matrix has rank 1
+    exactly when Fedder's criterion splits f, and the rank is the same on
+    every chart that f does not lie in the complement of."""
+    rng = random.Random(19)
+    cases = split = 0
+    for field in (*FIELDS, FiniteField(7), FiniteField(5, 2, parse_modulus("t^2+2", 5))):
+        elements = [x for x in field.elements() if x]
+        for n in (1, 2, 3):
+            for _ in range(10):
+                d = rng.randint(1, n + 1)
+                monos = [m + (d - sum(m),) for m in monomials_upto(n, d)]
+                support = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+                f = Poly(field, n + 1, {m: rng.choice(elements) for m in support})
+                E, D = DivisorSpec(field, n, [(f, 1)]), DivisorSpec(field, n, k=n + 1 - d)
+                ranks = set()
+                for chart in range(n + 1):
+                    try:
+                        t = trace_matrix(E, D, 1, chart)
+                    except ChartError:
+                        continue
+                    assert t.tgt.dim == 1
+                    ranks.add(t.verdict.rank)
+                expected = int(fedder_hypersurface(f).split)
+                assert ranks == {expected}, (field, f.to_string())
+                cases += 1
+                split += expected
+    assert (cases, split) == (240, 175)
 
 
 def test_apply_matches_traced_forms():
@@ -423,7 +468,7 @@ def test_bucket_loop_matches_column_loop():
         E, D = extension_cubic_and_conic(field)
         for e in (1, 2, 3):
             t = trace_matrix(E, D, e)
-            assert t.rows == direct_trace_matrix(E, D, e).rows, (field, e)
+            assert t.codes == direct_trace_matrix(E, D, e).codes, (field, e)
             assert not t.verdict.zero
 
 
@@ -495,7 +540,7 @@ def test_level_product_matches_direct_rule_on_random_divisors():
             continue
         E, D = DivisorSpec(F2, 2, [(f, 1)]), DivisorSpec(F2, 2, k=-1)
         t = trace_matrix(E, D, 3)
-        assert t.rows == direct_trace_matrix(E, D, 3).rows, f
+        assert t.codes == direct_trace_matrix(E, D, 3).codes, f
         nonzero += not t.verdict.zero
     assert nonzero >= 2
 
@@ -527,7 +572,7 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
         monkeypatch.setattr(module, "monomials_upto", recording_upto)
     t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 8)
     assert (t.tgt.dim, t.src.dim) == (1, 2829056) and t.src.bound == 255
-    assert t.verdict.zero and t.rows == [{}]
+    assert t.verdict.zero and t.codes == [{}]
     [(decomposed, e, buckets)] = decompositions
     assert decomposed == projective._chart_product(fermat_divisor(), 3) and e == 1
     assert len(buckets) == 4 and levels == []
