@@ -23,7 +23,7 @@ from .field import FiniteField
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import monomial_string
-from .projective import (ChartError, ContainmentError, _chart_varnames, _filled,
+from .projective import (ChartError, ContainmentError, _cell_rows, _chart_varnames,
                          section_space, trace_matrix)
 
 JSON_VERSION = "1"
@@ -169,11 +169,7 @@ def cmd_trace_matrix(args) -> int:
         f"den {t.tgt.den.to_string(chart_names)}",
         f"  matrix ({t.tgt.dim} x {t.src.dim}):",
     ]
-    cell = field._cell
-    zero, width = cell(0)[1], t.src.dim
-    for row in t.codes:
-        cells = _filled(width, zero, {c: cell(v)[1] for c, v in row.items()})
-        lines.append("    [" + " ".join(cells) + "]")
+    lines.extend("    [" + " ".join(cells) + "]" for cells in _cell_rows(t, 1))
     lines.append(f"  verdict: rank {verdict.rank}, surjective "
                  f"{verdict.surjective}, zero {verdict.zero}")
     print("\n".join(lines))

@@ -17,7 +17,9 @@ over the rows.  The codes go from the trace to the rank
 matrix a map has.
 Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
 row, so its matrix is a twisted product of level matrices, taken from
-the target end (:func:`trace_matrix`).  E^{p-1} is the only power of E
+the target end (:func:`trace_matrix`): it starts from the identity on
+the target basis, and one reader (:func:`_next_level`) multiplies in
+every level, the first included.  E^{p-1} is the only power of E
 formed, and it is decomposed once for every level.  The cost grows with
 e and the nonzero entries, not with p^e or the source dimension.
 A space's dimension is a binomial coefficient, and its basis, the list of
@@ -37,7 +39,7 @@ construction; :func:`map_verdict` returns it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _plus
+from operator import add as _plus, le as _le
 
 from . import linalg
 from .cartier import _pairing_table
@@ -229,7 +231,8 @@ class SemilinearMap:
     ``codes`` is the matrix: one sparse ``{column: nonzero code}`` dict per
     target basis element, over the int codes of the field.  The
     constructor takes dense or sparse Scalar rows, keeps their nonzeros as
-    codes, and refuses an entry from another field with ValueError.
+    codes, and refuses with ValueError an entry from another field and a
+    matrix whose shape is not ``tgt.dim`` x ``src.dim``.
     A map is a value: its matrix is not mutated after construction, so the
     :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
@@ -237,6 +240,11 @@ class SemilinearMap:
     __slots__ = ("src", "tgt", "e", "codes", "verdict")
 
     def __init__(self, src, tgt, e, rows):
+        rows, columns = list(rows), range(src.dim)
+        if len(rows) != tgt.dim or not all(
+                all(c in columns for c in row) if isinstance(row, dict) else len(row) == src.dim
+                for row in rows):
+            raise ValueError(f"matrix is not {tgt.dim} x {src.dim}, the shape of the map")
         self._set(src, tgt, e, linalg.code_rows(rows, src.field))
 
     @classmethod
@@ -261,10 +269,8 @@ class SemilinearMap:
 
     def to_json(self, varnames=None) -> dict:
         """The map as a JSON-ready dict; each matrix cell is a coefficient
-        vector read from the field's cell table (the zero cell is shared)."""
+        vector (:func:`_cell_rows` with entry 0)."""
         verdict = self.verdict
-        cell = self.field._cell
-        zero, width = cell(0)[0], self.src.dim
         return {
             "p": self.field.p,
             "s": self.field.s,
@@ -272,8 +278,7 @@ class SemilinearMap:
             "chart": self.src.chart,
             "src": self.src.to_json(varnames),
             "tgt": self.tgt.to_json(varnames),
-            "matrix": [_filled(width, zero, {c: cell(v)[0] for c, v in row.items()})
-                       for row in self.codes],
+            "matrix": _cell_rows(self, 0),
             "verdict": {
                 "rank": verdict.rank,
                 "surjective": verdict.surjective,
@@ -282,12 +287,19 @@ class SemilinearMap:
         }
 
 
-def _filled(width, fill, entries) -> list:
-    """A list of ``width`` cells: ``entries[c]`` at column c, ``fill`` elsewhere."""
-    cells = [fill] * width
-    for c, x in entries.items():
-        cells[c] = x
-    return cells
+def _cell_rows(t: SemilinearMap, k: int) -> list:
+    """The rows of ``t`` as lists of ``t.src.dim`` cells: entry ``k`` of the
+    field's cell table (0 the coefficient vector, 1 the string) for each
+    nonzero, and the shared entry of code 0 everywhere else."""
+    cell = t.field._cell
+    zero, width = cell(0)[k], t.src.dim
+    out = []
+    for row in t.codes:
+        cells = [zero] * width
+        for c, v in row.items():
+            cells[c] = cell(v)[k]
+        out.append(cells)
+    return out
 
 
 def map_verdict(t: SemilinearMap) -> MapVerdict:
@@ -312,20 +324,15 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     power of E ever formed.
 
     The product runs from the target end, so every partial product has
-    one row per target basis element.  Every level is read from one
-    pairing table of E (:func:`frobtrace.cartier._pairing_table`), so
-    E^{p-1} is decomposed once.  A_1 is read bucket by bucket: the bucket
-    G_r at c = (p-1) - r traces x^{c + p s} to x^s G_r, and a numerator of
-    degree <= bound(1) reaches it only if |c| <= bound(1), with
-    |s| <= d = (bound(1) - |c|) // p.  The shifts s are listed once, in
-    graded-lex order up to the largest d, and each bucket reads a
-    :func:`frobtrace.poly.monomial_count` prefix of them.  Each later
-    factor is read only at the rows the partial product reached
-    (:func:`_next_level`), and a zero partial product ends the work.
-    Every entry is an int code, written straight into rows keyed by
-    source monomial at every level; each source column the product
-    reaches is placed once, at the end, by
-    :func:`frobtrace.poly.monomial_rank`.
+    one row per target basis element.  It starts from the identity I on
+    the target basis, and one reader, :func:`_next_level`, multiplies in
+    every level from j = 0 on, A_1 = I . A_1 included; each level is read
+    only at the rows the partial product reached, and a zero partial
+    product ends the work.  Every level is read from one pairing table of
+    E (:func:`frobtrace.cartier._pairing_table`), so E^{p-1} is
+    decomposed once.  Every entry is an int code, in rows keyed by
+    monomial at every level; each source column the product reaches is
+    placed once, at the end, by :func:`frobtrace.poly.monomial_rank`.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
@@ -342,22 +349,8 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         return tgt.bound + (p ** j - 1) * step
 
     table = _pairing_table(_chart_product(e_part, src.chart))
-    level1 = bound(1)
-    read = [(c, (level1 - sum(c)) // p, g) for c, g in table.items() if sum(c) <= level1]
-    shifts = [(s, tuple(p * x for x in s))
-              for s in monomials_upto(src.n, max((d for _, d, _ in read), default=-1))]
-    rows = [{} for _ in range(tgt.dim)]
-    row_of = dict(zip(tgt.basis, rows))
-    for c, d, g in read:
-        terms = [(t, x.v) for t, x in g.terms.items()]
-        for s, ps in shifts[:monomial_count(src.n, d)]:
-            mono = tuple(map(_plus, c, ps))
-            for t, v in terms:
-                row = row_of.get(tuple(map(_plus, t, s)))
-                if row is None:
-                    raise _containment(mono, sum(t) + sum(s), tgt.bound)
-                row[mono] = v
-    for j in range(1, e):
+    rows = [{s: 1} for s in tgt.basis]  # the identity; code 1 is the field's one
+    for j in range(e):
         if not any(rows):
             break
         rows = _next_level(rows, table, field, j, bound(j), bound(j + 1))
@@ -368,20 +361,24 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
 
 def _next_level(rows, table, field, j, bound, next_bound) -> list:
     """rows . phi^{-j}(A_{j+1}) on int codes, for rows over the level-j
-    monomials; the result is over the level-(j+1) monomials.
+    monomials; the result is over the level-(j+1) monomials.  It serves
+    every level from j = 0, where the rows are the identity on the target
+    basis and k = 0 (no Frobenius twist).
 
     ``table`` is the pairing table of the chart product E, which maps
     c = (p-1) - r to bucket G_r of E^{p-1}.  L(x^m) = x^u G_r for
     m = c + p u, so x^s is in L(x^m) exactly when m = c + p (s - t) for a
-    term x^t of G_r, with coefficient G_r[t]: row s of A_{j+1} is read from
-    the buckets, once per s that some row reaches.  The top-degree term of
-    G_r gives the largest degree any level-(j+1) column reaches through
-    bucket r, so each bucket is checked against ``bound`` before any row
-    is read."""
+    term x^t of G_r with t <= s and |s - t| within the level-(j+1) reach
+    of c, with coefficient G_r[t]: row s of A_{j+1} is read from the
+    buckets, once per s that some row reaches.  The reads are grouped by
+    t, so t <= s is tested once per distinct term exponent.  The
+    top-degree term of G_r gives the largest degree any level-(j+1)
+    column reaches through bucket r, so each bucket is checked against
+    ``bound`` before any row is read."""
     p = field.p
     k = (-j) % field.s
     mul, add, frob = field._mul, field._add, field._frob
-    read = []  # (c - p t, |t|, |u| cap, code) per term x^t of a bucket some column reads
+    by_term = {}  # t -> (c - p t, |u| cap, code) per bucket with a term x^t that a column reads
     for c, g in table.items():
         left = next_bound - sum(c)  # p |u| <= left for a level-(j+1) column
         if left < 0:
@@ -389,20 +386,24 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
         top = max(sum(t) for t in g.terms)
         if left // p + top > bound:
             u = max(0, bound + 1 - top)
-            raise _containment((c[0] + p * u,) + c[1:], u + top, bound)
-        read.extend((tuple(x - p * y for x, y in zip(c, t)), sum(t), left // p,
-                     frob(a.v, k) if k else a.v) for t, a in g.terms.items())
+            mono = monomial_string((c[0] + p * u,) + c[1:])
+            raise ContainmentError(f"trace of basis element {mono} exceeds the target "
+                                   f"degree bound ({u + top} > {bound})")
+        for t, a in g.terms.items():
+            by_term.setdefault(t, []).append((tuple(x - p * y for x, y in zip(c, t)),
+                                              left // p, frob(a.v, k) if k else a.v))
+    read = [(t, sum(t), reads) for t, reads in by_term.items()]
     level_row = {}
 
     def row_at(s):
-        # m = c + p (s - t) has u = s - t >= 0 exactly when m >= 0, since 0 <= c < p
         ps, ds = tuple(p * x for x in s), sum(s)
         entries = level_row[s] = []
-        for base, dt, cap, v in read:
-            if ds - dt <= cap:
-                m = tuple(map(_plus, base, ps))
-                if min(m, default=0) >= 0:
-                    entries.append((m, v))
+        for t, dt, reads in read:
+            if dt <= ds and all(map(_le, t, s)):
+                du = ds - dt
+                for base, cap, v in reads:
+                    if du <= cap:
+                        entries.append((tuple(map(_plus, base, ps)), v))
         return entries
 
     out = []
@@ -417,8 +418,3 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
                 sums[m] = add(get(m, 0), mul(a, b))
         out.append({m: v for m, v in sums.items() if v})
     return out
-
-
-def _containment(mono, degree, bound) -> ContainmentError:
-    return ContainmentError(f"trace of basis element {monomial_string(mono)} exceeds the "
-                            f"target degree bound ({degree} > {bound})")

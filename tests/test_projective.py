@@ -289,6 +289,23 @@ def test_mixed_field_rows_are_refused():
         SemilinearMap(t.src, t.tgt, t.e, [[F3.one] * t.src.dim] * t.tgt.dim)
 
 
+def test_matrix_of_the_wrong_shape_is_refused():
+    space = section_space(DivisorSpec(F2, 2, k=3))  # dimension 1
+    one = F2.one
+    for rows in ([[one] * 3, [one] * 3], [], [{5: one}], [{-1: one}], [{1: F2.zero}],
+                 [{"0": one}], [[one, one]], [[]]):
+        with pytest.raises(ValueError, match=r"matrix is not 1 x 1, the shape of the map"):
+            SemilinearMap(space, space, 1, rows)
+    t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
+    assert (t.tgt.dim, t.src.dim) == (1, 10)
+    transposed = [[row[b] for row in dense(t)] for b in range(t.src.dim)]
+    for rows in (transposed, transposed[:1]):
+        with pytest.raises(ValueError, match="matrix is not 1 x 10"):
+            SemilinearMap(t.src, t.tgt, t.e, rows)
+    rebuilt = SemilinearMap(t.src, t.tgt, t.e, (row for row in sparse(t)))
+    assert rebuilt.codes == t.codes and rebuilt.verdict == t.verdict
+
+
 def test_containment_never_fires_on_grid():
     cases = []
     for p in (2, 3):
@@ -547,10 +564,12 @@ def test_level_product_matches_direct_rule_on_random_divisors():
 
 def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     """At e = 8 the source has 2 829 056 basis monomials, but A_1 = 0: E^{p-1}
-    = E is decomposed once, no later level is read, no higher power of E
-    is formed, and no basis of the source bound is listed."""
+    = E is decomposed once, level 1 is read once and gives only empty rows,
+    no later level is read, no higher power of E is formed, and no basis
+    of the source bound is listed."""
     decompositions, powers, listed, levels = [], [], [], []
     decompose, power, upto = Poly.frobenius_decompose, Poly.__pow__, projective.monomials_upto
+    next_level = projective._next_level
 
     def recording_decompose(self, e, keep=None):
         buckets = decompose(self, e, keep)
@@ -567,7 +586,12 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
 
     monkeypatch.setattr(Poly, "frobenius_decompose", recording_decompose)
     monkeypatch.setattr(Poly, "__pow__", recording_power)
-    monkeypatch.setattr(projective, "_next_level", lambda *args: levels.append(args))
+    def recording_next_level(rows, table, field, j, bound, next_bound):
+        out = next_level(rows, table, field, j, bound, next_bound)
+        levels.append((j, out))
+        return out
+
+    monkeypatch.setattr(projective, "_next_level", recording_next_level)
     for module in (projective, cartier):
         monkeypatch.setattr(module, "monomials_upto", recording_upto)
     t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 8)
@@ -575,7 +599,7 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     assert t.verdict.zero and t.codes == [{}]
     [(decomposed, e, buckets)] = decompositions
     assert decomposed == projective._chart_product(fermat_divisor(), 3) and e == 1
-    assert len(buckets) == 4 and levels == []
+    assert len(buckets) == 4 and levels == [(0, [{}])]
     assert max(powers) == 1  # p - 1, and the multiplicity of E in each chart product
     assert 255 not in listed
 
