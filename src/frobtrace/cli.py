@@ -6,7 +6,7 @@ a human-readable table or JSON (``--output json``); only the JSON layout
 is treated as a stable interface.
 
 Exit codes: 0 success, 1 property or verdict failure, 2 usage or parse
-error.
+error, or an input too large to compute (out of memory or recursion).
 """
 
 from __future__ import annotations
@@ -277,6 +277,10 @@ def main(argv=None) -> int:
     except ContainmentError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: {args.command}: the input is too large to compute "
+              f"({type(exc).__name__})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

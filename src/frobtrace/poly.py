@@ -9,10 +9,11 @@ A :class:`Poly` adds, subtracts and compares only with a Poly of its
 field and arity, and multiplies by such a Poly or by a Scalar of its
 field.  A :class:`RationalFn` combines only with a RationalFn.  Both are
 unhashable.  :func:`sum_of_products` is the one product loop: it sums
-int codes, and a Poly product is that loop on one pair.  A power needs a
-product only between its base-p digits: a p^k-th power is a Frobenius
-twist, which scales the exponents and maps each code, and multiplies
-nothing.
+int codes, and a Poly product is that loop on one pair.
+:meth:`Poly.__pow__` is the one power loop.  It needs a product only
+between its base-p digits: a p^k-th power is a Frobenius twist, which
+scales the exponents and maps each code, and multiplies nothing.  The
+digit powers come from one run of repeated multiplication by the base.
 
 Rational functions are kept unreduced; equality is decided by
 cross-multiplication, which is all the trace computations need.
@@ -243,32 +244,32 @@ class Poly:
     def __pow__(self, n: int):
         """self^n from the base-p digits of n: with n = sum d_k p^k,
         self^n = prod_k (self^{d_k})^{p^k}, and each p^k-th power is a
-        :meth:`_twist`, which multiplies nothing.  A pure p^k-th power
-        makes no product at all."""
+        :meth:`_twist`, which multiplies nothing.  The digit powers
+        self^d come from one run of repeated multiplication by self, up
+        to the largest digit, which on a sparse base costs less than
+        squaring; each digit that occurs is built once, however often it
+        repeats.  A pure p^k-th power makes no product at all."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
+        if not n:
+            return Poly.one(self.field, self.nvars)
         p = self.field.p
-        result = None
-        k = 0
+        digits = []
         while n:
             n, d = divmod(n, p)
-            if d:
-                piece = self._small_pow(d)._twist(k)
-                result = piece if result is None else result * piece
-            k += 1
-        return Poly.one(self.field, self.nvars) if result is None else result
-
-    def _small_pow(self, n: int) -> "Poly":
-        """self^n for n >= 1, by repeated squaring."""
+            digits.append(d)
+        powers = {1: self}
+        power = self
+        for d in range(2, max(digits) + 1):
+            power = power * self
+            if d in digits:
+                powers[d] = power
         result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        for k, d in enumerate(digits):
+            if d:
+                piece = powers[d]._twist(k)
+                result = piece if result is None else result * piece
+        return result
 
     def _twist(self, k: int) -> "Poly":
         """self^{p^k}.  The p^k-th power map is additive in characteristic

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from frobtrace import (DivisorSpec, FiniteField, Poly, RationalFn, Scalar, TopForm,
-                       checks, demo, parse_form, parse_poly, trace_matrix,
+                       checks, cli, demo, parse_form, parse_poly, trace_matrix,
                        trace_rational_top)
 from frobtrace.checks import run_suite
 from frobtrace.cli import main
@@ -233,7 +233,8 @@ def test_oracle_suite_catches_a_dropped_root_in_the_oracle(monkeypatch):
     monkeypatch.setattr(Scalar, "inverse_frobenius", lambda self, e=1: self)
     [report] = run_suite("oracle", 200, 42)
     assert report.failures and all(" n=" in line for line in report.failures)
-    assert any(line.startswith(("F_4 ", "F_8 ", "F_9 ")) for line in report.failures)
+    assert any(line.split(": ", 1)[1].startswith(("F_4 ", "F_8 ", "F_9 "))
+               for line in report.failures)
 
 
 def test_composition_suite_catches_a_trace_one_step_short(monkeypatch):
@@ -251,6 +252,35 @@ def test_check_deterministic_output(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+def test_check_failures_name_their_seed_and_index(capsys, monkeypatch):
+    # an oracle that returns nothing breaks the law in every case; each
+    # failure must carry what replays it: the seed and the check's index
+    monkeypatch.setattr(checks, "trace_by_decomposition", lambda f: None)
+    [report] = run_suite("oracle", 3, 7)
+    assert [line.split(": ", 1)[0] for line in report.failures] == [
+        "seed 7 check 0", "seed 7 check 1", "seed 7 check 2"]
+    code, out, _ = run(["check", "oracle", "--cases", "3", "--seed", "7"], capsys)
+    assert code == 1
+    assert "  first counterexample: seed 7 check 0: F_" in out
+
+
+@pytest.mark.parametrize("handler, exc, argv", [
+    ("cmd_trace_matrix", MemoryError, ["trace-matrix", "--D", "x^2:1000000000"]),
+    ("cmd_fedder", RecursionError, ["fedder", "x^3+y^3+z^3+w^3"]),
+])
+def test_exhausted_resources_end_in_one_error_line(capsys, monkeypatch, handler, exc,
+                                                   argv):
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, handler, exhausted)
+    code, out, err = run(["--char", "2", "--vars", "x,y,z,w", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

@@ -1,6 +1,8 @@
 """Tests for the splitting criterion and trace surjectivity on P^n."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -13,6 +15,11 @@ from frobtrace import (
     trace_matrix,
     verify_witness,
 )
+from frobtrace.checks import FIELDS, random_poly
+from frobtrace.field import Scalar
+from frobtrace.fsplit import _witness_coefficient
+from frobtrace.poly import Poly
+from test_poly import square_and_multiply
 
 XYZW = ["x", "y", "z", "w"]
 
@@ -63,11 +70,45 @@ def test_hyperplane_always_splits():
 def test_witness_is_independently_checkable():
     bad = (3, 0, 0, 0)  # exponent over p-1 for p=2
     assert not verify_witness(fermat(2), bad)
+    f = fermat(5)
+    assert verify_witness(f, (3, 3, 3, 3))
+    assert not verify_witness(f, (3, 3, 3))         # wrong arity
+    assert not verify_witness(f, (3, 3, 3, 3, 0))   # wrong arity
+    assert not verify_witness(f, (3, 3, 3, -1))     # negative exponent
+    assert not verify_witness(f, (5, 3, 2, 2))      # exponent >= p
+    assert not verify_witness(parse_poly("x^5", FiniteField(5), XYZW), (20, 0, 0, 0))
+    # over F_3, (x^2+x*y+y^2)^2 has x^2*y^2 with coefficient 2 + 1 = 0, and
+    # every other term of the square has an exponent of 3 or more
+    f = parse_poly("x^2+x*y+y^2", FiniteField(3), XYZW)
+    assert not verify_witness(f, (2, 2, 0, 0))
+    assert not fedder_hypersurface(f).split
+
+
+def test_witness_check_agrees_with_the_full_power():
+    """verify_witness reads one coefficient of f^{p-1} as a multinomial
+    sum; on every monomial with exponents in [0, p) it must accept exactly
+    those with a nonzero coefficient in f^{p-1}, built by squaring,
+    so that a witness whose coefficient cancels to zero is refused; the
+    sum itself, with Wilson's sign, must equal that coefficient."""
+    rng = random.Random(61)
+    accepted = refused = 0
+    for field in (*FIELDS, FiniteField(7)):
+        p = field.p
+        for _ in range(40):
+            nvars = rng.randint(1, 3)
+            f = random_poly(field, nvars, rng, max_terms=5, max_deg=3, nonzero=True)
+            power = square_and_multiply(f, p - 1)
+            for m in itertools.product(range(p), repeat=nvars):
+                ok = verify_witness(f, m)
+                assert ok == (m in power.terms), (field, f, m)
+                coeff = power.terms.get(m, field.zero)
+                assert Scalar(field, _witness_coefficient(f, m)) == coeff, (field, f, m)
+                accepted += ok
+                refused += not ok
+    assert accepted and refused
 
 
 def test_zero_polynomial_rejected():
-    from frobtrace import Poly
-
     with pytest.raises(ValueError):
         fedder_hypersurface(Poly.zero(FiniteField(2), 4))
 

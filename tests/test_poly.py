@@ -18,6 +18,7 @@ from frobtrace import (
     parse_poly,
     trace_matrix,
     trace_rational_top,
+    verify_witness,
 )
 from frobtrace import poly
 from frobtrace.poly import (grlex_key, monomial_count, monomial_rank, monomial_string,
@@ -100,10 +101,23 @@ def test_product_multiplies_codes_not_scalars(monkeypatch):
     assert any(not expected.is_zero() for _, _, expected in cases)
 
 
+def square_and_multiply(f, n):
+    """f^n by repeated squaring: an oracle for Poly.__pow__, which forms
+    its digit powers by repeated multiplication instead."""
+    result = Poly.one(f.field, f.nvars)
+    while n:
+        if n & 1:
+            result = result * f
+        n >>= 1
+        if n:
+            f = f * f
+    return result
+
+
 def test_power_matches_repeated_multiplication(monkeypatch):
     """Poly.__pow__ multiplies Frobenius twists of the powers of its base-p
-    digits; it must equal n-fold multiplication, and a pure p^k-th power,
-    a twist alone, makes no product."""
+    digits; it must equal n-fold multiplication and square-and-multiply,
+    and a pure p^k-th power, a twist alone, makes no product."""
     rng = random.Random(29)
     for field in (F2, F3, F5, F4, F9):
         p = field.p
@@ -118,7 +132,7 @@ def test_power_matches_repeated_multiplication(monkeypatch):
             power = Poly.one(field, nvars)
             for n in range(max(exponents) + 1):
                 if n in exponents:
-                    assert f ** n == power, (field, f, n)
+                    assert f ** n == power == square_and_multiply(f, n), (field, f, n)
                 power = power * f
     products = []
     product = poly.sum_of_products
@@ -137,6 +151,37 @@ def test_power_matches_repeated_multiplication(monkeypatch):
                                               (0, 2 * q): field.one, (0, 0): field.one})
     assert products == []
     assert (f ** 2).terms and products
+
+
+def test_power_builds_each_digit_power_once(monkeypatch):
+    """124 = 4 + 4*5 + 4*25: g^4 takes three products, and twisting it
+    twice takes two more to combine, where squaring g^4 anew for each
+    digit took eight."""
+    g = Poly(F5, 2, {(1, 0): F5.one, (0, 1): F5.scalar(2), (0, 0): F5.one})
+    expected = square_and_multiply(g, 124)
+    products = []
+    product = poly.sum_of_products
+
+    def counted(field, nvars, pairs):
+        products.append(1)
+        return product(field, nvars, pairs)
+
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    assert g ** 124 == expected
+    assert len(products) == 5
+
+
+def test_witness_check_forms_no_product(monkeypatch):
+    """verify_witness certifies a witness of f^{p-1} independently of the
+    power loop: it calls no Poly product and no Poly power."""
+    def refuse(*args):
+        raise AssertionError("the witness check formed a polynomial product")
+
+    f = P("x^3+y^3+z^3+w^3+x*y*z", FiniteField(7))
+    monkeypatch.setattr(poly, "sum_of_products", refuse)
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    assert verify_witness(f, (6, 6, 6, 0))
+    assert not verify_witness(f, (6, 6, 6, 6))
 
 
 def test_total_degree():
