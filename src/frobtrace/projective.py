@@ -22,6 +22,11 @@ the target basis, and one reader (:func:`_next_level`) multiplies in
 every level, the first included.  E^{p-1} is the only power of E
 formed, and it is decomposed once for every level.  The cost grows with
 e and the nonzero entries, not with p^e or the source dimension.
+E's chart product is formed once per call, and the pairing table and
+both denominators share it: the source's is E * D^{p^e}, where the
+p^e-th power is a Frobenius twist, the target's E * D, and both are E's
+product itself when D has no hypersurface.  A map's JSON prints each
+polynomial once.
 A space's dimension is a binomial coefficient, and its basis, the list of
 :func:`frobtrace.poly.monomials_upto`, is built only when read; a column
 is placed by :func:`frobtrace.poly.monomial_rank` without it.  A basis
@@ -113,15 +118,32 @@ class DivisorSpec:
                     break
             else:
                 merged.append([g, m * b])
-        return DivisorSpec(self.field, self.n,
-                           [(f, a) for f, a in merged],
-                           self.k + m * other.k)
+        k = self.k + m * other.k
+        if isinstance(m, int) and m >= 0:  # every multiplicity is a non-negative int
+            return DivisorSpec._wrap(self.field, self.n,
+                                     tuple((f, a) for f, a in merged if a), k)
+        return DivisorSpec(self.field, self.n, [(f, a) for f, a in merged], k)
+
+    @classmethod
+    def _wrap(cls, field, n, hypersurfaces, k):
+        """A divisor over ``hypersurfaces``, a tuple of validated
+        (f, positive int) pairs, and an int ``k``, unchecked."""
+        out = object.__new__(cls)
+        out.field = field
+        out.n = n
+        out.hypersurfaces = hypersurfaces
+        out.k = k
+        return out
 
     def to_json(self, varnames=None) -> dict:
+        return self._json(varnames, Poly.to_string)
+
+    def _json(self, varnames, string) -> dict:
+        """:meth:`to_json`, printing each polynomial as ``string(f, names)``."""
         return {
             "n": self.n,
             "hypersurfaces": [
-                {"poly": f.to_string(varnames), "mult": a}
+                {"poly": string(f, varnames), "mult": a}
                 for f, a in self.hypersurfaces
             ],
             "k": self.k,
@@ -176,13 +198,17 @@ class SectionSpace:
         return TopForm(self.field, self.n, RationalFn(mono, self.den))
 
     def to_json(self, varnames=None) -> dict:
+        return self._json(varnames, Poly.to_string)
+
+    def _json(self, varnames, string) -> dict:
+        """:meth:`to_json`, printing each polynomial as ``string(f, names)``."""
         chart_names = _chart_varnames(varnames, self.chart)
         return {
-            "divisor": self.divisor.to_json(varnames),
+            "divisor": self.divisor._json(varnames, string),
             "chart": self.chart,
             "bound": self.bound,
             "dim": self.dim,
-            "den": self.den.to_string(chart_names),
+            "den": string(self.den, chart_names),
             "basis": monomial_strings_upto(self.n, self.bound, chart_names),
         }
 
@@ -195,25 +221,49 @@ def _chart_varnames(varnames, chart):
 
 
 def _chart_product(divisor: DivisorSpec, chart: int) -> Poly:
-    """Product of the dehomogenized f_j^{a_j} of the divisor on the chart."""
-    product = Poly.one(divisor.field, divisor.n)
+    """Product of the dehomogenized f_j^{a_j} of the divisor on the chart,
+    from its first factor on; one when there is none."""
+    product = None
     for f, a in divisor.hypersurfaces:
         fd = f.dehomogenize(chart)
         if f.total_degree() >= 1 and fd.is_constant():
             raise ChartError(f, chart)
-        product = product * fd ** a
-    return product
+        fd = fd ** a
+        product = fd if product is None else product * fd
+    return Poly.one(divisor.field, divisor.n) if product is None else product
 
 
 def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
     """Build the chart model; dimension C(bound + n, n) for bound >= 0, else 0."""
-    n = divisor.n
+    _, (space,) = _spaces(divisor, None, 0, chart)
+    return space
+
+
+def _spaces(e_part: DivisorSpec, divisor, e: int, chart):
+    """(E's chart product, [the models of E + p^e D and E + D]), or for
+    ``divisor`` None (E's chart product, [the model of E]): the one place
+    a chart is checked and a bound set.  E and D are multiplied out once
+    each; the denominators are E * D^{p^e} (a Frobenius twist of D) and
+    E * D, both E when D has no hypersurface.  A :class:`ChartError`
+    names the first component the chart misses in the order E, then D,
+    the order of both combined divisors."""
+    divisors = ([e_part] if divisor is None
+                else [pe_twist(divisor, e_part, e), e_part.combined(divisor, 1)])
+    n = e_part.n
     if chart is None:
         chart = n
     if not 0 <= chart <= n:
         raise ValueError(f"chart index {chart} out of range for P^{n}")
-    den = _chart_product(divisor, chart)
-    return SectionSpace(divisor, chart, den, divisor.degree_sum() + divisor.k - (n + 1))
+    e_chart = _chart_product(e_part, chart)
+    if divisor is None:
+        dens = [e_chart]
+    elif not divisor.hypersurfaces:
+        dens = [e_chart, e_chart]
+    else:
+        d_chart = _chart_product(divisor, chart)
+        dens = [e_chart * d_chart._twist(e), e_chart * d_chart]
+    return e_chart, [SectionSpace(div, chart, den, div.degree_sum() + div.k - (n + 1))
+                     for div, den in zip(divisors, dens)]
 
 
 @dataclass(frozen=True)
@@ -269,15 +319,26 @@ class SemilinearMap:
 
     def to_json(self, varnames=None) -> dict:
         """The map as a JSON-ready dict; each matrix cell is a coefficient
-        vector (:func:`_cell_rows` with entry 0)."""
+        vector (:func:`_cell_rows` with entry 0).  Each polynomial object
+        is printed once, though E's components sit in both divisors."""
         verdict = self.verdict
+        printed = {}
+
+        def string(f, names):
+            # one map prints a polynomial object in one set of names only:
+            # a component in ``varnames``, a denominator in the chart's
+            s = printed.get(id(f))
+            if s is None:
+                s = printed[id(f)] = f.to_string(names)
+            return s
+
         return {
             "p": self.field.p,
             "s": self.field.s,
             "e": self.e,
             "chart": self.src.chart,
-            "src": self.src.to_json(varnames),
-            "tgt": self.tgt.to_json(varnames),
+            "src": self.src._json(varnames, string),
+            "tgt": self.tgt._json(varnames, string),
             "matrix": _cell_rows(self, 0),
             "verdict": {
                 "rank": verdict.rank,
@@ -330,17 +391,18 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     only at the rows the partial product reached, and a zero partial
     product ends the work.  Every level is read from one pairing table of
     E (:func:`frobtrace.cartier._pairing_table`), so E^{p-1} is
-    decomposed once.  Every entry is an int code, in rows keyed by
-    monomial at every level; each source column the product reaches is
-    placed once, at the end, by :func:`frobtrace.poly.monomial_rank`.
+    decomposed once.  The table and both spaces come from one chart
+    product of E, formed once per call by :func:`_spaces`.  Every entry
+    is an int code, in rows keyed by monomial at every level; each source
+    column the product reaches is placed once, at the end, by
+    :func:`frobtrace.poly.monomial_rank`.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
-    src = section_space(pe_twist(divisor, e_part, e), chart)
-    tgt = section_space(e_part.combined(divisor, 1), chart)
+    e_chart, (src, tgt) = _spaces(e_part, divisor, e, chart)
     field = src.field
     p = field.p
     step = divisor.degree_sum() + divisor.k
@@ -348,7 +410,7 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     def bound(j):  # the numerator degree bound of omega(E + p^j D)
         return tgt.bound + (p ** j - 1) * step
 
-    table = _pairing_table(_chart_product(e_part, src.chart))
+    table = _pairing_table(e_chart)
     rows = [{s: 1} for s in tgt.basis]  # the identity; code 1 is the field's one
     for j in range(e):
         if not any(rows):
@@ -406,8 +468,19 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
                         entries.append((tuple(map(_plus, base, ps)), v))
         return entries
 
+    one = field.one.v
     out = []
     for row in rows:
+        if len(row) == 1:
+            # a one-entry row is its level row scaled: the monomials of a
+            # level row are distinct (m mod p fixes c, and then t) and its
+            # codes nonzero, so nothing merges and nothing cancels
+            [(s, a)] = row.items()
+            entries = level_row.get(s)
+            if entries is None:
+                entries = row_at(s)
+            out.append(dict(entries) if a == one else {m: mul(a, b) for m, b in entries})
+            continue
         sums = {}
         get = sums.get
         for s, a in row.items():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from frobtrace import cartier, linalg, projective
+from frobtrace import poly as poly_module
 from frobtrace import (
     ChartError,
     ContainmentError,
@@ -602,6 +603,142 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     assert len(buckets) == 4 and levels == [(0, [{}])]
     assert max(powers) == 1  # p - 1, and the multiplicity of E in each chart product
     assert 255 not in listed
+
+
+def test_trace_matrix_forms_each_polynomial_once(monkeypatch):
+    """One trace_matrix call and one to_json call dehomogenize each
+    component once, multiply no chart product by one, build E's chart
+    product once for the pairing table and both denominators, and print
+    each polynomial once: E sits in both divisors, and the two
+    denominators are one object when D has no hypersurface."""
+    calls = {"sum_of_products": 0, "dehomogenize": 0, "to_string": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(poly_module, "sum_of_products")
+    counted(Poly, "dehomogenize")
+    counted(Poly, "to_string")
+
+    def counts(E, D, e, names):
+        for name in calls:
+            calls[name] = 0
+        t = trace_matrix(E, D, e)
+        t.to_json(names)
+        return t, tuple(calls.values())
+
+    for e in (1, 2):
+        t, seen = counts(fermat_divisor(), DivisorSpec(F2, 3, k=1), e, XYZW)
+        assert seen == (0, 1, 2), (e, seen)
+        assert t.src.den is t.tgt.den
+    F25 = FiniteField(5, 2, parse_modulus("t^2+2", 5))
+    E, D = extension_cubic_and_conic(F25)
+    t, seen = counts(E, D, 1, XYZ)
+    # E^{p-1} = E^4 takes 3 products, and each denominator one
+    assert seen == (5, 2, 4), seen
+    assert t.src.divisor.hypersurfaces[0][0] is t.tgt.divisor.hypersurfaces[0][0]
+
+
+def _chart_case(rng):
+    """(E, D, e, chart) over a field of ``checks.FIELDS``, with n <= 3 and
+    e <= 2: E may be zero, D may share a component with E (a merged
+    multiplicity) and may have k < 0, multiplicities run to 2, and about
+    one component in eight is V(x_chart^d), which the chart misses."""
+    field = rng.choice(FIELDS)
+    n = rng.randint(1, 3)
+    chart = rng.randint(0, n)
+
+    def component():
+        if rng.random() < 0.125:
+            d = rng.randint(1, 2)
+            return Poly.monomial(field, [d if i == chart else 0 for i in range(n + 1)])
+        return _random_form(field, n + 1, rng.randint(1, 3), rng)
+
+    e_forms = [(component(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    d_forms = [(component(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    if e_forms and rng.random() < 0.3:
+        d_forms.append((rng.choice(e_forms)[0], rng.randint(1, 2)))
+    E = DivisorSpec(field, n, e_forms, rng.randint(0, 1))
+    D = DivisorSpec(field, n, d_forms, rng.randint(-3, 3))
+    e = 2
+    if section_bound(pe_twist(D, E, e)) > 24 or E.degree_sum() * (field.p ** e - 1) > 40:
+        e = 1
+    return E, D, e, chart
+
+
+def _space_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:  # ChartError included
+        return exc
+
+
+def test_trace_matrix_spaces_match_section_space_and_its_errors():
+    """The spaces of trace_matrix, built from one chart product of E and
+    one of D, against section_space over the combined divisors: the same
+    den, bound, dim, chart and JSON, or the same ChartError, naming the
+    same polynomial and chart; an out-of-range chart raises the same
+    ValueError on both paths."""
+    rng = random.Random(1302)
+    seen = {"shared": 0, "k<0": 0, "E = 0": 0, "mult 2": 0, "chart error": 0,
+            "src != tgt den": 0}
+    charts = set()
+    for _ in range(150):
+        E, D, e, chart = _chart_case(rng)
+        names = XYZW[: E.n + 1]
+        got = _space_or_error(lambda: trace_matrix(E, D, e, chart))
+        src = _space_or_error(lambda: section_space(pe_twist(D, E, e), chart))
+        tgt = _space_or_error(lambda: section_space(E.combined(D, 1), chart))
+        case = (E, D, e, chart)
+        if isinstance(got, ChartError):
+            for expected in (src, tgt):
+                assert isinstance(expected, ChartError), case
+                assert (got.poly, got.chart) == (expected.poly, expected.chart), case
+            seen["chart error"] += 1
+            continue
+        assert not isinstance(got, Exception), (case, got)
+        for space, expected in ((got.src, src), (got.tgt, tgt)):
+            assert space.den == expected.den, case
+            assert (space.bound, space.dim, space.chart) == \
+                (expected.bound, expected.dim, expected.chart), case
+            assert space.to_json(names) == expected.to_json(names), case
+        assert got.to_json(names)["src"] == src.to_json(names), case
+        assert got.to_json(names)["tgt"] == tgt.to_json(names), case
+        charts.add((E.n, chart))
+        seen["shared"] += any(f == g for f, _ in E.hypersurfaces for g, _ in D.hypersurfaces)
+        seen["k<0"] += D.k < 0
+        seen["E = 0"] += not E.hypersurfaces and not E.k
+        seen["mult 2"] += any(a == 2 for f, a in E.hypersurfaces + D.hypersurfaces)
+        seen["src != tgt den"] += got.src.den != got.tgt.den
+    assert min(seen.values()) >= 5, seen
+    assert charts == {(n, c) for n in (1, 2, 3) for c in range(n + 1)}, charts
+    E, D = extension_cubic_and_conic(F3)
+    for chart in (-1, 3):
+        with pytest.raises(ValueError) as info:
+            trace_matrix(E, D, 1, chart)
+        with pytest.raises(ValueError) as expected:
+            section_space(pe_twist(D, E, 1), chart)
+        assert str(info.value) == str(expected.value) == \
+            f"chart index {chart} out of range for P^2"
+
+
+def test_combined_validates_what_it_cannot_vouch_for():
+    """A non-negative int multiple of validated divisors is combined
+    unchecked; any other multiple still goes through the constructor."""
+    E = fermat_divisor()
+    H = DivisorSpec(F2, 3, k=1)
+    assert E.combined(E, 0).hypersurfaces == E.hypersurfaces
+    assert not H.combined(E, 0).hypersurfaces
+    with pytest.raises(ValueError, match="multiplicity -1 must be a non-negative integer"):
+        H.combined(E, -1)
+    with pytest.raises(ValueError, match="multiplicity 2.0 must be a non-negative integer"):
+        H.combined(E, 2.0)
+    assert H.combined(H, -3).k == -2
 
 
 def test_containment_error_names_column_past_degree_bound(monkeypatch):
