@@ -159,14 +159,15 @@ def cmd_trace_matrix(args) -> int:
         return 0
     verdict = t.verdict
     chart_names = _chart_varnames(varnames, chart)
+    src_den = t.src.den.to_string(chart_names)
+    # the two dens are one object when D has no hypersurface
+    tgt_den = src_den if t.tgt.den is t.src.den else t.tgt.den.to_string(chart_names)
     lines = [
         f"Tr^{args.e}: omega(E + p^e D) -> omega(E + D) over F_{field.q}, "
         f"chart {varnames[chart]}",
         f"  E = {e_part.to_string(varnames)}; D = {divisor.to_string(varnames)}",
-        f"  source: dim {t.src.dim}, bound {t.src.bound}, "
-        f"den {t.src.den.to_string(chart_names)}",
-        f"  target: dim {t.tgt.dim}, bound {t.tgt.bound}, "
-        f"den {t.tgt.den.to_string(chart_names)}",
+        f"  source: dim {t.src.dim}, bound {t.src.bound}, den {src_den}",
+        f"  target: dim {t.tgt.dim}, bound {t.tgt.bound}, den {tgt_den}",
         f"  matrix ({t.tgt.dim} x {t.src.dim}):",
     ]
     lines.extend("    [" + " ".join(cells) + "]" for cells in _cell_rows(t, 1))

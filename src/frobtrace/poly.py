@@ -248,11 +248,17 @@ class Poly:
         self^d come from one run of repeated multiplication by self, up
         to the largest digit, which on a sparse base costs less than
         squaring; each digit that occurs is built once, however often it
-        repeats.  A pure p^k-th power makes no product at all."""
+        repeats.  A pure p^k-th power, and any power of a one-term base
+        c x^m, which is c^n x^{nm}, makes no product at all."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
         if not n:
             return Poly.one(self.field, self.nvars)
+        if len(self.terms) == 1:
+            [(m, c)] = self.terms.items()
+            field = self.field
+            return Poly._wrap(field, self.nvars,
+                              {tuple(n * x for x in m): Scalar(field, field._pow(c.v, n))})
         p = self.field.p
         digits = []
         while n:

@@ -3,9 +3,10 @@
 Global sections of omega(sum a_j V(f_j) + k H) are modeled on one affine
 chart: with den the product of the dehomogenized f_j^{a_j}, the sections
 are the rational top forms (h / den) dx with deg h <= sum a_j d_j + k - (n+1).
-A negative bound yields the zero space.  The default chart is the last
-homogeneous variable.  A hypersurface the chart misses raises
-:class:`ChartError`, which keeps the polynomial and the chart index.
+A space sets that bound from its divisor, and a negative bound yields
+the zero space.  The default chart is the last homogeneous variable.  A
+hypersurface the chart misses raises :class:`ChartError`, which keeps the
+polynomial and the chart index.
 
 A trace matrix holds, per source basis monomial, the coordinates of its
 trace in the target basis.  Its form is sparse rows of int codes, one
@@ -22,11 +23,11 @@ the target basis, and one reader (:func:`_next_level`) multiplies in
 every level, the first included.  E^{p-1} is the only power of E
 formed, and it is decomposed once for every level.  The cost grows with
 e and the nonzero entries, not with p^e or the source dimension.
-E's chart product is formed once per call, and the pairing table and
-both denominators share it: the source's is E * D^{p^e}, where the
-p^e-th power is a Frobenius twist, the target's E * D, and both are E's
-product itself when D has no hypersurface.  A map's JSON prints each
-polynomial once.
+:func:`trace_matrix` builds its two spaces itself, from one chart
+product of E, which the pairing table shares, and one of D: the source's
+den is E * D^{p^e}, where the p^e-th power is a Frobenius twist, the
+target's E * D, and both are E's product itself when D has no
+hypersurface.  A map's JSON prints each polynomial once.
 A space's dimension is a binomial coefficient, and its basis, the list of
 :func:`frobtrace.poly.monomials_upto`, is built only when read; a column
 is placed by :func:`frobtrace.poly.monomial_rank` without it.  A basis
@@ -118,22 +119,7 @@ class DivisorSpec:
                     break
             else:
                 merged.append([g, m * b])
-        k = self.k + m * other.k
-        if isinstance(m, int) and m >= 0:  # every multiplicity is a non-negative int
-            return DivisorSpec._wrap(self.field, self.n,
-                                     tuple((f, a) for f, a in merged if a), k)
-        return DivisorSpec(self.field, self.n, [(f, a) for f, a in merged], k)
-
-    @classmethod
-    def _wrap(cls, field, n, hypersurfaces, k):
-        """A divisor over ``hypersurfaces``, a tuple of validated
-        (f, positive int) pairs, and an int ``k``, unchecked."""
-        out = object.__new__(cls)
-        out.field = field
-        out.n = n
-        out.hypersurfaces = hypersurfaces
-        out.k = k
-        return out
+        return DivisorSpec(self.field, self.n, merged, self.k + m * other.k)
 
     def to_json(self, varnames=None) -> dict:
         return self._json(varnames, Poly.to_string)
@@ -171,20 +157,22 @@ def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
 class SectionSpace:
     """Monomial-basis chart model of a twisted canonical section space.
 
-    ``dim`` is the binomial count of the monomials of degree <= ``bound``;
+    ``bound``, the divisor's sum a_j d_j + k - (n + 1), is the numerator
+    degree bound, set here and nowhere else; ``dim`` is the binomial
+    count of the monomials of degree <= ``bound``;
     ``basis``, the list ``monomials_upto(n, bound)``, is built on first
     read, so a space whose basis nothing reads never lists it."""
 
     __slots__ = ("divisor", "chart", "field", "n", "den", "bound", "dim", "_basis")
 
-    def __init__(self, divisor, chart, den, bound):
+    def __init__(self, divisor, chart, den):
         self.divisor = divisor
         self.chart = chart
         self.field = divisor.field
-        self.n = divisor.n
+        self.n = n = divisor.n
         self.den = den
-        self.bound = bound
-        self.dim = monomial_count(self.n, bound)
+        self.bound = divisor.degree_sum() + divisor.k - (n + 1)
+        self.dim = monomial_count(n, self.bound)
         self._basis = None
 
     @property
@@ -233,37 +221,20 @@ def _chart_product(divisor: DivisorSpec, chart: int) -> Poly:
     return Poly.one(divisor.field, divisor.n) if product is None else product
 
 
-def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
-    """Build the chart model; dimension C(bound + n, n) for bound >= 0, else 0."""
-    _, (space,) = _spaces(divisor, None, 0, chart)
-    return space
-
-
-def _spaces(e_part: DivisorSpec, divisor, e: int, chart):
-    """(E's chart product, [the models of E + p^e D and E + D]), or for
-    ``divisor`` None (E's chart product, [the model of E]): the one place
-    a chart is checked and a bound set.  E and D are multiplied out once
-    each; the denominators are E * D^{p^e} (a Frobenius twist of D) and
-    E * D, both E when D has no hypersurface.  A :class:`ChartError`
-    names the first component the chart misses in the order E, then D,
-    the order of both combined divisors."""
-    divisors = ([e_part] if divisor is None
-                else [pe_twist(divisor, e_part, e), e_part.combined(divisor, 1)])
-    n = e_part.n
+def _chart(n: int, chart) -> int:
+    """The chart index on P^n, the last variable when ``chart`` is None."""
     if chart is None:
-        chart = n
+        return n
     if not 0 <= chart <= n:
         raise ValueError(f"chart index {chart} out of range for P^{n}")
-    e_chart = _chart_product(e_part, chart)
-    if divisor is None:
-        dens = [e_chart]
-    elif not divisor.hypersurfaces:
-        dens = [e_chart, e_chart]
-    else:
-        d_chart = _chart_product(divisor, chart)
-        dens = [e_chart * d_chart._twist(e), e_chart * d_chart]
-    return e_chart, [SectionSpace(div, chart, den, div.degree_sum() + div.k - (n + 1))
-                     for div, den in zip(divisors, dens)]
+    return chart
+
+
+def section_space(divisor: DivisorSpec, chart: int = None) -> SectionSpace:
+    """Build the chart model of ``divisor`` over its chart product;
+    dimension C(bound + n, n) for bound >= 0, else 0."""
+    chart = _chart(divisor.n, chart)
+    return SectionSpace(divisor, chart, _chart_product(divisor, chart))
 
 
 @dataclass(frozen=True)
@@ -392,7 +363,8 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     product ends the work.  Every level is read from one pairing table of
     E (:func:`frobtrace.cartier._pairing_table`), so E^{p-1} is
     decomposed once.  The table and both spaces come from one chart
-    product of E, formed once per call by :func:`_spaces`.  Every entry
+    product of E, formed once per call after the chart is checked; a
+    :class:`ChartError` names E's component before D's.  Every entry
     is an int code, in rows keyed by monomial at every level; each source
     column the product reaches is placed once, at the end, by
     :func:`frobtrace.poly.monomial_rank`.
@@ -402,7 +374,13 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     """
     if e < 1:
         raise ValueError("trace exponent must be positive")
-    e_chart, (src, tgt) = _spaces(e_part, divisor, e, chart)
+    src_div, tgt_div = pe_twist(divisor, e_part, e), e_part.combined(divisor, 1)
+    chart = _chart(e_part.n, chart)
+    e_chart = src_den = tgt_den = _chart_product(e_part, chart)
+    if divisor.hypersurfaces:
+        d_chart = _chart_product(divisor, chart)
+        src_den, tgt_den = e_chart * d_chart._twist(e), e_chart * d_chart
+    src, tgt = SectionSpace(src_div, chart, src_den), SectionSpace(tgt_div, chart, tgt_den)
     field = src.field
     p = field.p
     step = divisor.degree_sum() + divisor.k

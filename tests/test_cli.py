@@ -439,6 +439,20 @@ def test_trace_matrix_builds_only_the_format_it_prints(capsys, monkeypatch):
     assert out.splitlines()[-1].startswith("  verdict: rank ")
 
 
+def test_trace_matrix_table_prints_a_shared_denominator_once(capsys, monkeypatch):
+    """With D = H both denominators are E's chart product, one object, and
+    the table prints it once: E and that den are the only two strings."""
+    printed = []
+    to_string = Poly.to_string
+    monkeypatch.setattr(Poly, "to_string", lambda self, varnames=None:
+                        printed.append(self) or to_string(self, varnames))
+    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "trace-matrix",
+                        "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1", "--e", "1"], capsys)
+    assert code == 0 and len(printed) == 2
+    assert "  source: dim 4, bound 1, den x^3+y^3+z^3+1\n" in out
+    assert "  target: dim 1, bound 0, den x^3+y^3+z^3+1\n" in out
+
+
 def test_trace_matrix_table_stringifies_only_nonzeros(capsys, monkeypatch):
     """The table of the 171 x 1711 F_3 matrix is printed from the code
     rows through the field's cell table: one shared zero string, a table

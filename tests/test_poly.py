@@ -117,23 +117,31 @@ def square_and_multiply(f, n):
 def test_power_matches_repeated_multiplication(monkeypatch):
     """Poly.__pow__ multiplies Frobenius twists of the powers of its base-p
     digits; it must equal n-fold multiplication and square-and-multiply,
-    and a pure p^k-th power, a twist alone, makes no product."""
+    and a pure p^k-th power, a twist alone, makes no product; nor does any
+    power of a one-term base c x^m, which is c^n x^{nm}."""
     rng = random.Random(29)
+    one_term = []
     for field in (F2, F3, F5, F4, F9):
         p = field.p
+        c = field.generator if field.s > 1 else field.scalar(p - 1)
         for nvars in (1, 2, 3):
             f = Poly(field, nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)):
                                     field.scalar([rng.randrange(p) for _ in range(field.s)])
                                     for _ in range(rng.randint(1, 3))})
             if field.s > 1:  # a coefficient outside F_p, so the twist moves codes
                 f = f + Poly.monomial(field, (1,) * nvars, field.generator)
+            monos = [Poly.one(field, nvars), Poly.monomial(field, (0,) * nvars, c),
+                     Poly.monomial(field, [rng.randint(0, 2) for _ in range(nvars)], c)]
+            one_term.extend(monos)
             top = {n for k in range(1, 5) if p ** k <= 32 for n in (p ** k, p ** k - 1)}
             exponents = sorted(set(range(2 * p * p + 1)) | top)
-            power = Poly.one(field, nvars)
-            for n in range(max(exponents) + 1):
-                if n in exponents:
-                    assert f ** n == power == square_and_multiply(f, n), (field, f, n)
-                power = power * f
+            for base in [f] + monos:
+                power = Poly.one(field, nvars)
+                for n in range(max(exponents) + 1):
+                    if n in exponents:
+                        assert base ** n == power == square_and_multiply(base, n), \
+                            (field, base, n)
+                    power = power * base
     products = []
     product = poly.sum_of_products
 
@@ -149,6 +157,9 @@ def test_power_matches_repeated_multiplication(monkeypatch):
             twisted = f ** q
             assert twisted == Poly(field, 2, {(q, 0): field.generator.frobenius(k),
                                               (0, 2 * q): field.one, (0, 0): field.one})
+    for base in one_term:
+        for n in range(2 * base.field.p * base.field.p + 1):
+            assert len((base ** n).terms) == 1
     assert products == []
     assert (f ** 2).terms and products
 

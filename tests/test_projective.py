@@ -727,9 +727,49 @@ def test_trace_matrix_spaces_match_section_space_and_its_errors():
             f"chart index {chart} out of range for P^2"
 
 
+def test_trace_matrix_makes_no_product_without_a_hypersurface(monkeypatch):
+    """E = 0, D = 4H on P^2: both chart products are one, and the pairing
+    table's power one^{p-1} of that one-term base is formed directly, so
+    no call at any prime multiplies two polynomials."""
+    products = []
+    product = poly_module.sum_of_products
+
+    def counted(field, nvars, pairs):
+        products.append(field.p)
+        return product(field, nvars, pairs)
+
+    monkeypatch.setattr(poly_module, "sum_of_products", counted)
+    for p in (2, 3, 5, 7):
+        field = FiniteField(p)
+        t = trace_matrix(DivisorSpec(field, 2), DivisorSpec(field, 2, k=4), 1)
+        assert (t.src.dim, t.tgt.dim) == (math.comb(4 * p - 1, 2), 3), p
+        assert t.verdict.surjective, p
+    assert products == []
+
+
+def test_trace_matrix_refuses_bad_input_in_a_fixed_order():
+    """Each input below also carries every fault refused after its own:
+    e < 1 first, then an E that is not effective, then an out-of-range
+    chart, then a ChartError that names E's component before D's."""
+    z, z2 = parse_poly("z", F2, XYZ), parse_poly("z^2", F2, XYZ)
+    E = DivisorSpec(F2, 2, [(z, 1)])
+    not_effective = DivisorSpec(F2, 2, [(z, 1)], k=-1)
+    D = DivisorSpec(F2, 2, [(z2, 1)], k=1)
+    with pytest.raises(ValueError, match="^trace exponent must be positive$"):
+        trace_matrix(not_effective, D, 0, 5)
+    with pytest.raises(ValueError, match="^the fixed part E must be effective$"):
+        trace_matrix(not_effective, D, 1, 5)
+    with pytest.raises(ValueError, match="^chart index 5 out of range for P\\^2$"):
+        trace_matrix(E, D, 1, 5)
+    for e_part, missed in ((E, z), (DivisorSpec(F2, 2), z2)):
+        with pytest.raises(ChartError) as info:
+            trace_matrix(e_part, D, 1, 2)
+        assert (info.value.poly, info.value.chart) == (missed, 2)
+
+
 def test_combined_validates_what_it_cannot_vouch_for():
-    """A non-negative int multiple of validated divisors is combined
-    unchecked; any other multiple still goes through the constructor."""
+    """Every combination goes through the validating constructor: a zero
+    multiplicity is dropped, and a negative or non-int one is refused."""
     E = fermat_divisor()
     H = DivisorSpec(F2, 3, k=1)
     assert E.combined(E, 0).hypersurfaces == E.hypersurfaces
