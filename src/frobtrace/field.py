@@ -9,14 +9,14 @@ The code depends only on p and the modulus, so scalars of two equal
 fields mix freely; :attr:`Scalar.coeffs` gives the vector back.  An
 element prints as a sum of powers of the generator ``GENERATOR`` ("g").
 
-On F_p every operation is native arithmetic modulo p.  An extension field
-builds three tables once, at construction, from the primitive element g
-of smallest code: antilogs (g^k, by the F_p[t] product that also tests
-the modulus), logs, and Zech logarithms (log(1 + g^k)).  Multiplication,
-inversion, powers and the Frobenius are then index arithmetic on logs,
-and addition is one Zech lookup, as in FLINT's ``fq_zech``.  The tables
-hold O(q) ints, so fields are limited to q = p^s <= 2^16, and larger
-ones are refused before any table is built.
+Every field builds three tables once, at construction, from the
+primitive element g of smallest code: antilogs (g^k, by the F_p[t]
+product that also tests the modulus; F_p is F_p[t]/(t)), logs, and Zech
+logarithms (log(1 + g^k)).  Multiplication, inversion, powers and the
+Frobenius are then index arithmetic on logs, and addition is one Zech
+lookup, as in FLINT's ``fq_zech``.  The tables hold O(q) ints, so fields
+are limited to q = p^s <= 2^16, and larger ones are refused before any
+table is built.
 
 The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 
-# Extension fields keep antilog, log and Zech tables with O(q) entries.
+# Every field keeps antilog, log and Zech tables with O(q) entries.
 MAX_ORDER = 1 << 16
 
 # The printed name of the class of the modulus variable; the parser reads it.
@@ -171,11 +171,12 @@ def _primitive_powers(p, s, modulus) -> list:
     """Codes of g^0, ..., g^{q-2} for the primitive element g of smallest code.
 
     g has order q - 1 exactly when g^{(q-1)/r} != 1 for every prime r
-    dividing q - 1.  Constants (codes below p) have order dividing
-    p - 1 < q - 1, so the search starts at x (code p)."""
+    dividing q - 1.  On F_p every nonzero element is a constant, and the
+    search starts at 1.  For s > 1 constants (codes below p) have order
+    dividing p - 1 < q - 1, so the search starts at x (code p)."""
     m = p ** s - 1
     cofactors = [m // r for r in _prime_factors(m)]
-    for code in range(p, m + 1):
+    for code in range(1 if s == 1 else p, m + 1):
         g = _utrim(list(_digits(code, p, s)))
         if all(_upow_mod(g, k, modulus, p) != [1] for k in cofactors):
             break
@@ -186,38 +187,8 @@ def _primitive_powers(p, s, modulus) -> list:
     return powers
 
 
-def _prime_ops(p: int, name: str):
-    """add, sub, neg, mul, inv, pow and Frobenius on residues modulo p."""
-    def add(a, b):
-        return (a + b) % p
-
-    def sub(a, b):
-        return (a - b) % p
-
-    def neg(a):
-        return -a % p
-
-    def mul(a, b):
-        return a * b % p
-
-    def inv(a):
-        if not a:
-            raise ZeroDivisionError("division by zero in " + name)
-        return pow(a, -1, p)
-
-    def power(a, n):
-        if n < 0:
-            a, n = inv(a), -n
-        return pow(a, n, p)
-
-    def frobenius(a, e):
-        return a
-
-    return add, sub, neg, mul, inv, power, frobenius
-
-
 def _table_ops(p: int, s: int, modulus, name: str):
-    """The operations of :func:`_prime_ops` on codes of F_{p^s}, by table.
+    """add, sub, neg, mul, inv, pow and Frobenius on codes of F_{p^s}, by table.
 
     With m = q - 1, ``exp`` lists g^k for k in [0, 2m) and then zeros up to
     index 4m; ``log[0]`` is 2m, so any sum of two logs that involves zero
@@ -323,10 +294,9 @@ class FiniteField:
         self.s = s
         self.q = p ** s
         self._hash = hash((p, s, self.modulus))
-        ops = (_prime_ops(p, str(self)) if s == 1
-               else _table_ops(p, s, self.modulus, str(self)))
+        # F_p is F_p[t]/(t): its tables come from the degree-1 modulus t
         (self._add, self._sub, self._neg, self._mul, self._inv, self._pow,
-         self._frob) = ops
+         self._frob) = _table_ops(p, s, self.modulus or (0, 1), str(self))
         self._cells = {}
         self.zero = Scalar(self, 0)
         self.one = Scalar(self, 1)

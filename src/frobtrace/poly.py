@@ -126,9 +126,11 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(mono)
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} has arity {len(mono)}, expected {nvars}")
+                if not all(isinstance(e, int) for e in mono):
+                    raise ValueError(f"non-integer exponent in monomial {mono}")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in monomial {mono}")
                 if isinstance(coeff, int):

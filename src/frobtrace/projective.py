@@ -85,7 +85,6 @@ class DivisorSpec:
     def __init__(self, field, n, hypersurfaces=(), k=0):
         self.field = field
         self.n = n
-        self.k = int(k)
         clean = []
         for f, mult in hypersurfaces:
             if not isinstance(mult, int) or mult < 0:
@@ -103,6 +102,11 @@ class DivisorSpec:
             if mult > 0:
                 clean.append((f, mult))
         self.hypersurfaces = tuple(clean)
+        # after the hypersurfaces: a non-int m in combined makes k non-int
+        # too, and the hypersurface multiplicity is the one to name
+        if not isinstance(k, int):
+            raise ValueError(f"hyperplane multiplicity {k!r} must be an integer")
+        self.k = k
 
     def degree_sum(self) -> int:
         return sum(int(f.total_degree()) * a for f, a in self.hypersurfaces)

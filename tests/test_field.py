@@ -19,7 +19,6 @@ F81 = FiniteField(3, 4, [2, 0, 0, 2, 1])
 
 ALL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),
               F4, F8, F9, F16, F25, F27, F81]
-TABLE_FIELDS = [F4, F8, F9, F16, F25, F27, F81]
 
 
 def test_basic_arithmetic():
@@ -206,11 +205,12 @@ def test_field_order_is_limited_before_any_work(monkeypatch):
 
 class _SlowField:
     """F_{p^s} on coefficient tuples, independent of the tables: products
-    by _umul and reduction by _umod modulo the modulus, inverses by
-    search over all products."""
+    by _umul and reduction by _umod modulo the modulus (modulo t on F_p),
+    inverses by search over all products."""
 
     def __init__(self, field):
-        self.p, self.s, self.modulus = field.p, field.s, list(field.modulus)
+        self.p, self.s = field.p, field.s
+        self.modulus = list(field.modulus or (0, 1))
         self.one = (1,) + (0,) * (self.s - 1)
 
     def _pad(self, c):
@@ -243,7 +243,7 @@ def _slow_tables(field):
     return slow, elements, products, inverse
 
 
-@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
 def test_table_arithmetic_matches_polynomial_arithmetic(field):
     slow, elements, products, inverse = _slow_tables(field)
     assert len(inverse) == field.q - 1
@@ -263,7 +263,7 @@ def test_table_arithmetic_matches_polynomial_arithmetic(field):
                     x / y
 
 
-@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
 def test_table_powers_and_frobenius_match_polynomial_arithmetic(field):
     slow, elements, products, inverse = _slow_tables(field)
     p, q = field.p, field.q
@@ -293,11 +293,12 @@ def test_scalar_str_format():
     assert str(FiniteField(7).scalar(-1)) == "6"
 
 
-@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
 def test_tables_use_the_primitive_element_of_smallest_code(field):
     p, q = field.p, field.q
-    powers = _primitive_powers(p, field.s, field.modulus)
+    powers = _primitive_powers(p, field.s, field.modulus or (0, 1))
     assert powers[0] == 1 and sorted(powers) == list(range(1, q))
+    g = powers[1 % (q - 1)]  # on F_2, g = 1
 
     def order(code):
         one = field.one
@@ -307,8 +308,11 @@ def test_tables_use_the_primitive_element_of_smallest_code(field):
             x, k = x * g, k + 1
         return k
 
-    assert order(powers[1]) == q - 1
-    assert all(order(code) < q - 1 for code in range(p, powers[1]))
+    # on F_p every nonzero code is a candidate; for s > 1 the constants
+    # have too small an order, and the candidates start at x (code p)
+    first = 1 if field.s == 1 else p
+    assert order(g) == q - 1
+    assert all(order(code) < q - 1 for code in range(first, g))
 
 
 def test_x_is_skipped_when_it_is_not_primitive():
@@ -331,6 +335,34 @@ def test_largest_field_builds_and_computes():
         if x:
             assert x * x.inverse() == field.one
         assert x.inverse_frobenius(5).frobenius(5) == x
+
+
+def test_largest_prime_field_matches_native_arithmetic():
+    # q = 65521, the largest prime under the limit, runs on the same tables
+    p = 65521
+    field = FiniteField(p)
+    assert field.modulus is None and repr(field) == "FiniteField(65521)"
+    rng = random.Random(5)
+    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
+    for a, b in [(0, 0), (0, 1), (1, 0), (p - 1, p - 1)] + pairs:
+        x, y = field.scalar(a), field.scalar(b)
+        assert (x + y).v == (a + b) % p
+        assert (x - y).v == (a - b) % p
+        assert (-x).v == -a % p
+        assert (x * y).v == a * b % p
+        if b:
+            assert (x / y).v == a * pow(b, -1, p) % p
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for n in (0, 1, 2, p - 1, p, b, -1, -b - 1):
+            if a or n >= 0:
+                assert (x ** n).v == pow(a, n, p), (a, n)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x ** n
+        for e in (1, 2, 5):
+            assert x.frobenius(e) == x and x.inverse_frobenius(e) == x
 
 
 def test_scalars_of_equal_fields_mix():

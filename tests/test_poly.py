@@ -396,6 +396,15 @@ def test_internal_construction_never_validates(monkeypatch):
     assert len(validated) == 3
 
 
+def test_constructor_refuses_non_integer_exponents():
+    # an exponent is refused unless it is an int, so 1.5 is never read as 1
+    with pytest.raises(ValueError, match=r"non-integer exponent in monomial \(1\.5,\)"):
+        Poly(F2, 1, {(1.5,): 1})
+    with pytest.raises(ValueError, match=r"non-integer exponent in monomial \('2',\)"):
+        Poly(F2, 1, {("2",): 1})
+    assert Poly(F2, 1, {(2,): 1}) == Poly.monomial(F2, (2,))
+
+
 def test_print_order_and_roundtrip():
     f = P("x^4+x*y^3+x*z^3+x")
     assert f.to_string(XYZW) == "x^4+x*y^3+x*z^3+x"

@@ -781,6 +781,17 @@ def test_combined_validates_what_it_cannot_vouch_for():
     assert H.combined(H, -3).k == -2
 
 
+def test_hyperplane_multiplicity_must_be_an_int():
+    # k is refused unless it is an int, in the constructor and in combined
+    with pytest.raises(ValueError, match="hyperplane multiplicity 2.5 must be an integer"):
+        DivisorSpec(F2, 2, k=2.5)
+    with pytest.raises(ValueError, match="hyperplane multiplicity '2' must be an integer"):
+        DivisorSpec(F2, 2, k="2")
+    with pytest.raises(ValueError, match="hyperplane multiplicity 2.5 must be an integer"):
+        DivisorSpec(F2, 2).combined(DivisorSpec(F2, 2, k=1), 2.5)
+    assert DivisorSpec(F2, 2, k=-2).combined(DivisorSpec(F2, 2, k=1), 3).k == 1
+
+
 def test_containment_error_names_column_past_degree_bound(monkeypatch):
     # a chart product with a stray factor x^3 pushes the trace of the
     # basis element y (printed x1) out of the degree-0 target
