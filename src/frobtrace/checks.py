@@ -6,6 +6,9 @@ pairings, against the direct exponent-e rule), vanishing on exact forms,
 the Cartier round-trip, the linear-algebra decomposition oracle, and
 certificate checking of splitting verdicts.  The CLI `check` command and
 the test suite both run these; a fixed seed reproduces a run exactly.
+A suite is one generator per case: ``suite(rng)`` draws one case and
+yields ``(ok, description)`` per check; only :func:`run_suite` loops over
+cases, giving each suite its own ``random.Random(seed)`` and a report.
 
 Every suite draws its field from :data:`FIELDS`, which holds extension
 fields, where inverse Frobenius on coefficients is not the identity.
@@ -83,144 +86,107 @@ def random_top_form(field, nvars, rng, max_terms=3, max_deg=3):
     return TopForm(field, nvars, random_rational(field, nvars, rng, max_terms, max_deg))
 
 
-def _pick_pe(rng, for_composition=False):
-    field = rng.choice(FIELDS)
-    p = field.p
-    if for_composition:
-        e = rng.choice([2, 3]) if p == 2 else 2
-    else:
-        e = rng.choice([1, 2]) if p <= 3 else 1
-    return field, e
-
-
-def check_semilinearity(cases, seed) -> SuiteReport:
+def semilinearity(rng):
     """Tr^e(u^{p^e} w) = u Tr^e(w) and additivity, on random rational forms."""
-    rng = random.Random(seed)
-    report = SuiteReport("semilinearity", seed)
-    for _ in range(cases):
-        field, e = _pick_pe(rng)
-        q = field.p ** e
-        n = rng.randint(1, 3)
-        omega = random_top_form(field, n, rng)
-        u = RationalFn(
-            random_poly(field, n, rng, 2, 2, nonzero=True),
-            random_poly(field, n, rng, 2, 1, nonzero=True),
-        )
-        scaled = trace_rational_top(omega.scale(u ** q), e)
-        direct = trace_rational_top(omega, e).scale(u)
-        ok = scaled == direct
-        desc = (f"{field} e={e} n={n}: Tr(u^q w) != u Tr(w) for u={u}, w={omega}")
-        report.record(ok, desc)
+    field = rng.choice(FIELDS)
+    e = rng.choice([1, 2]) if field.p <= 3 else 1
+    n = rng.randint(1, 3)
+    omega = random_top_form(field, n, rng)
+    u = RationalFn(
+        random_poly(field, n, rng, 2, 2, nonzero=True),
+        random_poly(field, n, rng, 2, 1, nonzero=True),
+    )
+    q = field.p ** e
+    scaled = trace_rational_top(omega.scale(u ** q), e)
+    yield (scaled == trace_rational_top(omega, e).scale(u),
+           f"{field} e={e} n={n}: Tr(u^q w) != u Tr(w) for u={u}, w={omega}")
 
-        other = random_top_form(field, n, rng)
-        lhs = trace_rational_top(omega + other, e)
-        rhs = trace_rational_top(omega, e) + trace_rational_top(other, e)
-        report.record(lhs == rhs,
-                      f"{field} e={e} n={n}: additivity failed for {omega} and {other}")
-    return report
+    other = random_top_form(field, n, rng)
+    lhs = trace_rational_top(omega + other, e)
+    rhs = trace_rational_top(omega, e) + trace_rational_top(other, e)
+    yield lhs == rhs, f"{field} e={e} n={n}: additivity failed for {omega} and {other}"
 
 
-def check_composition(cases, seed) -> SuiteReport:
+def composition(rng):
     """The trace, e exponent-1 pairings, equals the direct exponent-e rule."""
-    rng = random.Random(seed)
-    report = SuiteReport("composition", seed)
-    for _ in range(cases):
-        field, e = _pick_pe(rng, for_composition=True)
-        n = rng.randint(1, 3)
-        omega = random_top_form(field, n, rng, max_terms=3, max_deg=2)
-        ok = trace_rational_top(omega, e) == trace_by_direct_rule(omega, e)
-        report.record(ok, f"{field} e={e} n={n}: iterated != direct for {omega}")
-    return report
+    field = rng.choice(FIELDS)
+    e = rng.choice([2, 3]) if field.p == 2 else 2
+    n = rng.randint(1, 3)
+    omega = random_top_form(field, n, rng, max_terms=3, max_deg=2)
+    yield (trace_rational_top(omega, e) == trace_by_direct_rule(omega, e),
+           f"{field} e={e} n={n}: iterated != direct for {omega}")
 
 
-def check_kernel_exact(cases, seed) -> SuiteReport:
+def kernel_exact(rng):
     """Tr^1 vanishes on exact top forms d(eta)."""
-    rng = random.Random(seed)
-    report = SuiteReport("kernel-exact", seed)
-    for _ in range(cases):
-        field = rng.choice(FIELDS)
-        n = rng.randint(1, 3)
-        coeffs = {}
-        for j in range(n):
-            idx = tuple(v for v in range(n) if v != j)
-            coeffs[idx] = RationalFn(random_poly(field, n, rng, 3, 4))
-        eta = DiffForm(field, n, n - 1, coeffs)
-        d_eta = exterior_derivative(eta)
-        ok = trace_poly_top(d_eta.coeff.as_poly(), 1).is_zero()
-        report.record(ok, f"{field} n={n}: Tr(d eta) != 0 for eta={eta}")
-    return report
+    field = rng.choice(FIELDS)
+    n = rng.randint(1, 3)
+    coeffs = {}
+    for j in range(n):
+        idx = tuple(v for v in range(n) if v != j)
+        coeffs[idx] = RationalFn(random_poly(field, n, rng, 3, 4))
+    eta = DiffForm(field, n, n - 1, coeffs)
+    d_eta = exterior_derivative(eta)
+    yield (trace_poly_top(d_eta.coeff.as_poly(), 1).is_zero(),
+           f"{field} n={n}: Tr(d eta) != 0 for eta={eta}")
 
 
-def check_cartier_roundtrip(cases, seed) -> SuiteReport:
+def cartier_roundtrip(rng):
     """Tr^1 after the designated representative is the identity on top
     forms, and the representative is closed in every lower degree."""
-    rng = random.Random(seed)
-    report = SuiteReport("cartier-roundtrip", seed)
-    for _ in range(cases):
-        field = rng.choice(FIELDS)
-        n = rng.randint(1, 3)
-        f = random_poly(field, n, rng, 3, 3)
-        ok = trace_poly_top(inverse_cartier_top(f), 1) == f
-        report.record(ok, f"{field} n={n}: roundtrip failed for f={f}")
+    field = rng.choice(FIELDS)
+    n = rng.randint(1, 3)
+    f = random_poly(field, n, rng, 3, 3)
+    yield (trace_poly_top(inverse_cartier_top(f), 1) == f,
+           f"{field} n={n}: roundtrip failed for f={f}")
 
-        if n >= 2:
-            i = rng.randint(1, n - 1)
-            idx = rng.choice(list(combinations(range(n), i)))
-            omega = DiffForm(field, n, i,
-                             {idx: RationalFn(random_poly(field, n, rng, 3, 3))})
-            rep = inverse_cartier(omega)
-            ok = exterior_derivative(rep).is_zero()
-            report.record(ok, f"{field} n={n} i={i}: representative of {omega} not closed")
-    return report
+    if n >= 2:
+        i = rng.randint(1, n - 1)
+        idx = rng.choice(list(combinations(range(n), i)))
+        omega = DiffForm(field, n, i, {idx: RationalFn(random_poly(field, n, rng, 3, 3))})
+        yield (exterior_derivative(inverse_cartier(omega)).is_zero(),
+               f"{field} n={n} i={i}: representative of {omega} not closed")
 
 
-def check_oracle(cases, seed) -> SuiteReport:
+def oracle(rng):
     """Decomposition oracle agrees with the residue-bucket trace."""
-    rng = random.Random(seed)
-    report = SuiteReport("oracle", seed)
-    for _ in range(cases):
-        field = rng.choice(FIELDS)
-        n = rng.randint(1, 3)
-        f = random_poly(field, n, rng, max_terms=6, max_deg=6)
-        ok = trace_by_decomposition(f) == trace_poly_top(f, 1)
-        report.record(ok, f"{field} n={n}: oracle disagreed with trace on f={f}")
-    return report
+    field = rng.choice(FIELDS)
+    n = rng.randint(1, 3)
+    f = random_poly(field, n, rng, max_terms=6, max_deg=6)
+    yield (trace_by_decomposition(f) == trace_poly_top(f, 1),
+           f"{field} n={n}: oracle disagreed with trace on f={f}")
 
 
-def check_fedder_cert(cases, seed) -> SuiteReport:
+def fedder_cert(rng):
     """Splitting verdicts re-derived from the one-coefficient witness check:
     the verdict splits exactly when some monomial with exponents in [0, p)
     and degree (p-1) deg f has a nonzero coefficient in f^{p-1}, and its
     witness is the graded-lex smallest such monomial."""
-    rng = random.Random(seed)
-    report = SuiteReport("fedder-cert", seed)
-    for _ in range(cases):
-        field = rng.choice(FIELDS)
-        p = field.p
-        nvars = rng.choice([3, 4])
-        deg = rng.choice([2, 3])
-        monos = [m for m in monomials_upto(nvars, deg) if sum(m) == deg]
-        terms = {}
-        for m in rng.sample(monos, k=min(len(monos), rng.randint(1, 4))):
-            terms[m] = field.scalar([rng.randrange(1, p)] +
-                                    [rng.randrange(p) for _ in range(field.s - 1)])
-        f = Poly(field, nvars, terms)
-        verdict = fedder_hypersurface(f)
-        candidates = sorted((m for m in product(range(p), repeat=nvars)
-                             if sum(m) == (p - 1) * deg), key=grlex_key)
-        expected = next((m for m in candidates if verify_witness(f, m)), None)
-        ok = verdict.split == (expected is not None) and verdict.witness == expected
-        report.record(ok, f"{field}: verdict/certificate mismatch for f={f}")
-    return report
+    field = rng.choice(FIELDS)
+    p = field.p
+    nvars = rng.choice([3, 4])
+    deg = rng.choice([2, 3])
+    monos = [m for m in monomials_upto(nvars, deg) if sum(m) == deg]
+    terms = {}
+    for m in rng.sample(monos, k=min(len(monos), rng.randint(1, 4))):
+        terms[m] = field.scalar([rng.randrange(1, p)] +
+                                [rng.randrange(p) for _ in range(field.s - 1)])
+    f = Poly(field, nvars, terms)
+    verdict = fedder_hypersurface(f)
+    candidates = sorted((m for m in product(range(p), repeat=nvars)
+                         if sum(m) == (p - 1) * deg), key=grlex_key)
+    expected = next((m for m in candidates if verify_witness(f, m)), None)
+    yield (verdict.split == (expected is not None) and verdict.witness == expected,
+           f"{field}: verdict/certificate mismatch for f={f}")
 
 
 SUITES = {
-    "semilinearity": check_semilinearity,
-    "composition": check_composition,
-    "kernel-exact": check_kernel_exact,
-    "cartier-roundtrip": check_cartier_roundtrip,
-    "oracle": check_oracle,
-    "fedder-cert": check_fedder_cert,
+    "semilinearity": semilinearity,
+    "composition": composition,
+    "kernel-exact": kernel_exact,
+    "cartier-roundtrip": cartier_roundtrip,
+    "oracle": oracle,
+    "fedder-cert": fedder_cert,
 }
 
 
@@ -231,9 +197,16 @@ def run_suite(name: str, cases: int, seed: int) -> list:
     without checking anything."""
     if cases < 1:
         raise ValueError(f"a suite needs at least 1 case, got {cases}")
-    if name == "all":
-        return [fn(cases, seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          + ", ".join([*SUITES, "all"]))
-    return [SUITES[name](cases, seed)]
+    reports = []
+    for suite_name, suite in SUITES.items():
+        if name in ("all", suite_name):
+            rng = random.Random(seed)
+            report = SuiteReport(suite_name, seed)
+            for _ in range(cases):
+                for ok, description in suite(rng):
+                    report.record(ok, description)
+            reports.append(report)
+    return reports

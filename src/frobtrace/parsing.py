@@ -22,16 +22,18 @@ Form grammar:
 where dvar is 'd' immediately followed by a declared variable name.
 Both sums, of terms and of summands, are read by one signed-sum loop.
 
-Divisor grammar: comma-separated components, each "poly:mult" or "H:k".
+Divisor grammar: comma-separated components, each "poly:mult" or "H:k",
+a multiplicity being an optional sign and ASCII digits.
 
-Errors report the character position and what was expected.
+Errors report what was expected and the character position in the whole
+text, of a divisor too.
 """
 
 from __future__ import annotations
 
 import re
 
-from .field import GENERATOR, FiniteField
+from .field import GENERATOR, MAX_ORDER, FiniteField
 from .forms import DiffForm
 from .poly import Poly, RationalFn
 from .projective import DivisorSpec
@@ -45,7 +47,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/():,]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/():,]))")
 
 
 def _tokenize(text: str):
@@ -253,23 +255,25 @@ def parse_divisor(text: str, field, varnames) -> DivisorSpec:
     n = len(varnames) - 1
     hypersurfaces = []
     k = 0
-    text = text.strip()
-    if text in ("", "0"):
+    if text.strip() in ("", "0"):
         return DivisorSpec(field, n)
+    pos = 0
     for component in text.split(","):
+        start = pos + len(component) - len(component.lstrip())  # in text
+        pos += len(component) + 1
         component = component.strip()
         if ":" not in component:
             raise ParseError(f"divisor component {component!r} lacks ':mult'")
         left, right = component.rsplit(":", 1)
         left, right = left.strip(), right.strip()
-        try:
-            mult = int(right)
-        except ValueError:
-            raise ParseError(f"multiplicity {right!r} is not an integer") from None
+        if not re.fullmatch(r"[-+]?[0-9]+", right):
+            raise ParseError(f"multiplicity {right!r} is not an integer")
+        mult = int(right)
         if left == "H":
             k += mult
             continue
-        f = parse_poly(left, field, varnames)
+        # padded to its start, so parse errors report positions in text
+        f = parse_poly(" " * start + left, field, varnames)
         if f.is_zero():
             raise ParseError(f"hypersurface component {left!r} is zero")
         if not f.is_homogeneous():
@@ -282,7 +286,13 @@ def parse_divisor(text: str, field, varnames) -> DivisorSpec:
 
 def parse_modulus(text: str, p: int) -> list:
     """Parse a univariate modulus such as "x^2+1" into little-endian
-    coefficients; any single identifier may serve as the variable."""
+    coefficients; any single identifier may serve as the variable.
+
+    An extension of F_p has order at least p^2, so it is refused before
+    F_p's tables are built when p^2 exceeds ``MAX_ORDER``."""
+    if p * p > MAX_ORDER:
+        raise ParseError(f"an extension of F_{p} has order at least p^2 = {p * p}, "
+                         f"which exceeds the limit q <= {MAX_ORDER} (2^16)")
     tokens = _tokenize(text)
     names = {v for kind, v, _ in tokens if kind == "name"}
     if len(names) > 1:

@@ -367,9 +367,15 @@ class Poly:
             return Poly.zero(self.field, self.nvars)
         dm, dc = divisor.leading_term()
         quotient = {}
-        rem = self
+        rem, last = self, None
         while not rem.is_zero():
             rm, rc = rem.leading_term()
+            # each step cancels the leading term, so its monomial falls;
+            # only broken field arithmetic can leave it in place
+            if last is not None and grlex_key_desc(rm) <= grlex_key_desc(last):
+                raise RuntimeError(f"exact division left the leading monomial {rm} "
+                                   "in place")
+            last = rm
             if not _mono_divides(dm, rm):
                 return None
             m = tuple(x - y for x, y in zip(rm, dm))

@@ -27,7 +27,7 @@ from frobtrace import (
     trace_poly_top,
     verify_witness,
 )
-from frobtrace.checks import check_composition, check_semilinearity, random_poly
+from frobtrace.checks import random_poly, run_suite
 from frobtrace.cli import main
 
 XYZW = ["x", "y", "z", "w"]
@@ -92,8 +92,8 @@ def test_criterion_3_residue_rule_exhaustive():
 
 def test_criterion_4_semilinearity_and_composition():
     start = time.perf_counter()
-    semi = check_semilinearity(200, seed=2024)
-    comp = check_composition(200, seed=2024)
+    [semi] = run_suite("semilinearity", 200, 2024)
+    [comp] = run_suite("composition", 200, 2024)
     elapsed = time.perf_counter() - start
     ok = (semi.ok and comp.ok and semi.cases >= 200 and comp.cases >= 200
           and elapsed < 30.0)

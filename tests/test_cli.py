@@ -5,9 +5,9 @@ import json
 import pytest
 
 from frobtrace import (DivisorSpec, FiniteField, Poly, RationalFn, Scalar, TopForm,
-                       checks, cli, demo, parse_form, parse_poly, trace_matrix,
+                       checks, cli, demo, field, parse_form, parse_poly, trace_matrix,
                        trace_rational_top)
-from frobtrace.checks import run_suite
+from frobtrace.checks import SUITES, run_suite
 from frobtrace.cli import main
 from frobtrace.projective import SemilinearMap
 
@@ -226,6 +226,29 @@ def test_check_suites_catch_a_dropped_coefficient_root(monkeypatch):
     assert not all(r.ok for r in reports)
 
 
+def test_all_runs_each_suite_as_it_runs_alone(monkeypatch):
+    # every check is recorded as failed, so the reports keep each drawn
+    # case; under "all" each suite must draw from its own generator,
+    # seeded as if it ran alone
+    record = checks.SuiteReport.record
+    monkeypatch.setattr(checks.SuiteReport, "record",
+                        lambda self, ok, description: record(self, False, description))
+    together = run_suite("all", 10, 42)
+    assert together == [run_suite(name, 10, 42)[0] for name in SUITES]
+    assert [r.name for r in together] == list(SUITES)
+    assert all(len(r.failures) == r.cases >= 10 for r in together)
+
+
+def test_suites_count_every_check_of_a_case():
+    # semilinearity checks two laws per case, cartier-roundtrip a second one
+    # when the case has n >= 2 variables, every other suite one
+    counts = {r.name: r.cases for r in run_suite("all", 20, 0)}
+    assert counts.pop("semilinearity") == 40
+    assert 20 < counts.pop("cartier-roundtrip") < 40
+    assert counts == dict.fromkeys(["composition", "kernel-exact", "oracle",
+                                    "fedder-cert"], 20)
+
+
 def test_oracle_suite_catches_a_dropped_root_in_the_oracle(monkeypatch):
     # the decomposition oracle solves for c^p and roots each value with
     # Scalar.inverse_frobenius, the identity on F_p: only the suite's
@@ -339,6 +362,19 @@ def test_field_over_the_order_limit_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "q = 2^17 exceeds the limit q <= 65536" in err
+
+
+@pytest.mark.parametrize("p", [257, 65537])
+def test_extension_over_the_order_limit_builds_no_table(capsys, monkeypatch, p):
+    # p^2 > 2^16 refuses every extension of F_p before F_p itself is built
+    calls = []
+    table_ops = field._table_ops
+    monkeypatch.setattr(field, "_table_ops", lambda *a: calls.append(a) or table_ops(*a))
+    code, out, err = run(["--char", str(p), "--modulus", "t^2+1", "--vars", "x",
+                          "trace", "(x) dx"], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == (f"error: an extension of F_{p} has order at least p^2 = {p * p}, "
+                   "which exceeds the limit q <= 65536 (2^16)\n")
 
 
 def test_non_effective_fixed_divisor_is_usage_error(capsys):

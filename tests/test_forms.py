@@ -226,3 +226,20 @@ def test_scale_multiplies_every_coefficient():
     negated = DiffForm(F3, 2, 1, {i: -r for i, r in form.coeffs.items()})
     assert form.scale(RationalFn(Poly.constant(F3, 2, 2))) == negated
     assert form.scale(RationalFn(Poly.zero(F3, 2))).is_zero()
+
+
+@pytest.mark.parametrize("nvars, degree, coeffs, message", [
+    (2, 3, None, "form degree 3 out of range for 2 variables"),
+    (2, 2, {(1, 0): Poly.one(F2, 2)},
+     "index set (1, 0) is not a strictly increasing 2-subset"),
+    (2, 2, {(0, 0): Poly.one(F2, 2)},
+     "index set (0, 0) is not a strictly increasing 2-subset"),
+    (2, 1, {(2,): Poly.one(F2, 2)}, "index set (2,) out of range"),
+    (2, 1, {(-1,): Poly.one(F2, 2)}, "index set (-1,) out of range"),
+    (2, 2, {(0, 1): RationalFn(Poly.one(F3, 2))}, "coefficient from a different context"),
+    (2, 2, {(0, 1): RationalFn(Poly.one(F2, 3))}, "coefficient from a different context"),
+])
+def test_diffform_refuses_what_is_not_a_form(nvars, degree, coeffs, message):
+    with pytest.raises(ValueError) as exc:
+        DiffForm(F2, nvars, degree, coeffs)
+    assert str(exc.value) == message

@@ -137,6 +137,7 @@ def test_divisor_specs():
     spec = parse_divisor("x^3+y^3+z^3+w^3:1,H:2", F2, XYZW)
     assert spec.k == 2 and len(spec.hypersurfaces) == 1
     assert parse_divisor("H:-3", F2, XYZW).k == -3
+    assert parse_divisor("H:+2,x: 01", F2, XYZW).k == 2
     assert parse_divisor("", F2, XYZW).k == 0
     assert parse_divisor("0", F2, XYZW).k == 0
     two = parse_divisor("x:1,y:2,H:1", F2, XYZW)
@@ -152,6 +153,35 @@ def test_divisor_errors():
         parse_divisor("x:a", F2, XYZW)
     with pytest.raises(ParseError):
         parse_divisor("x:-1", F2, XYZW)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x^2+y*z:1,x+*y:1", 12),
+    (" x:1,  x+*y:1", 9),
+    ("H:1, x^2:1,y+:1", 13),  # the end of "y+"
+])
+def test_divisor_errors_report_positions_in_the_whole_text(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_divisor(text, F2, XYZ)
+    assert exc.value.pos == pos
+    assert str(exc.value).endswith(f"(at position {pos})")
+
+
+@pytest.mark.parametrize("mult", ["1_0", "\u0661", "\uff11"])
+def test_divisor_multiplicity_is_a_signed_ascii_integer(mult):
+    # int() would read "1_0" as 10 and the Arabic-Indic and full-width ones as 1
+    for left in ("x", "H"):
+        with pytest.raises(ParseError) as exc:
+            parse_divisor(f"{left}:{mult}", F2, XYZ)
+        assert str(exc.value) == f"multiplicity {mult!r} is not an integer"
+
+
+def test_poly_integers_are_ascii_digits():
+    with pytest.raises(ParseError, match="unexpected character '\u0661' "
+                                         r"\(at position 2\)"):
+        parse_poly("x^\u0661", F2, XY)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_poly("\uff12*x", F3, XY)
 
 
 def test_modulus():

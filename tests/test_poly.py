@@ -3,6 +3,7 @@ direct-sum decomposition."""
 
 import math
 import random
+import time
 
 import pytest
 
@@ -320,6 +321,19 @@ def test_exact_divide_random():
             if g.is_zero():
                 continue
             assert (f * g).exact_divide(g) == f
+
+
+def test_exact_divide_stops_when_the_leading_monomial_stays():
+    # with negation broken to the identity, each step adds c x^m * b
+    # instead of subtracting it, so the leading coefficient doubles and
+    # never cancels; the division must refuse, not loop forever
+    broken = FiniteField(3)
+    broken._neg = lambda a: a
+    a, b = P("x^2+y+1", broken), P("x+2*z", broken)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"leading monomial \(3, 0, 0, 0\)"):
+        (a * b).exact_divide(b)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_monomials_upto_count():
