@@ -16,7 +16,6 @@ from .fsplit import FsplitVerdict, fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import NEG_INFINITY, Poly, RationalFn, monomials_upto
 from .projective import (
-    ChartError,
     ContainmentError,
     DivisorSpec,
     MapVerdict,
@@ -36,7 +35,7 @@ __all__ = [
     "inverse_cartier", "inverse_cartier_top", "trace_by_decomposition",
     "DivisorSpec", "SectionSpace", "SemilinearMap", "MapVerdict",
     "section_space", "pe_twist", "trace_matrix", "map_verdict",
-    "ChartError", "ContainmentError",
+    "ContainmentError",
     "FsplitVerdict", "fedder_hypersurface", "verify_witness",
     "ParseError", "parse_poly", "parse_form",
     "parse_divisor", "parse_modulus",

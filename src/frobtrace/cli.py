@@ -23,8 +23,8 @@ from .field import FiniteField
 from .fsplit import fedder_hypersurface, verify_witness
 from .parsing import ParseError, parse_divisor, parse_form, parse_modulus, parse_poly
 from .poly import monomial_string
-from .projective import (ChartError, ContainmentError, _cell_rows, _chart_varnames,
-                         section_space, trace_matrix)
+from .projective import (ContainmentError, _cell_rows, _chart_varnames, section_space,
+                         trace_matrix)
 
 JSON_VERSION = "1"
 
@@ -269,9 +269,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ChartError as exc:  # raised only after --vars was read
-        print(f"error: {exc.to_string(_varnames(args))}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,11 +7,12 @@ Polynomial grammar (integer coefficients are reduced mod p):
     factor   = uint | '(' poly ')'
     monomial = name ('^' uint)? ('*' name ('^' uint)?)*
 
-where a name is a declared variable.  Over F_{p^s} with s > 1 the name
-``g`` is the field generator, the class of the modulus variable, and
-reads as a coefficient factor, so the coefficients that
-:meth:`Poly.to_string` prints, such as ``g^2*x`` and ``(1+g)*x*y^3``,
-parse back; ``g`` may then not be declared as a variable.
+where a name is a declared variable, and a variable is declared only
+under a name: a letter or '_' followed by letters, digits or '_'.  Over
+F_{p^s} with s > 1 the name ``g`` is the field generator, the class of
+the modulus variable, and reads as a coefficient factor, so the
+coefficients that :meth:`Poly.to_string` prints, such as ``g^2*x`` and
+``(1+g)*x*y^3``, parse back; ``g`` may then not be declared as a variable.
 
 Form grammar:
 
@@ -25,8 +26,8 @@ Both sums, of terms and of summands, are read by one signed-sum loop.
 Divisor grammar: comma-separated components, each "poly:mult" or "H:k",
 a multiplicity being an optional sign and ASCII digits.
 
-Errors report what was expected and the character position in the whole
-text, of a divisor too.
+Errors report what was expected, what was found (or that the input
+ended) and the character position in the whole text, of a divisor too.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/():,]))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^/():,]))")
 
 
 def _tokenize(text: str):
@@ -71,10 +73,20 @@ def _tokenize(text: str):
 
 
 def _check_varnames(field, varnames):
-    """Refuse a variable that shadows the generator name over F_{p^s}."""
+    """Refuse a variable name that the grammar cannot read as a name, and
+    one that shadows the generator name over F_{p^s}."""
+    for name in varnames:
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"variable name {name!r} must be a letter or '_' "
+                             "followed by letters, digits or '_'")
     if field.s > 1 and GENERATOR in varnames:
         raise ParseError(f"{GENERATOR!r} names the generator of {field}; "
                          "declare the variables under other names")
+
+
+def _found(value) -> str:
+    """A token's value as an error names it; None marks the end of the input."""
+    return "the end of the input" if value is None else repr(value)
 
 
 class _Parser:
@@ -100,7 +112,7 @@ class _Parser:
     def expect_op(self, op):
         kind, value, pos = self.next()
         if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}", pos)
+            raise ParseError(f"expected {op!r}, found {_found(value)}", pos)
 
     def at_op(self, *ops):
         kind, value, _ = self.peek()
@@ -140,7 +152,7 @@ class _Parser:
             factor = self.parse_poly()
             self.expect_op(")")
         elif kind != "name":
-            raise ParseError(f"expected a term, found {value!r}", pos)
+            raise ParseError(f"expected a term, found {_found(value)}", pos)
         if kind != "name":
             if not self._at_monomial_factor():
                 # a factor alone; a "*" not followed by a monomial is left
@@ -152,7 +164,7 @@ class _Parser:
         while True:
             kind, value, pos = self.next()
             if kind != "name":
-                raise ParseError(f"expected a variable name, found {value!r}", pos)
+                raise ParseError(f"expected a variable name, found {_found(value)}", pos)
             is_generator = self.generator is not None and value == GENERATOR
             if not is_generator and value not in self.index:
                 raise ParseError(f"unknown variable {value!r}; declared: "
@@ -162,7 +174,7 @@ class _Parser:
                 self.next()
                 kind2, value2, pos2 = self.next()
                 if kind2 != "int":
-                    raise ParseError(f"expected an exponent, found {value2!r}", pos2)
+                    raise ParseError(f"expected an exponent, found {_found(value2)}", pos2)
                 exp = value2
             if is_generator:
                 coeff = self.generator ** exp * coeff
@@ -194,7 +206,7 @@ class _Parser:
     def _parse_dvar(self):
         kind, value, pos = self.next()
         if kind != "name" or not value.startswith("d") or len(value) < 2:
-            raise ParseError(f"expected d<var>, found {value!r}", pos)
+            raise ParseError(f"expected d<var>, found {_found(value)}", pos)
         var = value[1:]
         if var not in self.index:
             raise ParseError(f"unknown variable {var!r} in {value!r}", pos)

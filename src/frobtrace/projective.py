@@ -4,9 +4,11 @@ Global sections of omega(sum a_j V(f_j) + k H) are modeled on one affine
 chart: with den the product of the dehomogenized f_j^{a_j}, the sections
 are the rational top forms (h / den) dx with deg h <= sum a_j d_j + k - (n+1).
 A space sets that bound from its divisor, and a negative bound yields
-the zero space.  The default chart is the last homogeneous variable.  A
-hypersurface the chart misses raises :class:`ChartError`, which keeps the
-polynomial and the chart index.
+the zero space.  The default chart is the last homogeneous variable.
+Sections are determined on the dense chart, where a hypersurface the
+chart misses, V(x_chart^d), is empty: it dehomogenizes to a constant
+factor of den and adds only its degree to the bound, as H does.  So the
+chart only chooses the printed coordinates, and ranks do not depend on it.
 
 A trace matrix holds, per source basis monomial, the coordinates of its
 trace in the target basis.  Its form is sparse rows of int codes, one
@@ -50,23 +52,8 @@ from operator import add as _plus, le as _le
 from . import linalg
 from .cartier import _pairing_table
 from .forms import TopForm
-from .poly import (Poly, RationalFn, default_varnames, monomial_count, monomial_rank,
-                   monomial_string, monomial_strings_upto, monomials_upto)
-
-
-class ChartError(ValueError):
-    """The hypersurface ``poly`` lies in the complement of chart ``chart``;
-    :meth:`to_string` names both in the given variable names."""
-
-    def __init__(self, poly, chart):
-        self.poly = poly
-        self.chart = chart
-        super().__init__(self.to_string())
-
-    def to_string(self, varnames=None) -> str:
-        name = (varnames or default_varnames(self.poly.nvars))[self.chart]
-        return (f"hypersurface {self.poly.to_string(varnames)} is contained in the "
-                f"chart complement {name} = 0")
+from .poly import (Poly, RationalFn, monomial_count, monomial_rank, monomial_string,
+                   monomial_strings_upto, monomials_upto)
 
 
 class ContainmentError(RuntimeError):
@@ -217,10 +204,7 @@ def _chart_product(divisor: DivisorSpec, chart: int) -> Poly:
     from its first factor on; one when there is none."""
     product = None
     for f, a in divisor.hypersurfaces:
-        fd = f.dehomogenize(chart)
-        if f.total_degree() >= 1 and fd.is_constant():
-            raise ChartError(f, chart)
-        fd = fd ** a
+        fd = f.dehomogenize(chart) ** a
         product = fd if product is None else product * fd
     return Poly.one(divisor.field, divisor.n) if product is None else product
 
@@ -367,10 +351,9 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     product ends the work.  Every level is read from one pairing table of
     E (:func:`frobtrace.cartier._pairing_table`), so E^{p-1} is
     decomposed once.  The table and both spaces come from one chart
-    product of E, formed once per call after the chart is checked; a
-    :class:`ChartError` names E's component before D's.  Every entry
-    is an int code, in rows keyed by monomial at every level; each source
-    column the product reaches is placed once, at the end, by
+    product of E, formed once per call after the chart is checked.  Every
+    entry is an int code, in rows keyed by monomial at every level; each
+    source column the product reaches is placed once, at the end, by
     :func:`frobtrace.poly.monomial_rank`.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis

@@ -398,10 +398,28 @@ def test_parse_error_exit_code(capsys):
     assert "q" in err
 
 
+def test_input_that_ends_early_says_so(capsys):
+    for command, expected in ((["trace", "(x+"], "a term"), (["fedder", "x^"], "an exponent")):
+        code, out, err = run(["--char", "2", "--vars", "x", *command], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: expected {expected}, found the end of the input "
+                       f"(at position {len(command[1])})\n")
+
+
 def test_missing_vars_is_usage_error(capsys):
     code, _, err = run(["--char", "2", "trace", "(x) dx", "--e", "1"], capsys)
     assert code == 2
     assert "--vars" in err
+
+
+def test_vars_refuses_a_name_the_grammar_cannot_read(capsys):
+    for names, command in (("x,y z", ["trace", "(x) dx"]), ("2x", ["trace", "(1) d2x"]),
+                           ("x,y,z-w", ["trace-matrix", "--D", "H:1"])):
+        code, out, err = run(["--char", "2", "--vars", names, *command], capsys)
+        bad = names.split(",")[-1]
+        assert (code, out) == (2, ""), names
+        assert err == (f"error: variable name {bad!r} must be a letter or '_' "
+                       "followed by letters, digits or '_'\n"), names
 
 
 def test_nonhomogeneous_divisor_rejected(capsys):
@@ -421,15 +439,20 @@ def test_chart_flag(capsys):
     assert data["verdict"]["zero"] is True
 
 
-def test_chart_complement_hypersurface_is_named_with_vars(capsys):
-    code, out, err = run(["--char", "2", "--vars", "x,y,z,w", "--chart", "x",
-                          "trace-matrix", "--E", "x^3+y^3+z^3+w^3:1", "--D", "x:1"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: hypersurface x is contained in the chart complement x = 0\n"
+def test_chart_complement_hypersurface_is_a_constant_factor(capsys):
+    """A component that the chart misses dehomogenizes to a constant: it
+    adds its degree to the bound and nothing to the denominator."""
+    code, out, err = run(["--char", "2", "--vars", "x,y,z,w", "--chart", "x", "--output",
+                          "json", "trace-matrix", "--E", "x^3+y^3+z^3+w^3:1", "--D", "x:1"],
+                         capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["src"]["dim"], data["tgt"]["dim"], data["verdict"]["rank"]) == (4, 1, 0)
     code, out, err = run(["--char", "3", "--vars", "a,b,c", "--chart", "b", "--output",
                           "json", "sections", "b^2:1,H:2"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: hypersurface b^2 is contained in the chart complement b = 0\n"
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["dim"], data["den"], data["basis"]) == (3, "1", ["1", "a", "c"])
 
 
 def test_bad_chart_rejected(capsys):

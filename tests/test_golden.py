@@ -44,6 +44,11 @@ CASES = {
     "f25_conic_json": [*F25, "--vars", "x,y,z", *JSON, "trace-matrix", "--E", "x*y*z:1",
                        "--D", "x^2+g*y*z+z^2:1,H:1"],
     "chart_x": [*FERMAT, "--chart", "x", *JSON, *FERMAT_MATRIX, "--e", "2"],
+    # the toric boundary: each chart misses one component, and the rank is 1
+    "toric_boundary": ["--char", "2", "--vars", "x,y,z", "trace-matrix",
+                       "--E", "x:1,y:1,z:1", "--D", "H:0", "--e", "3"],
+    "toric_boundary_p3_json": ["--char", "3", "--vars", "x,y,z,w", *JSON, "trace-matrix",
+                               "--E", "x:1,y:1,z:1,w:1", "--D", "H:0", "--e", "2"],
     "sections_f2": [*FERMAT, "sections", "x^3+y^3+z^3+w^3:1,H:2"],
     "sections_f4_json": ["--char", "2", "--modulus", "t^2+t+1", "--vars", "x,y,z", *JSON,
                          "sections", "x^2+g*y*z:1,H:2"],
@@ -100,6 +105,10 @@ EXPECTED = {
         (0, "596ae9f78208a77000548ed897bb67d531b24ba1e221edb83fa7b4276fbd7067", EMPTY),
     "chart_x":
         (0, "9faf52312e0b1a6fd696df70978df8eb2e59c5f058579dec553f3609e3b5c622", EMPTY),
+    "toric_boundary":
+        (0, "d14f78665f6a80420a55edf7fb7e0e68a1f077d6078985fbfea83e40fd0a653a", EMPTY),
+    "toric_boundary_p3_json":
+        (0, "92f86384996fa13683e81c6b7a134abde1132ef575dbbc8100d470f8d1ae92ef", EMPTY),
     "sections_f2":
         (0, "3689f687313f36b70ff794b7acbc74b5114d9331a719ad9b6a460cb674330560", EMPTY),
     "sections_f4_json":

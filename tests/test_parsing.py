@@ -120,9 +120,9 @@ def test_polynomials_and_forms_read_sums_by_one_rule():
     for parse, text, message in (
         (parse_poly, "x + -y", "expected a term, found '-' (at position 4)"),
         (parse_poly, "- -x", "expected a term, found '-' (at position 2)"),
-        (parse_poly, "x+", "expected a term, found None (at position 2)"),
+        (parse_poly, "x+", "expected a term, found the end of the input (at position 2)"),
         (parse_form, "(x) dx + -(y) dy", "expected '(', found '-' (at position 9)"),
-        (parse_form, "(x) dx+", "expected '(', found None (at position 7)"),
+        (parse_form, "(x) dx+", "expected '(', found the end of the input (at position 7)"),
         # the degree of the first summand is the form's
         (parse_form, "-(x) dx - (y) dx^dy", "mixed form degrees 1 and 2"),
         (parse_form, "(x) dx^dy + (y) dx", "mixed form degrees 2 and 1"),

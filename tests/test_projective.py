@@ -10,7 +10,6 @@ import pytest
 from frobtrace import cartier, linalg, projective
 from frobtrace import poly as poly_module
 from frobtrace import (
-    ChartError,
     ContainmentError,
     DivisorSpec,
     FiniteField,
@@ -116,17 +115,16 @@ def test_section_space_lists_its_basis_on_first_read(monkeypatch):
             listed.clear()
 
 
-def test_chart_error_for_chart_complement_component():
+def test_chart_complement_component_is_a_constant_factor():
+    """V(w) on the chart w = 1 dehomogenizes to the constant one: it adds
+    its degree to the bound, as on chart 0, and nothing to the den."""
     w_poly = parse_poly("w", F2, XYZW)
-    divisor = DivisorSpec(F2, 3, [(w_poly, 1)], k=1)
-    with pytest.raises(ChartError) as info:
-        section_space(divisor, chart=3)
-    assert (info.value.poly, info.value.chart) == (w_poly, 3)
-    assert str(info.value) == "hypersurface x3 is contained in the chart complement x3 = 0"
-    assert info.value.to_string(XYZW) == \
-        "hypersurface w is contained in the chart complement w = 0"
-    # the same component is fine on another chart
-    section_space(divisor, chart=0)
+    for mult, k, bound, dim in ((1, 1, -2, 0), (2, 3, 1, 4)):
+        divisor = DivisorSpec(F2, 3, [(w_poly, mult)], k=k)
+        on_w, on_x = section_space(divisor, chart=3), section_space(divisor, chart=0)
+        assert on_w.den == Poly.one(F2, 3) and on_x.den == Poly.monomial(F2, (0, 0, mult))
+        assert (on_w.bound, on_w.dim) == (on_x.bound, on_x.dim) == (bound, dim)
+        assert on_w.to_json(XYZW)["den"] == "1"
 
 
 def test_pe_twist_examples():
@@ -382,7 +380,7 @@ def test_rank_one_exactly_when_fedder_splits_on_every_chart():
     """E = V(f) of degree d <= n + 1 and D = (n + 1 - d)H give the target
     omega(E + D) = O, of dimension 1: the exponent-1 matrix has rank 1
     exactly when Fedder's criterion splits f, and the rank is the same on
-    every chart that f does not lie in the complement of."""
+    every chart, one that f lies in the complement of included."""
     rng = random.Random(19)
     cases = split = 0
     for field in (*FIELDS, FiniteField(7), FiniteField(5, 2, parse_modulus("t^2+2", 5))):
@@ -396,10 +394,7 @@ def test_rank_one_exactly_when_fedder_splits_on_every_chart():
                 E, D = DivisorSpec(field, n, [(f, 1)]), DivisorSpec(field, n, k=n + 1 - d)
                 ranks = set()
                 for chart in range(n + 1):
-                    try:
-                        t = trace_matrix(E, D, 1, chart)
-                    except ChartError:
-                        continue
+                    t = trace_matrix(E, D, 1, chart)
                     assert t.tgt.dim == 1
                     ranks.add(t.verdict.rank)
                 expected = int(fedder_hypersurface(f).split)
@@ -407,6 +402,68 @@ def test_rank_one_exactly_when_fedder_splits_on_every_chart():
                 cases += 1
                 split += expected
     assert (cases, split) == (240, 175)
+
+
+def _coordinate(field, n, i, c=1):
+    """The coordinate hyperplane c x_i of P^n."""
+    return Poly.monomial(field, tuple(int(j == i) for j in range(n + 1)), c)
+
+
+def _coordinate_case(rng):
+    """(E, D, e) over a field of ``checks.FIELDS`` on P^1 to P^3: E has 1
+    to n + 1 coordinate-hyperplane components c x_i, each of multiplicity
+    1 or 2, and up to two random components; D = kH with -1 <= k <= 2,
+    and e <= 2."""
+    field = rng.choice(FIELDS)
+    n = rng.randint(1, 3)
+    elements = [x for x in field.elements() if x]
+    forms = [(_coordinate(field, n, i, rng.choice(elements)), rng.randint(1, 2))
+             for i in rng.sample(range(n + 1), rng.randint(1, n + 1))]
+    forms += [(_random_form(field, n + 1, rng.randint(1, 3), rng), rng.randint(1, 2))
+              for _ in range(rng.randint(0, 2))]
+    E, D = DivisorSpec(field, n, forms), DivisorSpec(field, n, k=rng.randint(-1, 2))
+    return E, D, _small_e(E, D)
+
+
+def test_coordinate_hyperplanes_give_the_same_rank_on_every_chart():
+    """The chart law: with E's coordinate hyperplanes, which some charts
+    miss, the rank is the same on every chart, and on each chart the code
+    rows and dimensions are those of E written as one product component."""
+    rng = random.Random(26)
+    seen = {"nonzero": 0, "e = 2": 0, "random component": 0}
+    for _ in range(300):
+        E, D, e = _coordinate_case(rng)
+        product = Poly.one(E.field, E.n + 1)
+        for f, a in E.hypersurfaces:
+            product = product * f ** a
+        merged = DivisorSpec(E.field, E.n, [(product, 1)])
+        ranks = set()
+        for chart in range(E.n + 1):
+            t, m = trace_matrix(E, D, e, chart), trace_matrix(merged, D, e, chart)
+            assert (t.codes, t.src.dim, t.tgt.dim) == (m.codes, m.src.dim, m.tgt.dim), \
+                (E, D, e, chart)
+            ranks.add(t.verdict.rank)
+        assert len(ranks) == 1, (E, D, e, ranks)
+        seen["nonzero"] += ranks != {0}
+        seen["e = 2"] += e == 2
+        seen["random component"] += any(len(f.terms) > 1 or f.total_degree() > 1
+                                        for f, _ in E.hypersurfaces)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_toric_boundary_has_rank_one_on_every_chart():
+    """E = V(x_0) + ... + V(x_n), D = 0 on P^2 and P^3: K + E = 0, so both
+    spaces are the constants, and Tr^e is onto on every chart, though
+    each chart misses one component."""
+    F4 = FiniteField(2, 2, parse_modulus("t^2+t+1", 2))
+    for field in (F2, F3, F4):
+        for n in (2, 3):
+            E = DivisorSpec(field, n, [(_coordinate(field, n, i), 1) for i in range(n + 1)])
+            for e in (1, 2, 3):
+                for chart in range(n + 1):
+                    t = trace_matrix(E, DivisorSpec(field, n), e, chart)
+                    assert (t.src.dim, t.tgt.dim, t.verdict.rank) == (1, 1, 1), \
+                        (field, n, e, chart)
 
 
 def test_apply_matches_traced_forms():
@@ -529,11 +586,27 @@ def section_bound(divisor):
     return divisor.degree_sum() + divisor.k - (divisor.n + 1)
 
 
+def _small_e(E, D):
+    """e = 2, or 1 when at e = 2 the source bound or the degree of
+    E^{q-1} would be large."""
+    if section_bound(pe_twist(D, E, 2)) > 24 or E.degree_sum() * (E.field.p ** 2 - 1) > 40:
+        return 1
+    return 2
+
+
+def _misses(chart, *divisors):
+    """Does the chart miss a component of a divisor: one that
+    dehomogenizes to a constant, c x_chart^d?"""
+    return any(f.dehomogenize(chart).is_constant()
+               for divisor in divisors for f, _ in divisor.hypersurfaces)
+
+
 def test_level_product_matches_direct_rule_on_random_divisors():
     """trace_matrix, built level by level, against the one-step exponent-e
-    rule: the same JSON byte for byte, or the same exception."""
+    rule: the same JSON byte for byte, or the same exception, a component
+    that the chart misses included."""
     rng = random.Random(2013)
-    seen = {"e>1 nonzero": 0, "D hypersurface, k<0": 0, "raised": 0}
+    seen = {"e>1 nonzero": 0, "D hypersurface, k<0": 0, "chart misses": 0}
     for _ in range(180):
         E, D, e, chart = _random_trace_case(rng)
         names = XYZW[: E.n + 1]
@@ -541,10 +614,10 @@ def test_level_product_matches_direct_rule_on_random_divisors():
         for build in (trace_matrix, direct_trace_matrix):
             try:
                 outcomes.append(json.dumps(build(E, D, e, chart).to_json(names)))
-            except (ChartError, ContainmentError) as exc:
+            except ContainmentError as exc:
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1], (E, D, e, chart)
-        seen["raised"] += isinstance(outcomes[0], type)
+        seen["chart misses"] += _misses(chart, E, D)
         seen["e>1 nonzero"] += e > 1 and '"zero": false' in str(outcomes[0])
         seen["D hypersurface, k<0"] += bool(D.hypersurfaces) and D.k < 0
     assert min(seen.values()) >= 10, seen
@@ -665,43 +738,26 @@ def _chart_case(rng):
         d_forms.append((rng.choice(e_forms)[0], rng.randint(1, 2)))
     E = DivisorSpec(field, n, e_forms, rng.randint(0, 1))
     D = DivisorSpec(field, n, d_forms, rng.randint(-3, 3))
-    e = 2
-    if section_bound(pe_twist(D, E, e)) > 24 or E.degree_sum() * (field.p ** e - 1) > 40:
-        e = 1
-    return E, D, e, chart
-
-
-def _space_or_error(build):
-    try:
-        return build()
-    except ValueError as exc:  # ChartError included
-        return exc
+    return E, D, _small_e(E, D), chart
 
 
 def test_trace_matrix_spaces_match_section_space_and_its_errors():
     """The spaces of trace_matrix, built from one chart product of E and
     one of D, against section_space over the combined divisors: the same
-    den, bound, dim, chart and JSON, or the same ChartError, naming the
-    same polynomial and chart; an out-of-range chart raises the same
-    ValueError on both paths."""
+    den, bound, dim, chart and JSON, a component that the chart misses
+    included; an out-of-range chart raises the same ValueError on both
+    paths."""
     rng = random.Random(1302)
-    seen = {"shared": 0, "k<0": 0, "E = 0": 0, "mult 2": 0, "chart error": 0,
+    seen = {"shared": 0, "k<0": 0, "E = 0": 0, "mult 2": 0, "chart misses": 0,
             "src != tgt den": 0}
     charts = set()
     for _ in range(150):
         E, D, e, chart = _chart_case(rng)
         names = XYZW[: E.n + 1]
-        got = _space_or_error(lambda: trace_matrix(E, D, e, chart))
-        src = _space_or_error(lambda: section_space(pe_twist(D, E, e), chart))
-        tgt = _space_or_error(lambda: section_space(E.combined(D, 1), chart))
+        got = trace_matrix(E, D, e, chart)
+        src = section_space(pe_twist(D, E, e), chart)
+        tgt = section_space(E.combined(D, 1), chart)
         case = (E, D, e, chart)
-        if isinstance(got, ChartError):
-            for expected in (src, tgt):
-                assert isinstance(expected, ChartError), case
-                assert (got.poly, got.chart) == (expected.poly, expected.chart), case
-            seen["chart error"] += 1
-            continue
-        assert not isinstance(got, Exception), (case, got)
         for space, expected in ((got.src, src), (got.tgt, tgt)):
             assert space.den == expected.den, case
             assert (space.bound, space.dim, space.chart) == \
@@ -714,6 +770,7 @@ def test_trace_matrix_spaces_match_section_space_and_its_errors():
         seen["k<0"] += D.k < 0
         seen["E = 0"] += not E.hypersurfaces and not E.k
         seen["mult 2"] += any(a == 2 for f, a in E.hypersurfaces + D.hypersurfaces)
+        seen["chart misses"] += _misses(chart, E, D)
         seen["src != tgt den"] += got.src.den != got.tgt.den
     assert min(seen.values()) >= 5, seen
     assert charts == {(n, c) for n in (1, 2, 3) for c in range(n + 1)}, charts
@@ -750,7 +807,7 @@ def test_trace_matrix_makes_no_product_without_a_hypersurface(monkeypatch):
 def test_trace_matrix_refuses_bad_input_in_a_fixed_order():
     """Each input below also carries every fault refused after its own:
     e < 1 first, then an E that is not effective, then an out-of-range
-    chart, then a ChartError that names E's component before D's."""
+    chart.  Components that the chart misses are no fault: they build."""
     z, z2 = parse_poly("z", F2, XYZ), parse_poly("z^2", F2, XYZ)
     E = DivisorSpec(F2, 2, [(z, 1)])
     not_effective = DivisorSpec(F2, 2, [(z, 1)], k=-1)
@@ -761,10 +818,11 @@ def test_trace_matrix_refuses_bad_input_in_a_fixed_order():
         trace_matrix(not_effective, D, 1, 5)
     with pytest.raises(ValueError, match="^chart index 5 out of range for P\\^2$"):
         trace_matrix(E, D, 1, 5)
-    for e_part, missed in ((E, z), (DivisorSpec(F2, 2), z2)):
-        with pytest.raises(ChartError) as info:
-            trace_matrix(e_part, D, 1, 2)
-        assert (info.value.poly, info.value.chart) == (missed, 2)
+    for e_part, dims in ((E, (15, 3)), (DivisorSpec(F2, 2), (10, 1))):
+        t = trace_matrix(e_part, D, 1, 2)
+        assert t.src.den == t.tgt.den == Poly.one(F2, 2)
+        assert (t.src.dim, t.tgt.dim) == dims
+        assert t.verdict == trace_matrix(e_part, D, 1, 0).verdict
 
 
 def test_combined_validates_what_it_cannot_vouch_for():
