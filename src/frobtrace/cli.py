@@ -106,14 +106,13 @@ def _varnames(args) -> list:
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
         raise ParseError("--vars must declare at least one variable")
-    if len(set(names)) != len(names):
-        raise ParseError("--vars contains a repeated name")
     return names
 
 
-def _chart_index(args, varnames) -> int:
+def _chart_index(args, varnames):
+    """The index of the --chart variable; None leaves the library's default."""
     if args.chart is None:
-        return len(varnames) - 1
+        return None
     if args.chart not in varnames:
         raise ParseError(f"chart variable {args.chart!r} is not among --vars")
     return varnames.index(args.chart)
@@ -158,13 +157,13 @@ def cmd_trace_matrix(args) -> int:
         _print_json({"command": "trace-matrix", **t.to_json(varnames)})
         return 0
     verdict = t.verdict
-    chart_names = _chart_varnames(varnames, chart)
+    chart_names = _chart_varnames(varnames, t.src.chart)
     src_den = t.src.den.to_string(chart_names)
     # the two dens are one object when D has no hypersurface
     tgt_den = src_den if t.tgt.den is t.src.den else t.tgt.den.to_string(chart_names)
     lines = [
         f"Tr^{args.e}: omega(E + p^e D) -> omega(E + D) over F_{field.q}, "
-        f"chart {varnames[chart]}",
+        f"chart {varnames[t.src.chart]}",
         f"  E = {e_part.to_string(varnames)}; D = {divisor.to_string(varnames)}",
         f"  source: dim {t.src.dim}, bound {t.src.bound}, den {src_den}",
         f"  target: dim {t.tgt.dim}, bound {t.tgt.bound}, den {tgt_den}",
@@ -186,7 +185,7 @@ def cmd_sections(args) -> int:
     payload = {"command": "sections", **space.to_json(varnames)}
     lines = [
         f"sections of omega({divisor.to_string(varnames)}) on chart "
-        f"{varnames[chart]} over F_{field.q}",
+        f"{varnames[space.chart]} over F_{field.q}",
         f"  bound {space.bound}, dim {space.dim}",
         f"  denominator: {payload['den']}",
         "  basis: " + (", ".join(payload["basis"]) if space.dim else "(empty)"),
@@ -199,8 +198,6 @@ def cmd_fedder(args) -> int:
     field = _build_field(args)
     varnames = _varnames(args)
     f = parse_poly(args.poly, field, varnames)
-    if f.is_zero():
-        raise ParseError("the polynomial must be nonzero")
     if not f.is_homogeneous():
         raise ParseError("the polynomial must be homogeneous")
     verdict = fedder_hypersurface(f)
@@ -240,8 +237,6 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.cases < 1:
-        raise ParseError(f"--cases must be at least 1, got {args.cases}")
     reports = run_suite(args.suite, args.cases, args.seed)
     payload = {
         "command": "check",

@@ -22,23 +22,22 @@ from .parsing import parse_poly
 from .projective import DivisorSpec, _chart_varnames, section_space, trace_matrix
 
 VARNAMES = ["x", "y", "z", "w"]
-CHART = 3
 
 
 def build_report() -> dict:
     field = FiniteField(2)
-    chart_names = _chart_varnames(VARNAMES, CHART)
     cubic = parse_poly("x^3+y^3+z^3+w^3", field, VARNAMES)
     cubic_div = DivisorSpec(field, 3, [(cubic, 1)])
     hyperplane = DivisorSpec(field, 3, k=1)
+    src = section_space(cubic_div.combined(hyperplane, 2))  # on the default chart
+    chart_names = _chart_varnames(VARNAMES, src.chart)
 
-    report = {"char": 2, "vars": VARNAMES, "chart": VARNAMES[CHART],
+    report = {"char": 2, "vars": VARNAMES, "chart": VARNAMES[src.chart],
               "cubic": cubic.to_string(VARNAMES), "checks": []}
 
     def check(name, passed, **payload):
         report["checks"].append({"name": name, "ok": passed, **payload})
 
-    src = section_space(cubic_div.combined(hyperplane, 2))
     shown = src.to_json(VARNAMES)
     basis = shown["basis"]
     check("source_dimension", src.dim == 4,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add as _plus, gt as _above
 
-from .poly import Poly, grlex_key
+from .poly import Poly, monomial_rank
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,14 @@ class FsplitVerdict:
 
 def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     """Splitting verdict for the cone over V(f), with a checkable witness:
-    the graded-lex smallest qualifying monomial of f^{p-1}."""
+    the first qualifying monomial of f^{p-1} in ``monomials_upto`` order."""
     if f.is_zero():
         raise ValueError("the hypersurface polynomial must be nonzero")
     p = f.field.p
     good = [m for m in (f ** (p - 1)).terms if all(e <= p - 1 for e in m)]
     if not good:
         return FsplitVerdict(split=False)
-    return FsplitVerdict(split=True, witness=min(good, key=grlex_key))
+    return FsplitVerdict(split=True, witness=min(good, key=monomial_rank))
 
 
 def _witness_coefficient(f: Poly, witness: tuple) -> int:

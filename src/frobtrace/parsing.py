@@ -7,12 +7,16 @@ Polynomial grammar (integer coefficients are reduced mod p):
     factor   = uint | '(' poly ')'
     monomial = name ('^' uint)? ('*' name ('^' uint)?)*
 
-where a name is a declared variable, and a variable is declared only
-under a name: a letter or '_' followed by letters, digits or '_'.  Over
-F_{p^s} with s > 1 the name ``g`` is the field generator, the class of
-the modulus variable, and reads as a coefficient factor, so the
-coefficients that :meth:`Poly.to_string` prints, such as ``g^2*x`` and
-``(1+g)*x*y^3``, parse back; ``g`` may then not be declared as a variable.
+where a name is a declared variable.  Every entry point checks the
+declared names first: each is a letter or '_' followed by letters,
+digits or '_', and none is declared twice.  Over F_{p^s} with s > 1 the
+name ``g`` is the field generator, the class of the modulus variable,
+and reads as a coefficient factor, so the coefficients that
+:meth:`Poly.to_string` prints, such as ``g^2*x`` and ``(1+g)*x*y^3``,
+parse back; ``g`` may then not be declared as a variable.
+
+A token is an ASCII integer, a name or one of ``-+*^/():,``; any other
+character but white space is refused at its own position.
 
 Form grammar:
 
@@ -27,7 +31,8 @@ Divisor grammar: comma-separated components, each "poly:mult" or "H:k",
 a multiplicity being an optional sign and ASCII digits.
 
 Errors report what was expected, what was found (or that the input
-ended) and the character position in the whole text, of a divisor too.
+ended) and the character position in the whole text, of a divisor too,
+where a component's own refusal names its start or its multiplicity's.
 """
 
 from __future__ import annotations
@@ -49,36 +54,30 @@ class ParseError(ValueError):
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^/():,]))")
+# every non-space character starts a token; one that starts no other is "bad"
+_TOKEN = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^/():,])"
+                    r"|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)))
     return tokens
 
 
 def _check_varnames(field, varnames):
-    """Refuse a variable name that the grammar cannot read as a name, and
-    one that shadows the generator name over F_{p^s}."""
+    """Refuse a variable name that the grammar cannot read as a name, one
+    declared twice, and one that shadows the generator name over F_{p^s}."""
     for name in varnames:
         if not _NAME.fullmatch(name):
             raise ParseError(f"variable name {name!r} must be a letter or '_' "
                              "followed by letters, digits or '_'")
+        if varnames.count(name) > 1:
+            raise ParseError(f"variable name {name!r} is declared twice")
     if field.s > 1 and GENERATOR in varnames:
         raise ParseError(f"{GENERATOR!r} names the generator of {field}; "
                          "declare the variables under other names")
@@ -264,22 +263,24 @@ def parse_divisor(text: str, field, varnames) -> DivisorSpec:
     if "H" in varnames:
         raise ParseError("'H' names the hyperplane class in a divisor; "
                          "declare the variables under other names")
-    n = len(varnames) - 1
+    nvars = len(varnames)
     hypersurfaces = []
     k = 0
     if text.strip() in ("", "0"):
-        return DivisorSpec(field, n)
+        return DivisorSpec(field, nvars - 1)
     pos = 0
     for component in text.split(","):
         start = pos + len(component) - len(component.lstrip())  # in text
         pos += len(component) + 1
         component = component.strip()
         if ":" not in component:
-            raise ParseError(f"divisor component {component!r} lacks ':mult'")
+            raise ParseError(f"divisor component {component!r} lacks ':mult'", start)
         left, right = component.rsplit(":", 1)
+        # the multiplicity's position in text
+        at = start + len(left) + 1 + len(right) - len(right.lstrip())
         left, right = left.strip(), right.strip()
         if not re.fullmatch(r"[-+]?[0-9]+", right):
-            raise ParseError(f"multiplicity {right!r} is not an integer")
+            raise ParseError(f"multiplicity {right!r} is not an integer", at)
         mult = int(right)
         if left == "H":
             k += mult
@@ -287,13 +288,13 @@ def parse_divisor(text: str, field, varnames) -> DivisorSpec:
         # padded to its start, so parse errors report positions in text
         f = parse_poly(" " * start + left, field, varnames)
         if f.is_zero():
-            raise ParseError(f"hypersurface component {left!r} is zero")
+            raise ParseError(f"hypersurface component {left!r} is zero", start)
         if not f.is_homogeneous():
-            raise ParseError(f"hypersurface component {left!r} is not homogeneous")
+            raise ParseError(f"hypersurface component {left!r} is not homogeneous", start)
         if mult < 0:
-            raise ParseError(f"hypersurface multiplicity {mult} is negative")
+            raise ParseError(f"hypersurface multiplicity {mult} is negative", at)
         hypersurfaces.append((f, mult))
-    return DivisorSpec(field, n, hypersurfaces, k)
+    return DivisorSpec(field, nvars - 1, hypersurfaces, k)
 
 
 def parse_modulus(text: str, p: int) -> list:

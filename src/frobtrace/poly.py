@@ -29,12 +29,7 @@ from .field import FiniteField, Scalar
 NEG_INFINITY = float("-inf")
 
 
-def grlex_key(mono):
-    """Graded-lex sort key: ascending degree, then first variable heaviest."""
-    return (sum(mono), tuple(-e for e in mono))
-
-
-def grlex_key_desc(mono):
+def _print_key(mono):
     """Print-order key: descending degree, first variable heaviest within it."""
     return (-sum(mono), tuple(-e for e in mono))
 
@@ -194,7 +189,7 @@ class Poly:
         """(monomial, coefficient) maximal in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=grlex_key_desc)
+        m = min(self.terms, key=_print_key)
         return m, self.terms[m]
 
     # arithmetic -----------------------------------------------------------
@@ -372,7 +367,7 @@ class Poly:
             rm, rc = rem.leading_term()
             # each step cancels the leading term, so its monomial falls;
             # only broken field arithmetic can leave it in place
-            if last is not None and grlex_key_desc(rm) <= grlex_key_desc(last):
+            if last is not None and _print_key(rm) <= _print_key(last):
                 raise RuntimeError(f"exact division left the leading monomial {rm} "
                                    "in place")
             last = rm
@@ -392,7 +387,7 @@ class Poly:
         if varnames is None:
             varnames = default_varnames(self.nvars)
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: grlex_key_desc(kv[0])):
+        for m, c in sorted(self.terms.items(), key=lambda kv: _print_key(kv[0])):
             mono = monomial_string(m, varnames)
             cs = str(c)
             if self.field.s > 1 and ("+" in cs or "*" in cs):

@@ -1,14 +1,20 @@
 """End-to-end CLI tests: commands, output modes, exit codes, determinism."""
 
+import collections
+import contextlib
+import datetime
+import io
 import json
+import random
 
 import pytest
 
 from frobtrace import (DivisorSpec, FiniteField, Poly, RationalFn, Scalar, TopForm,
-                       checks, cli, demo, field, parse_form, parse_poly, trace_matrix,
-                       trace_rational_top)
+                       checks, cli, demo, field, parse_divisor, parse_form, parse_poly,
+                       trace_matrix, trace_rational_top)
 from frobtrace.checks import SUITES, run_suite
 from frobtrace.cli import main
+from frobtrace.poly import monomials_upto
 from frobtrace.projective import SemilinearMap
 
 
@@ -311,7 +317,7 @@ def test_check_without_cases_is_usage_error(capsys, cases):
     code, out, err = run(["check", "all", "--cases", cases], capsys)
     assert code == 2
     assert out == ""
-    assert "--cases must be at least 1" in err
+    assert err == f"error: a suite needs at least 1 case, got {cases}\n"
 
 
 @pytest.mark.parametrize("cases", [0, -1])
@@ -420,6 +426,33 @@ def test_vars_refuses_a_name_the_grammar_cannot_read(capsys):
         assert (code, out) == (2, ""), names
         assert err == (f"error: variable name {bad!r} must be a letter or '_' "
                        "followed by letters, digits or '_'\n"), names
+
+
+def test_vars_refuses_a_name_declared_twice(capsys):
+    # the parsers own the name rules; the first repeat is the one named
+    for names, command in (("x,x", ["trace", "(x) dx"]),
+                           ("x,y,x,y", ["trace-matrix", "--D", "H:1"]),
+                           ("x,y,x", ["sections", "H:1"]),
+                           ("x,y,z,x", ["fedder", "x*y"])):
+        code, out, err = run(["--char", "2", "--vars", names, *command], capsys)
+        assert (code, out) == (2, ""), names
+        assert err == "error: variable name 'x' is declared twice\n", names
+
+
+def test_fedder_refuses_the_zero_polynomial(capsys):
+    code, out, err = run(["--char", "3", "--vars", "x,y", "fedder", "x-x"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the hypersurface polynomial must be nonzero\n"
+
+
+def test_default_chart_is_the_last_variable(capsys):
+    # the library picks the chart when --chart is not given
+    for command in (["sections", "x^3+y^3+z^3:1,H:1"],
+                    ["trace-matrix", "--E", "x^3+y^3+z^3:1", "--D", "H:1"]):
+        _, default, _ = run(["--char", "2", "--vars", "x,y,z", *command], capsys)
+        _, last, _ = run(["--char", "2", "--vars", "x,y,z", "--chart", "z", *command],
+                         capsys)
+        assert default == last and "chart z" in default, command
 
 
 def test_nonhomogeneous_divisor_rejected(capsys):
@@ -532,3 +565,200 @@ def test_trace_matrix_table_stringifies_only_nonzeros(capsys, monkeypatch):
     assert code == 0 and "matrix (171 x 1711)" in out
     assert nonzeros == 171 and len(built) <= 5
     assert nonzeros <= len(read) <= nonzeros + 5
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one CLI run, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _drawn_argv(rng):
+    """Bounded argv for one command: fields F_2, F_3, F_5, F_4, F_9, a
+    non-prime --char and a reducible modulus; --vars with repeated and
+    unreadable names; e <= 2; multiplicities -1 to 2; and junk text.  Each
+    part is valid four times in five, so many draws reach the computation."""
+
+    def pick(valid, invalid):
+        return rng.choice(valid if rng.random() < 0.8 else invalid)
+
+    def junk():
+        return "".join(rng.choices("xyzwgHd0123+-*^/():, #\u0661", k=rng.randint(0, 10)))
+
+    names = pick(["x,y,z", "x,y,z,w", "x,y"],
+                 [None, ",".join(rng.choices(["x", "y", "g", "H", "2x", "y z", ""],
+                                             k=rng.randint(1, 4)))])
+
+    def poly():
+        if rng.random() < 0.8:
+            return rng.choice(["x", "x^2+y^2", "2*x*y-y^2", "g*x*y+y^2", "x^3+y^3+z^3"])
+        return rng.choice([junk(), "+".join(
+            f"{rng.randint(0, 3)}*{rng.choice('xyzwgq')}^{rng.randint(0, 3)}"
+            for _ in range(rng.randint(1, 3)))])
+
+    def divisor():
+        if rng.random() < 0.2:
+            return junk()
+        return ",".join(f"{rng.choice([poly(), 'H'])}:{pick(['-1', '0', '1', '2'], [junk()])}"
+                        for _ in range(rng.randint(0, 3)))
+
+    def form():
+        if rng.random() < 0.2:
+            return junk()
+        top = "^".join("d" + v for v in (names or "").split(","))
+        dvars = pick([top], ["^".join(rng.choices(["dx", "dz", "dw", "d2x", "dq"],
+                                                  k=rng.randint(1, 3)))])
+        return f"(({poly()})/({poly()})) {dvars}"
+
+    e = pick(["1", "2"], ["-1", "0", "x"])
+    command = rng.choice([
+        lambda: ["trace", form(), "--e", e],
+        lambda: ["trace-matrix", "--E", divisor(), "--D", divisor(), "--e", e],
+        lambda: ["sections", divisor()],
+        lambda: ["fedder", poly()],
+        lambda: rng.choice([["demo", "fermat-cubic"], ["demo", "fermat"], ["demo"]]),
+        lambda: ["check", rng.choice([*SUITES, "all", "none"]),
+                 "--cases", rng.choice(["-1", "0", "2"]), "--seed", "1"],
+    ])()
+    return [*pick([["--char", "2"], ["--char", "3"], ["--char", "5"],
+                   ["--char", "2", "--modulus", "t^2+t+1"], ["--char", "3", "--modulus", "t^2+1"]],
+                  [["--char", "4"], ["--char", "2", "--modulus", "t^2+1"], []]),
+            *(["--vars", names] if names is not None else []),
+            *pick([[], ["--chart", "x"]], [["--chart", "z"], ["--chart", "q"]]),
+            *rng.choice([[], ["--output", "json"]]), *command]
+
+
+def test_bounded_argv_exits_0_1_or_2_without_a_traceback():
+    hypothesis = pytest.importorskip("hypothesis")
+    codes = []
+
+    @hypothesis.settings(database=None, derandomize=True, max_examples=300,
+                         deadline=datetime.timedelta(seconds=10))
+    # hypothesis draws the seed; the weights of _drawn_argv hold for each seed
+    @hypothesis.given(hypothesis.strategies.integers(0, 2 ** 32))
+    def exits_cleanly(seed):
+        argv = _drawn_argv(random.Random(seed))
+        code, _, err = _run_quietly(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        command = next(a for a in argv if a in ("trace", "trace-matrix", "sections",
+                                               "fedder", "demo", "check"))
+        codes.append((command, code))
+
+    exits_cleanly()
+    counts = collections.Counter(codes)
+    # every command both computes and refuses
+    assert all(counts[command, 0] and counts[command, 2] for command, _ in counts), counts
+    assert sum(counts.values()) == 300 and sum(v for (_, c), v in counts.items() if c == 0) >= 40
+
+
+F4 = FiniteField(2, 2, [1, 1, 1])
+F9 = FiniteField(3, 2, [1, 0, 1])
+
+
+def _field_polys(st, field, monomials, max_terms):
+    """Strategy for nonzero polynomials over ``field`` with terms among
+    ``monomials``; over F_4 and F_9 the generator g occurs in coefficients."""
+    nonzero = [x for x in field.elements() if x]
+    return st.dictionaries(st.sampled_from(monomials), st.sampled_from(nonzero),
+                           min_size=1, max_size=max_terms).map(
+        lambda terms: Poly(field, len(monomials[0]), terms))
+
+
+def test_trace_json_parses_back_to_the_library_trace():
+    """Over F_4 and F_9 the num and den that `trace --output json` prints,
+    read in the --vars names, are the library's trace."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ["x", "y", "z"]
+    seen = []
+
+    polys = {(field, n): _field_polys(st, field, monomials_upto(n, 3), 4)
+             for field in (F4, F9) for n in (1, 2, 3)}
+
+    @st.composite
+    def cases(draw):
+        field, n = draw(st.sampled_from([F4, F9])), draw(st.integers(1, 3))
+        num, den = draw(polys[field, n]), draw(polys[field, n])
+        return field, n, TopForm(field, n, RationalFn(num, den)), draw(st.integers(1, 2))
+
+    @hypothesis.settings(database=None, derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    def parses_back(case):
+        field, n, form, e = case
+        text = form.to_string(names[:n])
+        modulus = "t^2+t+1" if field.p == 2 else "t^2+1"
+        code, out, err = _run_quietly(["--char", str(field.p), "--modulus", modulus,
+                                       "--vars", ",".join(names[:n]), "--output", "json",
+                                       "trace", text, "--e", str(e)])
+        assert code == 0, (text, err)
+        data = json.loads(out)
+        expected = trace_rational_top(parse_form(text, field, names[:n]), e).coeff
+        assert parse_poly(data["num"], field, names[:n]) == expected.num, text
+        assert parse_poly(data["den"], field, names[:n]) == expected.den, text
+        seen.append(not expected.is_zero())
+
+    parses_back()
+    assert len(seen) == 300 and sum(seen) >= 30, sum(seen)
+
+
+def test_trace_matrix_json_parses_back_to_the_library_map():
+    """Over F_4 and F_9 every polynomial that `trace-matrix --output json`
+    prints parses back: the components in the --vars names, the dens and
+    the basis monomials in the chart's names."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ["x", "y", "z"]
+    nonzero = []
+
+    forms = {(field, n, d): _field_polys(st, field, [m + (d - sum(m),) for m in
+                                                      monomials_upto(n, d)], 3)
+             for field in (F4, F9) for n in (1, 2) for d in (1, 2)}
+
+    @st.composite
+    def cases(draw):
+        field, n = draw(st.sampled_from([F4, F9])), draw(st.integers(1, 2))
+        components = [(draw(forms[field, n, draw(st.integers(1, 2))]), draw(st.integers(0, 2)))
+                      for _ in range(draw(st.integers(0, 2)))]
+        split = draw(st.integers(0, len(components)))
+        return (field, n, components[:split], components[split:],
+                draw(st.integers(-1, 1)), draw(st.integers(1, 2)),
+                draw(st.sampled_from([None, *range(n + 1)])))
+
+    def spec(components, k, names):
+        return ",".join([*(f"{f.to_string(names)}:{a}" for f, a in components), f"H:{k}"])
+
+    @hypothesis.settings(database=None, derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def parses_back(case):
+        field, n, e_comps, d_comps, k, e, chart = case
+        varnames = names[:n + 1]
+        E_text, D_text = spec(e_comps, 0, varnames), spec(d_comps, k, varnames)
+        modulus = "t^2+t+1" if field.p == 2 else "t^2+1"
+        argv = ["--char", str(field.p), "--modulus", modulus, "--vars", ",".join(varnames),
+                *(["--chart", varnames[chart]] if chart is not None else []),
+                "--output", "json", "trace-matrix", "--E", E_text, "--D", D_text,
+                "--e", str(e)]
+        code, out, err = _run_quietly(argv)
+        assert code == 0, (argv, err)
+        data = json.loads(out)
+        t = trace_matrix(parse_divisor(E_text, field, varnames),
+                         parse_divisor(D_text, field, varnames), e, chart)
+        chart_names = [v for i, v in enumerate(varnames) if i != t.src.chart]
+        for side, space in (("src", t.src), ("tgt", t.tgt)):
+            shown = data[side]
+            assert [parse_poly(h["poly"], field, varnames) for h in
+                    shown["divisor"]["hypersurfaces"]] == [f for f, _ in
+                                                           space.divisor.hypersurfaces]
+            assert parse_poly(shown["den"], field, chart_names) == space.den
+            assert [parse_poly(b, field, chart_names) for b in shown["basis"]] == \
+                [Poly.monomial(field, m) for m in space.basis]
+        nonzero.append(t.verdict.rank > 0)
+
+    parses_back()
+    assert len(nonzero) == 150 and sum(nonzero) >= 10, sum(nonzero)

@@ -159,6 +159,14 @@ def test_divisor_errors():
     ("x^2+y*z:1,x+*y:1", 12),
     (" x:1,  x+*y:1", 9),
     ("H:1, x^2:1,y+:1", 13),  # the end of "y+"
+    # a component's own refusals: the component's start or its multiplicity's
+    ("x:1_0", 2),
+    ("x:1,,y:1", 4),  # the empty component lacks ':mult'
+    (" y:1, x^3+y^3", 6),
+    ("H:1, x: 1_0", 8),
+    ("x:1, 0:1", 5),  # zero
+    ("H:2,  x+y^2:1", 6),  # not homogeneous
+    ("y:1, x : -2", 9),  # negative
 ])
 def test_divisor_errors_report_positions_in_the_whole_text(text, pos):
     with pytest.raises(ParseError) as exc:
@@ -173,7 +181,7 @@ def test_divisor_multiplicity_is_a_signed_ascii_integer(mult):
     for left in ("x", "H"):
         with pytest.raises(ParseError) as exc:
             parse_divisor(f"{left}:{mult}", F2, XYZ)
-        assert str(exc.value) == f"multiplicity {mult!r} is not an integer"
+        assert str(exc.value) == f"multiplicity {mult!r} is not an integer (at position 2)"
 
 
 def test_poly_integers_are_ascii_digits():
@@ -182,6 +190,24 @@ def test_poly_integers_are_ascii_digits():
         parse_poly("x^\u0661", F2, XY)
     with pytest.raises(ParseError, match="unexpected character"):
         parse_poly("\uff12*x", F3, XY)
+
+
+def test_unexpected_character_is_reported_at_its_own_position():
+    for text, pos in (("x  #", 3), ("#", 0), ("x^2 +\t\u00e9", 6)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, F2, XY)
+        assert str(exc.value).startswith("unexpected character") and exc.value.pos == pos
+    # white space after the last token ends the input
+    assert parse_poly(" x \n ", F2, XY) == parse_poly("x", F2, XY)
+
+
+def test_every_parser_refuses_a_name_declared_twice():
+    for parse, text, names in ((parse_poly, "x", ["x", "x"]),
+                               (parse_form, "(x) dx", ["x", "y", "x"]),
+                               (parse_divisor, "x:1", ["x", "y", "x"]),
+                               (parse_divisor, "", ["x", "y", "x"])):
+        with pytest.raises(ParseError, match="^variable name 'x' is declared twice$"):
+            parse(text, F2, names)
 
 
 def test_modulus():

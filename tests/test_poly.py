@@ -22,7 +22,7 @@ from frobtrace import (
     verify_witness,
 )
 from frobtrace import poly
-from frobtrace.poly import (grlex_key, monomial_count, monomial_rank, monomial_string,
+from frobtrace.poly import (monomial_count, monomial_rank, monomial_string,
                            monomial_strings_upto)
 
 F2 = FiniteField(2)
@@ -348,12 +348,13 @@ def test_monomials_upto_count():
 
 def _monomials_sorted_reference(nvars, bound):
     """Every exponent tuple of degree <= bound, enumerated recursively and
-    then sorted by the graded-lex key."""
+    then sorted by its own graded-lex key: ascending degree, then first
+    variable heaviest."""
     def rec(k, left):
         if k == 0:
             return [()]
         return [(e,) + rest for e in range(left + 1) for rest in rec(k - 1, left - e)]
-    return sorted(rec(nvars, bound), key=grlex_key)
+    return sorted(rec(nvars, bound), key=lambda m: (sum(m), [-e for e in m]))
 
 
 def test_monomials_upto_is_sorted_graded_lex():

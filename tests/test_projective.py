@@ -404,6 +404,25 @@ def test_rank_one_exactly_when_fedder_splits_on_every_chart():
     assert (cases, split) == (240, 175)
 
 
+def test_fermat_calabi_yau_splits_exactly_when_p_is_one_mod_its_degree():
+    """E = V(x_0^{n+1} + ... + x_n^{n+1}), D = 0 on P^n: K + E = 0, so both
+    spaces are the constants, and Tr^1 is onto exactly when the Fermat
+    hypersurface is F-split, that is when p = 1 mod n + 1, on every chart."""
+    ranks = {}
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7, 11, 13):
+            field = FiniteField(p)
+            f = Poly(field, n + 1, {tuple((n + 1) * (j == i) for j in range(n + 1)): 1
+                                    for i in range(n + 1)})
+            E = DivisorSpec(field, n, [(f, 1)])
+            for chart in range(n + 1):
+                t = trace_matrix(E, DivisorSpec(field, n), 1, chart)
+                assert (t.src.dim, t.tgt.dim) == (1, 1), (n, p, chart)
+                assert t.verdict.rank == int(p % (n + 1) == 1), (n, p, chart)
+                ranks[n, p, chart] = t.verdict.rank
+    assert (len(ranks), sum(ranks.values())) == (72, 19)
+
+
 def _coordinate(field, n, i, c=1):
     """The coordinate hyperplane c x_i of P^n."""
     return Poly.monomial(field, tuple(int(j == i) for j in range(n + 1)), c)
