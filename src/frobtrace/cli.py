@@ -103,10 +103,7 @@ def _build_field(args) -> FiniteField:
 
 def _varnames(args) -> list:
     _require(args, "vars")
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    if not names:
-        raise ParseError("--vars must declare at least one variable")
-    return names
+    return [v.strip() for v in args.vars.split(",")]
 
 
 def _chart_index(args, varnames):

@@ -11,12 +11,13 @@ element prints as a sum of powers of the generator ``GENERATOR`` ("g").
 
 Every field builds three tables once, at construction, from the
 primitive element g of smallest code: antilogs (g^k, by the F_p[t]
-product that also tests the modulus; F_p is F_p[t]/(t)), logs, and Zech
-logarithms (log(1 + g^k)).  Multiplication, inversion, powers and the
-Frobenius are then index arithmetic on logs, and addition is one Zech
-lookup, as in FLINT's ``fq_zech``.  The tables hold O(q) ints, so fields
-are limited to q = p^s <= 2^16, and larger ones are refused before any
-table is built.
+product modulo the modulus; F_p is F_p[t]/(t)), logs, and Zech
+logarithms (log(1 + g^k)).  Finding g proves the modulus irreducible:
+only a field has an element of order q - 1, so a modulus with none is
+refused.  Multiplication, inversion, powers and the Frobenius are then
+index arithmetic on logs, and addition is one Zech lookup, as in FLINT's
+``fq_zech``.  The tables hold O(q) ints, so fields are limited to
+q = p^s <= 2^16, and larger ones are refused before any table is built.
 
 The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
@@ -52,16 +53,6 @@ def _utrim(c: list) -> list:
     return c
 
 
-def _usub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _utrim(out)
-
-
 def _umul(a, b, p):
     if not a or not b:
         return []
@@ -73,22 +64,16 @@ def _umul(a, b, p):
     return _utrim(out)
 
 
-def _umod(a, b, p):
-    """a modulo b."""
-    a = _utrim(list(a))
-    b = _utrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        c = (a[-1] * inv) % p
+def _umod(a, m, p):
+    """a modulo the monic polynomial m."""
+    a = list(a)
+    d = len(m) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
         if c:
-            shift = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % p
-        a.pop()
-        _utrim(a)
-    return a
+            for j, mj in enumerate(m, i - d):
+                a[j] = (a[j] - c * mj) % p
+    return _utrim(a[:d])
 
 
 def _upow_mod(a, n, m, p):
@@ -103,21 +88,12 @@ def _upow_mod(a, n, m, p):
     return result
 
 
-def _check_irreducible(modulus, p):
-    """Degree-s modulus is irreducible iff gcd(x^{p^i} - x, modulus) = 1
-    for every 1 <= i <= s/2 (any factorization contributes an irreducible
-    factor of degree at most s/2, which divides some x^{p^i} - x)."""
-    s = len(modulus) - 1
-    x = [0, 1]
-    t = list(x)
-    for _ in range(s // 2):
-        t = _upow_mod(t, p, modulus, p)
-        a, b = _usub(t, x, p), modulus
-        while b:  # Euclid; the gcd is a unit exactly when it is a constant
-            a, b = b, _umod(a, b, p)
-        if len(a) != 1:
-            return False
-    return True
+def _ints(value, what: str) -> list:
+    """``value`` itself if it is a list or tuple of ints; anything else, a
+    str or a float entry say, is refused rather than read by ``int()``."""
+    if isinstance(value, (list, tuple)) and all(isinstance(c, int) for c in value):
+        return value
+    raise ValueError(f"{what} must be given as ints, got {value!r}")
 
 
 def _prime_factors(n: int) -> list:
@@ -170,16 +146,19 @@ def _element_string(digits) -> str:
 def _primitive_powers(p, s, modulus) -> list:
     """Codes of g^0, ..., g^{q-2} for the primitive element g of smallest code.
 
-    g has order q - 1 exactly when g^{(q-1)/r} != 1 for every prime r
-    dividing q - 1.  On F_p every nonzero element is a constant, and the
-    search starts at 1.  For s > 1 constants (codes below p) have order
-    dividing p - 1 < q - 1, so the search starts at x (code p)."""
+    The search takes the first g with g^{(q-1)/r} != 1 for every prime r
+    dividing q - 1 (for s > 1 from x, code p: constants have order dividing
+    p - 1).  It stops on any modulus, since a proper factor, a non-unit,
+    has no power 1.  Unless g^{q-1} = 1 proves g of order q - 1, so that
+    every nonzero class is a unit, the modulus is refused as reducible."""
     m = p ** s - 1
     cofactors = [m // r for r in _prime_factors(m)]
     for code in range(1 if s == 1 else p, m + 1):
         g = _utrim(list(_digits(code, p, s)))
         if all(_upow_mod(g, k, modulus, p) != [1] for k in cofactors):
             break
+    if _upow_mod(g, m, modulus, p) != [1]:
+        raise ValueError("modulus is reducible over the prime field")
     powers, vec = [], [1]
     for _ in range(m):
         powers.append(_code(vec, p))
@@ -253,9 +232,9 @@ class FiniteField:
     """The field F_{p^s}; s = 1 gives the prime field F_p.
 
     For s > 1 a monic irreducible modulus of degree s over F_p must be
-    supplied as a little-endian coefficient list, e.g. ``[1, 0, 1]`` for
-    x^2 + 1.  Irreducibility is checked at construction.  The order
-    q = p^s may be at most ``MAX_ORDER`` = 2^16.
+    supplied as a little-endian list or tuple of ints, e.g. ``[1, 0, 1]``
+    for x^2 + 1; the primitive element found at construction proves it
+    irreducible.  The order q = p^s may be at most ``MAX_ORDER`` = 2^16.
     """
 
     __slots__ = ("p", "s", "q", "modulus", "zero", "one", "_hash", "_cells",
@@ -281,14 +260,11 @@ class FiniteField:
         else:
             if modulus is None:
                 raise ValueError(f"extension degree {s} requires an irreducible modulus")
-            m = [int(c) % p for c in modulus]
-            _utrim(m)
+            m = _utrim([c % p for c in _ints(modulus, "modulus")])
             if len(m) != s + 1:
                 raise ValueError(f"modulus must have degree {s}, got degree {len(m) - 1}")
             if m[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if not _check_irreducible(m, p):
-                raise ValueError("modulus is reducible over the prime field")
             self.modulus = tuple(m)
         self.p = p
         self.s = s
@@ -304,9 +280,7 @@ class FiniteField:
     @property
     def generator(self) -> "Scalar":
         """The class of x in F_p[x]/(modulus); for s = 1 this is 1."""
-        if self.s == 1:
-            return self.one
-        return Scalar(self, self.p)
+        return self.one if self.s == 1 else Scalar(self, self.p)
 
     def _cell(self, code: int) -> tuple:
         """(coefficient vector, printed string) of the element ``code``,
@@ -318,7 +292,7 @@ class FiniteField:
         return cell
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an integer or a residue sequence into the field."""
+        """Coerce an int, or a residue vector given as ints, into the field."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
                 raise ValueError("scalar belongs to a different field")
@@ -326,7 +300,7 @@ class FiniteField:
         p = self.p
         if isinstance(value, int):
             return Scalar(self, value % p)
-        coeffs = [int(c) % p for c in value]
+        coeffs = [c % p for c in _ints(value, "scalar")]
         if len(coeffs) > self.s:
             raise ValueError(f"residue vector longer than extension degree {self.s}")
         return Scalar(self, _code(coeffs, p))

@@ -112,11 +112,8 @@ class DivisorSpec:
                 merged.append([g, m * b])
         return DivisorSpec(self.field, self.n, merged, self.k + m * other.k)
 
-    def to_json(self, varnames=None) -> dict:
-        return self._json(varnames, Poly.to_string)
-
     def _json(self, varnames, string) -> dict:
-        """:meth:`to_json`, printing each polynomial as ``string(f, names)``."""
+        """The divisor as JSON, printing each polynomial as ``string(f, names)``."""
         return {
             "n": self.n,
             "hypersurfaces": [

@@ -439,6 +439,24 @@ def test_vars_refuses_a_name_declared_twice(capsys):
         assert err == "error: variable name 'x' is declared twice\n", names
 
 
+def test_vars_keeps_an_empty_name_for_the_parsers_to_refuse(capsys):
+    # each entry is stripped and none is dropped, so an empty one reaches the
+    # parsers' name rule, on every command that reads --vars
+    for names, command in (("x,,y", ["trace", "(x) dx^dy"]), ("", ["trace", "(1) dx"]),
+                           (",", ["sections", "H:1"]), ("x,y,z,", ["trace-matrix", "--D", "H:1"]),
+                           ("x, ,y", ["fedder", "x*y"])):
+        code, out, err = run(["--char", "2", "--vars", names, *command], capsys)
+        assert (code, out) == (2, ""), names
+        assert err == ("error: variable name '' must be a letter or '_' "
+                       "followed by letters, digits or '_'\n"), names
+
+
+def test_vars_strips_the_spaces_around_each_name(capsys):
+    code, out, err = run(["--char", "2", "--vars", " x , y ", "trace", "(x*y) dx^dy"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run(["--char", "2", "--vars", "x,y", "trace", "(x*y) dx^dy"], capsys)[1]
+
+
 def test_fedder_refuses_the_zero_polynomial(capsys):
     code, out, err = run(["--char", "3", "--vars", "x,y", "fedder", "x-x"], capsys)
     assert (code, out) == (2, "")

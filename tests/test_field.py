@@ -7,7 +7,7 @@ import pytest
 
 from frobtrace import FiniteField, Poly
 from frobtrace import field as field_module
-from frobtrace.field import MAX_ORDER, _check_irreducible, _primitive_powers, _umod, _umul
+from frobtrace.field import MAX_ORDER, _primitive_powers, _umod, _umul
 
 F4 = FiniteField(2, 2, [1, 1, 1])
 F8 = FiniteField(2, 3, [1, 1, 0, 1])
@@ -120,11 +120,50 @@ def test_reducible_moduli_rejected(p, coeffs):
 @pytest.mark.parametrize("p,degrees", [(2, range(2, 9)), (3, range(2, 6)),
                                        (5, range(2, 4)), (7, [2])])
 def test_irreducibility_matches_brute_force_on_every_monic_modulus(p, degrees):
+    # the field is built exactly when brute force finds no factor, and every
+    # other modulus is refused by the primitive-element search
     for s in degrees:
         for tail in itertools.product(range(p), repeat=s):
             coeffs = list(tail) + [1]
-            assert _check_irreducible(coeffs, p) == \
-                _is_irreducible_bruteforce(coeffs, p), coeffs
+            if _is_irreducible_bruteforce(coeffs, p):
+                assert FiniteField(p, s, coeffs).modulus == tuple(coeffs)
+            else:
+                with pytest.raises(ValueError) as info:
+                    FiniteField(p, s, coeffs)
+                assert str(info.value) == "modulus is reducible over the prime field", coeffs
+
+
+@pytest.mark.parametrize("modulus", [[1] + [0] * 15 + [1], [0, 1] + [0] * 14 + [1]],
+                         ids=["t^16+1", "t^16+t"])
+def test_reducible_modulus_is_refused_before_the_tables(monkeypatch, modulus):
+    # F_{2^16} takes 65535 products for its antilog table alone; a reducible
+    # modulus of that degree is refused after the search, long before
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(1)
+        return _umul(a, b, p)
+
+    monkeypatch.setattr(field_module, "_umul", counted)
+    with pytest.raises(ValueError, match="^modulus is reducible over the prime field$"):
+        FiniteField(2, 16, modulus)
+    assert 0 < len(calls) < 1000
+
+
+@pytest.mark.parametrize("bad", [[1, 0, 1.9], "101", (1, 0, "1"), 101])
+def test_modulus_is_refused_unless_given_as_ints(bad):
+    with pytest.raises(ValueError) as info:
+        FiniteField(3, 2, bad)
+    assert str(info.value) == f"modulus must be given as ints, got {bad!r}"
+
+
+@pytest.mark.parametrize("field,bad", [(F9, "12"), (FiniteField(3), [2.7]),
+                                       (FiniteField(3), 2.5), (F9, (1, 2.0)),
+                                       (FiniteField(3), None)])
+def test_scalar_is_refused_unless_given_as_ints(field, bad):
+    with pytest.raises(ValueError) as info:
+        field.scalar(bad)
+    assert str(info.value) == f"scalar must be given as ints, got {bad!r}"
 
 
 def test_modulus_shape_validation():
