@@ -128,10 +128,7 @@ class Poly:
                     raise ValueError(f"non-integer exponent in monomial {mono}")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in monomial {mono}")
-                if isinstance(coeff, int):
-                    coeff = field.scalar(coeff)
-                elif coeff.field != field:
-                    raise ValueError("coefficient from a different field")
+                coeff = field.scalar(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean

@@ -420,6 +420,13 @@ def test_constructor_refuses_non_integer_exponents():
     assert Poly(F2, 1, {(2,): 1}) == Poly.monomial(F2, (2,))
 
 
+@pytest.mark.parametrize("bad", [2.5, "1", None])
+def test_constructor_refuses_a_coefficient_that_is_not_an_int_or_scalar(bad):
+    # the field's own coercion names the value; nothing reaches for ``bad.field``
+    with pytest.raises(ValueError, match=f"scalar must be given as ints, got {bad!r}"):
+        Poly(F3, 1, {(1,): bad})
+
+
 def test_print_order_and_roundtrip():
     f = P("x^4+x*y^3+x*z^3+x")
     assert f.to_string(XYZW) == "x^4+x*y^3+x*z^3+x"
