@@ -161,9 +161,7 @@ class _Parser:
             self.next()
         exps = [0] * self.nvars
         while True:
-            kind, value, pos = self.next()
-            if kind != "name":
-                raise ParseError(f"expected a variable name, found {_found(value)}", pos)
+            _, value, pos = self.next()
             is_generator = self.generator is not None and value == GENERATOR
             if not is_generator and value not in self.index:
                 raise ParseError(f"unknown variable {value!r}; declared: "

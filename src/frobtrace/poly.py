@@ -491,9 +491,6 @@ class RationalFn:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        raise TypeError("RationalFn is unhashable: equality is up to cross-multiplication")
-
     def to_string(self, varnames=None) -> str:
         if self.den == Poly.one(self.field, self.nvars):
             return self.num.to_string(varnames)

@@ -69,6 +69,8 @@ def test_characteristic_accepted_exactly_for_primes():
         else:
             with pytest.raises(ValueError, match="is not prime"):
                 FiniteField(n)
+    with pytest.raises(ValueError, match=r"^characteristic 2\.0 is not prime$"):
+        FiniteField(2.0)
 
 
 def _is_irreducible_bruteforce(coeffs, p):
@@ -175,6 +177,8 @@ def test_modulus_shape_validation():
         FiniteField(3, 2, [1, 0, 2])  # not monic
     with pytest.raises(ValueError):
         FiniteField(3, 3, [1, 0, 1])  # wrong degree
+    with pytest.raises(ValueError, match="^extension degree 0 must be a positive integer$"):
+        FiniteField(2, 0)
 
 
 def test_frobenius_examples():

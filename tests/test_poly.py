@@ -37,7 +37,7 @@ def P(text, field=F2, varnames=XYZW):
     return parse_poly(text, field, varnames)
 
 
-def _random_poly(field, nvars, rng, max_terms=4, max_deg=5):
+def _random_poly(field, nvars, rng, max_terms=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         mono = tuple(rng.randint(0, 2) for _ in range(nvars))
@@ -444,6 +444,15 @@ def test_rational_equality_is_cross_multiplication():
     assert a == b
     c = RationalFn(parse_poly("x", F2, names), parse_poly("y^2", F2, names))
     assert a != c
+
+
+def test_poly_and_rational_fn_are_unhashable():
+    # each defines __eq__ and no __hash__: RationalFn's equality is up to
+    # cross-multiplication, so equal values may have different terms
+    f = P("x+y")
+    for value in (f, RationalFn(f)):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
 
 
 def test_rational_equivalence_relation():

@@ -146,6 +146,8 @@ def test_pe_twist_requires_effective_fixed_part():
     E_bad = DivisorSpec(F2, 3, k=-1)
     with pytest.raises(ValueError):
         pe_twist(DivisorSpec(F2, 3, k=1), E_bad, 1)
+    with pytest.raises(ValueError, match="^twist exponent must be positive$"):
+        pe_twist(DivisorSpec(F2, 3, k=1), fermat_divisor(), 0)
 
 
 def test_fermat_trace_matrix_is_zero():
@@ -856,6 +858,8 @@ def test_combined_validates_what_it_cannot_vouch_for():
     with pytest.raises(ValueError, match="multiplicity 2.0 must be a non-negative integer"):
         H.combined(E, 2.0)
     assert H.combined(H, -3).k == -2
+    with pytest.raises(ValueError, match="^divisors on different projective spaces$"):
+        DivisorSpec(F2, 2, k=1).combined(H, 1)
 
 
 def test_hyperplane_multiplicity_must_be_an_int():
@@ -922,6 +926,8 @@ def test_divisor_validation():
         DivisorSpec(F2, 3, [(parse_poly("x", F2, XYZW), -1)])
     with pytest.raises(ValueError):
         DivisorSpec(F2, 2, [(parse_poly("x", F2, XYZW), 1)])  # wrong arity
+    with pytest.raises(ValueError, match="^hypersurface over a different field$"):
+        DivisorSpec(F3, 3, fermat_divisor().hypersurfaces)
 
 
 def test_divisor_parse_and_merge():
