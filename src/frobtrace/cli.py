@@ -195,8 +195,6 @@ def cmd_fedder(args) -> int:
     field = _build_field(args)
     varnames = _varnames(args)
     f = parse_poly(args.poly, field, varnames)
-    if not f.is_homogeneous():
-        raise ParseError("the polynomial must be homogeneous")
     verdict = fedder_hypersurface(f)
     witness_str = None
     if verdict.split:

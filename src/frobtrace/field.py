@@ -241,17 +241,15 @@ class FiniteField:
                  "_add", "_sub", "_neg", "_mul", "_inv", "_pow", "_frob")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
-        if not isinstance(p, int):
-            raise ValueError(f"characteristic {p!r} is not prime")
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"extension degree {s!r} must be a positive integer")
-        # p >= 2 for any prime, so q <= 2^16 forces s <= 16
-        if s > 16 or p ** s > MAX_ORDER:
+        # p >= 2, so q <= 2^16 forces s <= 16; the order goes before p is factored
+        if isinstance(p, int) and (s > 16 or p ** s > MAX_ORDER):
             order = (p if s == 1 else f"{p}^{s}" if s > 16
                      else f"{p}^{s} = {p ** s}")
             raise ValueError(f"field order q = {order} exceeds the limit "
                              f"q <= {MAX_ORDER} (2^16)")
-        if _prime_factors(p) != [p]:  # [] below 2
+        if not isinstance(p, int) or _prime_factors(p) != [p]:  # [] below 2
             raise ValueError(f"characteristic {p!r} is not prime")
         if s == 1:
             if modulus is not None:

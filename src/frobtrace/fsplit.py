@@ -3,11 +3,12 @@
 For a hypersurface cone k[x_0..x_n]/(f) the splitting test at the
 irrelevant ideal is: f^{p-1} must have a monomial with every exponent
 at most p - 1 (equivalently f^{p-1} does not lie in the ideal of p-th
-powers of the variables).  The verdict builds f^{p-1} with the one
-power loop, ``Poly.__pow__``.  A positive verdict carries that monomial
-as a witness, which :func:`verify_witness` certifies on its own: it
-reads the one witness coefficient as a multinomial sum over the terms
-of f, and forms no power and no product of polynomials.
+powers of the variables).  The verdict refuses a zero or non-homogeneous
+f, and builds f^{p-1} with the one power loop, ``Poly.__pow__``.  A
+positive verdict carries that monomial as a witness, which
+:func:`verify_witness` certifies on its own: it reads the one witness
+coefficient as a multinomial sum over the terms of f, and forms no
+power and no product of polynomials.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     the first qualifying monomial of f^{p-1} in ``monomials_upto`` order."""
     if f.is_zero():
         raise ValueError("the hypersurface polynomial must be nonzero")
+    if not f.is_homogeneous():
+        raise ValueError("the polynomial must be homogeneous")
     p = f.field.p
     good = [m for m in (f ** (p - 1)).terms if all(e <= p - 1 for e in m)]
     if not good:

@@ -300,7 +300,8 @@ def parse_modulus(text: str, p: int) -> list:
     coefficients; any single identifier may serve as the variable.
 
     An extension of F_p has order at least p^2, so it is refused before
-    F_p's tables are built when p^2 exceeds ``MAX_ORDER``."""
+    F_p's tables are built when p^2 exceeds ``MAX_ORDER``.  The modulus's
+    degree is the extension degree, so one of degree below 2 is refused."""
     if p * p > MAX_ORDER:
         raise ParseError(f"an extension of F_{p} has order at least p^2 = {p * p}, "
                          f"which exceeds the limit q <= {MAX_ORDER} (2^16)")
@@ -311,7 +312,8 @@ def parse_modulus(text: str, p: int) -> list:
     var = names.pop() if names else "x"
     field = FiniteField(p)
     poly = parse_poly(text, field, [var])
-    coeffs = [0] * (int(poly.total_degree()) + 1 if not poly.is_zero() else 1)
-    for (e,), c in poly.terms.items():
-        coeffs[e] = c.coeffs[0]
-    return coeffs
+    degree = poly.total_degree()
+    if degree < 2:
+        raise ParseError(f"modulus {text!r} has degree {degree}; "
+                         "an extension needs degree at least 2")
+    return [poly.terms.get((e,), field.zero).coeffs[0] for e in range(degree + 1)]

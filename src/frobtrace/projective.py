@@ -136,7 +136,7 @@ class DivisorSpec:
 def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
     """E + p^e * D for an effective E."""
     if e < 1:
-        raise ValueError("twist exponent must be positive")
+        raise ValueError("trace exponent must be positive")
     if e_part.k < 0:
         raise ValueError("the fixed part E must be effective")
     return e_part.combined(divisor, e_part.field.p ** e)
@@ -356,8 +356,6 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
     """
-    if e < 1:
-        raise ValueError("trace exponent must be positive")
     src_div, tgt_div = pe_twist(divisor, e_part, e), e_part.combined(divisor, 1)
     chart = _chart(e_part.n, chart)
     e_chart = src_den = tgt_den = _chart_product(e_part, chart)

@@ -472,7 +472,7 @@ def test_decomposition_oracle_over_extension_fields():
 
 
 def test_trace_exponent_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trace exponent must be positive$"):
         trace_poly_top(Poly.one(F2, 2), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trace exponent must be positive$"):
         trace_iterated(TopForm(F2, 2, RationalFn(Poly.one(F2, 2))), 0)

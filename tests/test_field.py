@@ -33,8 +33,10 @@ def test_division():
     F7 = FiniteField(7)
     a, b = F7.scalar(3), F7.scalar(5)
     assert (a / b) * b == a
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^division by zero in F_7$"):
         a / F7.zero
+    with pytest.raises(ZeroDivisionError, match="^division by zero in F_7$"):
+        F7.zero ** -1
     for field in (F9, F25):
         for x in field.elements():
             if x:
@@ -42,10 +44,14 @@ def test_division():
 
 
 def test_mixed_field_arithmetic_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mixed-field arithmetic between F_2 and F_3$"):
         FiniteField(2).scalar(1) + FiniteField(3).scalar(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mixed-field comparison$"):
         FiniteField(2).scalar(1) == FiniteField(3).scalar(1)
+    with pytest.raises(ValueError, match="^scalar belongs to a different field$"):
+        FiniteField(2).scalar(FiniteField(3).one)
+    with pytest.raises(ValueError, match="^residue vector longer than extension degree 2$"):
+        F9.scalar([1, 2, 0])
 
 
 def test_characteristic_validation():
@@ -169,14 +175,14 @@ def test_scalar_is_refused_unless_given_as_ints(field, bad):
 
 
 def test_modulus_shape_validation():
-    with pytest.raises(ValueError):
-        FiniteField(3, 2)  # missing modulus
-    with pytest.raises(ValueError):
-        FiniteField(3, 1, [1, 0, 1])  # prime field takes none
-    with pytest.raises(ValueError):
-        FiniteField(3, 2, [1, 0, 2])  # not monic
-    with pytest.raises(ValueError):
-        FiniteField(3, 3, [1, 0, 1])  # wrong degree
+    with pytest.raises(ValueError, match="^extension degree 2 requires an irreducible modulus$"):
+        FiniteField(3, 2)
+    with pytest.raises(ValueError, match="^a prime field takes no modulus$"):
+        FiniteField(3, 1, [1, 0, 1])
+    with pytest.raises(ValueError, match="^modulus must be monic$"):
+        FiniteField(3, 2, [1, 0, 2])
+    with pytest.raises(ValueError, match="^modulus must have degree 3, got degree 2$"):
+        FiniteField(3, 3, [1, 0, 1])
     with pytest.raises(ValueError, match="^extension degree 0 must be a positive integer$"):
         FiniteField(2, 0)
 
@@ -243,6 +249,13 @@ def test_field_order_is_limited_before_any_work(monkeypatch):
         FiniteField(65537)
     with pytest.raises(ValueError, match=r"q = 2\^100 exceeds"):
         FiniteField(2, 100, [1] * 101)
+    # a prime far over the limit is refused by its order, before any
+    # factoring: trial division of 2^61 - 1 would run for minutes
+    factored = []
+    monkeypatch.setattr(field_module, "_prime_factors", factored.append)
+    with pytest.raises(ValueError, match=f"^field order q = {2 ** 61 - 1} exceeds the limit"):
+        FiniteField(2 ** 61 - 1)
+    assert factored == []
     assert built == []
 
 

@@ -102,14 +102,16 @@ def test_derivative_additive():
 def test_derivative_rejects_rational_coefficients():
     rat = RationalFn(parse_poly("x", F2, ["x", "y"]), parse_poly("y", F2, ["x", "y"]))
     form = DiffForm(F2, 2, 1, {(0,): rat})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rational function has a non-constant denominator$"):
         exterior_derivative(form)
 
 
 def test_derivative_rejects_top_degree():
     form = parse_form("(x) dx^dy", F2, ["x", "y"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exterior derivative is only taken below the top"):
         exterior_derivative(form)
+    with pytest.raises(ValueError, match="^forms from different contexts$"):
+        form + parse_form("(x) dx", F2, ["x", "y"])
 
 
 def test_sign_convention():

@@ -109,8 +109,11 @@ def test_witness_check_agrees_with_the_full_power():
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the hypersurface polynomial must be nonzero$"):
         fedder_hypersurface(Poly.zero(FiniteField(2), 4))
+    # the verdict also owns homogeneity, so the CLI prints this for `fedder "x+y^2"`
+    with pytest.raises(ValueError, match="^the polynomial must be homogeneous$"):
+        fedder_hypersurface(parse_poly("x+y^2", FiniteField(2), XYZW))
 
 
 def test_fedder_agrees_with_fermat_trace_direction():

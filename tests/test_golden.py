@@ -9,6 +9,10 @@ one ``error:`` line of a refusal.  A pinned refusal is one row: exit code
 is meant to change gets a new record in the same change, with the reason.
 A new CLI run to pin is one more case here.
 
+A census keeps every refusal pinned: each ``raise`` under src/frobtrace
+is reached by a refusal row, or is named in NOT_ROWS with its reason.  A
+new refusal is one more row, or one entry there.
+
 The table runs two ways.  Under pytest (tier-1) each case runs ``cli.main``
 in-process.  Run as a script, ``python tests/test_golden.py`` (as CI does),
 each case runs through the installed ``frobtrace`` console script under a
@@ -16,6 +20,7 @@ LIMIT-second timeout, and the script exits 1 naming every case whose exit
 code, stdout digest or stderr differs, or that timed out.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -26,7 +31,7 @@ import sys
 import pytest
 
 import frobtrace
-from frobtrace.cli import main
+from frobtrace.cli import build_parser, main
 
 FERMAT = ["--char", "2", "--vars", "x,y,z,w"]
 FERMAT_MATRIX = ["trace-matrix", "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1"]
@@ -203,15 +208,49 @@ CASES = {
     "refuse_stray_character": (
         ["--char", "2", "--vars", "x", "trace", "(x  #) dx"],
         2, EMPTY, "error: unexpected character '#' (at position 4)\n"),
+    **{f"refuse_{name}": (
+        ["--char", "2", "--vars", "x,y", "trace", form], 2, EMPTY, f"error: {err}\n")
+       for name, form, err in (
+           ("unclosed_parenthesis", "(x dx", "expected ')', found 'dx' (at position 3)"),
+           ("trailing_input", "(x) dx )", "trailing input starting with ')' (at position 7)"),
+           ("unknown_dvar", "(x) dq", "unknown variable 'q' in 'dq' (at position 4)"),
+           ("zero_denominator", "(x/0) dx^dy", "zero denominator"),
+           ("mixed_degrees", "(x)dx+(y)dx^dy", "mixed form degrees 1 and 2"),
+           ("form_degree", "(x) dx^dx^dy", "form degree 3 out of range for 2 variables"))},
+    # the parser's recursion limit ends in a refusal, not a traceback
+    "refuse_nested_parentheses": (
+        ["--char", "2", "--vars", "x", "fedder", "(" * 400 + "x" + ")" * 400],
+        2, EMPTY, "error: parentheses nested too deeply\n"),
     "refuse_missing_dvar": (
         ["--char", "2", "--vars", "x,y", "trace", "(x) x"],
         2, EMPTY, "error: expected d<var>, found 'x' (at position 4)\n"),
     "refuse_non_top": (
         ["--char", "3", "--vars", "x,y", "trace", "(x) dx"],
         2, EMPTY, "error: degree-1 form in 2 variables is not a top form\n"),
+    # parse_modulus owns the degree: a modulus below degree 2 is no extension
     "refuse_degree_one_modulus": (
         ["--char", "3", "--modulus", "t+1", "--vars", "x", "trace", "(x^2) dx"],
-        2, EMPTY, "error: a prime field takes no modulus\n"),
+        2, EMPTY, "error: modulus 't+1' has degree 1; an extension needs degree at least 2\n"),
+    **{f"refuse_{name}_modulus": (
+        ["--char", "2", "--modulus", modulus, "--vars", "x", "trace", "(x) dx"], 2, EMPTY,
+        f"error: modulus {modulus!r} has degree {degree}; an extension needs degree at least 2\n")
+       for name, modulus, degree in (("constant", "1", "0"), ("zero", "0", "-inf"))},
+    "refuse_non_monic_modulus": (
+        ["--char", "3", "--modulus", "2*t^2+1", "--vars", "x", "trace", "(x) dx"],
+        2, EMPTY, "error: modulus must be monic\n"),
+    "refuse_two_variable_modulus": (
+        ["--char", "2", "--modulus", "t^2+s", "--vars", "x", "trace", "(x) dx"],
+        2, EMPTY, "error: modulus uses several variables: ['s', 't']\n"),
+    "refuse_extension_too_large": (
+        ["--char", "257", "--modulus", "t^2+1", "--vars", "x", "trace", "(x) dx"],
+        2, EMPTY, "error: an extension of F_257 has order at least p^2 = 66049, "
+                  "which exceeds the limit q <= 65536 (2^16)\n"),
+    "refuse_missing_char": (
+        ["--vars", "x", "trace", "(x) dx"],
+        2, EMPTY, "error: --char is required for this command\n"),
+    "refuse_composite_char": (
+        ["--char", "4", "--vars", "x", "trace", "(x) dx"],
+        2, EMPTY, "error: characteristic 4 is not prime\n"),
     "refuse_reducible": (
         ["--char", "2", "--modulus", "t^2+1", "--vars", "x", "trace", "(x) dx"],
         2, EMPTY, "error: modulus is reducible over the prime field\n"),
@@ -227,6 +266,34 @@ CASES = {
     "refuse_divisor_position": (
         ["--char", "2", "--vars", "x,y,z", "sections", "x^2+y*z:1,x+*y:1"],
         2, EMPTY, "error: expected a term, found '*' (at position 12)\n"),
+    **{f"refuse_zero_e_{name}": (
+        ["--char", "2", "--vars", names, *command, "--e", "0"],
+        2, EMPTY, "error: trace exponent must be positive\n")
+       for name, names, command in (("trace", "x", ["trace", "(x) dx"]),
+                                    ("matrix", "x,y,z", ["trace-matrix", "--D", "H:1"]))},
+    # divisor components: a refusal names its component's or multiplicity's position
+    **{f"refuse_{name}": (
+        ["--char", "2", "--vars", "x,y,z", "sections", spec], 2, EMPTY, f"error: {err}\n")
+       for name, spec, err in (
+           ("component_without_mult", "x", "divisor component 'x' lacks ':mult' (at position 0)"),
+           ("zero_component", "x-x:1", "hypersurface component 'x-x' is zero (at position 0)"),
+           ("negative_component", "x:-1",
+            "hypersurface multiplicity -1 is negative (at position 2)"),
+           ("non_integer_mult", "x:a", "multiplicity 'a' is not an integer (at position 2)"))},
+    # 'H' is the hyperplane class wherever a divisor is read
+    **{f"refuse_hyperplane_name{name}": (
+        ["--char", "2", "--vars", names, *command], 2, EMPTY,
+        "error: 'H' names the hyperplane class in a divisor; "
+        "declare the variables under other names\n")
+       for name, names, command in (
+           ("", "x,H,z", ["sections", "H:1"]),
+           ("_power", "H,y,z", ["sections", "H^1:1"]),
+           ("_matrix", "H,y,z", ["trace-matrix", "--E", "y:1", "--D", "H:1", "--e", "1"]))},
+    # over F_{p^s} 'g' is the generator, as a variable and in a dvar
+    **{f"refuse_generator_name{name}": (
+        [*F9, "--vars", names, "trace", form], 2, EMPTY,
+        "error: 'g' names the generator of F_9; declare the variables under other names\n")
+       for name, names, form in (("", "g,y", "(g) dg^dy"), ("_dvar", "x,g", "(x) dx^dg"))},
     "refuse_non_effective_e": (
         ["--char", "2", "--vars", "x,y,z", "trace-matrix", "--E", "H:-1", "--D", "H:2"],
         2, EMPTY, "error: the fixed part E must be effective\n"),
@@ -320,6 +387,168 @@ def test_runner_passes_and_names_a_changed_digest(monkeypatch, capsys):
     assert printed[0].startswith("FAIL f9_matrix_e2: got [0, '27739113")
     assert printed[1].startswith(
         f"FAIL refuse_parse: got [2, '{EMPTY}', \"error: expected a term, found '*'")
+
+
+# The raises under src/frobtrace that no refusal row reaches, keyed by
+# module and message text (each interpolated value as {expr}), each with its
+# reason: "library API only: <file>::<the library test that pins it>", or
+# "internal consistency" for a raise that only a bug can reach.
+NOT_ROWS = {
+    ("cartier", "trace exponent must be positive"):
+        "library API only: test_cartier.py::test_trace_exponent_validation",
+    ("cartier", "top form admitted no bounded-degree splitting; "
+                "this contradicts the exact sequence it satisfies"): "internal consistency",
+    ("checks", "unknown suite {name}; choose from {', '.join([*SUITES, 'all'])}"):
+        "library API only: test_cli.py::test_check_unknown_suite_is_usage_error",
+    ("cli", "witness failed its certificate check"): "internal consistency",
+    ("field", "{what} must be given as ints, got {value}"):
+        "library API only: test_field.py::test_modulus_is_refused_unless_given_as_ints",
+    ("field", "division by zero in {name}"): "library API only: test_field.py::test_division",
+    **{("field", text): "library API only: test_field.py::test_modulus_shape_validation"
+       for text in ("extension degree {s} must be a positive integer",
+                    "a prime field takes no modulus",
+                    "extension degree {s} requires an irreducible modulus",
+                    "modulus must have degree {s}, got degree {len(m) - 1}")},
+    **{("field", text): "library API only: test_field.py::test_mixed_field_arithmetic_rejected"
+       for text in ("scalar belongs to a different field",
+                    "residue vector longer than extension degree {self.s}",
+                    "mixed-field arithmetic between {self.field} and {other.field}",
+                    "mixed-field comparison")},
+    **{("forms", text):
+       "library API only: test_forms.py::test_diffform_refuses_what_is_not_a_form"
+       for text in ("index set {idx} is not a strictly increasing {degree}-subset",
+                    "index set {idx} out of range",
+                    "coefficient from a different context")},
+    **{("forms", text): "library API only: test_forms.py::test_derivative_rejects_top_degree"
+       for text in ("forms from different contexts",
+                    "exterior derivative is only taken below the top degree")},
+    **{("linalg", text):
+       "library API only: test_linalg.py::test_solve_refuses_a_rhs_that_does_not_fit"
+       for text in ("dense rows of unequal length ({width} and {len(row)})",
+                    "right-hand side names row {missing[0]} of a {len(rows)}-row matrix",
+                    "solve needs dense rows and a dense right-hand side; "
+                    "the rows give the solution its width",
+                    "right-hand side of length {len(rhs)} for a {len(codes)}-row matrix")},
+    ("linalg", "matrix entry from {x.field} in a matrix over {field}"):
+        "library API only: test_linalg.py::test_rows_mixing_two_fields_are_refused",
+    **{("poly", text):
+       "library API only: test_poly.py::test_internal_construction_never_validates"
+       for text in ("monomial {mono} has arity {len(mono)}, expected {nvars}",
+                    "negative exponent in monomial {mono}")},
+    ("poly", "non-integer exponent in monomial {mono}"):
+        "library API only: test_poly.py::test_constructor_refuses_non_integer_exponents",
+    **{("poly", text): "library API only: test_poly.py::test_exact_divide"
+       for text in ("zero polynomial has no leading term", "polynomial division by zero")},
+    ("poly", "polynomials from different contexts ({other.field} in {other.nvars} vars "
+             "vs {self.field} in {self.nvars} vars)"):
+        "library API only: test_poly.py::test_context_mismatch_rejected",
+    ("poly", "polynomial powers take non-negative integer exponents"):
+        "library API only: test_poly.py::test_rational_arithmetic",
+    **{("poly", text): "library API only: test_poly.py::test_dehomogenize_rejects_inhomogeneous"
+       for text in ("dehomogenization requires a homogeneous polynomial",
+                    "chart index {chart} out of range")},
+    ("poly", "exact division left the leading monomial {rm} in place"): "internal consistency",
+    # the parser refuses a zero denominator first, with its own message
+    ("poly", "zero denominator"):
+        "library API only: test_poly.py::test_rational_denominator_nonzero",
+    ("poly", "rational function has a non-constant denominator"):
+        "library API only: test_forms.py::test_derivative_rejects_rational_coefficients",
+    # parse_divisor refuses a zero, non-homogeneous or negative component
+    # first, naming its position
+    **{("projective", text): "library API only: test_projective.py::test_divisor_validation"
+       for text in ("hypersurface multiplicity {mult} must be a non-negative integer",
+                    "hypersurface over a different field",
+                    "hypersurface in {f.nvars} variables; P^{n} needs {n + 1}",
+                    "hypersurface polynomial is zero",
+                    "hypersurface polynomial is not homogeneous")},
+    ("projective", "hyperplane multiplicity {k} must be an integer"):
+        "library API only: test_projective.py::test_hyperplane_multiplicity_must_be_an_int",
+    ("projective", "divisors on different projective spaces"):
+        "library API only: test_projective.py::test_combined_validates_what_it_cannot_vouch_for",
+    # --chart is checked against --vars first
+    ("projective", "chart index {chart} out of range for P^{n}"):
+        "library API only: test_projective.py::"
+        "test_trace_matrix_refuses_bad_input_in_a_fixed_order",
+    ("projective", "matrix is not {tgt.dim} x {src.dim}, the shape of the map"):
+        "library API only: test_projective.py::test_matrix_of_the_wrong_shape_is_refused",
+    ("projective", "trace of basis element {mono} exceeds the target degree bound "
+                   "({u + top} > {bound})"): "internal consistency",
+}
+
+
+def _message(node) -> str:
+    """The text of a message as written, each interpolated value as {expr}."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(map(_message, node.values))
+    if isinstance(node, ast.BinOp):
+        return _message(node.left) + _message(node.right)
+    return "{" + ast.unparse(node.value if isinstance(node, ast.FormattedValue) else node) + "}"
+
+
+def _raises() -> dict:
+    """(module, message text) -> the [path, first line, last line] of each
+    raise statement under src/frobtrace with that key."""
+    found = {}
+    src = os.path.dirname(frobtrace.__file__)
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
+        path = os.path.join(src, name)
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc
+                text = (_message(exc.args[0]) if isinstance(exc, ast.Call) and exc.args
+                        else ast.unparse(node))
+                found.setdefault((name[:-3], text), []).append(
+                    [path, node.lineno, node.end_lineno])
+    return found
+
+
+def _raised_at(argv, err) -> set:
+    """(path, line) of the statement that raised each exception in the chain
+    that ends a refusal row, run in-process; its message is the row's line.
+
+    The sites are read from the tracebacks, not from a ``sys.settrace``
+    tracer: at the recursion limit a Python tracer is the deepest frame,
+    so the nesting row drops it before the parser's refusal runs."""
+    args = build_parser().parse_args(argv)
+    with pytest.raises((ValueError, ZeroDivisionError)) as info:
+        args.handler(args)
+    assert f"error: {info.value}\n" == err
+    sites, exc = set(), info.value
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        sites.add((tb.tb_frame.f_code.co_filename, tb.tb_lineno))
+        exc = exc.__context__
+    return sites
+
+
+def test_every_raise_is_a_row_or_named():
+    """Census: each raise under src/frobtrace is reached by a refusal row
+    (exit code 2) or named in NOT_ROWS with its reason, and no entry there
+    is stale: its raise is gone, or a row now reaches it."""
+    sites = set()
+    for argv, code, _, err in CASES.values():
+        if code == 2:
+            sites |= _raised_at(argv, err)
+    unreached = {key: [f"{os.path.basename(path)}:{first}"
+                       for path, first, last in spans
+                       if not any((path, line) in sites for line in range(first, last + 1))]
+                 for key, spans in _raises().items()}
+    missing = [f"{at} {key[1]!r}" for key, where in unreached.items() if key not in NOT_ROWS
+               for at in where]
+    stale = [key for key in NOT_ROWS if not unreached.get(key)]
+    assert missing == [], "raises with no row and no reason:\n" + "\n".join(missing)
+    assert stale == [], f"stale entries, reached by a row or gone: {stale}"
+    for reason in NOT_ROWS.values():
+        if reason != "internal consistency":
+            path, _, test = reason.removeprefix("library API only: ").partition("::")
+            with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), path)) as f:
+                assert f"def {test}(" in f.read(), reason
 
 
 if __name__ == "__main__":

@@ -213,8 +213,14 @@ def test_every_parser_refuses_a_name_declared_twice():
 def test_modulus():
     assert parse_modulus("x^2+1", 3) == [1, 0, 1]
     assert parse_modulus("t^4+2*t^3+2", 3) == [2, 0, 0, 2, 1]
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^modulus uses several variables: \['x', 'y'\]$"):
         parse_modulus("x^2+y", 3)
+    # the modulus's degree is the extension degree, so it must be at least 2
+    for text, p, degree in (("1", 2, 0), ("t+1", 3, 1)):
+        with pytest.raises(ParseError) as info:
+            parse_modulus(text, p)
+        assert str(info.value) == \
+            f"modulus {text!r} has degree {degree}; an extension needs degree at least 2"
 
 
 def test_roundtrip_through_printer():

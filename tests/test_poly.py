@@ -63,9 +63,10 @@ def test_additive_identity():
 
 
 def test_context_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polynomials from different contexts "
+                                         r"\(F_3 in 4 vars vs F_2 in 4 vars\)$"):
         P("x") + parse_poly("x", F3, XYZW)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^polynomials from different contexts \(F_2 in 2"):
         P("x") * Poly.one(F2, 2)
 
 
@@ -210,8 +211,10 @@ def test_dehomogenize_examples():
 
 
 def test_dehomogenize_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dehomogenization requires a homogeneous polynomial$"):
         P("x+y^2").dehomogenize(3)
+    with pytest.raises(ValueError, match="^chart index 4 out of range$"):
+        P("x+y").dehomogenize(4)
 
 
 def test_dehomogenize_is_ring_homomorphism():
@@ -308,8 +311,11 @@ def test_exact_divide():
     assert (f * g).exact_divide(f) == g
     assert P("x^2").exact_divide(P("y")) is None
     assert Poly.zero(F2, 4).exact_divide(f) == Poly.zero(F2, 4)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
         f.exact_divide(Poly.zero(F2, 4))
+    # the division reads leading terms, and the zero polynomial has none
+    with pytest.raises(ValueError, match="^zero polynomial has no leading term$"):
+        Poly.zero(F2, 4).leading_term()
 
 
 def test_exact_divide_random():
@@ -479,7 +485,7 @@ def test_rational_equivalence_relation():
 
 
 def test_rational_denominator_nonzero():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
         RationalFn(Poly.one(F2, 2), Poly.zero(F2, 2))
 
 
@@ -491,5 +497,5 @@ def test_rational_arithmetic():
     assert half * y == x
     assert (x + y) + (-y) == x
     assert (half ** 3).num == parse_poly("x^3", F3, names)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polynomial powers take non-negative integer"):
         half ** -1

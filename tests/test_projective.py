@@ -144,9 +144,10 @@ def test_pe_twist_examples():
 
 def test_pe_twist_requires_effective_fixed_part():
     E_bad = DivisorSpec(F2, 3, k=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the fixed part E must be effective$"):
         pe_twist(DivisorSpec(F2, 3, k=1), E_bad, 1)
-    with pytest.raises(ValueError, match="^twist exponent must be positive$"):
+    # the one owner of e >= 1 on the trace-matrix path
+    with pytest.raises(ValueError, match="^trace exponent must be positive$"):
         pe_twist(DivisorSpec(F2, 3, k=1), fermat_divisor(), 0)
 
 
@@ -918,14 +919,14 @@ def test_json_schema_shape():
 
 
 def test_divisor_validation():
-    with pytest.raises(ValueError):
-        DivisorSpec(F2, 3, [(parse_poly("x+y^2", F2, XYZW), 1)])  # not homogeneous
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hypersurface polynomial is not homogeneous$"):
+        DivisorSpec(F2, 3, [(parse_poly("x+y^2", F2, XYZW), 1)])
+    with pytest.raises(ValueError, match="^hypersurface polynomial is zero$"):
         DivisorSpec(F2, 3, [(Poly.zero(F2, 4), 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hypersurface multiplicity -1 must be a non-negative"):
         DivisorSpec(F2, 3, [(parse_poly("x", F2, XYZW), -1)])
-    with pytest.raises(ValueError):
-        DivisorSpec(F2, 2, [(parse_poly("x", F2, XYZW), 1)])  # wrong arity
+    with pytest.raises(ValueError, match=r"^hypersurface in 4 variables; P\^2 needs 3$"):
+        DivisorSpec(F2, 2, [(parse_poly("x", F2, XYZW), 1)])
     with pytest.raises(ValueError, match="^hypersurface over a different field$"):
         DivisorSpec(F3, 3, fermat_divisor().hypersurfaces)
 
