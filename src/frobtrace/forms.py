@@ -45,7 +45,8 @@ class DiffForm:
 
     def __init__(self, field, nvars, degree, coeffs=None):
         if not 0 <= degree <= nvars:
-            raise ValueError(f"form degree {degree} out of range for {nvars} variables")
+            raise ValueError(f"form degree {degree} out of range for {nvars} "
+                             + ("variable" if nvars == 1 else "variables"))
         self.field = field
         self.nvars = nvars
         self.degree = degree

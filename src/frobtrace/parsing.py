@@ -312,6 +312,8 @@ def parse_modulus(text: str, p: int) -> list:
     var = names.pop() if names else "x"
     field = FiniteField(p)
     poly = parse_poly(text, field, [var])
+    if poly.is_zero():
+        raise ParseError(f"modulus {text!r} is zero; an extension needs degree at least 2")
     degree = poly.total_degree()
     if degree < 2:
         raise ParseError(f"modulus {text!r} has degree {degree}; "

@@ -240,6 +240,7 @@ def test_scale_multiplies_every_coefficient():
     (2, 1, {(-1,): Poly.one(F2, 2)}, "index set (-1,) out of range"),
     (2, 2, {(0, 1): RationalFn(Poly.one(F3, 2))}, "coefficient from a different context"),
     (2, 2, {(0, 1): RationalFn(Poly.one(F2, 3))}, "coefficient from a different context"),
+    (1, 2, None, "form degree 2 out of range for 1 variable"),
 ])
 def test_diffform_refuses_what_is_not_a_form(nvars, degree, coeffs, message):
     with pytest.raises(ValueError) as exc:

@@ -134,12 +134,6 @@ def test_pn_trace_surjectivity_grid(n, p, e):
         assert _pn_surjective(n, k, p, e)
 
 
-def test_pn_examples():
-    assert _pn_surjective(2, 3, 2, 1)
-    assert _pn_surjective(1, 2, 3, 1)
-    assert _pn_surjective(2, 3, 2, 2)
-
-
 def _pn_surjective(n, k, p, e):
     """Is Tr^e from omega(p^e kH) onto omega(kH) on P^n over F_p?"""
     field = FiniteField(p)

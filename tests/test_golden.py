@@ -183,6 +183,9 @@ CASES = {
     "check_all_50": (
         ["check", "all", "--cases", "50", "--seed", "42"],
         0, "1864d455e99635af6735a00f36122bc1ef8d560c68a6850b5ae6dfd46ae249dc", ""),
+    "check_composition_10": (
+        ["check", "composition", "--cases", "10"],
+        0, "6c0188bcfde7a40b385c45bfee53d97316921765d9e32b50e9ae80db3bebf268", ""),
     # refusals: exit code 2, nothing on stdout, one error line on stderr
     "refuse_missing_vars": (
         ["--char", "2", "trace", "(x) dx", "--e", "1"],
@@ -217,6 +220,9 @@ CASES = {
            ("zero_denominator", "(x/0) dx^dy", "zero denominator"),
            ("mixed_degrees", "(x)dx+(y)dx^dy", "mixed form degrees 1 and 2"),
            ("form_degree", "(x) dx^dx^dy", "form degree 3 out of range for 2 variables"))},
+    "refuse_form_degree_one_variable": (
+        ["--char", "2", "--vars", "x", "trace", "(x) dx^dx"],
+        2, EMPTY, "error: form degree 2 out of range for 1 variable\n"),
     # the parser's recursion limit ends in a refusal, not a traceback
     "refuse_nested_parentheses": (
         ["--char", "2", "--vars", "x", "fedder", "(" * 400 + "x" + ")" * 400],
@@ -233,8 +239,8 @@ CASES = {
         2, EMPTY, "error: modulus 't+1' has degree 1; an extension needs degree at least 2\n"),
     **{f"refuse_{name}_modulus": (
         ["--char", "2", "--modulus", modulus, "--vars", "x", "trace", "(x) dx"], 2, EMPTY,
-        f"error: modulus {modulus!r} has degree {degree}; an extension needs degree at least 2\n")
-       for name, modulus, degree in (("constant", "1", "0"), ("zero", "0", "-inf"))},
+        f"error: modulus {modulus!r} {what}; an extension needs degree at least 2\n")
+       for name, modulus, what in (("constant", "1", "has degree 0"), ("zero", "0", "is zero"))},
     "refuse_non_monic_modulus": (
         ["--char", "3", "--modulus", "2*t^2+1", "--vars", "x", "trace", "(x) dx"],
         2, EMPTY, "error: modulus must be monic\n"),

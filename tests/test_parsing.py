@@ -221,6 +221,8 @@ def test_modulus():
             parse_modulus(text, p)
         assert str(info.value) == \
             f"modulus {text!r} has degree {degree}; an extension needs degree at least 2"
+    with pytest.raises(ParseError, match=r"^modulus 't-t' is zero; an extension needs degree"):
+        parse_modulus("t-t", 3)
 
 
 def test_roundtrip_through_printer():
