@@ -82,6 +82,10 @@ def _echelon(rows, field) -> dict:
                     row[c] = x
                 else:
                     del row[c]
+            # each step cancels the leading code; only broken field
+            # arithmetic can leave it in place
+            if lead in row:
+                raise RuntimeError(f"elimination left the leading column {lead} in place")
     return basis
 
 

@@ -47,6 +47,15 @@ ROWS = [
     ("additivity_check_dropped", "checks", "yield lhs == rhs,", "return lhs == rhs,", ["golden"]),
     ("closedness_check_dropped", "checks", "yield (exterior_derivative(inverse_cartier(",
      "return (exterior_derivative(inverse_cartier(", ["golden"]),
+    *((f"{name}_always_true", "checks", f"yield ({check},", "yield (True,", ["cli"])
+      for name, check in (
+          ("scaling", "scaled == trace_rational_top(omega, e).scale(u)"),
+          ("kernel_exact", "trace_rational_top(d_eta, 1).is_zero()"),
+          ("roundtrip", "traced.coeff.as_poly() == f"),
+          ("closedness", "exterior_derivative(inverse_cartier(omega)).is_zero()"),
+          ("fedder_cert",
+           "verdict.split == (expected is not None) and verdict.witness == expected"))),
+    ("additivity_always_true", "checks", "yield lhs == rhs,", "yield True,", ["cli"]),
     ("composition_checks_itself", "checks", "== trace_by_direct_rule(omega, e),",
      "== trace_rational_top(omega, e),", ["cli"]),
     ("table_prints_vectors", "cli", "_cell_rows(t, 1)", "_cell_rows(t, 0)", ["golden"]),
@@ -89,6 +98,7 @@ ROWS = [
      "if False:", ["fsplit"]),
     ("back_substitution_without_inverse", "linalg", "solution[lead] = mul(value, inv(row[lead]))",
      "solution[lead] = value", ["linalg"]),
+    ("echelon_guard_dropped", "linalg", "if lead in row:", "if False:", ["linalg"]),
     ("rhs_rows_unchecked", "linalg", "missing = [i for i in rhs if not 0 <= i < len(rows)]",
      "missing = []", ["linalg"]),
     ("ragged_rows_accepted", "linalg", "elif len(row) != width:", "elif False:", ["linalg"]),
@@ -142,7 +152,7 @@ ROWS = [
     ("bound_off_by_one", "projective", "divisor.k - (n + 1)", "divisor.k - n", ["fsplit"]),
     ("chart_range_unchecked", "projective", "if not 0 <= chart <= n:",
      "if False:", ["projective"]),
-    ("default_chart_0", "projective", "        return n\n", "        return 0\n", ["projective"]),
+    ("default_chart_0", "projective", "        return n\n", "        return 0\n", ["golden"]),
     ("combined_unchecked", "projective", "if other.field != self.field or other.n != self.n:",
      "if False:", ["projective"]),
     ("non_effective_e_accepted", "projective", "if e_part.k < 0:", "if False:", ["projective"]),

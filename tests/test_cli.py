@@ -14,6 +14,7 @@ from frobtrace import (ContainmentError, DivisorSpec, FiniteField, Poly, Rationa
                        parse_poly, trace_matrix, trace_rational_top)
 from frobtrace.checks import SUITES, run_suite
 from frobtrace.cli import main
+from frobtrace.fsplit import FsplitVerdict
 from frobtrace.poly import monomials_upto
 from frobtrace.projective import SemilinearMap
 
@@ -22,177 +23,6 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_trace_fermat_form(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z", "trace",
-                        "(x/(x^3+y^3+z^3+1)) dx^dy^dz", "--e", "1"], capsys)
-    assert code == 0
-    assert out.strip() == "Tr^1 = 0"
-
-
-def test_trace_unit_rule(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x", "trace", "(x) dx", "--e", "1"],
-                       capsys)
-    assert code == 0
-    assert out.strip() == "Tr^1 = (1) dx"
-
-
-def test_trace_char3_bucket(capsys):
-    code, out, _ = run(["--char", "3", "--vars", "x", "trace", "(x^5) dx", "--e", "1"],
-                       capsys)
-    assert code == 0
-    assert out.strip() == "Tr^1 = (x) dx"
-
-
-def test_trace_json(capsys):
-    code, out, _ = run(["--char", "3", "--vars", "x", "--output", "json",
-                        "trace", "(x^5) dx", "--e", "1"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["version"] == "1"
-    assert data["num"] == "x" and data["den"] == "1" and data["e"] == 1
-
-
-def test_trace_extension_field(capsys):
-    # over F_9 the trace takes a cube root of the coefficient: (2g)^{1/3} = g
-    code, out, _ = run(["--char", "3", "--modulus", "t^2+1",
-                        "--vars", "x", "--output", "json",
-                        "trace", "(2*g*x^2) dx", "--e", "1"], capsys)
-    assert code == 0
-    assert json.loads(out)["num"] == "g"
-    code, out, _ = run(["--char", "3", "--modulus", "t^2+1",
-                        "--vars", "x", "--output", "json",
-                        "trace", "(2*x^2) dx", "--e", "1"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["s"] == 2
-    assert data["num"] == "2"  # 2 in the prime field is its own cube root
-
-
-def test_trace_pairs_buckets_at_exponent_two(capsys):
-    # over F_8 at q = 4: two numerator terms share the bucket at (x*y*z)^3,
-    # which pairs with the constant bucket of (x+g*y*z+1)^3, and the bucket
-    # of z^7 pairs with none; the exhaustive-root definition agrees
-    code, out, err = run(["--char", "2", "--modulus", "t^3+t+1", "--vars", "x,y,z",
-                          "trace", "(((1+g)*x^7*y^3*z^11+g*x^3*y^3*z^3+z^7)"
-                          "/(x+g*y*z+1)) dx^dy^dz", "--e", "2"], capsys)
-    assert (code, err) == (0, "")
-    assert out == "Tr^2 = (((1+g^2)*x*z^2+g^2)/(g*y*z+x+1)) dx^dy^dz\n"
-
-
-def test_trace_reads_generator_coefficients(capsys):
-    # over F_9 = F_3[t]/(t^2+1) the printed result parses back to the
-    # library's trace of the same form, built without the parser
-    field, names = FiniteField(3, 2, [1, 0, 1]), ["x", "y"]
-    g = field.generator
-    code, out, _ = run(["--char", "3", "--modulus", "t^2+1", "--vars", "x,y",
-                        "--output", "json", "trace", "(g*x^3*y/(x^2+g*y+1)) dx^dy"],
-                       capsys)
-    assert code == 0
-    data = json.loads(out)
-    num = Poly(field, 2, {(3, 1): g})
-    den = Poly(field, 2, {(2, 0): 1, (0, 1): g, (0, 0): 1})
-    expected = trace_rational_top(TopForm(field, 2, RationalFn(num, den)), 1).coeff
-    assert (data["num"], data["den"]) == (expected.num.to_string(names),
-                                          expected.den.to_string(names))
-    assert RationalFn(parse_poly(data["num"], field, names),
-                      parse_poly(data["den"], field, names)) == expected
-    # over F_4 the printed form has parenthesised coefficients; it reads back
-    f4 = FiniteField(2, 2, [1, 1, 1])
-    form = "(g*x^3*y/(x^2+g*y+1)) dx^dy"
-    code, out, _ = run(["--char", "2", "--modulus", "t^2+t+1", "--vars", "x,y",
-                        "trace", form], capsys)
-    printed = out.strip().removeprefix("Tr^1 = ")
-    assert code == 0 and "(1+g)*x" in printed
-    assert parse_form(printed, f4, names).coeff == \
-        trace_rational_top(parse_form(form, f4, names), 1).coeff
-    # over a prime field 'g' is a variable (over F_9 it is refused: the
-    # golden rows refuse_generator_name*)
-    code, out, _ = run(["--char", "3", "--vars", "g", "trace", "(g^2) dg"], capsys)
-    assert code == 0 and out.strip() == "Tr^1 = (1) dg"
-
-
-def test_hyperplane_name_is_refused_as_variable_in_divisor_commands(capsys):
-    # outside a divisor H is a variable like any other (the refusals are the
-    # golden rows refuse_hyperplane_name*)
-    code, out, _ = run(["--char", "2", "--vars", "H,y", "trace", "(H*y) dH^dy"], capsys)
-    assert code == 0 and out.strip() == "Tr^1 = (1) dH^dy"
-
-
-def test_trace_matrix_fermat(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "trace-matrix",
-                        "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1", "--e", "1"], capsys)
-    assert code == 0
-    assert "matrix (1 x 4)" in out
-    assert "[0 0 0 0]" in out
-    assert "zero True" in out
-
-
-def test_trace_matrix_json_schema(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "--output", "json",
-                        "trace-matrix", "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1",
-                        "--e", "1"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["version"] == "1"
-    assert data["verdict"] == {"rank": 0, "surjective": False, "zero": True}
-    assert data["src"]["basis"] == ["1", "x", "y", "z"]
-    assert data["matrix"] == [[[0], [0], [0], [0]]]
-
-
-def test_trace_matrix_surjective_p2(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z", "--output", "json",
-                        "trace-matrix", "--D", "H:3", "--e", "1"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["verdict"]["surjective"] is True
-    assert data["verdict"]["rank"] == 1
-    assert data["src"]["dim"] == 10
-
-
-def test_trace_matrix_empty_target(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z", "--output", "json",
-                        "trace-matrix", "--D", "H:1", "--e", "1"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["tgt"]["dim"] == 0
-    assert data["verdict"]["surjective"] is True
-
-
-def test_sections_command(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "--output", "json",
-                        "sections", "x^3+y^3+z^3+w^3:1,H:2"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["dim"] == 4 and data["bound"] == 1
-    assert data["basis"] == ["1", "x", "y", "z"]
-    assert data["den"] == "x^3+y^3+z^3+1"
-
-
-def test_fedder_commands(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "fedder",
-                        "x^3+y^3+z^3+w^3"], capsys)
-    assert code == 0 and "F-split: no" in out
-    code, out, _ = run(["--char", "5", "--vars", "x,y,z,w", "fedder",
-                        "x^3+y^3+z^3+w^3"], capsys)
-    assert code == 0 and "F-split: yes" in out and "x^3*y^3*z^3*w^3" in out
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "fedder", "x"], capsys)
-    assert code == 0 and "F-split: yes" in out
-
-
-def test_demo_json_is_machine_checkable(capsys):
-    code, out, _ = run(["--output", "json", "demo", "fermat-cubic"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["ok"] is True
-    names = {c["name"]: c for c in data["checks"]}
-    assert names["source_dimension"]["dim"] == 4
-    assert all(v["dim"] == 0 for v in names["vanishing_twists"]["models"])
-    assert all(t["trace"] == "0" for t in names["basis_traces_vanish"]["traces"])
-    for e in (1, 2, 3):
-        assert names[f"zero_matrix_e{e}"]["zero"] is True
-    assert data["matrix_e1"]["verdict"]["zero"] is True
 
 
 def test_demo_column_check_fails_on_a_nonzero_iterated_trace(monkeypatch):
@@ -237,32 +67,40 @@ def test_suites_count_every_check_of_a_case():
                                     "fedder-cert"], 20)
 
 
-def test_oracle_suite_catches_a_dropped_root_in_the_oracle(monkeypatch):
-    # the decomposition oracle solves for c^p and roots each value with
-    # Scalar.inverse_frobenius, the identity on F_p: only the suite's
-    # extension fields can tell an oracle that skips the root
-    monkeypatch.setattr(Scalar, "inverse_frobenius", lambda self, e=1: self)
-    [report] = run_suite("oracle", 200, 42)
-    assert report.failures and all(" n=" in line for line in report.failures)
-    assert any(line.split(": ", 1)[1].startswith(("F_4 ", "F_8 ", "F_9 "))
-               for line in report.failures)
+TRACE = checks.trace_rational_top
 
 
-def test_composition_suite_catches_a_trace_one_step_short(monkeypatch):
-    # composition compares the trace with the direct exponent-e rule, not
-    # with itself, so a trace that stops one pairing early fails it
-    trace = checks.trace_rational_top
-    monkeypatch.setattr(checks, "trace_rational_top",
-                        lambda form, e=1: trace(form, max(1, e - 1)))
-    [report] = run_suite("composition", 200, 42)
-    assert not report.ok
+def _plus_one(form, e=1):
+    return TRACE(form, e) + TopForm(form.field, form.nvars, Poly.one(form.field, form.nvars))
 
 
-def test_check_deterministic_output(capsys):
-    args = ["--output", "json", "check", "all", "--cases", "20", "--seed", "7"]
-    _, first, _ = run(args, capsys)
-    _, second, _ = run(args, capsys)
-    assert first == second
+@pytest.mark.parametrize("suite, owner, name, broken, failure", [
+    # an identity trace scales by u^q, not by u
+    ("semilinearity", checks, "trace_rational_top", lambda form, e=1: form,
+     "Tr(u^q w) != u Tr(w)"),
+    # a trace plus a constant adds the constant once on the left, twice on the right
+    ("semilinearity", checks, "trace_rational_top", _plus_one, "additivity failed"),
+    # the trace one pairing short, against the direct exponent-e rule
+    ("composition", checks, "trace_rational_top",
+     lambda form, e=1: TRACE(form, max(1, e - 1)), "iterated != direct"),
+    ("kernel-exact", checks, "trace_rational_top", lambda form, e=1: form, "Tr(d eta) != 0"),
+    ("cartier-roundtrip", checks, "inverse_cartier_top", lambda f: f, "roundtrip failed"),
+    # f dx_I itself is no closed representative
+    ("cartier-roundtrip", checks, "inverse_cartier", lambda form: form, "not closed"),
+    # the oracle solves for c^p; without the root, which is the identity on
+    # F_p, only the suite's extension fields can tell
+    ("oracle", Scalar, "inverse_frobenius", lambda self, e=1: self, "oracle disagreed"),
+    ("fedder-cert", checks, "fedder_hypersurface", lambda f: FsplitVerdict(False),
+     "verdict/certificate mismatch"),
+], ids=["scaling", "additivity", "composition", "kernel-exact", "roundtrip", "closedness",
+        "oracle", "fedder-cert"])
+def test_each_suite_check_fails_on_a_broken_dependency(monkeypatch, suite, owner, name,
+                                                        broken, failure):
+    """Every check of every suite can fail: with one dependency broken,
+    the suite reports that check's failure within its 200 cases."""
+    monkeypatch.setattr(owner, name, broken)
+    [report] = run_suite(suite, 200, 42)
+    assert any(failure in line for line in report.failures), report.failures[:3]
 
 
 def test_check_failures_name_their_seed_and_index(capsys, monkeypatch):
@@ -330,14 +168,6 @@ def test_seed_is_an_option_of_check_only(capsys):
     assert default == zero
 
 
-@pytest.mark.parametrize("modulus, s", [("t^2+1", 2), ("t^3+2*t+1", 3)])
-def test_modulus_degree_is_the_extension_degree(capsys, modulus, s):
-    code, out, _ = run(["--char", "3", "--modulus", modulus, "--vars", "x",
-                        "--output", "json", "trace", "(x^2) dx"], capsys)
-    assert code == 0
-    assert json.loads(out)["s"] == s
-
-
 def test_ext_degree_is_no_longer_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--char", "3", "--ext-degree", "2", "--modulus", "t^2+1",
@@ -364,48 +194,6 @@ def test_check_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
     with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from "):
         run_suite("nope", 1, 0)
-
-
-def test_vars_strips_the_spaces_around_each_name(capsys):
-    code, out, err = run(["--char", "2", "--vars", " x , y ", "trace", "(x*y) dx^dy"], capsys)
-    assert (code, err) == (0, "")
-    assert out == run(["--char", "2", "--vars", "x,y", "trace", "(x*y) dx^dy"], capsys)[1]
-
-
-def test_default_chart_is_the_last_variable(capsys):
-    # the library picks the chart when --chart is not given
-    for command in (["sections", "x^3+y^3+z^3:1,H:1"],
-                    ["trace-matrix", "--E", "x^3+y^3+z^3:1", "--D", "H:1"]):
-        _, default, _ = run(["--char", "2", "--vars", "x,y,z", *command], capsys)
-        _, last, _ = run(["--char", "2", "--vars", "x,y,z", "--chart", "z", *command],
-                         capsys)
-        assert default == last and "chart z" in default, command
-
-
-def test_chart_flag(capsys):
-    code, out, _ = run(["--char", "2", "--vars", "x,y,z,w", "--chart", "x",
-                        "--output", "json", "trace-matrix",
-                        "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1", "--e", "1"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["chart"] == 0
-    assert data["verdict"]["zero"] is True
-
-
-def test_chart_complement_hypersurface_is_a_constant_factor(capsys):
-    """A component that the chart misses dehomogenizes to a constant: it
-    adds its degree to the bound and nothing to the denominator."""
-    code, out, err = run(["--char", "2", "--vars", "x,y,z,w", "--chart", "x", "--output",
-                          "json", "trace-matrix", "--E", "x^3+y^3+z^3+w^3:1", "--D", "x:1"],
-                         capsys)
-    assert (code, err) == (0, "")
-    data = json.loads(out)
-    assert (data["src"]["dim"], data["tgt"]["dim"], data["verdict"]["rank"]) == (4, 1, 0)
-    code, out, err = run(["--char", "3", "--vars", "a,b,c", "--chart", "b", "--output",
-                          "json", "sections", "b^2:1,H:2"], capsys)
-    assert (code, err) == (0, "")
-    data = json.loads(out)
-    assert (data["dim"], data["den"], data["basis"]) == (3, "1", ["1", "a", "c"])
 
 
 def test_trace_matrix_table_footer_matches_json_verdict(capsys):

@@ -17,6 +17,7 @@ from frobtrace import (
     parse_form,
     parse_poly,
 )
+from frobtrace.checks import random_poly
 from frobtrace.forms import _normalize_indices, d_columns
 
 F2 = FiniteField(2)
@@ -69,20 +70,12 @@ def test_leibniz_rule_on_zero_forms():
     for p in (2, 3, 5):
         field = FiniteField(p)
         for _ in range(20):
-            f = _rand_poly(field, 3, rng)
-            g = _rand_poly(field, 3, rng)
+            f = random_poly(field, 3, rng)
+            g = random_poly(field, 3, rng)
             df = exterior_derivative(DiffForm(field, 3, 0, {(): RationalFn(f)}))
             dg = exterior_derivative(DiffForm(field, 3, 0, {(): RationalFn(g)}))
             dfg = exterior_derivative(DiffForm(field, 3, 0, {(): RationalFn(f * g)}))
             assert dfg == _scale(df, g) + _scale(dg, f)
-
-
-def _rand_poly(field, nvars, rng):
-    terms = {}
-    for _ in range(rng.randint(0, 3)):
-        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
-        terms[mono] = rng.randrange(field.p)
-    return Poly(field, nvars, {m: c for m, c in terms.items() if c})
 
 
 def _scale(form, poly):

@@ -52,6 +52,9 @@ CASES = {
         ["--char", "3", "--vars", "x,y", *JSON, "trace",
          "((x^7*y^2+x)/(x^2+y^2+x*y+1)) dx^dy", "--e", "2"],
         0, "79909cf3ef2ddf70f66c17a7332f2c83411b941af3396f2d13bf5f4ab2cb19fd", ""),
+    # over F_8 at q = 4 two numerator terms share the bucket at (x*y*z)^3,
+    # which pairs with the constant bucket of (x+g*y*z+1)^3, and z^7's
+    # bucket pairs with none: Tr^2 = (((1+g^2)*x*z^2+g^2)/(g*y*z+x+1)) dx^dy^dz
     "trace_f8_e2": (
         ["--char", "2", "--modulus", "t^3+t+1", "--vars", "x,y,z", "trace",
          "(((1+g)*x^7*y^3*z^11+g*x^3*y^3*z^3+z^7)/(x+g*y*z+1)) dx^dy^dz", "--e", "2"],
@@ -74,6 +77,53 @@ CASES = {
     "trace_f65521": (
         ["--char", "65521", "--vars", "x,y", "trace", "(x^131041*y^65520) dx^dy"],
         0, "0f4d6852af88980ab7d52daeae1ea8cf086349f6e43bc478415fe7a0e1aa2f50", ""),
+    # Tr^1 = 0: x/(x^3+y^3+z^3+1) is eta_x of the Fermat cubic
+    "trace_eta_x": (
+        ["--char", "2", "--vars", "x,y,z", "trace", "(x/(x^3+y^3+z^3+1)) dx^dy^dz", "--e", "1"],
+        0, "8f443dd42e41fbf0bfe2b949adc0e4e33a813bdf2752a0bc0ba51d5c2f196aa5", ""),
+    # the unit rule, Tr^1 = (1) dx, and one bucket over F_3, Tr^1 = (x) dx
+    "trace_unit": (
+        ["--char", "2", "--vars", "x", "trace", "(x) dx", "--e", "1"],
+        0, "28b91abbabe037fed0d55779f7ce0a629d6c84f2a6172a82710654acacce7d97", ""),
+    "trace_f3_x5": (
+        ["--char", "3", "--vars", "x", "trace", "(x^5) dx", "--e", "1"],
+        0, "4ad7c4cd6d213097495ae9b0c13c2d0964ee4c42600d1a24d9de9345ac9c885a", ""),
+    # version "1", e 1, num "x", den "1"
+    "trace_f3_x5_json": (
+        ["--char", "3", "--vars", "x", *JSON, "trace", "(x^5) dx", "--e", "1"],
+        0, "e57293c25ee5f1f34f6a45389ebeb6e1b68885d95ccb9e5d18a67922a412411e", ""),
+    # over F_9 the trace takes a cube root: num "g" for 2g, and num "2" for
+    # 2, its own root
+    **{f"trace_f9_{name}_json": (
+        [*F9, "--vars", "x", *JSON, "trace", form, "--e", "1"], 0, digest, "")
+       for name, form, digest in (
+           ("root", "(2*g*x^2) dx",
+            "83430dd5ca2294ecfe2d67a4c43ba572a44cbee9bdd1bd2665936964d6f43b0d"),
+           ("prime_root", "(2*x^2) dx",
+            "88e771ac0e28ee4da6654f2d4d48c713bfbfff6e3cb388fed65d1fdbb57d558f"))},
+    # the modulus degree is the extension degree: "s" is 2 over F_9, 3 over F_27
+    **{f"trace_{name}_x2_json": (
+        ["--char", "3", "--modulus", modulus, "--vars", "x", *JSON, "trace", "(x^2) dx"],
+        0, digest, "")
+       for name, modulus, digest in (
+           ("f9", "t^2+1", "5c094327c47676558d12bdfa893a3fd278ded30f91d1f26e94c12102f908f9c6"),
+           ("f27", "t^3+2*t+1",
+            "838b58bcae050e866e797ff11a0613333fc9da9f44d5518b485ff2bfa3d5e4d8"))},
+    # outside a divisor 'H' is a variable, Tr^1 = (1) dH^dy, and over a
+    # prime field so is 'g', Tr^1 = (1) dg
+    "trace_h_variable": (
+        ["--char", "2", "--vars", "H,y", "trace", "(H*y) dH^dy"],
+        0, "c7de051f446e145781e6bf83dc2587fa378682f248ae95ade410d9b6f4e88ee7", ""),
+    "trace_g_variable": (
+        ["--char", "3", "--vars", "g", "trace", "(g^2) dg"],
+        0, "0dab7a5a030e0f1aca4556886c1567e7c0bb17309c8af58b84d33800ef302e9a", ""),
+    # --vars strips the spaces around each name: one output, Tr^1 = (1) dx^dy
+    **{f"trace_vars_{name}": (
+        ["--char", "2", "--vars", names, "trace", "(x*y) dx^dy"],
+        0, "3516b092875b81a599786780ed254602adac264da00a2a4541a0553e7eb936f4", "")
+       for name, names in (("spaced", " x , y "), ("unspaced", "x,y"))},
+    # the paper's zero trace: at e = 1 a 1 x 4 matrix [0 0 0 0] on the
+    # source basis 1, x, y, z, verdict rank 0, zero, not surjective
     **{f"fermat_e{e}": ([*FERMAT, *FERMAT_MATRIX, "--e", str(e)], 0, digest, "")
        for e, digest in (
            (1, "11f6f2b6f899e0b16442ad9149cbf338172cbbca23c0066c1058f140914b5d8a"),
@@ -104,6 +154,16 @@ CASES = {
     "e0_f7_json": (
         ["--char", "7", "--vars", "x,y,z", *JSON, "trace-matrix", "--D", "H:4", "--e", "1"],
         0, "7df59dc27aa20e1f330ac8a19a50c2cd705a6da6ce44547c5685c73ea543391d", ""),
+    # D = 3H on P^2: rank 1 of 10 columns, surjective; D = H: an empty
+    # target, vacuously surjective
+    **{f"p2_{name}_json": (
+        ["--char", "2", "--vars", "x,y,z", *JSON, "trace-matrix", "--D", spec, "--e", "1"],
+        0, digest, "")
+       for name, spec, digest in (
+           ("surjective", "H:3",
+            "09d4b3a7d6e294c07b87d28af099c7b81da836f0e08ab52accc77f89d0015555"),
+           ("empty_target", "H:1",
+            "008dfa9bb3c6122aac9df78fe00cd57e111e9516d5694b31b17670e0c43d722b"))},
     "f9_matrix_e2": (
         [*F9, "--vars", "x,y,z", "trace-matrix", "--E", "x^3+y^3+z^3:1", "--D", "H:1",
          "--e", "2"],
@@ -127,6 +187,30 @@ CASES = {
     "chart_x": (
         [*FERMAT, "--chart", "x", *JSON, *FERMAT_MATRIX, "--e", "2"],
         0, "9faf52312e0b1a6fd696df70978df8eb2e59c5f058579dec553f3609e3b5c622", ""),
+    # "chart" 0 and the zero verdict at e = 1
+    "chart_x_e1_json": (
+        [*FERMAT, "--chart", "x", *JSON, *FERMAT_MATRIX, "--e", "1"],
+        0, "0c639185321133a52b0ac38d6913074cb8de750d4bebef8830628a7c40a5a256", ""),
+    # a component that the chart misses is a constant factor: dims 4 and 1
+    # and rank 0 with D = V(x) on chart x; dim 3, den "1" and basis 1, a, c
+    # for V(b^2) + 2H on chart b
+    "chart_misses_d_json": (
+        [*FERMAT, "--chart", "x", *JSON, "trace-matrix", "--E", "x^3+y^3+z^3+w^3:1",
+         "--D", "x:1"],
+        0, "d2f45678bcc3cb3462bf0778502fac49255a0c642055be4f7bc898cfc4e42caf", ""),
+    "chart_misses_sections_json": (
+        ["--char", "3", "--vars", "a,b,c", "--chart", "b", *JSON, "sections", "b^2:1,H:2"],
+        0, "8c3c3d01ac95a98022926b498b9e0d13b51181869d4518f16251060fed00736b", ""),
+    # without --chart the chart is the last variable: each pair prints one
+    # output, on "chart z"
+    **{f"{name}_chart_{chart}": (
+        ["--char", "2", "--vars", "x,y,z", *flag, *command], 0, digest, "")
+       for name, command, digest in (
+           ("sections", ["sections", "x^3+y^3+z^3:1,H:1"],
+            "46629dbb69d206d06b8e57d6698eea9e8f654682137ba21164d90b0fa238c2a8"),
+           ("matrix", ["trace-matrix", "--E", "x^3+y^3+z^3:1", "--D", "H:1"],
+            "1de7fc8f01a0119dc83957d38c70836642eb2c0494a92a063764d89a4b13ff3d"))
+       for chart, flag in (("default", []), ("z", ["--chart", "z"]))},
     # the toric boundary: each chart misses one component, and the rank is 1
     "toric_boundary": (
         ["--char", "2", "--vars", "x,y,z", "trace-matrix", "--E", "x:1,y:1,z:1",
@@ -150,6 +234,7 @@ CASES = {
     "sections_f2": (
         [*FERMAT, "sections", "x^3+y^3+z^3+w^3:1,H:2"],
         0, "3689f687313f36b70ff794b7acbc74b5114d9331a719ad9b6a460cb674330560", ""),
+    # dim 4, bound 1, basis 1, x, y, z, den x^3+y^3+z^3+1
     "sections_f2_json": (
         [*FERMAT, *JSON, "sections", "x^3+y^3+z^3+w^3:1,H:2"],
         0, "52499c496ad49aa27077a01fd851c8902f27e9595feb3b4ac55a50cd0fa9e697", ""),
@@ -159,6 +244,14 @@ CASES = {
     "fedder_p2": (
         [*FERMAT, "fedder", "x^3+y^3+z^3+w^3"],
         0, "40c36ff11e213bec3fb4bd30123de9e0e64be89b2d3cb216e8e0e412a7af8905", ""),
+    # F-split: yes, witness x^3*y^3*z^3*w^3 in f^4
+    "fedder_p5": (
+        ["--char", "5", "--vars", "x,y,z,w", "fedder", "x^3+y^3+z^3+w^3"],
+        0, "461a6116903a2b6883f3f71dab267c9113cb64380c721220493d0742a1fff35e", ""),
+    # a hyperplane splits: witness x in f^1
+    "fedder_linear": (
+        [*FERMAT, "fedder", "x"],
+        0, "7ae057fa377501e2a5d6f69cbd0dfdf3ca42b6b2fbf1bf6354a1f336359079d9", ""),
     "fedder_p5_json": (
         ["--char", "5", "--vars", "x,y,z,w", *JSON, "fedder", "x^3+y^3+z^3+w^3"],
         0, "dd40255acc142306325e32f80d6ec37b8a8e19abc5638e472957f9109035caa7", ""),
@@ -174,6 +267,8 @@ CASES = {
     "demo": (
         ["demo", "fermat-cubic"],
         0, "732b37aaf17e543127042f93d52467560d71f2258b52105ea89207380d6b4a83", ""),
+    # "ok" true: source dim 4, every vanishing twist of dim 0, every basis
+    # trace 0, and the zero matrices at e = 1, 2, 3
     "demo_json": (
         [*JSON, "demo", "fermat-cubic"],
         0, "70171129dbafd7a188073929a5d8cde5c59a80bf37862d675d8550fbfca6415d", ""),
@@ -435,6 +530,7 @@ NOT_ROWS = {
                     "solve needs dense rows and a dense right-hand side; "
                     "the rows give the solution its width",
                     "right-hand side of length {len(rhs)} for a {len(codes)}-row matrix")},
+    ("linalg", "elimination left the leading column {lead} in place"): "internal consistency",
     ("linalg", "matrix entry from {x.field} in a matrix over {field}"):
         "library API only: test_linalg.py::test_rows_mixing_two_fields_are_refused",
     **{("poly", text):

@@ -273,6 +273,22 @@ def test_rows_mixing_two_fields_are_refused():
     assert rank_of([[F2.one, F3.zero]], F2) == 1
 
 
+def test_elimination_stops_when_the_leading_column_stays():
+    # with subtraction broken to keep its first operand, no step cancels
+    # the leading code; elimination must refuse, not loop forever (the
+    # broken _sub gives up after 1000 calls, so a missing guard fails fast)
+    broken, calls = FiniteField(3), []
+
+    def keep(a, b):
+        calls.append(a)
+        assert len(calls) < 1000, "elimination did not stop"
+        return a
+
+    broken._sub = keep
+    with pytest.raises(RuntimeError, match="leading column 0 in place"):
+        code_rank([{0: 1, 1: 1}, {0: 1, 1: 2}], broken)
+
+
 def random_sparse_rows(field, nrows, ncols, rng):
     """Sparse rows of random density; now and then a row is a combination
     of two earlier ones, so ranks below min(nrows, ncols) are common."""

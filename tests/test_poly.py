@@ -22,6 +22,7 @@ from frobtrace import (
     verify_witness,
 )
 from frobtrace import poly
+from frobtrace.checks import random_poly
 from frobtrace.poly import (monomial_count, monomial_rank, monomial_string,
                            monomial_strings_upto)
 
@@ -35,14 +36,6 @@ XYZW = ["x", "y", "z", "w"]
 
 def P(text, field=F2, varnames=XYZW):
     return parse_poly(text, field, varnames)
-
-
-def _random_poly(field, nvars, rng, max_terms=4):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
-        terms[mono] = rng.randrange(field.p)
-    return Poly(field, nvars, {m: c for m, c in terms.items() if c})
 
 
 def test_freshmans_dream():
@@ -251,7 +244,7 @@ def test_pe_th_root_inverts_powers():
     rng = random.Random(3)
     for field, e in [(F2, 1), (F2, 2), (F3, 1), (F5, 1), (F9, 1)]:
         for _ in range(20):
-            f = _random_poly(field, 3, rng)
+            f = random_poly(field, 3, rng, 4)
             q = field.p ** e
             buckets = (f ** q).frobenius_decompose(e)
             assert set(buckets) <= {(0, 0, 0)}
@@ -286,7 +279,7 @@ def test_frobenius_decompose_reassembles():
             for e in (1, 2, 3):
                 if p ** e > 16:
                     continue
-                f = _random_poly(field, n, rng)
+                f = random_poly(field, n, rng, 4)
                 q = p ** e
                 total = Poly.zero(field, n)
                 full = f.frobenius_decompose(e)
@@ -322,8 +315,8 @@ def test_exact_divide_random():
     rng = random.Random(13)
     for field in (F2, F3, F5):
         for _ in range(30):
-            f = _random_poly(field, 3, rng)
-            g = _random_poly(field, 3, rng)
+            f = random_poly(field, 3, rng, 4)
+            g = random_poly(field, 3, rng, 4)
             if g.is_zero():
                 continue
             assert (f * g).exact_divide(g) == f
@@ -439,7 +432,7 @@ def test_print_order_and_roundtrip():
     rng = random.Random(17)
     for field in (F2, F5, F9):
         for _ in range(20):
-            f = _random_poly(field, 4, rng)
+            f = random_poly(field, 4, rng, 4)
             assert parse_poly(f.to_string(XYZW), field, XYZW) == f
 
 
@@ -466,13 +459,13 @@ def test_rational_equivalence_relation():
     names3 = ["x", "y", "z"]
     for field in (F2, F3, F5):
         for _ in range(20):
-            num = _random_poly(field, 3, rng)
-            den = _random_poly(field, 3, rng)
+            num = random_poly(field, 3, rng, 4)
+            den = random_poly(field, 3, rng, 4)
             if den.is_zero():
                 den = Poly.one(field, 3)
             base = RationalFn(num, den)
-            u = _random_poly(field, 3, rng)
-            v = _random_poly(field, 3, rng)
+            u = random_poly(field, 3, rng, 4)
+            v = random_poly(field, 3, rng, 4)
             if u.is_zero():
                 u = Poly.one(field, 3)
             if v.is_zero():

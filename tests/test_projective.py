@@ -19,7 +19,6 @@ from frobtrace import (
     SemilinearMap,
     TopForm,
     map_verdict,
-    parse_divisor,
     parse_modulus,
     parse_poly,
     pe_twist,
@@ -151,16 +150,6 @@ def test_pe_twist_requires_effective_fixed_part():
         pe_twist(DivisorSpec(F2, 3, k=1), fermat_divisor(), 0)
 
 
-def test_fermat_trace_matrix_is_zero():
-    E = fermat_divisor()
-    H = DivisorSpec(F2, 3, k=1)
-    t = trace_matrix(E, H, 1)
-    assert t.tgt.dim == 1 and t.src.dim == 4
-    assert all(not entry for row in dense(t) for entry in row)
-    verdict = map_verdict(t)
-    assert verdict.rank == 0 and verdict.zero and not verdict.surjective
-
-
 def test_p2_trace_matrix_rank_one():
     t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
     # source is the model of omega(6H): bound 3, ten monomials in two variables
@@ -206,7 +195,9 @@ def test_sparse_and_dense_rows_give_the_same_map():
         from_dense = SemilinearMap(t.src, t.tgt, t.e, dense(t))
         assert from_sparse.verdict == from_dense.verdict == t.verdict
         assert from_sparse.codes == from_dense.codes == t.codes
-        assert json.dumps(from_sparse.to_json(names)) == json.dumps(from_dense.to_json(names))
+        # a bool, not the two texts: pytest's diff of long one-line texts takes minutes
+        same = json.dumps(from_sparse.to_json(names)) == json.dumps(from_dense.to_json(names))
+        assert same, (t.tgt.dim, t.src.dim)
 
 
 def test_trace_and_json_do_no_work_per_zero_cell(monkeypatch):
@@ -367,16 +358,6 @@ def test_matrix_composition_law():
     outer = trace_matrix(E, D, 1)
     inner = trace_matrix(E, DivisorSpec(F4, 2).combined(D, 2), 1)
     assert twisted_product(outer, inner) == dense(direct)
-
-
-def test_chart_independence_of_verdicts():
-    E = fermat_divisor()
-    H = DivisorSpec(F2, 3, k=1)
-    verdicts = [map_verdict(trace_matrix(E, H, 1, chart=c)) for c in range(4)]
-    assert all(v == verdicts[0] for v in verdicts)
-    verdicts = [map_verdict(trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1, chart=c))
-                for c in range(3)]
-    assert all(v == verdicts[0] for v in verdicts)
 
 
 def test_rank_one_exactly_when_fedder_splits_on_every_chart():
@@ -638,7 +619,9 @@ def test_level_product_matches_direct_rule_on_random_divisors():
                 outcomes.append(json.dumps(build(E, D, e, chart).to_json(names)))
             except ContainmentError as exc:
                 outcomes.append(type(exc))
-        assert outcomes[0] == outcomes[1], (E, D, e, chart)
+        # a bool, not the two texts: pytest's diff of long one-line texts takes minutes
+        same = outcomes[0] == outcomes[1]
+        assert same, (E, D, e, chart)
         seen["chart misses"] += _misses(chart, E, D)
         seen["e>1 nonzero"] += e > 1 and '"zero": false' in str(outcomes[0])
         seen["D hypersurface, k<0"] += bool(D.hypersurfaces) and D.k < 0
@@ -900,24 +883,6 @@ def test_containment_error_fires_at_a_later_level(monkeypatch):
         trace_matrix(E, D, 2)
 
 
-def test_fermat_trace_matrix_vanishes_at_e5():
-    t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 5)
-    assert t.src.dim == 5984 and t.tgt.dim == 1
-    assert map_verdict(t).zero
-
-
-def test_json_schema_shape():
-    t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 1)
-    data = t.to_json(XYZW)
-    assert data["p"] == 2 and data["s"] == 1 and data["e"] == 1
-    assert data["chart"] == 3
-    assert data["src"]["dim"] == 4 and data["tgt"]["dim"] == 1
-    assert data["src"]["basis"] == ["1", "x", "y", "z"]
-    assert data["matrix"] == [[(0,), (0,), (0,), (0,)]]
-    assert data["verdict"] == {"rank": 0, "surjective": False, "zero": True}
-    assert data["src"]["divisor"]["hypersurfaces"][0]["poly"] == "x^3+y^3+z^3+w^3"
-
-
 def test_divisor_validation():
     with pytest.raises(ValueError, match="^hypersurface polynomial is not homogeneous$"):
         DivisorSpec(F2, 3, [(parse_poly("x+y^2", F2, XYZW), 1)])
@@ -929,15 +894,6 @@ def test_divisor_validation():
         DivisorSpec(F2, 2, [(parse_poly("x", F2, XYZW), 1)])
     with pytest.raises(ValueError, match="^hypersurface over a different field$"):
         DivisorSpec(F3, 3, fermat_divisor().hypersurfaces)
-
-
-def test_divisor_parse_and_merge():
-    spec = parse_divisor("x^3+y^3+z^3+w^3:1,H:2", F2, XYZW)
-    assert spec.k == 2
-    assert len(spec.hypersurfaces) == 1
-    merged = spec.combined(spec, 1)
-    assert merged.k == 4
-    assert merged.hypersurfaces[0][1] == 2
 
 
 def test_basis_form_coefficients():
@@ -957,16 +913,3 @@ def test_shared_hypersurface_merges_in_twist():
     # the conic cone splits in char 2 (yz survives in f^{p-1}), so the
     # trace is onto
     assert map_verdict(t).surjective
-
-
-def test_extension_field_pipeline():
-    F4 = FiniteField(2, 2, [1, 1, 1])
-    E = DivisorSpec(F4, 1)
-    D = DivisorSpec(F4, 1, k=2)
-    direct = trace_matrix(E, D, 2)
-    outer = trace_matrix(E, D, 1)
-    inner = trace_matrix(E, DivisorSpec(F4, 1, k=4), 1)
-    assert twisted_product(outer, inner) == dense(direct)
-    assert map_verdict(direct).surjective
-    row = direct.to_json(["x", "y"])["matrix"][0]
-    assert all(len(entry) == 2 for entry in row)  # residue pairs
