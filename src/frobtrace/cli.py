@@ -107,7 +107,8 @@ def _varnames(args) -> list:
 
 
 def _chart_index(args, varnames):
-    """The index of the --chart variable; None leaves the library's default."""
+    """The index of the --chart variable; None leaves the library's default.
+    Every command that reads --vars checks --chart, used or not."""
     if args.chart is None:
         return None
     if args.chart not in varnames:
@@ -130,6 +131,7 @@ def _emit(args, payload: dict, table_lines: list) -> None:
 def cmd_trace(args) -> int:
     field = _build_field(args)
     varnames = _varnames(args)
+    _chart_index(args, varnames)
     result = trace_rational_top(parse_form(args.form, field, varnames), args.e)
     payload = {
         "command": "trace",
@@ -194,6 +196,7 @@ def cmd_sections(args) -> int:
 def cmd_fedder(args) -> int:
     field = _build_field(args)
     varnames = _varnames(args)
+    _chart_index(args, varnames)
     f = parse_poly(args.poly, field, varnames)
     verdict = fedder_hypersurface(f)
     witness_str = None

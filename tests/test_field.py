@@ -21,14 +21,6 @@ ALL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),
               F4, F8, F9, F16, F25, F27, F81]
 
 
-def test_basic_arithmetic():
-    F2 = FiniteField(2)
-    assert F2.scalar(1) + F2.scalar(1) == F2.zero
-    F5 = FiniteField(5)
-    assert F5.scalar(2) * F5.scalar(3) == F5.one
-    assert FiniteField(7).scalar(180) == FiniteField(7).scalar(5)
-
-
 def test_division():
     F7 = FiniteField(7)
     a, b = F7.scalar(3), F7.scalar(5)
@@ -52,15 +44,6 @@ def test_mixed_field_arithmetic_rejected():
         FiniteField(2).scalar(FiniteField(3).one)
     with pytest.raises(ValueError, match="^residue vector longer than extension degree 2$"):
         F9.scalar([1, 2, 0])
-
-
-def test_characteristic_validation():
-    for bad in (0, 1, 4, 6, 9, 100):
-        with pytest.raises(ValueError):
-            FiniteField(bad)
-    with pytest.raises(ValueError):
-        FiniteField(65537)  # prime but over the limit
-    FiniteField(65521)  # largest prime under 2^16
 
 
 def test_characteristic_accepted_exactly_for_primes():
@@ -101,16 +84,6 @@ def _is_irreducible_bruteforce(coeffs, p):
                 if mul(f, g) == list(coeffs):
                     return False
     return True
-
-
-@pytest.mark.parametrize("p,coeffs", [
-    (2, [1, 1, 1]), (2, [1, 1, 0, 1]), (2, [1, 1, 0, 0, 1]),
-    (3, [1, 0, 1]), (3, [1, 2, 0, 1]), (3, [2, 0, 0, 2, 1]),
-    (5, [1, 1, 1]),
-])
-def test_moduli_used_here_are_irreducible(p, coeffs):
-    assert _is_irreducible_bruteforce(coeffs, p)
-    FiniteField(p, len(coeffs) - 1, coeffs)
 
 
 @pytest.mark.parametrize("p,coeffs", [
@@ -187,21 +160,6 @@ def test_modulus_shape_validation():
         FiniteField(2, 0)
 
 
-def test_frobenius_examples():
-    F2 = FiniteField(2)
-    assert F2.one.frobenius(3) == F2.one
-    x = F9.generator
-    assert x.frobenius(1) == F9.scalar([0, 2])
-    F5 = FiniteField(5)
-    assert F5.scalar(2).frobenius(1) == F5.scalar(2)
-
-
-def test_inverse_frobenius_examples():
-    F2 = FiniteField(2)
-    assert F2.one.inverse_frobenius(5) == F2.one
-    assert F9.scalar([0, 2]).inverse_frobenius(1) == F9.generator
-
-
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
 def test_frobenius_bijective_pairs(field):
     for e in range(1, 9):
@@ -228,12 +186,6 @@ def test_frobenius_identity_on_prime_field(p):
         for e in (1, 2, 3):
             assert a.frobenius(e) == a
             assert a.inverse_frobenius(e) == a
-
-
-def test_scalar_hash_and_str():
-    assert len({F9.scalar([1, 2]), F9.scalar([1, 2]), F9.scalar([2, 1])}) == 2
-    assert str(FiniteField(5).scalar(3)) == "3"
-    assert str(F9.scalar([1, 2])) == "1+2*g"
 
 
 def test_field_order_is_limited_before_any_work(monkeypatch):
@@ -369,11 +321,6 @@ def test_tables_use_the_primitive_element_of_smallest_code(field):
     first = 1 if field.s == 1 else p
     assert order(g) == q - 1
     assert all(order(code) < q - 1 for code in range(first, g))
-
-
-def test_x_is_skipped_when_it_is_not_primitive():
-    # in F_3[t]/(t^2+1), t^2 = -1 gives t order 4; 1 + t (code 4) has order 8
-    assert _primitive_powers(3, 2, [1, 0, 1])[:3] == [1, 4, 6]
 
 
 def test_largest_field_builds_and_computes():

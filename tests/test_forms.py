@@ -83,15 +83,6 @@ def _scale(form, poly):
                     {idx: rat * RationalFn(poly) for idx, rat in form.coeffs.items()})
 
 
-def test_derivative_additive():
-    rng = random.Random(6)
-    for _ in range(20):
-        a = _random_form(F3, 3, 1, rng)
-        b = _random_form(F3, 3, 1, rng)
-        assert exterior_derivative(a + b) == \
-            exterior_derivative(a) + exterior_derivative(b)
-
-
 def test_derivative_rejects_rational_coefficients():
     rat = RationalFn(parse_poly("x", F2, ["x", "y"]), parse_poly("y", F2, ["x", "y"]))
     form = DiffForm(F2, 2, 1, {(0,): rat})
@@ -182,16 +173,6 @@ def test_d_columns_match_the_exterior_derivative():
                 for (K, m, expected), col in zip(images, columns):
                     got = Poly(field, n, {mono_of[r]: c for r, c in col.items()})
                     assert got == expected, (p, n, K, m)
-
-
-def test_monomials_upto_matches_nested_loops():
-    bound = 4
-    expected = {(a, b, c)
-                for a in range(bound + 1)
-                for b in range(bound + 1)
-                for c in range(bound + 1)
-                if a + b + c <= bound}
-    assert set(monomials_upto(3, bound)) == expected
 
 
 def test_coeff_is_read_only_off_top_degree_forms():

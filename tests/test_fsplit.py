@@ -28,12 +28,6 @@ def fermat(p):
     return parse_poly("x^3+y^3+z^3+w^3", FiniteField(p), XYZW)
 
 
-def test_fermat_not_split_char_2():
-    verdict = fedder_hypersurface(fermat(2))
-    assert not verdict.split
-    assert verdict.witness is None
-
-
 def test_fermat_split_char_5():
     f = fermat(5)
     verdict = fedder_hypersurface(f)

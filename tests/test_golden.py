@@ -405,6 +405,18 @@ CASES = {
     "refuse_unknown_chart": (
         ["--char", "2", "--vars", "x,y", "--chart", "q", "sections", "H:3"],
         2, EMPTY, "error: chart variable 'q' is not among --vars\n"),
+    # trace and fedder check --chart too, and a valid one changes nothing:
+    # the accepted runs print what trace_f2 and fedder_linear print
+    **{f"refuse_unknown_chart_{argv[0]}": (
+        ["--char", "2", "--vars", "x,y", "--chart", "q", *argv],
+        2, EMPTY, "error: chart variable 'q' is not among --vars\n")
+       for argv in (["trace", "(x) dx^dy"], ["fedder", "x*y"])},
+    "trace_f2_chart_y": (
+        ["--char", "2", "--vars", "x,y", "--chart", "y", "trace", "(x^5*y^3/(x+y+1)) dx^dy",
+         "--e", "3"], 0, "7670d5fc96ca3677f2ec5bd2d4a4fb0d2d74d388562b012bc1c55012a4c027d6", ""),
+    "fedder_linear_chart_x": (
+        [*FERMAT, "--chart", "x", "fedder", "x"],
+        0, "7ae057fa377501e2a5d6f69cbd0dfdf3ca42b6b2fbf1bf6354a1f336359079d9", ""),
     "refuse_nonhomogeneous_fedder": (
         ["--char", "2", "--vars", "x,y", "fedder", "x+y^2"],
         2, EMPTY, "error: the polynomial must be homogeneous\n"),

@@ -24,7 +24,6 @@ from frobtrace import (
     pe_twist,
     section_space,
     trace_matrix,
-    trace_rational_top,
 )
 from frobtrace.checks import FIELDS
 from frobtrace.cli import main
@@ -170,13 +169,6 @@ def test_zero_target_gives_empty_vacuously_surjective_matrix():
     assert t.codes == []
     verdict = map_verdict(t)
     assert verdict.surjective and verdict.zero and verdict.rank == 0
-
-
-def test_verdict_identity_like():
-    space = section_space(DivisorSpec(F2, 2, k=3))
-    t = SemilinearMap(space, space, 1, [[F2.one]])
-    verdict = map_verdict(t)
-    assert verdict.rank == 1 and verdict.surjective and not verdict.zero
 
 
 def test_sparse_and_dense_rows_give_the_same_map():
@@ -467,16 +459,6 @@ def test_toric_boundary_has_rank_one_on_every_chart():
                     t = trace_matrix(E, DivisorSpec(field, n), e, chart)
                     assert (t.src.dim, t.tgt.dim, t.verdict.rank) == (1, 1, 1), \
                         (field, n, e, chart)
-
-
-def test_apply_matches_traced_forms():
-    # each column, read over the target basis, is the traced basis form
-    E = DivisorSpec(F2, 2)
-    D = DivisorSpec(F2, 2, k=3)
-    t = trace_matrix(E, D, 1)
-    for b in range(t.src.dim):
-        traced = trace_rational_top(t.src.basis_form(b), 1).coeff
-        assert column(t, b) * traced.den == traced.num * t.tgt.den, b
 
 
 def matches_direct_trace(E, D, e, chart=None):
