@@ -17,14 +17,14 @@ because residues with a_i + r_i = p-1 mod p and 0 <= a_i, r_i <= p-1 have
 a_i + r_i = p-1 exactly.  The pairing table of g, {(p-1) - r: G_r}, is
 read from one decomposition of g^{p-1}, and the denominator stays g, so
 Tr^e = Tr^1 o Tr^{e-1} is e pairings of the numerator against the same
-table: :func:`trace_rational_top` forms no power of g above p - 1, and
-stops at the first repeated numerator, so a large e costs no more steps
-than the numerators take to repeat.  Each pairing roots the numerator
-only at the residues that pair with a bucket of the table.
-:func:`frobtrace.projective.trace_matrix` reads its levels from the table
-of the chart product of E: a monomial numerator x^m pairs with G_r
-exactly when m = c + p s for c = (p-1) - r, with trace x^s G_r.  The
-direct rule Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g stays only as an oracle,
+table: :func:`trace_rational_top` forms no power of g above p - 1.  Each
+pairing roots the numerator only at the residues that pair with a bucket
+of the table.  :func:`frobtrace.projective.trace_matrix` reads its levels
+from the table of the chart product of E: a monomial numerator x^m pairs
+with G_r exactly when m = c + p s for c = (p-1) - r, with trace x^s G_r.
+One step loop, :func:`_iterate`, runs both traces and stops at the first
+repeated numerator, or matrix level when deg D = 0.  The direct rule
+Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g stays only as an oracle,
 :func:`trace_by_direct_rule`.
 
 The inverse Cartier operator returns one designated closed representative
@@ -50,6 +50,26 @@ def _pairing_table(g: Poly) -> dict:
             for r, g_r in (g ** (p - 1)).frobenius_decompose(1).items()}
 
 
+def _iterate(step, x, e, key=None):
+    """x after x <- step(x, k) for k = 0, ..., e - 1, the step loop of both
+    traces; a step that returns x itself ends it.  With a ``key``, step k
+    depends on key(x, k) alone, so when that repeats the key at step first,
+    only (e - k) mod (k - first) steps remain; steps 0 and e - 1 build none."""
+    seen = {}
+    for k in range(e):
+        if key is not None and 0 < k < e - 1:
+            first = seen.setdefault(key(x, k), k)
+            if first < k:
+                for i in range(k, k + (e - k) % (k - first)):
+                    x = step(x, i)
+                return x
+        y = step(x, k)
+        if y is x:
+            return x
+        x = y
+    return x
+
+
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx,
     the bucket of f at x^{(q-1,...,q-1)}, q = p^e; no other bucket is
@@ -69,9 +89,8 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     g^{p-1} is the only power of g formed, and it is decomposed once; each
     step roots the numerator only at the residues a that pair with one of
     its buckets.  Every step keeps g and a bounded numerator degree, so
-    the numerators are eventually periodic: when the numerator of step k
-    repeats that of step j, only (e - k) mod (k - j) steps remain, and a
-    large e runs about as many steps as the numerators take to repeat.
+    the numerators are eventually periodic, and :func:`_iterate` stops at
+    the first repeat: a large e runs as many steps as they take to repeat.
     ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
     raises ValueError below the top degree."""
     if e < 1:
@@ -80,23 +99,12 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     field, n = form.field, form.nvars
     table = _pairing_table(g)
 
-    def pair(h):
+    def pair(h, _):
         return sum_of_products(field, n, [
             (h_a, table[a])
             for a, h_a in h.frobenius_decompose(1, table.__contains__).items()])
 
-    # the codes of each step's numerator -> the step.  Steps 0 and e - 1
-    # are not recorded: a repeat found there saves one step at most, and
-    # a small e then builds no key.
-    seen = {}
-    for k in range(e):
-        if 0 < k < e - 1:
-            first = seen.setdefault(frozenset((m, x.v) for m, x in h.terms.items()), k)
-            if first < k:
-                for _ in range((e - k) % (k - first)):
-                    h = pair(h)
-                break
-        h = pair(h)
+    h = _iterate(pair, h, e, lambda h, _: frozenset((m, x.v) for m, x in h.terms.items()))
     return TopForm(field, n, RationalFn(h, g))
 
 

@@ -22,9 +22,11 @@ Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
 row, so its matrix is a twisted product of level matrices, taken from
 the target end (:func:`trace_matrix`): it starts from the identity on
 the target basis, and one reader (:func:`_next_level`) multiplies in
-every level, the first included.  E^{p-1} is the only power of E
-formed, and it is decomposed once for every level.  The cost grows with
-e and the nonzero entries, not with p^e or the source dimension.
+every level, the first included, in the step loop of both traces.  The
+cost grows with e and the nonzero entries, not with p^e or the source
+dimension.  With deg D = 0 the loop stops at a repeated level, so any e
+ends; a large e with a hypersurface in D, or deg D != 0, forms p^e and
+is not yet refused.
 :func:`trace_matrix` builds its two spaces itself, from one chart
 product of E, which the pairing table shares, and one of D: the source's
 den is E * D^{p^e}, where the p^e-th power is a Frobenius twist, the
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from operator import add as _plus, le as _le
 
 from . import linalg
-from .cartier import _pairing_table
+from .cartier import _iterate, _pairing_table
 from .forms import TopForm
 from .poly import (Poly, RationalFn, monomial_count, monomial_rank, monomial_string,
                    monomial_strings_upto, monomials_upto)
@@ -139,7 +141,8 @@ def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
         raise ValueError("trace exponent must be positive")
     if e_part.k < 0:
         raise ValueError("the fixed part E must be effective")
-    return e_part.combined(divisor, e_part.field.p ** e)
+    nonzero = divisor.hypersurfaces or divisor.k  # a zero D adds nothing, and forms no p^e
+    return e_part.combined(divisor, e_part.field.p ** e if nonzero else 0)
 
 
 class SectionSpace:
@@ -342,16 +345,15 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
 
     The product runs from the target end, so every partial product has
     one row per target basis element.  It starts from the identity I on
-    the target basis, and one reader, :func:`_next_level`, multiplies in
-    every level from j = 0 on, A_1 = I . A_1 included; each level is read
-    only at the rows the partial product reached, and a zero partial
-    product ends the work.  Every level is read from one pairing table of
-    E (:func:`frobtrace.cartier._pairing_table`), so E^{p-1} is
-    decomposed once.  The table and both spaces come from one chart
-    product of E, formed once per call after the chart is checked.  Every
-    entry is an int code, in rows keyed by monomial at every level; each
-    source column the product reaches is placed once, at the end, by
-    :func:`frobtrace.poly.monomial_rank`.
+    the target basis, and :func:`_next_level` multiplies in every level
+    from j = 0 on, A_1 = I . A_1 included, reading each level only at the
+    rows the product reached, from one pairing table of E.  The table and
+    both spaces come from one chart product of E.  The levels run in
+    :func:`frobtrace.cartier._iterate` with no p^j: a zero product ends
+    it, and so does a repeated level when deg D = 0, where every level
+    has the target's bound and depends only on the rows and j mod s, so
+    any e ends.  Every entry is an int code, in rows keyed by monomial;
+    each source column reached is placed once, by :func:`monomial_rank`.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
@@ -363,19 +365,19 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         d_chart = _chart_product(divisor, chart)
         src_den, tgt_den = e_chart * d_chart._twist(e), e_chart * d_chart
     src, tgt = SectionSpace(src_div, chart, src_den), SectionSpace(tgt_div, chart, tgt_den)
-    field = src.field
-    p = field.p
-    step = divisor.degree_sum() + divisor.k
-
-    def bound(j):  # the numerator degree bound of omega(E + p^j D)
-        return tgt.bound + (p ** j - 1) * step
-
+    field, step = src.field, divisor.degree_sum() + divisor.k
     table = _pairing_table(e_chart)
-    rows = [{s: 1} for s in tgt.basis]  # the identity; code 1 is the field's one
-    for j in range(e):
+
+    def level(state, j):  # (rows over level j, its bound) -> those of level j + 1
+        rows, bound = state
         if not any(rows):
-            break
-        rows = _next_level(rows, table, field, j, bound(j), bound(j + 1))
+            return state
+        next_bound = tgt.bound + field.p * (bound - tgt.bound) + (field.p - 1) * step
+        return _next_level(rows, table, field, j, bound, next_bound), next_bound
+
+    key = None if step else lambda state, j: (
+        j % field.s, tuple(frozenset(row.items()) for row in state[0]))
+    rows, _ = _iterate(level, ([{s: 1} for s in tgt.basis], tgt.bound), e, key)
     rank = {m: monomial_rank(m) for m in set().union(*rows)}
     return SemilinearMap._wrap(src, tgt, e, [{rank[m]: v for m, v in row.items()}
                                              for row in rows])

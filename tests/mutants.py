@@ -42,9 +42,13 @@ ROWS = [
     ("trace_one_step_short", "cartier", "for k in range(e):",
      "for k in range(max(1, e - 1)):",
      ["test_cartier.py::test_trace_rational_agrees_with_polynomial_trace"]),
-    ("repeat_remainder_one_short", "cartier", "range((e - k) % (k - first))",
-     "range((e - k - 1) % (k - first))",
-     ["test_cartier.py::test_trace_stops_at_a_repeated_numerator"]),
+    ("repeat_remainder_one_short", "cartier", "range(k, k + (e - k) % (k - first))",
+     "range(k, k + (e - k - 1) % (k - first))",
+     ["test_cartier.py::test_trace_stops_at_a_repeated_numerator",
+      "test_projective.py::test_stopping_loop_matches_the_full_product_when_d_is_zero"]),
+    ("fixed_state_runs_on", "cartier",
+     "if y is x:\n            return x\n        x = y", "x = y",
+     ["test_projective.py::test_fermat_trace_matrix_forms_no_power_above_p_minus_1"]),
     ("residue_corner_ignores_e", "cartier", "corner = (f.field.p ** e - 1,)",
      "corner = (f.field.p - 1,)", ["test_cartier.py::test_trace_residue_rule_exhaustive"]),
     ("oracle_without_root", "cartier", "Scalar(field, u).inverse_frobenius()",
@@ -320,14 +324,20 @@ ROWS = [
     ("later_level_bound_unchecked", "projective", "if left // p + top > bound:",
      "if j == 0 and left // p + top > bound:",
      ["test_projective.py::test_containment_error_fires_at_a_later_level"]),
-    ("level_bound_one_lower", "projective", "return tgt.bound + (p ** j - 1) * step",
-     "return tgt.bound + (p ** j - 1) * step - (j > 0)",
+    ("level_bound_one_lower", "projective",
+     "field.p * (bound - tgt.bound) + (field.p - 1) * step\n",
+     "field.p * (bound + (j > 0) - tgt.bound) + (field.p - 1) * step - 1\n",
      ["test_cli.py::test_trace_matrix_builds_only_the_format_it_prints",
       "test_fsplit.py::test_pn_trace_surjectivity_grid",
       "test_projective.py::test_containment_never_fires_on_grid",
       "test_projective.py::test_fermat_calabi_yau_splits_exactly_when_p_is_one_mod_its_degree",
       "test_projective.py::test_shared_hypersurface_merges_in_twist",
       "test_projective.py::test_toric_boundary_has_rank_one_on_every_chart"]),
+    ("levels_unkeyed_when_d_is_zero", "projective", "key = None if step else",
+     "key = None if True else",
+     ["test_projective.py::test_trace_matrix_with_d_zero_stops_at_a_repeated_level"]),
+    ("p_to_the_e_for_a_zero_d", "projective", "e_part.field.p ** e if nonzero else 0",
+     "e_part.field.p ** e", ["test_projective.py::test_pe_twist_forms_no_power_for_a_zero_d"]),
     ("src_den_without_the_twist", "projective", "e_chart * d_chart._twist(e),",
      "e_chart * d_chart,",
      ["test_projective.py::test_trace_matrix_spaces_match_section_space_and_its_errors"]),
@@ -394,8 +404,11 @@ def occurrences(row) -> int:
 def _pytest(tmp, *args):
     """pytest's exit code on args, run against the mutated copy of src/ in
     tmp, or None after LIMIT seconds."""
+    # without the hypothesis plugin, which only slows each start-up: the
+    # tests that use hypothesis import it themselves
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "no:hypothesispytest", *args],
         cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"),
                           PYTHONDONTWRITEBYTECODE="1"),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)

@@ -231,6 +231,12 @@ CASES = {
     "toric_p3_w": (
         [*FERMAT, "trace-matrix", "--E", "w:1", "--D", "H:1"],
         0, "6a7237771f8afffd61d96d4901ef887a0bc4a5c2348bfdf260412e70813bf372", ""),
+    # D = 0 at e = 10^9: the levels repeat at once, so a few are read and no
+    # p^e is formed; rank 1, as 7 = 1 mod 3 (the Fermat law)
+    "fermat_cubic_f7_e1e9_json": (
+        ["--char", "7", "--vars", "x,y,z", *JSON, "trace-matrix", "--E", "x^3+y^3+z^3:1",
+         "--D", "H:0", "--e", "1000000000"],
+        0, "29678a5858dcf8048f0fdafe7740d5073012f751251d54c13fc819d21c14d976", ""),
     "sections_f2": (
         [*FERMAT, "sections", "x^3+y^3+z^3+w^3:1,H:2"],
         0, "3689f687313f36b70ff794b7acbc74b5114d9331a719ad9b6a460cb674330560", ""),

@@ -461,6 +461,84 @@ def test_toric_boundary_has_rank_one_on_every_chart():
                         (field, n, e, chart)
 
 
+class Huge(int):
+    """An exponent that refuses to be one: p ** Huge(e) raises."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"{base} ** {int(self)} was formed")
+
+
+def test_pe_twist_forms_no_power_for_a_zero_d():
+    """E + p^e * 0 is E at any e, and p^e is not formed; a nonzero D
+    still forms it, which is what shows the guard is live."""
+    E = fermat_divisor()
+    twisted = pe_twist(DivisorSpec(F2, 3), E, Huge(10 ** 9))
+    assert (twisted.hypersurfaces, twisted.k) == (E.hypersurfaces, 0)
+    with pytest.raises(AssertionError, match=r"^2 \*\* 1000000000 was formed$"):
+        pe_twist(DivisorSpec(F2, 3, k=1), E, Huge(10 ** 9))
+
+
+def test_trace_matrix_with_d_zero_stops_at_a_repeated_level(monkeypatch):
+    """The Fermat cubic over F_7 with D = 0 at e = 10^9: every level has
+    the target's bound, and the 1 x 1 level matrix is the Hasse invariant
+    90 = -1, so the rows alternate and four levels are read: three to the
+    repeat and one for the remainder (a loop that reads all of them gives
+    up after 50).  The rank is 1, as 7 = 1 mod 3."""
+    calls = []
+    next_level = projective._next_level
+
+    def counting(*args):
+        calls.append(args[3])
+        assert len(calls) < 50, "the levels did not stop repeating"
+        return next_level(*args)
+
+    monkeypatch.setattr(projective, "_next_level", counting)
+    F7 = FiniteField(7)
+    E = DivisorSpec(F7, 2, [(parse_poly("x^3+y^3+z^3", F7, XYZ), 1)])
+    t = trace_matrix(E, DivisorSpec(F7, 2), 10 ** 9)
+    assert (t.src.dim, t.tgt.dim, t.verdict.rank) == (1, 1, 1)
+    assert calls == [0, 1, 2, 3]
+
+
+def full_product_codes(E, e, chart):
+    """trace_matrix's code rows for D = 0 with no repeat rule: the identity
+    on the target basis through all e levels of _next_level."""
+    space = section_space(E, chart)
+    table = cartier._pairing_table(space.den)
+    rows = [{s: 1} for s in space.basis]
+    for j in range(e):
+        rows = projective._next_level(rows, table, E.field, j, space.bound, space.bound)
+    return [{poly_module.monomial_rank(m): v for m, v in row.items()} for row in rows]
+
+
+def test_stopping_loop_matches_the_full_product_when_d_is_zero():
+    """With D = 0 trace_matrix stops at the first repeated level; seeded E
+    on P^2 and P^3 over the suite fields and F_7, with e < 40, give the
+    same code rows as all e levels read in turn.  A third of the draws
+    are generic Calabi-Yau forms over F_4 and F_9, of degree n + 1 with
+    every coefficient drawn from F_q: most are F-split, and the twist
+    makes their levels repeat with a period above 1."""
+    rng = random.Random(36)
+    F4, F9 = (field for field in FIELDS if field.q in (4, 9))
+    nonzero = 0
+    for i in range(300):
+        n = rng.choice((2, 3))
+        if i % 3:
+            field, degree = rng.choice((*FIELDS, FiniteField(7))), rng.choice((n + 1, n + 2))
+            f = _random_form(field, n + 1, degree, rng)
+        else:
+            field = rng.choice((F4, F9))
+            elements = list(field.elements())
+            f = Poly(field, n + 1, {m + (n + 1 - sum(m),): rng.choice(elements)
+                                    for m in monomials_upto(n, n + 1)})
+        E = DivisorSpec(field, n, [(f, 1)])
+        e, chart = rng.randint(1, 39), rng.randint(0, n)
+        t = trace_matrix(E, DivisorSpec(field, n), e, chart)
+        assert t.codes == full_product_codes(E, e, chart), (E, e, chart)
+        nonzero += not t.verdict.zero
+    assert nonzero >= 150, nonzero
+
+
 def matches_direct_trace(E, D, e, chart=None):
     """trace_matrix against the direct path: trace each source basis form
     over the full source denominator by the definition, and compare it
@@ -626,8 +704,8 @@ def test_level_product_matches_direct_rule_on_random_divisors():
 def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     """At e = 8 the source has 2 829 056 basis monomials, but A_1 = 0: E^{p-1}
     = E is decomposed once, level 1 is read once and gives only empty rows,
-    no later level is read, no higher power of E is formed, and no basis
-    of the source bound is listed."""
+    the loop ends at the next step, no higher power of E is formed, and no
+    basis of the source bound is listed."""
     decompositions, powers, listed, levels = [], [], [], []
     decompose, power, upto = Poly.frobenius_decompose, Poly.__pow__, projective.monomials_upto
     next_level = projective._next_level
@@ -652,7 +730,13 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
         levels.append((j, out))
         return out
 
+    steps, iterate = [], projective._iterate
+
+    def counting_iterate(step, x, e, key):
+        return iterate(lambda x, k: steps.append(k) or step(x, k), x, e, key)
+
     monkeypatch.setattr(projective, "_next_level", recording_next_level)
+    monkeypatch.setattr(projective, "_iterate", counting_iterate)
     for module in (projective, cartier):
         monkeypatch.setattr(module, "monomials_upto", recording_upto)
     t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 8)
@@ -661,6 +745,7 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     [(decomposed, e, buckets)] = decompositions
     assert decomposed == projective._chart_product(fermat_divisor(), 3) and e == 1
     assert len(buckets) == 4 and levels == [(0, [{}])]
+    assert steps == [0, 1]  # the zero product after level 1 ends the loop
     assert max(powers) == 1  # p - 1, and the multiplicity of E in each chart product
     assert 255 not in listed
 
