@@ -63,7 +63,7 @@ class ContainmentError(RuntimeError):
 
 
 class DivisorSpec:
-    """Formal combination sum(a_j V(f_j)) + k*H on P^n.
+    """Formal combination sum(a_j V(f_j)) + k*H on P^n, n >= 1.
 
     Hypersurface multiplicities are non-negative; the hyperplane
     multiplicity k may be any integer.
@@ -72,6 +72,11 @@ class DivisorSpec:
     __slots__ = ("field", "n", "hypersurfaces", "k")
 
     def __init__(self, field, n, hypersurfaces=(), k=0):
+        # H^0 as the forms of degree <= sum(a_j d_j) + k - (n + 1) holds
+        # only for n >= 1: on a point every line bundle has h^0 = 1
+        if n < 1:
+            raise ValueError(f"a divisor needs P^n with n >= 1, that is 2 or more "
+                             f"variables, got P^{n}")
         self.field = field
         self.n = n
         clean = []

@@ -5,17 +5,23 @@ replaces the one occurrence of the snippet in src/frobtrace/<module>.py,
 and every test function named in killers ("test_<m>.py::test_<name>")
 must fail under it.  Run as a script, ``python tests/mutants.py`` takes
 each row in turn: it copies src/ alone to a temporary directory, applies
-the mutant there (the working tree is never edited) and runs each of the
-row's killers from the working tree's tests/ on its own against that
-copy, under a LIMIT-second timeout.  A row is killed only when every
-killer fails or errors; a killer that passes, a timeout, and a stale
-row, whose snippet does not occur exactly once in its module, each fail
-the row, and the script exits 1 naming every row that failed.
+the mutant there (the working tree is never edited) and runs all of the
+row's killers from the working tree's tests/ against that copy in one
+pytest process, under a LIMIT-second timeout for the row.  Each killer's
+outcome is read from the run's JUnit report: it fails when any of its
+cases fails or errors, and a module that does not import fails all of
+its killers.  A row is killed only when every killer fails; a killer
+that passes or has no case, a timeout, and a stale row, whose snippet
+does not occur exactly once in its module, each fail the row.  So does a
+row whose killers fail only because their modules do not import, unless
+IMPORT_KILLED names it with the reason.  The script exits 1 naming every
+row that failed.
 
 A new test comes with the row it kills, and a new row names the tests
 that kill it: tests/test_mutants.py checks in tier-1 that every row
-still applies and that every test function under tests/ is named by a
-row.  pytest does not collect this file.
+still applies, that every test function under tests/ is named by a row,
+and that the runner tells a kill, a survivor, a missing killer and an
+import kill apart.  pytest does not collect this file.
 """
 
 import os
@@ -25,13 +31,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from xml.etree import ElementTree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LIMIT = 60  # seconds a killer's pytest run may take
+LIMIT = 60  # seconds a row's pytest run may take
 
 ROWS = [
     ("package_drops_an_export", "__init__", "fedder_hypersurface, verify_witness",
-     "fedder_hypersurface", ["test_fsplit.py::test_fedder_agrees_with_fermat_trace_direction"]),
+     "fedder_hypersurface", ["test_cli.py::test_package_has_every_name_it_exports"]),
     ("zero_residue_unpaired", "cartier", ".frobenius_decompose(1).items()}",
      ".frobenius_decompose(1).items() if any(r)}",
      ["test_cartier.py::test_trace_matches_definition_over_prime_and_extension_fields",
@@ -366,6 +373,8 @@ ROWS = [
      ["test_golden.py::test_runner_passes_and_names_a_changed_digest"]),
     ("combined_unchecked", "projective", "if other.field != self.field or other.n != self.n:",
      "if False:", ["test_projective.py::test_combined_validates_what_it_cannot_vouch_for"]),
+    ("point_accepted", "projective", "if n < 1:", "if False:",
+     ["test_projective.py::test_divisor_validation"]),
     ("non_effective_e_accepted", "projective", "if e_part.k < 0:", "if False:",
      ["test_projective.py::test_pe_twist_requires_effective_fixed_part"]),
     ("rerank_on_reversed_monomials", "projective", "monomial_rank(m) for m in",
@@ -390,6 +399,13 @@ ROWS = [
       "test_projective.py::test_pe_twist_examples"]),
 ]
 
+# rows whose killers fail only because their test modules stop importing,
+# each with the reason no test can fail on the law itself
+IMPORT_KILLED = {
+    "primitive_search_from_code_2":
+        "the mutant breaks only F_2, and every test module builds F_2 at import",
+}
+
 
 def source_path(module, root=ROOT) -> str:
     return os.path.join(root, "src", "frobtrace", f"{module}.py")
@@ -401,33 +417,14 @@ def occurrences(row) -> int:
         return f.read().count(row[2])
 
 
-def _pytest(tmp, *args):
-    """pytest's exit code on args, run against the mutated copy of src/ in
-    tmp, or None after LIMIT seconds."""
-    # without the hypothesis plugin, which only slows each start-up: the
-    # tests that use hypothesis import it themselves
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-p", "no:hypothesispytest", *args],
-        cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"),
-                          PYTHONDONTWRITEBYTECODE="1"),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
-    try:
-        return proc.wait(LIMIT)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)  # pytest and any process it started
-        proc.wait()
-        return None
-
-
 def outcome(row) -> str:
-    """'killed', or why not, for the mutant of one row: each of its killers
-    from tests/ runs on its own against a fresh copy of src/ with the
-    mutant applied, and must fail."""
+    """'killed', 'killed by import' when every killer's module failed to
+    import, or why not, for the mutant of one row: one pytest run of all
+    its killers from tests/ against a fresh copy of src/ with the mutant
+    applied, each killer's outcome read from the run's JUnit report."""
     _, module, snippet, replacement, killers = row
     if occurrences(row) != 1:
         return "stale"
-    passed = []
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(os.path.join(ROOT, "src"), os.path.join(tmp, "src"),
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -435,18 +432,35 @@ def outcome(row) -> str:
             text = f.read()
         with open(source_path(module, tmp), "w") as f:
             f.write(text.replace(snippet, replacement))
-        for killer in killers:
-            path = os.path.join(ROOT, "tests", killer)
-            code = _pytest(tmp, path)
-            if code == 4:  # not found: no such test, or its module does not import
-                code = 2 if _pytest(tmp, "--collect-only", path.partition("::")[0]) == 2 else 4
-            if code is None:
-                return f"timed out in {killer}"
-            if code == 0:
-                passed.append(killer)
-            elif code not in (1, 2):  # 1: it failed; 2: its module could not be imported
-                return f"pytest exit code {code} for {killer}"
-    return f"survived {', '.join(passed)}" if passed else "killed"
+        report = os.path.join(tmp, "report.xml")
+        # without the hypothesis plugin, which only slows start-up (the tests
+        # that use hypothesis import it themselves); a module that does not
+        # import must not stop the session
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-p", "no:hypothesispytest", "--continue-on-collection-errors",
+             "--junitxml", report, *(os.path.join(ROOT, "tests", k) for k in killers)],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"),
+                              PYTHONDONTWRITEBYTECODE="1"),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            proc.wait(LIMIT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # pytest and any process it started
+            proc.wait()
+            return "timed out"
+        # a module that did not import is a case with no classname, named
+        # by the module; any other case is named by its function
+        cases = [(c.get("classname") or c.get("name"), c.get("name").partition("[")[0],
+                  c.find("failure") is not None or c.find("error") is not None)
+                 for c in ElementTree.parse(report).iter("testcase")]
+    verdicts = {k: [bad for cls, name, bad in cases if cls == "tests." + k.partition(".py")[0]
+                    and name in (k.partition("::")[2], cls)] for k in killers}
+    missing = [k for k, v in verdicts.items() if not v]
+    passed = [k for k, v in verdicts.items() if v and not any(v)]
+    if missing or passed:
+        return f"missing {', '.join(missing)}" if missing else f"survived {', '.join(passed)}"
+    return "killed by import" if all(cls == name for cls, name, _ in cases) else "killed"
 
 
 def main() -> int:
@@ -456,7 +470,7 @@ def main() -> int:
         began = time.perf_counter()
         result = outcome(row)
         print(f"{row[0]}: {result} ({time.perf_counter() - began:.1f} s)", flush=True)
-        if result != "killed":
+        if result != ("killed by import" if row[0] in IMPORT_KILLED else "killed"):
             failed.append(f"{row[0]} ({result})")
     print(f"{len(ROWS) - len(failed)} of {len(ROWS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import frobtrace
 from frobtrace import (ContainmentError, DivisorSpec, FiniteField, Poly, RationalFn, Scalar,
                        TopForm, checks, cli, demo, field, parse_divisor, parse_form,
                        parse_poly, trace_matrix, trace_rational_top)
@@ -23,6 +24,10 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_package_has_every_name_it_exports():
+    assert [name for name in frobtrace.__all__ if not hasattr(frobtrace, name)] == []
 
 
 def test_demo_column_check_fails_on_a_nonzero_iterated_trace(monkeypatch):

@@ -401,6 +401,12 @@ CASES = {
         [*F9, "--vars", names, "trace", form], 2, EMPTY,
         "error: 'g' names the generator of F_9; declare the variables under other names\n")
        for name, names, form in (("", "g,y", "(g) dg^dy"), ("_dvar", "x,g", "(x) dx^dg"))},
+    # one variable is P^0, a point, where the section model does not hold
+    **{f"refuse_point_{name}": (
+        ["--char", "2", "--vars", "x", *command], 2, EMPTY,
+        "error: a divisor needs P^n with n >= 1, that is 2 or more variables, got P^0\n")
+       for name, command in (("sections", ["sections", "H:0"]),
+                             ("matrix", ["trace-matrix", "--D", "H:0"]))},
     "refuse_non_effective_e": (
         ["--char", "2", "--vars", "x,y,z", "trace-matrix", "--E", "H:-1", "--D", "H:2"],
         2, EMPTY, "error: the fixed part E must be effective\n"),

@@ -104,7 +104,7 @@ def test_section_space_lists_its_basis_on_first_read(monkeypatch):
         return upto(nvars, bound)
 
     monkeypatch.setattr(projective, "monomials_upto", recording)
-    for n in range(5):
+    for n in range(1, 5):  # P^0 is refused
         for k in (n - 1, n, n + 1, n + 4):  # bounds -2, -1, 0 and 3
             space = section_space(DivisorSpec(F3, n, k=k))
             assert listed == []
@@ -961,6 +961,9 @@ def test_divisor_validation():
         DivisorSpec(F2, 2, [(parse_poly("x", F2, XYZW), 1)])
     with pytest.raises(ValueError, match="^hypersurface over a different field$"):
         DivisorSpec(F3, 3, fermat_divisor().hypersurfaces)
+    # a point: every line bundle on it has h^0 = 1, which the section model misses
+    with pytest.raises(ValueError, match=r"^a divisor needs P\^n with n >= 1, .* got P\^0$"):
+        DivisorSpec(F2, 0)
 
 
 def test_basis_form_coefficients():
