@@ -104,7 +104,7 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
             (h_a, table[a])
             for a, h_a in h.frobenius_decompose(1, table.__contains__).items()])
 
-    h = _iterate(pair, h, e, lambda h, _: frozenset((m, x.v) for m, x in h.terms.items()))
+    h = _iterate(pair, h, e, lambda h, _: frozenset(h.codes.items()))
     return TopForm(field, n, RationalFn(h, g))
 
 
@@ -170,9 +170,9 @@ def trace_by_decomposition(f: Poly) -> Poly:
     tau_monos = monomials_upto(n, (d - n * (p - 1)) // p)
     for c, t in enumerate(tau_monos, ncols):
         image = inverse_cartier_top(Poly.monomial(field, t))
-        for mono, value in image.terms.items():
-            rows[row_of[mono]][c] = value.v
-    rhs = {row_of[mono]: c.v for mono, c in f.terms.items()}
+        for mono, value in image.codes.items():
+            rows[row_of[mono]][c] = value
+    rhs = {row_of[mono]: c for mono, c in f.codes.items()}
     solution = linalg.solve_codes(rows, rhs, field)
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "

@@ -69,8 +69,7 @@ def build_report() -> dict:
         # of form b.
         iterated_agrees = all(
             {m: row[b] for m, row in zip(t.tgt.basis, t.codes) if b in row}
-            == {m: x.v for m, x in
-                trace_by_direct_rule(t.src.basis_form(b), e).coeff.num.terms.items()}
+            == trace_by_direct_rule(t.src.basis_form(b), e).coeff.num.codes
             for b in range(t.src.dim)
         )
         matrices[e] = t

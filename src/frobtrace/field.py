@@ -23,13 +23,16 @@ The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
 methods :meth:`Scalar.frobenius` and :meth:`Scalar.inverse_frobenius`.
 
-Hot loops elsewhere (products, decompositions, trace levels, elimination)
-work on the codes themselves through the field's ``_add``, ``_mul``, ...
-closures and build a Scalar only where a caller reads one.  Printing
-goes through one per-field table, :meth:`FiniteField._cell`, from a code
-to its coefficient vector and its printed string: :attr:`Scalar.coeffs`,
-``str()`` and the JSON cells of a trace map all read it.  It is filled
-on first use, one entry per code read, so it never holds more than q.
+The library computes on the codes themselves, through the field's
+``_add``, ``_sub``, ``_neg``, ``_mul``, ``_inv``, ``_pow`` and ``_frob``
+closures: a polynomial holds codes, and so do trace levels, matrices and
+elimination.  A Scalar is built only where a caller reads one, such as
+``Poly.terms``; it adds, multiplies, divides, takes powers and p^e-th
+roots, and compares.  Printing goes through one per-field table,
+:meth:`FiniteField._cell`, from a code to its coefficient vector and its
+printed string: :attr:`Scalar.coeffs`, ``str()``, ``Poly.to_string`` and
+the JSON cells of a trace map all read it.  It is filled on first use,
+one entry per code read, so it never holds more than q.
 """
 
 from __future__ import annotations
@@ -364,17 +367,6 @@ class Scalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        field = self.field
-        return Scalar(field, field._sub(self.v, b))
-
-    def __neg__(self):
-        field = self.field
-        return Scalar(field, field._neg(self.v))
-
     def __mul__(self, other):
         b = self._coerce(other)
         if b is None:
@@ -390,10 +382,6 @@ class Scalar:
             return NotImplemented
         field = self.field
         return Scalar(field, field._mul(self.v, field._inv(b)))
-
-    def inverse(self) -> "Scalar":
-        field = self.field
-        return Scalar(field, field._inv(self.v))
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):

@@ -33,7 +33,7 @@ def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     if not f.is_homogeneous():
         raise ValueError("the polynomial must be homogeneous")
     p = f.field.p
-    good = [m for m in (f ** (p - 1)).terms if all(e <= p - 1 for e in m)]
+    good = [m for m in (f ** (p - 1)).codes if all(e <= p - 1 for e in m)]
     if not good:
         return FsplitVerdict(split=False)
     return FsplitVerdict(split=True, witness=min(good, key=monomial_rank))
@@ -52,9 +52,9 @@ def _witness_coefficient(f: Poly, witness: tuple) -> int:
     n = field.p - 1
     inverses = [field._inv(k) for k in range(1, n + 1)]
     states = {((0,) * f.nvars, 0): 1}
-    for mono, c in f.terms.items():
+    for mono, c in f.codes.items():
         # steps[j] = c / (j + 1) takes c^j / j! to c^{j+1} / (j+1)!
-        steps = [mul(c.v, inv) for inv in inverses]
+        steps = [mul(c, inv) for inv in inverses]
         grown = dict(states)  # the states that take no copy of this term
         get = grown.get
         for (exps, count), v in states.items():

@@ -101,9 +101,9 @@ def solve_codes(rows, rhs, field):
     inconsistent; the rows are not modified.
 
     Free variables are set to zero, so the solution is the one the
-    reduced row echelon form reads off.  A rhs key that names no row of
-    A raises ValueError, whatever its value."""
-    missing = [i for i in rhs if not 0 <= i < len(rows)]
+    reduced row echelon form reads off.  A rhs key that is not the int
+    index of a row of A raises ValueError, whatever its value."""
+    missing = [i for i in rhs if not isinstance(i, int) or not 0 <= i < len(rows)]
     if missing:
         raise ValueError(f"right-hand side names row {missing[0]} of a "
                          f"{len(rows)}-row matrix")

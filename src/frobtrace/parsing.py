@@ -318,4 +318,4 @@ def parse_modulus(text: str, p: int) -> list:
     if degree < 2:
         raise ParseError(f"modulus {text!r} has degree {degree}; "
                          "an extension needs degree at least 2")
-    return [poly.terms.get((e,), field.zero).coeffs[0] for e in range(degree + 1)]
+    return [poly.codes.get((e,), 0) for e in range(degree + 1)]

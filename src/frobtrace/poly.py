@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials and rational functions over F_{p^s}.
 
-Monomials are exponent tuples; a :class:`Poly` maps monomials to nonzero
-:class:`~frobtrace.field.Scalar` coefficients.  The graded-lexicographic
-order (first variable heaviest) fixes printing and leading terms, so all
+Monomials are exponent tuples; a :class:`Poly` holds ``codes``, a dict
+from monomials to the nonzero int codes of :mod:`frobtrace.field`, and
+computes on them with the field's code operations.  :attr:`Poly.terms`
+builds a fresh ``{monomial: Scalar}`` view for callers that read field
+elements; no library path reads it.  The graded-lexicographic order
+(first variable heaviest) fixes printing and leading terms, so all
 rendered output is deterministic.
 
 A :class:`Poly` adds, subtracts and compares only with a Poly of its
 field and arity, and multiplies by such a Poly or by a Scalar of its
 field.  A :class:`RationalFn` combines only with a RationalFn.  Both are
-unhashable.  :func:`sum_of_products` is the one product loop: it sums
-int codes, and a Poly product is that loop on one pair.
+unhashable.  :func:`sum_of_products` is the one product loop, and a Poly
+product is that loop on one pair.
 :meth:`Poly.__pow__` is the one power loop.  It needs a product only
 between its base-p digits: a p^k-th power is a Frobenius twist, which
 scales the exponents and maps each code, and multiplies nothing.  The
@@ -92,28 +95,26 @@ def _mono_divides(a, b):
 
 
 def sum_of_products(field: FiniteField, nvars: int, pairs) -> "Poly":
-    """sum P * Q over the (P, Q) pairs, all in ``nvars`` variables over ``field``.
-
-    Int codes are summed per output monomial, and one Scalar is built per
-    surviving term."""
+    """sum P * Q over the (P, Q) pairs, all in ``nvars`` variables over
+    ``field``, with the codes summed per output monomial."""
     mul, add = field._mul, field._add
     sums = {}
     get = sums.get
     for left, right in pairs:
-        right = [(m2, c2.v) for m2, c2 in right.terms.items()]
-        for m1, c1 in left.terms.items():
-            a = c1.v
+        right = right.codes.items()
+        for m1, a in left.codes.items():
             for m2, b in right:
                 m = tuple(map(_plus, m1, m2))
                 sums[m] = add(get(m, 0), mul(a, b))
-    return Poly._wrap(field, nvars,
-                      {m: Scalar(field, v) for m, v in sums.items() if v})
+    return Poly._wrap(field, nvars, {m: v for m, v in sums.items() if v})
 
 
 class Poly:
-    """Sparse polynomial in ``nvars`` variables over a finite field."""
+    """Sparse polynomial in ``nvars`` variables over a finite field; the
+    constructor keeps the nonzero Scalar or int coefficients of ``terms``
+    as codes."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "codes")
 
     def __init__(self, field: FiniteField, nvars: int, terms=None):
         self.field = field
@@ -128,10 +129,17 @@ class Poly:
                     raise ValueError(f"non-integer exponent in monomial {mono}")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in monomial {mono}")
-                coeff = field.scalar(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+                code = field.scalar(coeff).v
+                if code:
+                    clean[mono] = code
+        self.codes = clean
+
+    @property
+    def terms(self) -> dict:
+        """``{monomial: Scalar}``, a fresh dict built from ``codes`` on each
+        read, so changing it leaves the polynomial as it is."""
+        field = self.field
+        return {m: Scalar(field, v) for m, v in self.codes.items()}
 
     # construction ---------------------------------------------------------
 
@@ -140,24 +148,24 @@ class Poly:
         return cls._wrap(field, nvars, {})
 
     @classmethod
-    def _wrap(cls, field, nvars, terms):
-        """A polynomial over ``terms`` as given, unchecked: the caller
-        guarantees arity-``nvars`` exponent tuples and nonzero coefficients
-        of ``field``.  Every polynomial the library builds from its own
-        data comes through here; only the public constructor validates."""
+    def _wrap(cls, field, nvars, codes):
+        """A polynomial over ``codes`` as given, unchecked: the caller
+        guarantees arity-``nvars`` exponent tuples and nonzero codes of
+        ``field``.  Every polynomial the library builds from its own data
+        comes through here; only the public constructor validates."""
         out = object.__new__(cls)
         out.field = field
         out.nvars = nvars
-        out.terms = terms
+        out.codes = codes
         return out
 
     @classmethod
     def one(cls, field, nvars):
-        return cls._wrap(field, nvars, {(0,) * nvars: field.one})
+        return cls._wrap(field, nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, field, nvars, value):
-        c = field.scalar(value)
+        c = field.scalar(value).v
         return cls._wrap(field, nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
@@ -167,27 +175,27 @@ class Poly:
     # predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.codes
 
     def total_degree(self):
         """Maximum total degree, or NEG_INFINITY for the zero polynomial."""
-        if not self.terms:
+        if not self.codes:
             return NEG_INFINITY
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.codes)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
+        degrees = {sum(m) for m in self.codes}
         return len(degrees) <= 1
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.codes)
 
     def leading_term(self):
         """(monomial, coefficient) maximal in graded-lex order."""
-        if not self.terms:
+        if not self.codes:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=_print_key)
-        return m, self.terms[m]
+        m = min(self.codes, key=_print_key)
+        return m, Scalar(self.field, self.codes[m])
 
     # arithmetic -----------------------------------------------------------
 
@@ -204,18 +212,19 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
+        add = self.field._add
+        codes = dict(self.codes)
+        for m, c in other.codes.items():
+            s = add(codes.get(m, 0), c)
             if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
-        return Poly._wrap(self.field, self.nvars, terms)
+                codes[m] = s
+            elif m in codes:
+                del codes[m]
+        return Poly._wrap(self.field, self.nvars, codes)
 
     def __neg__(self):
-        return Poly._wrap(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
+        neg = self.field._neg
+        return Poly._wrap(self.field, self.nvars, {m: neg(c) for m, c in self.codes.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -225,11 +234,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            c0 = self.field.scalar(other)
+            c0 = self.field.scalar(other).v
             if not c0:
                 return Poly.zero(self.field, self.nvars)
+            mul = self.field._mul
             return Poly._wrap(self.field, self.nvars,
-                              {m: c * c0 for m, c in self.terms.items()})
+                              {m: mul(c, c0) for m, c in self.codes.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -248,11 +258,10 @@ class Poly:
             raise ValueError("polynomial powers take non-negative integer exponents")
         if not n:
             return Poly.one(self.field, self.nvars)
-        if len(self.terms) == 1:
-            [(m, c)] = self.terms.items()
-            field = self.field
-            return Poly._wrap(field, self.nvars,
-                              {tuple(n * x for x in m): Scalar(field, field._pow(c.v, n))})
+        if len(self.codes) == 1:
+            [(m, c)] = self.codes.items()
+            return Poly._wrap(self.field, self.nvars,
+                              {tuple(n * x for x in m): self.field._pow(c, n)})
         p = self.field.p
         digits = []
         while n:
@@ -281,32 +290,29 @@ class Poly:
         scale = (field.p ** k).__mul__
         j = k % field.s
         frob = field._frob
-        return Poly._wrap(field, self.nvars,
-                          {tuple(map(scale, m)): Scalar(field, frob(c.v, j)) if j else c
-                           for m, c in self.terms.items()})
+        return Poly._wrap(field, self.nvars, {tuple(map(scale, m)): frob(c, j) if j else c
+                                              for m, c in self.codes.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
-                and self.terms == other.terms)
+                and self.codes == other.codes)
 
     # calculus and Frobenius structure --------------------------------------
 
     def partial(self, j: int) -> "Poly":
         """Formal partial derivative with respect to variable j."""
-        terms = {}
-        for m, c in self.terms.items():
+        p, mul = self.field.p, self.field._mul
+        codes = {}
+        for m, c in self.codes.items():
             e = m[j]
-            if e == 0:
-                continue
-            c2 = c * e
-            if not c2:
-                continue
-            m2 = list(m)
-            m2[j] = e - 1
-            terms[tuple(m2)] = c2
-        return Poly._wrap(self.field, self.nvars, terms)
+            c2 = mul(c, e % p)
+            if c2:
+                m2 = list(m)
+                m2[j] = e - 1
+                codes[tuple(m2)] = c2
+        return Poly._wrap(self.field, self.nvars, codes)
 
     def dehomogenize(self, chart: int) -> "Poly":
         """Substitute 1 for the chart variable and drop it.
@@ -318,10 +324,10 @@ class Poly:
             raise ValueError("dehomogenization requires a homogeneous polynomial")
         if not 0 <= chart < self.nvars:
             raise ValueError(f"chart index {chart} out of range")
-        terms = {}
-        for m, c in self.terms.items():
-            terms[m[:chart] + m[chart + 1:]] = c
-        return Poly._wrap(self.field, self.nvars - 1, terms)
+        codes = {}
+        for m, c in self.codes.items():
+            codes[m[:chart] + m[chart + 1:]] = c
+        return Poly._wrap(self.field, self.nvars - 1, codes)
 
     def frobenius_decompose(self, e: int, keep=None) -> dict:
         """Bucket by exponents mod p^e: self = sum_r g_r^{p^e} * x^r.
@@ -335,16 +341,17 @@ class Poly:
         field = self.field
         q = field.p ** e
         k = (-e) % field.s  # c^{1/q} = c^{p^k}, as in Scalar.inverse_frobenius
+        frob = field._frob
         residue, base = q.__rmod__, q.__rfloordiv__
         buckets = {}
-        for m, c in self.terms.items():
+        for m, c in self.codes.items():
             r = tuple(map(residue, m))
             if keep is not None and not keep(r):
                 continue
             bucket = buckets.setdefault(r, {})
-            bucket[tuple(map(base, m))] = c.frobenius(k) if k else c
-        return {r: Poly._wrap(field, self.nvars, terms)
-                for r, terms in buckets.items()}
+            bucket[tuple(map(base, m))] = frob(c, k) if k else c
+        return {r: Poly._wrap(field, self.nvars, codes)
+                for r, codes in buckets.items()}
 
     def exact_divide(self, divisor: "Poly"):
         """self / divisor when the division is exact, else None.
@@ -372,21 +379,22 @@ class Poly:
                 return None
             m = tuple(x - y for x, y in zip(rm, dm))
             c = rc / dc
-            quotient[m] = c
+            quotient[m] = c.v
             rem = rem - Poly.monomial(self.field, m, c) * divisor
         return Poly._wrap(self.field, self.nvars, quotient)
 
     # rendering --------------------------------------------------------------
 
     def to_string(self, varnames=None) -> str:
-        if not self.terms:
+        if not self.codes:
             return "0"
         if varnames is None:
             varnames = default_varnames(self.nvars)
+        cell = self.field._cell
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: _print_key(kv[0])):
+        for m, c in sorted(self.codes.items(), key=lambda kv: _print_key(kv[0])):
             mono = monomial_string(m, varnames)
-            cs = str(c)
+            cs = cell(c)[1]
             if self.field.s > 1 and ("+" in cs or "*" in cs):
                 cs = f"({cs})"
             if mono == "1":
@@ -465,8 +473,9 @@ class RationalFn:
         den = self.den
         if not den.is_constant():
             raise ValueError("rational function has a non-constant denominator")
-        c = den.terms[(0,) * den.nvars]
-        return self.num if c == self.field.one else self.num * c.inverse()
+        c = den.codes[(0,) * den.nvars]
+        field = self.field
+        return self.num if c == 1 else self.num * Scalar(field, field._inv(c))
 
     def __add__(self, other):
         if not isinstance(other, RationalFn):

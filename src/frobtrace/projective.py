@@ -256,7 +256,8 @@ class SemilinearMap:
     def __init__(self, src, tgt, e, rows):
         rows, columns = list(rows), range(src.dim)
         if len(rows) != tgt.dim or not all(
-                all(c in columns for c in row) if isinstance(row, dict) else len(row) == src.dim
+                all(isinstance(c, int) and c in columns for c in row) if isinstance(row, dict)
+                else len(row) == src.dim
                 for row in rows):
             raise ValueError(f"matrix is not {tgt.dim} x {src.dim}, the shape of the map")
         self._set(src, tgt, e, linalg.code_rows(rows, src.field))
@@ -412,15 +413,15 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
         left = next_bound - sum(c)  # p |u| <= left for a level-(j+1) column
         if left < 0:
             continue
-        top = max(sum(t) for t in g.terms)
+        top = max(sum(t) for t in g.codes)
         if left // p + top > bound:
             u = max(0, bound + 1 - top)
             mono = monomial_string((c[0] + p * u,) + c[1:])
             raise ContainmentError(f"trace of basis element {mono} exceeds the target "
                                    f"degree bound ({u + top} > {bound})")
-        for t, a in g.terms.items():
+        for t, a in g.codes.items():
             by_term.setdefault(t, []).append((tuple(x - p * y for x, y in zip(c, t)),
-                                              left // p, frob(a.v, k) if k else a.v))
+                                              left // p, frob(a, k) if k else a))
     read = [(t, sum(t), reads) for t, reads in by_term.items()]
     level_row = {}
 
@@ -435,7 +436,6 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
                         entries.append((tuple(map(_plus, base, ps)), v))
         return entries
 
-    one = field.one.v
     out = []
     for row in rows:
         if len(row) == 1:
@@ -446,7 +446,7 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
             entries = level_row.get(s)
             if entries is None:
                 entries = row_at(s)
-            out.append(dict(entries) if a == one else {m: mul(a, b) for m, b in entries})
+            out.append(dict(entries) if a == 1 else {m: mul(a, b) for m, b in entries})
             continue
         sums = {}
         get = sums.get

@@ -14,8 +14,9 @@ its killers.  A row is killed only when every killer fails; a killer
 that passes or has no case, a timeout, and a stale row, whose snippet
 does not occur exactly once in its module, each fail the row.  So does a
 row whose killers fail only because their modules do not import, unless
-IMPORT_KILLED names it with the reason.  The script exits 1 naming every
-row that failed.
+IMPORT_KILLED names it with the reason.  A killer that names no test
+function fails the row before pytest starts, and the outcome names only
+such killers.  The script exits 1 naming every row that failed.
 
 A new test comes with the row it kills, and a new row names the tests
 that kill it: tests/test_mutants.py checks in tier-1 that every row
@@ -24,6 +25,8 @@ and that the runner tells a kill, a survivor, a missing killer and an
 import kill apart.  pytest does not collect this file.
 """
 
+import ast
+import glob
 import os
 import shutil
 import signal
@@ -216,8 +219,11 @@ ROWS = [
                                 "test_linalg.py::test_sparse_system_input"]),
     ("echelon_guard_dropped", "linalg", "if lead in row:", "if False:",
      ["test_linalg.py::test_elimination_stops_when_the_leading_column_stays"]),
-    ("rhs_rows_unchecked", "linalg", "missing = [i for i in rhs if not 0 <= i < len(rows)]",
+    ("rhs_rows_unchecked", "linalg",
+     "missing = [i for i in rhs if not isinstance(i, int) or not 0 <= i < len(rows)]",
      "missing = []", ["test_linalg.py::test_solve_refuses_a_rhs_that_does_not_fit"]),
+    ("rhs_float_row_accepted", "linalg", "if not isinstance(i, int) or not 0 <=", "if not 0 <=",
+     ["test_linalg.py::test_solve_refuses_a_rhs_that_does_not_fit"]),
     ("ragged_rows_accepted", "linalg", "elif len(row) != width:", "elif False:",
      ["test_linalg.py::test_solve_refuses_a_rhs_that_does_not_fit"]),
     ("mixed_field_entries_accepted", "linalg", "if x.field is not field and x.field != field:",
@@ -259,27 +265,33 @@ ROWS = [
      ["test_cli.py::test_extension_over_the_order_limit_builds_no_table"]),
     ("digit_power_under_the_wrong_digit", "poly", "powers[d] = power",
      "powers[d - 1] = power", ["test_cartier.py::test_representation_independence"]),
-    ("one_term_power_coefficient_unraised", "poly", "Scalar(field, field._pow(c.v, n))}",
-     "c}", ["test_poly.py::test_power_matches_repeated_multiplication"]),
-    ("one_term_power_exponents_unraised", "poly", "{tuple(n * x for x in m): Scalar(",
-     "{m: Scalar(", ["test_cartier.py::test_decomposition_oracle_char3",
+    ("one_term_power_coefficient_unraised", "poly", "self.field._pow(c, n)}", "c}",
+     ["test_poly.py::test_power_matches_repeated_multiplication"]),
+    ("one_term_power_exponents_unraised", "poly", "{tuple(n * x for x in m): self.field",
+     "{m: self.field", ["test_cartier.py::test_decomposition_oracle_char3",
                      "test_cli.py::test_check_suites_catch_a_dropped_coefficient_root",
                      "test_poly.py::test_frobenius_decompose_reassembles"]),
-    ("twist_without_frobenius", "poly", "Scalar(field, frob(c.v, j)) if j else c",
-     "c", ["test_poly.py::test_pe_th_root_inverts_powers"]),
-    ("decompose_without_root", "poly", "c.frobenius(k) if k else c", "c",
+    ("twist_without_frobenius", "poly", "frob(c, j) if j else c", "c",
+     ["test_poly.py::test_pe_th_root_inverts_powers"]),
+    ("decompose_without_root", "poly", "frob(c, k) if k else c", "c",
      ["test_cartier.py::test_trace_roots_only_paired_coefficients"]),
+    ("decompose_roots_through_scalars", "poly", "frob(c, k) if k else c",
+     "Scalar(field, frob(c, k)).v if k else c",
+     ["test_poly.py::test_inner_loops_build_no_scalar"]),
     ("division_guard_dropped", "poly", "if last is not None and _print_key(rm)",
      "if False and _print_key(rm)",
      ["test_poly.py::test_exact_divide_stops_when_the_leading_monomial_stays"]),
-    ("poly_adds_an_int", "poly", "return NotImplemented\n        terms = dict(self.terms)",
-     "return self\n        terms = dict(self.terms)", ["test_poly.py::test_additive_identity"]),
+    ("poly_adds_an_int", "poly", "return NotImplemented\n        add = self.field._add",
+     "return self\n        add = self.field._add", ["test_poly.py::test_additive_identity"]),
+    ("terms_view_is_the_codes", "poly",
+     "return {m: Scalar(field, v) for m, v in self.codes.items()}", "return self.codes",
+     ["test_poly.py::test_terms_is_a_fresh_scalar_view_of_the_codes"]),
     ("non_integer_exponent_accepted", "poly", "if not all(isinstance(e, int) for e in mono):",
      "if False:", ["test_poly.py::test_constructor_refuses_non_integer_exponents"]),
     ("context_unchecked", "poly", "if other.field != self.field or other.nvars != self.nvars:",
      "if False:", ["test_poly.py::test_context_mismatch_rejected"]),
-    ("dehomogenize_drops_the_first_variable", "poly", "terms[m[:chart] + m[chart + 1:]] = c",
-     "terms[m[1:]] = c",
+    ("dehomogenize_drops_the_first_variable", "poly", "codes[m[:chart] + m[chart + 1:]] = c",
+     "codes[m[1:]] = c",
      ["test_poly.py::test_dehomogenize_examples",
       "test_projective.py::test_chart_complement_component_is_a_constant_factor"]),
     ("dehomogenize_chart_unchecked", "poly", "if not 0 <= chart < self.nvars:", "if False:",
@@ -288,9 +300,9 @@ ROWS = [
      ["test_poly.py::test_exact_divide"]),
     ("product_through_scalars", "poly", "mul(a, b))", "(Scalar(field, a) * Scalar(field, b)).v)",
      ["test_poly.py::test_product_multiplies_codes_not_scalars",
-      "test_projective.py::test_trace_matrix_builds_scalars_per_term_not_per_nonzero"]),
-    ("poly_hashable", "poly", '    __slots__ = ("field", "nvars", "terms")\n',
-     '    __slots__ = ("field", "nvars", "terms")\n    __hash__ = object.__hash__\n',
+      "test_poly.py::test_inner_loops_build_no_scalar"]),
+    ("poly_hashable", "poly", '    __slots__ = ("field", "nvars", "codes")\n',
+     '    __slots__ = ("field", "nvars", "codes")\n    __hash__ = object.__hash__\n',
      ["test_poly.py::test_poly_and_rational_fn_are_unhashable"]),
     ("graded_lex_ascending", "poly", "for a in range(d, -1, -1)", "for a in range(d + 1)",
      ["test_poly.py::test_monomials_upto_is_sorted_graded_lex",
@@ -308,7 +320,7 @@ ROWS = [
       "test_poly.py::test_rational_equivalence_relation"]),
     ("zero_degree_minus_one", "poly", "return NEG_INFINITY", "return -1",
      ["test_poly.py::test_total_degree"]),
-    ("partial_drops_the_exponent", "poly", "c2 = c * e", "c2 = c",
+    ("partial_drops_the_exponent", "poly", "c2 = mul(c, e % p)", "c2 = c",
      ["test_forms.py::test_derivative_kills_pth_powers",
       "test_forms.py::test_leibniz_rule_on_zero_forms"]),
     ("partial_keeps_the_exponent", "poly", "m2[j] = e - 1", "m2[j] = e",
@@ -354,7 +366,7 @@ ROWS = [
     ("chart_product_from_one", "projective", "product = fd if product is None",
      "product = Poly.one(divisor.field, divisor.n) * fd if product is None",
      ["test_projective.py::test_trace_matrix_forms_each_polynomial_once"]),
-    ("one_entry_rows_unscaled", "projective", "dict(entries) if a == one else",
+    ("one_entry_rows_unscaled", "projective", "dict(entries) if a == 1 else",
      "dict(entries) if True else",
      ["test_projective.py::test_level_product_matches_direct_rule_on_random_divisors"]),
     ("zero_multiplicities_kept", "projective", "if mult > 0:", "if mult >= 0:",
@@ -392,6 +404,8 @@ ROWS = [
      ["test_projective.py::test_divisor_validation"]),
     ("hyperplane_multiplicity_unchecked", "projective", "if not isinstance(k, int):", "if False:",
      ["test_projective.py::test_hyperplane_multiplicity_must_be_an_int"]),
+    ("float_column_accepted", "projective", "all(isinstance(c, int) and c in columns",
+     "all(c in columns", ["test_projective.py::test_matrix_of_the_wrong_shape_is_refused"]),
     ("pe_twist_swaps_e_and_d", "projective", "return e_part.combined(divisor,",
      "return divisor.combined(e_part,",
      ["test_projective.py::test_fermat_trace_matrix_forms_no_power_above_p_minus_1",
@@ -417,14 +431,30 @@ def occurrences(row) -> int:
         return f.read().count(row[2])
 
 
+def _test_functions() -> set:
+    """Every ``def test_*`` of tests/test_*.py, as "test_<m>.py::test_<name>"."""
+    found = set()
+    for path in glob.glob(os.path.join(ROOT, "tests", "test_*.py")):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        found |= {f"{os.path.basename(path)}::{node.name}" for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    return found
+
+
 def outcome(row) -> str:
     """'killed', 'killed by import' when every killer's module failed to
     import, or why not, for the mutant of one row: one pytest run of all
     its killers from tests/ against a fresh copy of src/ with the mutant
-    applied, each killer's outcome read from the run's JUnit report."""
+    applied, each killer's outcome read from the run's JUnit report.  A
+    killer that names no test function is reported before pytest runs,
+    since pytest would stop at it with a usage error and run no case."""
     _, module, snippet, replacement, killers = row
     if occurrences(row) != 1:
         return "stale"
+    unknown = sorted(set(killers) - _test_functions())
+    if unknown:
+        return f"missing {', '.join(unknown)}"
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(os.path.join(ROOT, "src"), os.path.join(tmp, "src"),
                         ignore=shutil.ignore_patterns("__pycache__"))

@@ -241,7 +241,7 @@ def test_solve_refuses_a_rhs_that_does_not_fit():
         solve([[one]], [one, one], F2)
     with pytest.raises(ValueError, match="length 0 for a 1-row"):
         solve([[one]], [], F2)
-    for key in (1, 5, -1):
+    for key in (1, 5, -1, 0.0):
         with pytest.raises(ValueError, match=f"names row {key} of a 1-row"):
             solve_codes([{0: 1}], {key: 1}, F2)
     with pytest.raises(ValueError, match="names row 2"):

@@ -13,6 +13,8 @@ from frobtrace import (
     RationalFn,
     Scalar,
     TopForm,
+    fedder_hypersurface,
+    linalg,
     monomials_upto,
     parse_poly,
     trace_matrix,
@@ -82,6 +84,53 @@ def test_product_multiplies_codes_not_scalars(monkeypatch):
         assert f * g == expected
     assert calls == []
     assert any(not expected.is_zero() for _, _, expected in cases)
+
+
+def test_inner_loops_build_no_scalar(monkeypatch):
+    """A Poly holds int codes, so the loops over its coefficients build no
+    Scalar: a product, a power, a twist, a decomposition that takes roots,
+    a partial derivative, a rational trace, a trace matrix and its rank
+    with rows eliminated, and a Fedder verdict, all over F_4 and F_9,
+    where the roots and twists move codes."""
+    xyz = ["x", "y", "z"]
+    f = P("x^2+2*y*z+w^3+1", F9) * F9.generator + P("x*w", F9)
+    form = TopForm(F9, 4, RationalFn(P("g*x^8*y^8*z^8*w^8", F9), P("x+g*y+1", F9)))
+    g = F4.generator
+    cubic = (parse_poly("x^3+z^3", F4, xyz) + parse_poly("y^3", F4, xyz) * g
+             + parse_poly("x*y*z", F4, xyz) * g)
+    conic = parse_poly("x^2", F4, xyz) * g + parse_poly("y*z", F4, xyz)
+    E, D = DivisorSpec(F4, 2, [(cubic, 1)]), DivisorSpec(F4, 2, [(conic, 1)], k=1)
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, field, v):
+        built.append(v)
+        init(self, field, v)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    results = [f * f, f ** 5, f ** 9, f._twist(1), f.partial(0)]
+    results += (f ** 7).frobenius_decompose(1).values()
+    results.append(trace_rational_top(form, 2).coeff.num)
+    t = trace_matrix(E, D, 2)
+    rank = linalg.code_rank(t.codes * 2, F4)  # each row twice, so rows are eliminated
+    split = fedder_hypersurface(cubic).split
+    assert built == []
+    assert not any(r.is_zero() for r in results) and len(results) > 6
+    assert rank == t.verdict.rank > 0 and split
+
+
+def test_terms_is_a_fresh_scalar_view_of_the_codes():
+    f = P("x^2+2*y*z+w^3+1", F9) * F9.generator
+    terms = f.terms
+    assert terms.keys() == f.codes.keys() and len(terms) == 4
+    assert all(type(c) is Scalar and c.field is F9 and c.v == f.codes[m]
+               for m, c in terms.items())
+    assert terms is not f.terms and terms == f.terms
+    codes = dict(f.codes)
+    terms[(0, 0, 0, 5)] = F9.one
+    del terms[(0, 0, 0, 0)]
+    assert f.codes == codes
+    assert Poly(f.field, f.nvars, f.terms) == f
 
 
 def square_and_multiply(f, n):
