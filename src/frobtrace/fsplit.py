@@ -2,10 +2,13 @@
 
 For a hypersurface cone k[x_0..x_n]/(f) the splitting test at the
 irrelevant ideal is: f^{p-1} must have a monomial with every exponent
-at most p - 1 (equivalently f^{p-1} does not lie in the ideal of p-th
-powers of the variables).  The verdict refuses a zero or non-homogeneous
-f, and builds f^{p-1} with the one power loop, ``Poly.__pow__``.  A
-positive verdict carries that monomial as a witness, which
+at most p - 1 (equivalently f^{p-1} does not lie in the ideal m^[p] =
+(x_0^p, ..., x_n^p) of p-th powers of the variables).  The verdict
+refuses a zero or non-homogeneous f, and builds f^{p-1} modulo m^[p]
+with the one power loop, ``pow(f, p - 1, p)``: m^[p] is a monomial
+ideal, so each step of the power drops its terms with an exponent of p
+or more, and every term that is left qualifies.  A positive verdict
+carries such a monomial as a witness, which
 :func:`verify_witness` certifies on its own: it reads the one witness
 coefficient as a multinomial sum over the terms of f, and forms no
 power and no product of polynomials.
@@ -33,7 +36,8 @@ def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     if not f.is_homogeneous():
         raise ValueError("the polynomial must be homogeneous")
     p = f.field.p
-    good = [m for m in (f ** (p - 1)).codes if all(e <= p - 1 for e in m)]
+    # f^{p-1} modulo m^[p] = (x_0^p, ..., x_n^p): every term kept qualifies
+    good = pow(f, p - 1, p).codes
     if not good:
         return FsplitVerdict(split=False)
     return FsplitVerdict(split=True, witness=min(good, key=monomial_rank))

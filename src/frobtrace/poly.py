@@ -17,6 +17,11 @@ product is that loop on one pair.
 between its base-p digits: a p^k-th power is a Frobenius twist, which
 scales the exponents and maps each code, and multiplies nothing.  The
 digit powers come from one run of repeated multiplication by the base.
+Both loops take an optional monomial cap ``below``: a term with an
+exponent at or above it is dropped before it is stored, so
+``pow(f, n, below)`` is f^n modulo (x_0^below, ..., x_{nvars-1}^below)
+and never holds the terms that ideal absorbs.  The F-splitting verdict
+forms f^{p-1} modulo (x_0^p, ..., x_n^p) this way.
 
 Rational functions are kept unreduced; equality is decided by
 cross-multiplication, which is all the trace computations need.
@@ -94,9 +99,13 @@ def _mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def sum_of_products(field: FiniteField, nvars: int, pairs) -> "Poly":
+def sum_of_products(field: FiniteField, nvars: int, pairs, below=None) -> "Poly":
     """sum P * Q over the (P, Q) pairs, all in ``nvars`` variables over
-    ``field``, with the codes summed per output monomial."""
+    ``field``, with the codes summed per output monomial.  With a cap
+    ``below``, a product monomial with an exponent at or above it is
+    dropped before it is stored: the sum is then taken modulo the monomial
+    ideal (x_0^below, ..., x_{nvars-1}^below), which holds every multiple
+    of a dropped monomial, so the terms that are kept are exact."""
     mul, add = field._mul, field._add
     sums = {}
     get = sums.get
@@ -105,7 +114,8 @@ def sum_of_products(field: FiniteField, nvars: int, pairs) -> "Poly":
         for m1, a in left.codes.items():
             for m2, b in right:
                 m = tuple(map(_plus, m1, m2))
-                sums[m] = add(get(m, 0), mul(a, b))
+                if below is None or max(m) < below:
+                    sums[m] = add(get(m, 0), mul(a, b))
     return Poly._wrap(field, nvars, {m: v for m, v in sums.items() if v})
 
 
@@ -245,7 +255,7 @@ class Poly:
             return NotImplemented
         return sum_of_products(self.field, self.nvars, [(self, other)])
 
-    def __pow__(self, n: int):
+    def __pow__(self, n: int, below=None):
         """self^n from the base-p digits of n: with n = sum d_k p^k,
         self^n = prod_k (self^{d_k})^{p^k}, and each p^k-th power is a
         :meth:`_twist`, which multiplies nothing.  The digit powers
@@ -253,32 +263,52 @@ class Poly:
         to the largest digit, which on a sparse base costs less than
         squaring; each digit that occurs is built once, however often it
         repeats.  A pure p^k-th power, and any power of a one-term base
-        c x^m, which is c^n x^{nm}, makes no product at all."""
+        c x^m, which is c^n x^{nm}, makes no product at all.
+
+        ``pow(self, n, below)`` is self^n modulo the monomial ideal
+        (x_0^below, ..., x_{nvars-1}^below), for a positive cap ``below``:
+        the base, each digit power, each twist and each product that
+        combines them drops its terms with an exponent at or above the cap.
+        The ideal holds every multiple of a dropped term, so the terms that
+        are kept are those of self^n."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
         if not n:
             return Poly.one(self.field, self.nvars)
-        if len(self.codes) == 1:
-            [(m, c)] = self.codes.items()
+        base = self._truncate(below)
+        if len(base.codes) == 1:
+            [(m, c)] = base.codes.items()
             return Poly._wrap(self.field, self.nvars,
-                              {tuple(n * x for x in m): self.field._pow(c, n)})
-        p = self.field.p
+                              {tuple(n * x for x in m): self.field._pow(c, n)})._truncate(below)
+        field, nvars, p = self.field, self.nvars, self.field.p
         digits = []
         while n:
             n, d = divmod(n, p)
             digits.append(d)
-        powers = {1: self}
-        power = self
+        powers = {1: base}
+        power = base
         for d in range(2, max(digits) + 1):
-            power = power * self
+            power = sum_of_products(field, nvars, [(power, base)], below)
             if d in digits:
                 powers[d] = power
         result = None
         for k, d in enumerate(digits):
             if d:
-                piece = powers[d]._twist(k)
-                result = piece if result is None else result * piece
+                piece = powers[d]
+                if k:
+                    piece = piece._twist(k)._truncate(below)
+                result = piece if result is None else sum_of_products(
+                    field, nvars, [(result, piece)], below)
         return result
+
+    def _truncate(self, below) -> "Poly":
+        """self without its terms that have an exponent at or above
+        ``below``; self itself when ``below`` is None, and in no variables,
+        where the one monomial has no exponent to cap."""
+        if below is None or not self.nvars:
+            return self
+        codes = {m: c for m, c in self.codes.items() if max(m) < below}
+        return Poly._wrap(self.field, self.nvars, codes)
 
     def _twist(self, k: int) -> "Poly":
         """self^{p^k}.  The p^k-th power map is additive in characteristic

@@ -196,9 +196,10 @@ ROWS = [
       "test_forms.py::test_top_degree_diffform_is_the_topform_with_its_coefficient"]),
     ("from_terms_keeps_the_last", "forms", "acc[idx] = acc[idx] + rat if idx in acc else rat",
      "acc[idx] = rat", ["test_parsing.py::test_form_sum_and_signs"]),
-    ("fedder_bound_p_minus_2", "fsplit", "all(e <= p - 1 for e in m)",
-     "all(e <= p - 2 for e in m)",
+    ("fedder_bound_p_minus_2", "fsplit", "good = pow(f, p - 1, p)",
+     "good = pow(f, p - 1, p - 1)",
      ["test_fsplit.py::test_fermat_split_char_7", "test_fsplit.py::test_hyperplane_always_splits",
+      "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
       "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_every_chart"]),
     ("largest_witness", "fsplit", "min(good, key=monomial_rank)",
      "max(good, key=monomial_rank)", ["test_golden.py::test_cli_output_matches_recorded_digest"]),
@@ -271,6 +272,28 @@ ROWS = [
      "{m: self.field", ["test_cartier.py::test_decomposition_oracle_char3",
                      "test_cli.py::test_check_suites_catch_a_dropped_coefficient_root",
                      "test_poly.py::test_frobenius_decompose_reassembles"]),
+    ("product_cap_ignored", "poly", "if below is None or max(m) < below:", "if True:",
+     ["test_fsplit.py::test_fedder_stores_no_product_term_at_or_above_p",
+      "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+    ("product_cap_one_low", "poly", "max(m) < below:", "max(m) < below - 1:",
+     ["test_fsplit.py::test_fermat_split_char_7",
+      "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
+      "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+    ("base_cap_ignored", "poly", "base = self._truncate(below)", "base = self",
+     ["test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
+      "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+    ("one_term_power_cap_ignored", "poly", "self.field._pow(c, n)})._truncate(below)",
+     "self.field._pow(c, n)})",
+     ["test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
+      "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+    ("digit_power_cap_dropped", "poly", "[(power, base)], below)", "[(power, base)])",
+     ["test_fsplit.py::test_fedder_stores_no_product_term_at_or_above_p",
+      "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
+      "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+    ("twist_cap_ignored", "poly", "piece = piece._twist(k)._truncate(below)",
+     "piece = piece._twist(k)", ["test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+    ("digit_product_cap_dropped", "poly", "[(result, piece)], below)", "[(result, piece)])",
+     ["test_poly.py::test_capped_power_is_the_full_power_truncated"]),
     ("twist_without_frobenius", "poly", "frob(c, j) if j else c", "c",
      ["test_poly.py::test_pe_th_root_inverts_powers"]),
     ("decompose_without_root", "poly", "frob(c, k) if k else c", "c",

@@ -15,10 +15,11 @@ from frobtrace import (
     trace_matrix,
     verify_witness,
 )
+from frobtrace import poly
 from frobtrace.checks import FIELDS, random_poly
 from frobtrace.field import Scalar
 from frobtrace.fsplit import _witness_coefficient
-from frobtrace.poly import Poly
+from frobtrace.poly import Poly, monomial_rank, monomials_upto
 from test_poly import square_and_multiply
 
 XYZW = ["x", "y", "z", "w"]
@@ -100,6 +101,64 @@ def test_witness_check_agrees_with_the_full_power():
                 accepted += ok
                 refused += not ok
     assert accepted and refused
+
+
+def random_form(field, nvars, degree, rng):
+    """A form of the given degree with one to four terms and nonzero coefficients."""
+    monos = [m for m in monomials_upto(nvars, degree) if sum(m) == degree]
+    return Poly(field, nvars, {m: Scalar(field, rng.randrange(1, field.q))
+                               for m in rng.sample(monos, k=min(len(monos), rng.randint(1, 4)))})
+
+
+def test_fedder_verdict_is_read_off_the_full_power():
+    """fedder_hypersurface forms f^{p-1} modulo (x_0^p, ..., x_n^p); its
+    verdict and witness must be those read off the full power, built by
+    squaring, with every monomial that has an exponent of p or more dropped
+    afterwards.  The forms include degrees above the number of variables,
+    one-term forms such as x^4 at p = 3, whose square x^8 must not count,
+    and p = 2, where f^{p-1} is f itself."""
+    rng = random.Random(67)
+    forms = [parse_poly(text, FiniteField(p), XYZW)
+             for p, text in [(3, "x^4"), (3, "x^2"), (5, "x^2*y^3"), (2, "x^2+y^2"),
+                             (2, "x*y+z^2"), (2, "x^2"), (2, "x*y*z*w")]]
+    for field in (*FIELDS, FiniteField(7)):
+        for _ in range(30):
+            nvars = rng.randint(1, 4)
+            forms.append(random_form(field, nvars, rng.randint(1, nvars + 2), rng))
+    outcomes = set()
+    for f in forms:
+        p = f.field.p
+        good = [m for m in square_and_multiply(f, p - 1).codes if max(m) < p]
+        verdict = fedder_hypersurface(f)
+        assert verdict.split == bool(good), f
+        assert verdict.witness == (min(good, key=monomial_rank) if good else None), f
+        assert not verdict.split or verify_witness(f, verdict.witness)
+        outcomes.add(verdict.split)
+    assert outcomes == {True, False}
+
+
+def test_fedder_stores_no_product_term_at_or_above_p(monkeypatch):
+    """m^[p] absorbs a term with an exponent of p or more, so the verdict
+    drops such a term as soon as a product makes it: no product that
+    fedder_hypersurface forms holds one, on forms whose full power
+    f^{p-1} has many."""
+    forms = [parse_poly(text, FiniteField(p), XYZW) for p, text in [
+        (7, "x^4+y^4+z^4+w^4+x*y*z*w"), (7, "x^3+y^3+z^3+w^3"), (11, "x^3+y^3+z^3+x*y*z"),
+        (13, "x^2*y+y^2*z+z^2*x+w^3"), (5, "x^5+y^5+x*y*z*w^2")]]
+    stored = []
+    product = poly.sum_of_products
+
+    def recording(field, nvars, pairs, below=None):
+        out = product(field, nvars, pairs, below)
+        stored.append((field.p, max((max(m) for m in out.codes), default=0)))
+        return out
+
+    monkeypatch.setattr(poly, "sum_of_products", recording)
+    verdicts = [fedder_hypersurface(f).split for f in forms]
+    assert len(stored) > 20 and all(top < p for p, top in stored)
+    assert True in verdicts and False in verdicts
+    monkeypatch.undo()
+    assert all(max(max(m) for m in (f ** (f.field.p - 1)).codes) >= f.field.p for f in forms)
 
 
 def test_zero_polynomial_rejected():

@@ -270,6 +270,22 @@ CASES = {
     "fedder_p41_json": (
         ["--char", "41", "--vars", "x,y,z,w", *JSON, "fedder", "x^3+y^3+z^3+w^3+x*y*z"],
         0, "afb063182ef7b3d8ed0c99d2aa9a689614ad6f12ea082431f1516da5c39b2b62", ""),
+    # a quintic cone in P^4: the only qualifying monomial of degree 150 is
+    # (x*y*z*w*v)^30, and verify_witness certifies it
+    "fedder_p4_p31": (
+        ["--char", "31", "--vars", "x,y,z,w,v", "fedder", "x^5+y^5+z^5+w^5+v^5+x*y*z*w*v"],
+        0, "9afd0aaa6835a500af7d88cdbc49d0d3ef4603daae66323ff884f783741c63d4", ""),
+    "fedder_p4_p31_json": (
+        ["--char", "31", "--vars", "x,y,z,w,v", *JSON, "fedder",
+         "x^5+y^5+z^5+w^5+v^5+x*y*z*w*v"],
+        0, "da274228924978274f266380db11e5a47fc4001bb85a8fffccaff0df26b30084", ""),
+    # the Fermat quintic cone splits only when p = 1 mod 5, and 29 = 4 mod 5
+    "fedder_p4_fermat_p29": (
+        ["--char", "29", "--vars", "x,y,z,w,v", "fedder", "x^5+y^5+z^5+w^5+v^5"],
+        0, "40c36ff11e213bec3fb4bd30123de9e0e64be89b2d3cb216e8e0e412a7af8905", ""),
+    "fedder_p4_fermat_p29_json": (
+        ["--char", "29", "--vars", "x,y,z,w,v", *JSON, "fedder", "x^5+y^5+z^5+w^5+v^5"],
+        0, "5bad1967e08e1b12f800ab87b05d291a9464cbf40e1c5a733dc7f912d4bc75df", ""),
     "demo": (
         ["demo", "fermat-cubic"],
         0, "732b37aaf17e543127042f93d52467560d71f2258b52105ea89207380d6b4a83", ""),

@@ -22,7 +22,7 @@ from frobtrace import (
     verify_witness,
 )
 from frobtrace import poly
-from frobtrace.checks import random_poly
+from frobtrace.checks import FIELDS, random_poly
 from frobtrace.poly import (monomial_count, monomial_rank, monomial_string,
                            monomial_strings_upto)
 
@@ -177,9 +177,9 @@ def test_power_matches_repeated_multiplication(monkeypatch):
     products = []
     product = poly.sum_of_products
 
-    def counted(field, nvars, pairs):
+    def counted(field, nvars, pairs, below=None):
         products.append(1)
-        return product(field, nvars, pairs)
+        return product(field, nvars, pairs, below)
 
     monkeypatch.setattr(poly, "sum_of_products", counted)
     for field in (F2, F3, F4, F9):
@@ -205,13 +205,50 @@ def test_power_builds_each_digit_power_once(monkeypatch):
     products = []
     product = poly.sum_of_products
 
-    def counted(field, nvars, pairs):
+    def counted(field, nvars, pairs, below=None):
         products.append(1)
-        return product(field, nvars, pairs)
+        return product(field, nvars, pairs, below)
 
     monkeypatch.setattr(poly, "sum_of_products", counted)
     assert g ** 124 == expected
     assert len(products) == 5
+
+
+def truncated(f, below):
+    """f without its terms that have an exponent at or above ``below``."""
+    return Poly(f.field, f.nvars, {m: c for m, c in f.terms.items() if max(m) < below})
+
+
+def test_capped_power_is_the_full_power_truncated():
+    """pow(f, n, below) is f^n modulo (x_0^below, ..., x_k^below): the
+    square-and-multiply power with its terms at or above the cap dropped
+    afterwards.  Every branch of the power loop is drawn: n = 1, a
+    one-term base (a constant and a monomial), a pure p^k-th power, which
+    only twists, a one-digit power, and a multi-digit power, whose twisted
+    digit powers are combined by products; each at the cap p and at a
+    random cap up to one above the largest exponent of the power."""
+    rng = random.Random(41)
+    dropped = kept = 0
+    for field in (*FIELDS, FiniteField(7)):
+        p = field.p
+        c = field.generator if field.s > 1 else field.scalar(p - 1)
+        for _ in range(12):
+            nvars = rng.randint(1, 3)
+            f = random_poly(field, nvars, rng, max_terms=4, nonzero=True)
+            monos = [Poly.constant(field, nvars, c),
+                     Poly.monomial(field, [rng.randint(0, 3) for _ in range(nvars)], c)]
+            pure = p * p if p <= 3 else p
+            multi = rng.randint(0, p - 1) + p * rng.randint(1, 2 if p <= 3 else 1)
+            for base in [f] + monos:
+                for n in (1, rng.randint(2, p), pure, multi):
+                    full = square_and_multiply(base, n)
+                    top = max((max(m) for m in full.codes), default=0)
+                    for below in (p, rng.randint(1, top + 1)):
+                        capped = pow(base, n, below)
+                        assert capped == truncated(full, below), (field, base, n, below)
+                        dropped += len(full.codes) > len(capped.codes)
+                        kept += not capped.is_zero()
+    assert dropped > 100 and kept > 100
 
 
 def test_witness_check_forms_no_product(monkeypatch):
