@@ -5,14 +5,16 @@ subcommands parse their inputs under that configuration and print either
 a human-readable table or JSON (``--output json``); only the JSON layout
 is treated as a stable interface.
 
-Exit codes: 0 success, 1 property or verdict failure, 2 usage or parse
-error, or an input too large to compute (out of memory or recursion).
+Exit codes: 0 success, 1 property or verdict failure, or a stdout that
+its reader closed before the output was written, 2 usage or parse error,
+or an input too large to compute (out of memory or recursion).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -87,33 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ParseError(f"--{name.replace('_', '-')} is required for this command")
-
-
-def _build_field(args) -> FiniteField:
-    _require(args, "char")
+def _context(args):
+    """(field, variable names, chart index) from the global options, read
+    in the order --char, --modulus, --vars, --chart, so that the first
+    missing or bad one is the one refused.  The chart index is None when
+    --chart is not given, which leaves the library's default; every
+    command that reads --vars checks --chart, used or not."""
+    if args.char is None:
+        raise ParseError("--char is required for this command")
     if args.modulus is None:
-        return FiniteField(args.char)
-    modulus = parse_modulus(args.modulus, args.char)
-    return FiniteField(args.char, len(modulus) - 1, modulus)
-
-
-def _varnames(args) -> list:
-    _require(args, "vars")
-    return [v.strip() for v in args.vars.split(",")]
-
-
-def _chart_index(args, varnames):
-    """The index of the --chart variable; None leaves the library's default.
-    Every command that reads --vars checks --chart, used or not."""
+        field = FiniteField(args.char)
+    else:
+        modulus = parse_modulus(args.modulus, args.char)
+        field = FiniteField(args.char, len(modulus) - 1, modulus)
+    if args.vars is None:
+        raise ParseError("--vars is required for this command")
+    varnames = [v.strip() for v in args.vars.split(",")]
     if args.chart is None:
-        return None
+        return field, varnames, None
     if args.chart not in varnames:
         raise ParseError(f"chart variable {args.chart!r} is not among --vars")
-    return varnames.index(args.chart)
+    return field, varnames, varnames.index(args.chart)
 
 
 def _print_json(payload: dict) -> None:
@@ -129,9 +125,7 @@ def _emit(args, payload: dict, table_lines: list) -> None:
 
 
 def cmd_trace(args) -> int:
-    field = _build_field(args)
-    varnames = _varnames(args)
-    _chart_index(args, varnames)
+    field, varnames, _ = _context(args)
     result = trace_rational_top(parse_form(args.form, field, varnames), args.e)
     payload = {
         "command": "trace",
@@ -146,9 +140,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_trace_matrix(args) -> int:
-    field = _build_field(args)
-    varnames = _varnames(args)
-    chart = _chart_index(args, varnames)
+    field, varnames, chart = _context(args)
     e_part = parse_divisor(args.E, field, varnames)
     divisor = parse_divisor(args.D, field, varnames)
     t = trace_matrix(e_part, divisor, args.e, chart)
@@ -176,9 +168,7 @@ def cmd_trace_matrix(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    field = _build_field(args)
-    varnames = _varnames(args)
-    chart = _chart_index(args, varnames)
+    field, varnames, chart = _context(args)
     divisor = parse_divisor(args.divisor, field, varnames)
     space = section_space(divisor, chart)
     payload = {"command": "sections", **space.to_json(varnames)}
@@ -194,9 +184,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_fedder(args) -> int:
-    field = _build_field(args)
-    varnames = _varnames(args)
-    _chart_index(args, varnames)
+    field, varnames, _ = _context(args)
     f = parse_poly(args.poly, field, varnames)
     verdict = fedder_hypersurface(f)
     witness_str = None
@@ -261,7 +249,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the output still buffered goes to
+        # devnull, so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,19 +14,23 @@ primitive element g of smallest code: antilogs (g^k, by the F_p[t]
 product modulo the modulus; F_p is F_p[t]/(t)), logs, and Zech
 logarithms (log(1 + g^k)).  Finding g proves the modulus irreducible:
 only a field has an element of order q - 1, so a modulus with none is
-refused.  Multiplication, inversion, powers and the Frobenius are then
-index arithmetic on logs, and addition is one Zech lookup, as in FLINT's
-``fq_zech``.  The tables hold O(q) ints, so fields are limited to
-q = p^s <= 2^16, and larger ones are refused before any table is built.
+refused.  Multiplication, negation and powers are then index arithmetic
+on logs, and addition is one Zech lookup, as in FLINT's ``fq_zech``.
+The tables hold O(q) ints, so fields are limited to q = p^s <= 2^16,
+and larger ones are refused before any table is built.
 
 The p^e-th power map and its inverse (the p^e-th root, well defined
 because the power map is bijective on a finite field) are the Scalar
 methods :meth:`Scalar.frobenius` and :meth:`Scalar.inverse_frobenius`.
 
-The library computes on the codes themselves, through the field's
-``_add``, ``_sub``, ``_neg``, ``_mul``, ``_inv``, ``_pow`` and ``_frob``
-closures: a polynomial holds codes, and so do trace levels, matrices and
-elimination.  A Scalar is built only where a caller reads one, such as
+The library computes on the codes themselves, through the field's four
+code operations ``_add``, ``_neg``, ``_mul`` and ``_pow``: a polynomial
+holds codes, and so do trace levels, matrices and elimination.  Every
+other operation is one of them with a fixed argument: a - b is
+``_add(a, _neg(b))``, 1 / a is ``_pow(a, -1)``, which raises
+ZeroDivisionError on zero, and the Frobenius a^{p^k}, for the k < s
+that phi^s = 1 reduces every exponent to, is ``_pow(a, p ** k)``.
+A Scalar is built only where a caller reads one, such as
 ``Poly.terms``; it adds, multiplies, divides, takes powers and p^e-th
 roots, and compares.  Printing goes through one per-field table,
 :meth:`FiniteField._cell`, from a code to its coefficient vector and its
@@ -170,7 +174,7 @@ def _primitive_powers(p, s, modulus) -> list:
 
 
 def _table_ops(p: int, s: int, modulus, name: str):
-    """add, sub, neg, mul, inv, pow and Frobenius on codes of F_{p^s}, by table.
+    """add, neg, mul and pow on codes of F_{p^s}, by table.
 
     With m = q - 1, ``exp`` lists g^k for k in [0, 2m) and then zeros up to
     index 4m; ``log[0]`` is 2m, so any sum of two logs that involves zero
@@ -195,25 +199,11 @@ def _table_ops(p: int, s: int, modulus, name: str):
         la = log[a]
         return exp[la + zech[log[b] - la]]
 
-    def sub(a, b):
-        if not b:
-            return a
-        lb = log[b] + half
-        if not a:
-            return exp[lb]
-        la = log[a]
-        return exp[la + zech[lb - la]]
-
     def neg(a):
         return exp[log[a] + half]
 
     def mul(a, b):
         return exp[log[a] + log[b]]
-
-    def inv(a):
-        if not a:
-            raise ZeroDivisionError("division by zero in " + name)
-        return exp[m - log[a]]
 
     def power(a, n):
         if a:
@@ -222,10 +212,7 @@ def _table_ops(p: int, s: int, modulus, name: str):
             raise ZeroDivisionError("division by zero in " + name)
         return 0 if n else 1
 
-    def frobenius(a, e):
-        return exp[log[a] * pow(p, e, m) % m] if a else 0
-
-    return add, sub, neg, mul, inv, power, frobenius
+    return add, neg, mul, power
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +228,7 @@ class FiniteField:
     """
 
     __slots__ = ("p", "s", "q", "modulus", "zero", "one", "_hash", "_cells",
-                 "_add", "_sub", "_neg", "_mul", "_inv", "_pow", "_frob")
+                 "_add", "_neg", "_mul", "_pow")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
         if not isinstance(s, int) or s < 1:
@@ -272,8 +259,8 @@ class FiniteField:
         self.q = p ** s
         self._hash = hash((p, s, self.modulus))
         # F_p is F_p[t]/(t): its tables come from the degree-1 modulus t
-        (self._add, self._sub, self._neg, self._mul, self._inv, self._pow,
-         self._frob) = _table_ops(p, s, self.modulus or (0, 1), str(self))
+        self._add, self._neg, self._mul, self._pow = _table_ops(
+            p, s, self.modulus or (0, 1), str(self))
         self._cells = {}
         self.zero = Scalar(self, 0)
         self.one = Scalar(self, 1)
@@ -381,7 +368,7 @@ class Scalar:
         if b is None:
             return NotImplemented
         field = self.field
-        return Scalar(field, field._mul(self.v, field._inv(b)))
+        return Scalar(field, field._mul(self.v, field._pow(b, -1)))
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -390,9 +377,10 @@ class Scalar:
         return Scalar(field, field._pow(self.v, n))
 
     def frobenius(self, e: int = 1) -> "Scalar":
-        """a ↦ a^{p^e}, the identity on F_p."""
+        """a ↦ a^{p^e}, the identity on F_p: phi^s is the identity on
+        F_{p^s}, so this is the power a^{p^k} with k = e mod s."""
         field = self.field
-        return Scalar(field, field._frob(self.v, e))
+        return Scalar(field, field._pow(self.v, field.p ** (e % field.s)))
 
     def inverse_frobenius(self, e: int = 1) -> "Scalar":
         """The unique p^e-th root: phi^s is the identity on F_{p^s}, so

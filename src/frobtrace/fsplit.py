@@ -54,7 +54,7 @@ def _witness_coefficient(f: Poly, witness: tuple) -> int:
     field = f.field
     mul, add = field._mul, field._add
     n = field.p - 1
-    inverses = [field._inv(k) for k in range(1, n + 1)]
+    inverses = [field._pow(k, -1) for k in range(1, n + 1)]
     states = {((0,) * f.nvars, 0): 1}
     for mono, c in f.codes.items():
         # steps[j] = c / (j + 1) takes c^j / j! to c^{j+1} / (j+1)!

@@ -6,7 +6,8 @@ Inside the library a matrix is a list of sparse code rows, one
 mostly zero: the P^n grid reaches 171 x 1711 with one nonzero per row,
 and the Fermat cubic at e = 5 is a zero 1 x 5984.  One routine,
 :func:`_echelon`, does every elimination: it touches only the nonzeros,
-with the field's code operations, and builds no Scalar.
+with the field's four code operations (add, neg, mul and pow, which
+gives an inverse as the power -1), and builds no Scalar.
 :func:`code_rank` and :func:`solve_codes` are its code-row entry points.
 
 Scalar rows, dense (sequences of Scalars) or sparse
@@ -53,17 +54,15 @@ def _echelon(rows, field) -> dict:
     leading (smallest) column; the rows are consumed.
 
     Rows are inserted one at a time.  While a row's leading column keys a
-    basis row, that basis row times f = a / b is subtracted from it, with
-    a and b the two leading codes.  1 / b is taken once per basis row,
-    when the row is first used, so f costs one product and no step
-    divides; a basis row that eliminates nothing costs no inverse.  A row
-    with a new leading column joins the basis, and a row that vanishes is
-    dropped.  Basis rows are never changed again.  The leading columns are
-    the pivot columns of the reduced row echelon form.
+    basis row, that basis row times f = -a / b is added to it, with a and
+    b the two leading codes: the sign is in f, so each cell costs one add
+    and one product.  A row with a new leading column joins the basis,
+    and a row that vanishes is dropped.  Basis rows are never changed
+    again.  The leading columns are the pivot columns of the reduced row
+    echelon form.
     """
-    mul, sub, inv = field._mul, field._sub, field._inv
+    mul, add, neg, power = field._mul, field._add, field._neg, field._pow
     basis = {}
-    inverse = {}  # lead -> 1 / (leading code of basis[lead])
     for row in rows:
         while row:
             lead = min(row)
@@ -71,13 +70,10 @@ def _echelon(rows, field) -> dict:
             if pivot is None:
                 basis[lead] = row
                 break
-            b = inverse.get(lead)
-            if b is None:
-                b = inverse[lead] = inv(pivot[lead])
-            f = mul(row[lead], b)
+            f = neg(mul(row[lead], power(pivot[lead], -1)))
             get = row.get
             for c, y in pivot.items():
-                x = sub(get(c, 0), mul(f, y))
+                x = add(get(c, 0), mul(f, y))
                 if x:
                     row[c] = x
                 else:
@@ -115,16 +111,17 @@ def solve_codes(rows, rhs, field):
     basis = _echelon(augmented, field)
     if n in basis:
         return None
-    mul, sub, inv = field._mul, field._sub, field._inv
+    mul, add, neg, power = field._mul, field._add, field._neg, field._pow
     solution = {}
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
-        value = row.get(n, 0)
+        known = 0
         for c, a in row.items():
             if c in solution:
-                value = sub(value, mul(a, solution[c]))
+                known = add(known, mul(a, solution[c]))
+        value = add(row.get(n, 0), neg(known))
         if value:
-            solution[lead] = mul(value, inv(row[lead]))
+            solution[lead] = mul(value, power(row[lead], -1))
     return solution
 
 

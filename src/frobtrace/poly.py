@@ -313,14 +313,13 @@ class Poly:
     def _twist(self, k: int) -> "Poly":
         """self^{p^k}.  The p^k-th power map is additive in characteristic
         p, so each term c x^m goes to c^{p^k} x^{p^k m}: the exponents are
-        scaled and each int code is sent through the field's Frobenius."""
-        if not k:
-            return self
+        scaled and each int code c goes to c^{p^j} with j = k mod s, which
+        is c^{p^k} on F_{p^s}, where phi^s is the identity."""
         field = self.field
         scale = (field.p ** k).__mul__
         j = k % field.s
-        frob = field._frob
-        return Poly._wrap(field, self.nvars, {tuple(map(scale, m)): frob(c, j) if j else c
+        power, pj = field._pow, field.p ** j
+        return Poly._wrap(field, self.nvars, {tuple(map(scale, m)): power(c, pj) if j else c
                                               for m, c in self.codes.items()})
 
     def __eq__(self, other):
@@ -371,7 +370,7 @@ class Poly:
         field = self.field
         q = field.p ** e
         k = (-e) % field.s  # c^{1/q} = c^{p^k}, as in Scalar.inverse_frobenius
-        frob = field._frob
+        power, pk = field._pow, field.p ** k
         residue, base = q.__rmod__, q.__rfloordiv__
         buckets = {}
         for m, c in self.codes.items():
@@ -379,7 +378,7 @@ class Poly:
             if keep is not None and not keep(r):
                 continue
             bucket = buckets.setdefault(r, {})
-            bucket[tuple(map(base, m))] = frob(c, k) if k else c
+            bucket[tuple(map(base, m))] = power(c, pk) if k else c
         return {r: Poly._wrap(field, self.nvars, codes)
                 for r, codes in buckets.items()}
 
@@ -505,7 +504,7 @@ class RationalFn:
             raise ValueError("rational function has a non-constant denominator")
         c = den.codes[(0,) * den.nvars]
         field = self.field
-        return self.num if c == 1 else self.num * Scalar(field, field._inv(c))
+        return self.num if c == 1 else self.num * Scalar(field, field._pow(c, -1))
 
     def __add__(self, other):
         if not isinstance(other, RationalFn):

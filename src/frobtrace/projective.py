@@ -407,7 +407,7 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
     ``bound`` before any row is read."""
     p = field.p
     k = (-j) % field.s
-    mul, add, frob = field._mul, field._add, field._frob
+    mul, add, power, pk = field._mul, field._add, field._pow, p ** k
     by_term = {}  # t -> (c - p t, |u| cap, code) per bucket with a term x^t that a column reads
     for c, g in table.items():
         left = next_bound - sum(c)  # p |u| <= left for a level-(j+1) column
@@ -421,7 +421,7 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
                                    f"degree bound ({u + top} > {bound})")
         for t, a in g.codes.items():
             by_term.setdefault(t, []).append((tuple(x - p * y for x, y in zip(c, t)),
-                                              left // p, frob(a, k) if k else a))
+                                              left // p, power(a, pk) if k else a))
     read = [(t, sum(t), reads) for t, reads in by_term.items()]
     level_row = {}
 

@@ -51,7 +51,8 @@ ROWS = [
       "test_projective.py::test_trace_and_json_do_no_work_per_zero_cell"]),
     ("trace_one_step_short", "cartier", "for k in range(e):",
      "for k in range(max(1, e - 1)):",
-     ["test_cartier.py::test_trace_rational_agrees_with_polynomial_trace"]),
+     ["test_cartier.py::test_trace_rational_agrees_with_polynomial_trace",
+      "test_golden.py::test_runner_names_a_slow_case"]),
     ("repeat_remainder_one_short", "cartier", "range(k, k + (e - k) % (k - first))",
      "range(k, k + (e - k - 1) % (k - first))",
      ["test_cartier.py::test_trace_stops_at_a_repeated_numerator",
@@ -112,9 +113,13 @@ ROWS = [
      ["test_cli.py::test_exhausted_resources_end_in_one_error_line"]),
     ("seed_a_global_option", "cli", 'p_check.add_argument("--seed"',
      'parser.add_argument("--seed"', ["test_cli.py::test_seed_is_an_option_of_check_only"]),
-    *((f"{command}_ignores_a_bad_chart", "cli", f"    _chart_index(args, varnames)\n    {line}",
-       f"    {line}", ["test_golden.py::test_cli_output_matches_recorded_digest"])
-      for command, line in (("trace", "result = "), ("fedder", "f = parse_poly"))),
+    ("chart_unchecked", "cli", "if args.chart not in varnames:", "if False:",
+     ["test_golden.py::test_cli_output_matches_recorded_digest"]),
+    ("stdout_flushed_only_at_exit", "cli", "        sys.stdout.flush()\n", "",
+     ["test_cli.py::test_a_closed_stdout_ends_without_a_traceback"]),
+    ("closed_stdout_flushed_again_at_exit", "cli",
+     "        os.dup2(devnull, sys.stdout.fileno())\n", "",
+     ["test_cli.py::test_a_closed_stdout_ends_without_a_traceback"]),
     ("demo_skips_the_column_check", "demo", "verdict.zero and iterated_agrees,",
      "verdict.zero,", ["test_cli.py::test_demo_column_check_fails_on_a_nonzero_iterated_trace"]),
     ("demo_expects_a_wrong_dimension", "demo", "src.dim == 4", "src.dim == 5",
@@ -140,12 +145,12 @@ ROWS = [
      ["test_field.py::test_modulus_is_refused_unless_given_as_ints",
       "test_field.py::test_scalar_is_refused_unless_given_as_ints",
       "test_poly.py::test_constructor_refuses_a_coefficient_that_is_not_an_int_or_scalar"]),
-    ("frobenius_exponent_one_up", "field", "pow(p, e, m)", "pow(p, e + 1, m)",
+    ("frobenius_exponent_one_up", "field", "(e % field.s)", "(e % field.s + 1)",
      ["test_field.py::test_frobenius_bijective_pairs",
       "test_field.py::test_largest_field_builds_and_computes"]),
     ("inverse_of_zero_unchecked", "field",
-     '        if not a:\n            raise ZeroDivisionError("division by zero in " + name)\n'
-     "        return exp[m - log[a]]", "        return exp[m - log[a]]",
+     '        if n < 0:\n            raise ZeroDivisionError("division by zero in " + name)\n'
+     "        return 0 if n else 1", "        return 0 if n else 1",
      ["test_field.py::test_division",
       "test_field.py::test_table_arithmetic_matches_polynomial_arithmetic"]),
     ("characteristic_not_factored", "field", "_prime_factors(p) != [p]", "p < 2",
@@ -168,7 +173,7 @@ ROWS = [
     ("primitive_search_from_the_top", "field", "for code in range(1 if s == 1 else p, m + 1):",
      "for code in reversed(range(1 if s == 1 else p, m + 1)):",
      ["test_field.py::test_tables_use_the_primitive_element_of_smallest_code"]),
-    ("frobenius_exponent_mod_q", "field", "pow(p, e, m) % m", "pow(p, e, m + 1) % m",
+    ("frobenius_exponent_mod_q", "field", "field.p ** (e % field.s)", "field.p ** e % field.q",
      ["test_field.py::test_frobenius_identity_on_prime_field",
       "test_field.py::test_frobenius_is_ring_homomorphism",
       "test_field.py::test_table_powers_and_frobenius_match_polynomial_arithmetic"]),
@@ -200,7 +205,8 @@ ROWS = [
      "good = pow(f, p - 1, p - 1)",
      ["test_fsplit.py::test_fermat_split_char_7", "test_fsplit.py::test_hyperplane_always_splits",
       "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
-      "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_every_chart"]),
+      "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_every_chart",
+      "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_p4"]),
     ("largest_witness", "fsplit", "min(good, key=monomial_rank)",
      "max(good, key=monomial_rank)", ["test_golden.py::test_cli_output_matches_recorded_digest"]),
     ("wilson_sign_dropped", "fsplit", "return field._neg(states.get((witness, n), 0))",
@@ -213,11 +219,16 @@ ROWS = [
                                "test_poly.py::test_witness_check_forms_no_product"]),
     ("fedder_homogeneity_unchecked", "fsplit", "if not f.is_homogeneous():",
      "if False:", ["test_fsplit.py::test_zero_polynomial_rejected"]),
-    ("back_substitution_without_inverse", "linalg", "solution[lead] = mul(value, inv(row[lead]))",
+    ("back_substitution_without_inverse", "linalg",
+     "solution[lead] = mul(value, power(row[lead], -1))",
      "solution[lead] = value", ["test_linalg.py::test_kernel_against_brute_force",
                                 "test_linalg.py::test_solve_matches_exhaustive_search",
                                 "test_linalg.py::test_sparse_rank_and_solve_properties",
                                 "test_linalg.py::test_sparse_system_input"]),
+    ("elimination_sign_dropped", "linalg", "f = neg(mul(", "f = (mul(",
+     ["test_linalg.py::test_rank_matches_span_size"]),
+    ("back_substitution_sign_dropped", "linalg", "add(row.get(n, 0), neg(known))",
+     "add(row.get(n, 0), known)", ["test_linalg.py::test_solve_matches_exhaustive_search"]),
     ("echelon_guard_dropped", "linalg", "if lead in row:", "if False:",
      ["test_linalg.py::test_elimination_stops_when_the_leading_column_stays"]),
     ("rhs_rows_unchecked", "linalg",
@@ -294,12 +305,12 @@ ROWS = [
      "piece = piece._twist(k)", ["test_poly.py::test_capped_power_is_the_full_power_truncated"]),
     ("digit_product_cap_dropped", "poly", "[(result, piece)], below)", "[(result, piece)])",
      ["test_poly.py::test_capped_power_is_the_full_power_truncated"]),
-    ("twist_without_frobenius", "poly", "frob(c, j) if j else c", "c",
+    ("twist_without_frobenius", "poly", "power(c, pj) if j else c", "c",
      ["test_poly.py::test_pe_th_root_inverts_powers"]),
-    ("decompose_without_root", "poly", "frob(c, k) if k else c", "c",
+    ("decompose_without_root", "poly", "power(c, pk) if k else c", "c",
      ["test_cartier.py::test_trace_roots_only_paired_coefficients"]),
-    ("decompose_roots_through_scalars", "poly", "frob(c, k) if k else c",
-     "Scalar(field, frob(c, k)).v if k else c",
+    ("decompose_roots_through_scalars", "poly", "power(c, pk) if k else c",
+     "Scalar(field, power(c, pk)).v if k else c",
      ["test_poly.py::test_inner_loops_build_no_scalar"]),
     ("division_guard_dropped", "poly", "if last is not None and _print_key(rm)",
      "if False and _print_key(rm)",

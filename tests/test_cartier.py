@@ -107,15 +107,17 @@ def test_trace_roots_only_paired_coefficients(monkeypatch):
     decomposes it once, whole; each of its e steps decomposes the
     numerator at exponent 1, only at the residues that pair with a bucket
     of g^{p-1}.  Over F_9 each exponent-1 root is one call of the field's
-    code Frobenius, so the buckets built are counted as well as the roots."""
+    code power at the Frobenius exponent p, which nothing else raises a
+    code to here, so the buckets built are counted as well as the roots."""
     rng = random.Random(47)
     p = F9.p
     rooted, powers, calls = [], [], []
-    frobenius, decompose, power = F9._frob, Poly.frobenius_decompose, Poly.__pow__
+    code_power, decompose, power = F9._pow, Poly.frobenius_decompose, Poly.__pow__
 
-    def counting_frobenius(code, e):
-        rooted.append(code)
-        return frobenius(code, e)
+    def counting_code_power(code, n):
+        if n == p:  # p^k with 0 < k < s = 2
+            rooted.append(code)
+        return code_power(code, n)
 
     def counting_decompose(self, e, keep=None):
         buckets = decompose(self, e, keep)
@@ -139,7 +141,7 @@ def test_trace_roots_only_paired_coefficients(monkeypatch):
             powers.clear()
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(F9, "_frob", counting_frobenius)
+                patch.setattr(F9, "_pow", counting_code_power)
                 patch.setattr(Poly, "frobenius_decompose", counting_decompose)
                 patch.setattr(Poly, "__pow__", counting_power)
                 traced = trace_rational_top(TopForm(F9, 2, RationalFn(h, g)), e)

@@ -5,7 +5,10 @@ import contextlib
 import datetime
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -41,12 +44,16 @@ def test_demo_column_check_fails_on_a_nonzero_iterated_trace(monkeypatch):
 
 
 def test_check_suites_catch_a_dropped_coefficient_root(monkeypatch):
-    # frobenius_decompose takes every coefficient root through the field's
-    # code Frobenius (as the twists of a p^k-th power do); the p^e-th root
-    # is the identity on F_p, so only the suites' extension fields can tell
-    # a trace that skips it from the true one
+    # frobenius_decompose takes every coefficient root as the code power
+    # c^{p^k} with 0 < k < s (as the twists of a p^k-th power do); the
+    # p^e-th root is the identity on F_p, so only the suites' extension
+    # fields can tell a trace that skips it from the true one
+    def skipping_roots(field):
+        roots, power = {field.p ** k for k in range(1, field.s)}, field._pow
+        return lambda code, n: code if n in roots else power(code, n)
+
     for field in checks.FIELDS:
-        monkeypatch.setattr(field, "_frob", lambda code, e: code)
+        monkeypatch.setattr(field, "_pow", skipping_roots(field))
     reports = run_suite("all", 50, 42)
     assert not all(r.ok for r in reports)
 
@@ -137,6 +144,34 @@ def test_exhausted_resources_end_in_one_error_line(capsys, monkeypatch, handler,
     assert out == ""
     assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_a_closed_stdout_ends_without_a_traceback(output):
+    # stdout buffered, as under a shell.  The trace-matrix table is 586 KB
+    # and its JSON 7.9 MB, far past a pipe's buffer, so the CLI is still
+    # writing when its reader stops after 100 bytes.  A short output sits in
+    # stdout's buffer until the CLI flushes it, so a reader gone before then
+    # is found only by that flush, and the buffer must not be flushed again
+    # at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frobtrace.__file__))
+    argv = [sys.executable, "-m", "frobtrace.cli", "--char", "3", "--vars", "x,y,z",
+            "--output", output]
+    with subprocess.Popen([*argv, "trace-matrix", "--D", "H:20"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err.decode()) == (1, "")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        short = subprocess.run([*argv, "sections", "H:4"], stdout=write,
+                               stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (short.returncode, short.stderr.decode()) == (1, "")
 
 
 def _leaves_its_target(*args):

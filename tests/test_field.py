@@ -31,7 +31,7 @@ def test_division():
         F7.zero ** -1
     for field in (F9, F25):
         for code in range(1, field.q):
-            assert field._mul(code, field._inv(code)) == 1
+            assert field._mul(code, field._pow(code, -1)) == 1
 
 
 def test_mixed_field_arithmetic_rejected():
@@ -265,7 +265,7 @@ def test_table_arithmetic_matches_polynomial_arithmetic(field):
         for b in elements:
             y = field.scalar(b)
             assert (x + y).coeffs == slow.add(a, b)
-            assert vector(field._sub(x.v, y.v)) == slow.add(a, slow.neg(b))
+            assert vector(field._add(x.v, field._neg(y.v))) == slow.add(a, slow.neg(b))
             assert (x * y).coeffs == products[a, b]
             if b in inverse:
                 assert (x / y).coeffs == products[a, inverse[b]]
@@ -339,7 +339,7 @@ def test_largest_field_builds_and_computes():
         assert (x * y).coeffs == slow.mul(a, b)
         assert (x + y).coeffs == slow.add(a, b)
         if x:
-            assert field._mul(x.v, field._inv(x.v)) == 1
+            assert field._mul(x.v, field._pow(x.v, -1)) == 1
         assert x.inverse_frobenius(5).frobenius(5) == x
 
 
@@ -353,7 +353,7 @@ def test_largest_prime_field_matches_native_arithmetic():
     for a, b in [(0, 0), (0, 1), (1, 0), (p - 1, p - 1)] + pairs:
         x, y = field.scalar(a), field.scalar(b)
         assert (x + y).v == (a + b) % p
-        assert field._sub(a, b) == (a - b) % p
+        assert field._add(a, field._neg(b)) == (a - b) % p
         assert field._neg(a) == -a % p
         assert (x * y).v == a * b % p
         if b:

@@ -17,7 +17,9 @@ The table runs two ways.  Under pytest (tier-1) each case runs ``cli.main``
 in-process.  Run as a script, ``python tests/test_golden.py`` (as CI does),
 each case runs through the installed ``frobtrace`` console script under a
 LIMIT-second timeout, and the script exits 1 naming every case whose exit
-code, stdout digest or stderr differs, or that timed out.
+code, stdout digest or stderr differs, or that timed out.  It also names,
+with its time, each case that took longer than SLOW seconds, so a log
+shows which cases are getting close to the limit.
 """
 
 import ast
@@ -25,8 +27,10 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -39,6 +43,7 @@ F9 = ["--char", "3", "--modulus", "t^2+1"]
 F25 = ["--char", "5", "--modulus", "t^2+2"]
 F4 = ["--char", "2", "--modulus", "t^2+t+1"]
 JSON = ["--output", "json"]
+P4_FERMAT = "x^5+y^5+z^5+w^5+v^5"
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 NAME_RULE = "must be a letter or '_' followed by letters, digits or '_'\n"
@@ -267,6 +272,28 @@ CASES = {
     "fedder_p7_split": (
         ["--char", "7", "--vars", "x,y,z,w", "fedder", "x^4+y^4+z^4+w^4+x*y*z*w"],
         0, "c186c7bad10c2a57c0580bf5058296d4bc0537fa18511d1cd8bee86ab62a9d17", ""),
+    # quintic threefolds in P^4 with D = 2H: each map has the rank of the
+    # one-step oracle test_projective.direct_trace_matrix.  The Dwork quintic
+    # over F_3 has rank 15 of 15 at e = 1 and e = 2 (15 x 7315); the Fermat
+    # quintic has rank 5 at e = 1 and 0 at e = 2 over F_2, and 10 over F_3
+    **{f"p4_{name}_f{p}_e{e}{suffix}": (
+        ["--char", str(p), "--vars", "x,y,z,w,v", *output, "trace-matrix",
+         "--E", f"{quintic}:1", "--D", "H:2", "--e", str(e)], 0, digest, "")
+       for name, quintic, p, e, output, suffix, digest in (
+           ("dwork", f"{P4_FERMAT}+x*y*z*w*v", 3, 2, [], "",
+            "6230062f2419f771236e5ddbfbda386425537ed66d52e0388bbd4bc45180b74c"),
+           ("dwork", f"{P4_FERMAT}+x*y*z*w*v", 3, 1, JSON, "_json",
+            "826e651d122ac9c1bc2bb548264fad6e1f68a096e00a86bf612a191dff314f28"),
+           ("fermat", P4_FERMAT, 2, 1, [], "",
+            "4cdb5ac803f8f06485170045121851321d8c46cef87ada4a849a64aa8fcdc0ea"),
+           ("fermat", P4_FERMAT, 2, 2, [], "",
+            "bc2320e92f58740094d75ee113af20c8622b9187b859e251ec725119774bd037"),
+           ("fermat", P4_FERMAT, 3, 1, JSON, "_json",
+            "90e5f5881273b054f7dfe148f643b885067bf9eac154094200679a604461a082"))},
+    # dim 15: the quadrics in the four chart variables, den x^5+y^5+z^5+w^5+1
+    "p4_sections_f3": (
+        ["--char", "3", "--vars", "x,y,z,w,v", "sections", f"{P4_FERMAT}:1,H:2"],
+        0, "edb5c7f71cbc7be7fd30e113a72a4f9d17cc928ee4e15ece208b3d5c0afb823f", ""),
     "fedder_p41_json": (
         ["--char", "41", "--vars", "x,y,z,w", *JSON, "fedder", "x^3+y^3+z^3+w^3+x*y*z"],
         0, "afb063182ef7b3d8ed0c99d2aa9a689614ad6f12ea082431f1516da5c39b2b62", ""),
@@ -475,6 +502,7 @@ CASES = {
 
 
 LIMIT = 20  # seconds a case may take when run through a command
+SLOW = LIMIT / 4  # seconds past which the runner names a case with its time
 
 
 def _recorded(code, out: bytes, err: bytes):
@@ -486,16 +514,21 @@ def _recorded(code, out: bytes, err: bytes):
 def run(command=("frobtrace",), cases=CASES):
     """Run each case through ``command``, each under LIMIT seconds.  Print
     and return the names of those that timed out or whose exit code, stdout
-    digest or stderr differs from the record."""
+    digest or stderr differs from the record, and print the name and time
+    of each case that took longer than SLOW seconds."""
     failed = []
     for name in sorted(cases):
         argv, *recorded = cases[name]
+        began = time.perf_counter()
         try:
             proc = subprocess.run([*command, *argv], capture_output=True, timeout=LIMIT)
         except subprocess.TimeoutExpired:
             print(f"FAIL {name}: timed out after {LIMIT} s")
             failed.append(name)
             continue
+        elapsed = time.perf_counter() - began
+        if elapsed > SLOW:
+            print(f"SLOW {name}: {elapsed:.1f} s")
         got = _recorded(proc.returncode, proc.stdout, proc.stderr)
         if got != recorded:
             print(f"FAIL {name}: got {got}, recorded {recorded}")
@@ -528,6 +561,13 @@ def test_runner_passes_and_names_a_changed_digest(monkeypatch, capsys):
     assert printed[0].startswith("FAIL f9_matrix_e2: got [0, '27739113")
     assert printed[1].startswith(
         f"FAIL refuse_parse: got [2, '{EMPTY}', \"error: expected a term, found '*'")
+
+
+def test_runner_names_a_slow_case(monkeypatch, capsys):
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(frobtrace.__file__)))
+    monkeypatch.setitem(globals(), "SLOW", 0)
+    assert run([sys.executable, "-m", "frobtrace.cli"], {"trace_f2": CASES["trace_f2"]}) == []
+    assert re.fullmatch(r"SLOW trace_f2: \d+\.\d s\n", capsys.readouterr().out)
 
 
 # The raises under src/frobtrace that no refusal row reaches, keyed by

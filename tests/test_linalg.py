@@ -274,9 +274,9 @@ def test_rows_mixing_two_fields_are_refused():
 
 
 def test_elimination_stops_when_the_leading_column_stays():
-    # with subtraction broken to keep its first operand, no step cancels
+    # with addition broken to keep its first operand, no step cancels
     # the leading code; elimination must refuse, not loop forever (the
-    # broken _sub gives up after 1000 calls, so a missing guard fails fast)
+    # broken _add gives up after 1000 calls, so a missing guard fails fast)
     broken, calls = FiniteField(3), []
 
     def keep(a, b):
@@ -284,7 +284,7 @@ def test_elimination_stops_when_the_leading_column_stays():
         assert len(calls) < 1000, "elimination did not stop"
         return a
 
-    broken._sub = keep
+    broken._add = keep
     with pytest.raises(RuntimeError, match="leading column 0 in place"):
         code_rank([{0: 1, 1: 1}, {0: 1, 1: 2}], broken)
 

@@ -322,32 +322,43 @@ def test_matrix_composition_law():
     assert twisted_product(outer, inner) == dense(direct)
 
 
+FEDDER_FIELDS = (*FIELDS, FiniteField(7), FiniteField(5, 2, parse_modulus("t^2+2", 5)))
+
+
+def _rank_matches_fedder(field, n, rng) -> int:
+    """E = V(f) for a random form f of degree d <= n + 1 on P^n and
+    D = (n + 1 - d)H give the target omega(E + D) = O, of dimension 1:
+    the exponent-1 matrix has rank 1 exactly when Fedder's criterion splits
+    f, and the rank is the same on every chart, one that f lies in the
+    complement of included.  Checks that and returns the rank."""
+    elements = [x for x in field.elements() if x]
+    d = rng.randint(1, n + 1)
+    monos = [m + (d - sum(m),) for m in monomials_upto(n, d)]
+    support = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+    f = Poly(field, n + 1, {m: rng.choice(elements) for m in support})
+    E, D = DivisorSpec(field, n, [(f, 1)]), DivisorSpec(field, n, k=n + 1 - d)
+    ranks = set()
+    for chart in range(n + 1):
+        t = trace_matrix(E, D, 1, chart)
+        assert t.tgt.dim == 1
+        ranks.add(t.verdict.rank)
+    expected = int(fedder_hypersurface(f).split)
+    assert ranks == {expected}, (field, f.to_string())
+    return expected
+
+
 def test_rank_one_exactly_when_fedder_splits_on_every_chart():
-    """E = V(f) of degree d <= n + 1 and D = (n + 1 - d)H give the target
-    omega(E + D) = O, of dimension 1: the exponent-1 matrix has rank 1
-    exactly when Fedder's criterion splits f, and the rank is the same on
-    every chart, one that f lies in the complement of included."""
     rng = random.Random(19)
-    cases = split = 0
-    for field in (*FIELDS, FiniteField(7), FiniteField(5, 2, parse_modulus("t^2+2", 5))):
-        elements = [x for x in field.elements() if x]
-        for n in (1, 2, 3):
-            for _ in range(10):
-                d = rng.randint(1, n + 1)
-                monos = [m + (d - sum(m),) for m in monomials_upto(n, d)]
-                support = rng.sample(monos, rng.randint(1, min(4, len(monos))))
-                f = Poly(field, n + 1, {m: rng.choice(elements) for m in support})
-                E, D = DivisorSpec(field, n, [(f, 1)]), DivisorSpec(field, n, k=n + 1 - d)
-                ranks = set()
-                for chart in range(n + 1):
-                    t = trace_matrix(E, D, 1, chart)
-                    assert t.tgt.dim == 1
-                    ranks.add(t.verdict.rank)
-                expected = int(fedder_hypersurface(f).split)
-                assert ranks == {expected}, (field, f.to_string())
-                cases += 1
-                split += expected
-    assert (cases, split) == (240, 175)
+    ranks = [_rank_matches_fedder(field, n, rng)
+             for field in FEDDER_FIELDS for n in (1, 2, 3) for _ in range(10)]
+    assert (len(ranks), sum(ranks)) == (240, 175)
+
+
+def test_rank_one_exactly_when_fedder_splits_on_p4():
+    """The same law for hypersurfaces of P^4, threefolds, over each field."""
+    rng = random.Random(23)
+    ranks = [_rank_matches_fedder(field, 4, rng) for field in FEDDER_FIELDS for _ in range(10)]
+    assert (len(ranks), sum(ranks)) == (80, 47)
 
 
 def test_fermat_calabi_yau_splits_exactly_when_p_is_one_mod_its_degree():
