@@ -10,12 +10,13 @@ with the field's four code operations (add, neg, mul and pow, which
 gives an inverse as the power -1), and builds no Scalar.
 :func:`code_rank` and :func:`solve_codes` are its code-row entry points.
 
-Scalar rows, dense (sequences of Scalars) or sparse
-``{column: nonzero Scalar}``, are read into code rows by
-:func:`code_rows`.  That boundary is where mixed fields are refused:
-codes carry no field, so an entry of another field raises ValueError
-there, as do dense rows of unequal length.  :func:`solve` takes a dense
-Scalar system and gives its solution back as a dense list of Scalars.
+Scalar rows are dense, sequences of Scalars, and :func:`code_rows` reads
+them into code rows; a sparse row is a code row, and a dict given as a
+Scalar row raises ValueError.  That boundary is where mixed fields are
+refused: codes carry no field, so an entry of another field raises
+ValueError there, as do rows of unequal length.  :func:`solve` takes a
+dense Scalar system and gives its solution back as a dense list of
+Scalars.
 """
 
 from __future__ import annotations
@@ -24,23 +25,21 @@ from .field import Scalar
 
 
 def code_rows(rows, field) -> list:
-    """Fresh ``{column: nonzero code}`` copies of dense or sparse Scalar rows.
+    """Fresh ``{column: nonzero code}`` copies of dense Scalar rows.
 
-    Raises ValueError for an entry from a field other than ``field`` and
-    for dense rows of unequal length."""
+    Raises ValueError for a dict row, for an entry from a field other
+    than ``field`` and for rows of unequal length."""
     out = []
     width = None
     for row in rows:
         if isinstance(row, dict):
-            cells = row.items()
-        else:
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"dense rows of unequal length ({width} and {len(row)})")
-            cells = enumerate(row)
+            raise ValueError("a Scalar row is a dense sequence; a sparse row is a code row")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(f"dense rows of unequal length ({width} and {len(row)})")
         codes = {}
-        for c, x in cells:
+        for c, x in enumerate(row):
             if x:
                 if x.field is not field and x.field != field:
                     raise ValueError(f"matrix entry from {x.field} in a matrix over {field}")
@@ -133,12 +132,9 @@ def solve(rows, rhs, field):
     A is dense rows of Scalars and b a dense sequence with one value per
     row.  A system with no rows carries no width, so
     ``solve([], [], field)`` can only return ``[]``.  Values of any other
-    field, ragged rows, a rhs of another length than the rows, and sparse
-    rows or a sparse rhs raise ValueError.
+    field, ragged rows, a rhs of another length than the rows, and a dict
+    as a row or as the rhs raise ValueError (:func:`code_rows`).
     """
-    if isinstance(rhs, dict) or any(isinstance(row, dict) for row in rows):
-        raise ValueError("solve needs dense rows and a dense right-hand side; "
-                         "the rows give the solution its width")
     codes = code_rows(rows, field)
     if len(rhs) != len(codes):
         raise ValueError(f"right-hand side of length {len(rhs)} for a "

@@ -17,7 +17,7 @@ because on P^n most cells are zero; column b is read as ``row.get(b)``
 over the rows.  The codes go from the trace to the rank
 (:func:`frobtrace.linalg.code_rank`) and to the printed and JSON cells
 (the field's cell table) with no Scalar per entry; they are the only
-matrix a map has.
+matrix a map has, and ``SemilinearMap(...)`` reads dense Scalar rows.
 Tr^e from omega(E + p^e D) to omega(E + D) is e exponent-1 levels in a
 row, so its matrix is a twisted product of level matrices, taken from
 the target end (:func:`trace_matrix`): it starts from the identity on
@@ -66,7 +66,8 @@ class DivisorSpec:
     """Formal combination sum(a_j V(f_j)) + k*H on P^n, n >= 1.
 
     Hypersurface multiplicities are non-negative; the hyperplane
-    multiplicity k may be any integer.
+    multiplicity k may be any integer.  Both are of type int: a bool
+    would print as true.
     """
 
     __slots__ = ("field", "n", "hypersurfaces", "k")
@@ -81,7 +82,7 @@ class DivisorSpec:
         self.n = n
         clean = []
         for f, mult in hypersurfaces:
-            if not isinstance(mult, int) or mult < 0:
+            if type(mult) is not int or mult < 0:
                 raise ValueError(f"hypersurface multiplicity {mult!r} must be a "
                                  "non-negative integer")
             if f.field != field:
@@ -98,7 +99,7 @@ class DivisorSpec:
         self.hypersurfaces = tuple(clean)
         # after the hypersurfaces: a non-int m in combined makes k non-int
         # too, and the hypersurface multiplicity is the one to name
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise ValueError(f"hyperplane multiplicity {k!r} must be an integer")
         self.k = k
 
@@ -218,6 +219,8 @@ def _chart(n: int, chart) -> int:
     """The chart index on P^n, the last variable when ``chart`` is None."""
     if chart is None:
         return n
+    if type(chart) is not int:
+        raise ValueError(f"chart index {chart!r} must be an integer")
     if not 0 <= chart <= n:
         raise ValueError(f"chart index {chart} out of range for P^{n}")
     return chart
@@ -244,9 +247,9 @@ class SemilinearMap:
     element b; on a coordinate vector the map is matrix . phi^{-e}(vector).
     ``codes`` is the matrix: one sparse ``{column: nonzero code}`` dict per
     target basis element, over the int codes of the field.  The
-    constructor takes dense or sparse Scalar rows, keeps their nonzeros as
-    codes, and refuses with ValueError an entry from another field and a
-    matrix whose shape is not ``tgt.dim`` x ``src.dim``.
+    constructor takes dense Scalar rows (a sparse row is a code row), keeps
+    their nonzeros as codes, and refuses with ValueError a dict row, an
+    entry from another field and a shape other than ``tgt.dim`` x ``src.dim``.
     A map is a value: its matrix is not mutated after construction, so the
     :class:`MapVerdict` in ``verdict``, ranked once here, stays true of it.
     """
@@ -254,11 +257,8 @@ class SemilinearMap:
     __slots__ = ("src", "tgt", "e", "codes", "verdict")
 
     def __init__(self, src, tgt, e, rows):
-        rows, columns = list(rows), range(src.dim)
-        if len(rows) != tgt.dim or not all(
-                all(isinstance(c, int) and c in columns for c in row) if isinstance(row, dict)
-                else len(row) == src.dim
-                for row in rows):
+        rows = list(rows)
+        if len(rows) != tgt.dim or any(len(row) != src.dim for row in rows):
             raise ValueError(f"matrix is not {tgt.dim} x {src.dim}, the shape of the map")
         self._set(src, tgt, e, linalg.code_rows(rows, src.field))
 

@@ -1,0 +1,65 @@
+"""Slow, independent paths that more than one test module checks the
+library against.  No test module imports another; each imports what it
+shares from here.  pytest does not collect this file."""
+
+from frobtrace import ContainmentError, Poly, SemilinearMap, pe_twist, projective, section_space
+
+
+def trace_by_definition(h, g, e):
+    """Numerator of Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g by the definition,
+    without the library's bucket rule: keep the terms of h * g^{q-1} whose
+    exponents are all q-1 mod q, lower each exponent to (m - (q-1))/q and
+    take the q-th root of each coefficient by search over the field."""
+    field = h.field
+    q = field.p ** e
+    terms = {}
+    for m, c in (h * g ** (q - 1)).terms.items():
+        if all(x % q == q - 1 for x in m):
+            root = next(a for a in field.elements() if a ** q == c)
+            terms[tuple((x - (q - 1)) // q for x in m)] = root
+    return Poly(field, h.nvars, terms)
+
+
+def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
+    """Tr^e(x^mono * P) as {monomial: coefficient}, with q = p^e and
+    ``buckets`` = ``P.frobenius_decompose(e)``, read for one monomial:
+    P = sum_r g_r^q x^r, and only r = (q-1-mono) mod q contributes, as
+    x^s g_r with s = (mono + r - (q-1)) / q."""
+    r = tuple((q - 1 - x) % q for x in mono)
+    g = buckets.get(r)
+    if g is None:
+        return {}
+    s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
+    return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
+
+
+def square_and_multiply(f, n):
+    """f^n by repeated squaring: an oracle for Poly.__pow__, which forms
+    its digit powers by repeated multiplication instead."""
+    result = Poly.one(f.field, f.nvars)
+    while n:
+        if n & 1:
+            result = result * f
+        n >>= 1
+        if n:
+            f = f * f
+    return result
+
+
+def direct_trace_matrix(e_part, divisor, e, chart=None):
+    """The exponent-e rule in one step, as an oracle for the level product:
+    E^{q-1} decomposed once by Poly.frobenius_decompose(e), and each source
+    basis monomial read through trace_from_buckets on its own, into
+    ``{column: code}`` rows."""
+    src = section_space(pe_twist(divisor, e_part, e), chart)
+    tgt = section_space(e_part.combined(divisor, 1), chart)
+    q = src.field.p ** e
+    power = projective._chart_product(e_part, src.chart) ** (q - 1)
+    buckets = power.frobenius_decompose(e)
+    rows = {m: {} for m in tgt.basis}
+    for b, mono in enumerate(src.basis):
+        for m, c in trace_from_buckets(buckets, mono, q).items():
+            if m not in rows:
+                raise ContainmentError(f"column {b} exceeds the target degree bound")
+            rows[m][b] = c.v
+    return SemilinearMap._wrap(src, tgt, e, list(rows.values()))

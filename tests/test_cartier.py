@@ -22,6 +22,7 @@ from frobtrace import (
     trace_poly_top,
     trace_rational_top,
 )
+from oracles import trace_by_definition
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -30,34 +31,6 @@ F4 = FiniteField(2, 2, [1, 1, 1])
 F8 = FiniteField(2, 3, [1, 1, 0, 1])
 F9 = FiniteField(3, 2, [1, 0, 1])
 XYZ = ["x", "y", "z"]
-
-
-def trace_by_definition(h, g, e):
-    """Numerator of Tr^e(h/g dx) = Tr^e(h g^{q-1} dx) / g by the definition,
-    without the library's bucket rule: keep the terms of h * g^{q-1} whose
-    exponents are all q-1 mod q, lower each exponent to (m - (q-1))/q and
-    take the q-th root of each coefficient by search over the field."""
-    field = h.field
-    q = field.p ** e
-    terms = {}
-    for m, c in (h * g ** (q - 1)).terms.items():
-        if all(x % q == q - 1 for x in m):
-            root = next(a for a in field.elements() if a ** q == c)
-            terms[tuple((x - (q - 1)) // q for x in m)] = root
-    return Poly(field, h.nvars, terms)
-
-
-def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
-    """Tr^e(x^mono * P) as {monomial: coefficient}, with q = p^e and
-    ``buckets`` = ``P.frobenius_decompose(e)``, read for one monomial:
-    P = sum_r g_r^q x^r, and only r = (q-1-mono) mod q contributes, as
-    x^s g_r with s = (mono + r - (q-1)) / q."""
-    r = tuple((q - 1 - x) % q for x in mono)
-    g = buckets.get(r)
-    if g is None:
-        return {}
-    s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
-    return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
 
 
 def _summed(field, nvars, pairs):

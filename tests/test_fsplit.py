@@ -20,7 +20,7 @@ from frobtrace.checks import FIELDS, random_poly
 from frobtrace.field import Scalar
 from frobtrace.fsplit import _witness_coefficient
 from frobtrace.poly import Poly, monomial_rank, monomials_upto
-from test_poly import square_and_multiply
+from oracles import square_and_multiply
 
 XYZW = ["x", "y", "z", "w"]
 

@@ -13,6 +13,12 @@ A census keeps every refusal pinned: each ``raise`` under src/frobtrace
 is reached by a refusal row, or is named in NOT_ROWS with its reason.  A
 new refusal is one more row, or one entry there.
 
+A digest only shows that an output did not change, so each trace and
+trace-matrix row that exits 0 is also run with the direct exponent-e
+rule in place of the production path, and must print the same bytes; a
+row that this oracle cannot afford is named in NO_ORACLE with the law
+that covers it.
+
 The table runs two ways.  Under pytest (tier-1) each case runs ``cli.main``
 in-process.  Run as a script, ``python tests/test_golden.py`` (as CI does),
 each case runs through the installed ``frobtrace`` console script under a
@@ -35,7 +41,11 @@ import time
 import pytest
 
 import frobtrace
+from frobtrace import cli
+from frobtrace.cartier import trace_by_direct_rule
 from frobtrace.cli import build_parser, main
+from frobtrace.field import MAX_ORDER
+from oracles import direct_trace_matrix
 
 FERMAT = ["--char", "2", "--vars", "x,y,z,w"]
 FERMAT_MATRIX = ["trace-matrix", "--E", "x^3+y^3+z^3+w^3:1", "--D", "H:1"]
@@ -189,6 +199,12 @@ CASES = {
         [*F25, "--vars", "x,y,z", *JSON, "trace-matrix", "--E", "x^3+g*y^3+z^3+g*x*y*z:1",
          "--D", "g*x^2+y*z:1,H:1", "--e", "1"],
         0, "b3dd8ef11b46998b3a62bf90de66d40b1a119687d190c3dc854520dbad113917", ""),
+    # over F_4 with coefficients outside F_2 at e = 2: level 2 is read
+    # through phi^{-1}, which moves g to g^2; rank 10 of 91, surjective
+    "f4_cubic_conic_e2_json": (
+        [*F4, "--vars", "x,y,z", *JSON, "trace-matrix", "--E", "x^3+z^3+g*y^3+g*x*y*z:1",
+         "--D", "g*x^2+y*z:1,H:1", "--e", "2"],
+        0, "180cf5e6ff3f71aa1661e99d352f808c09a446ff42c1bfc088147f514e21d8cf", ""),
     "chart_x": (
         [*FERMAT, "--chart", "x", *JSON, *FERMAT_MATRIX, "--e", "2"],
         0, "9faf52312e0b1a6fd696df70978df8eb2e59c5f058579dec553f3609e3b5c622", ""),
@@ -536,14 +552,69 @@ def run(command=("frobtrace",), cases=CASES):
     return failed
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_recorded_digest(name):
-    argv, *recorded = CASES[name]
+def _in_process(argv):
+    """The record of ``cli.main(argv)`` run in-process, and its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert _recorded(code, out.getvalue().encode(), err.getvalue().encode()) == recorded, \
-        out.getvalue()
+    return _recorded(code, out.getvalue().encode(), err.getvalue().encode()), out.getvalue()
+
+
+def _assert_names_a_test(reason):
+    """``reason`` ends in "<file>::<test>", a test function under tests/."""
+    path, _, test = reason.rpartition(": ")[2].partition("::")
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), path)) as f:
+        assert f"def {test}(" in f.read(), reason
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_recorded_digest(name):
+    argv, *recorded = CASES[name]
+    got, out = _in_process(argv)
+    assert got == recorded, out
+
+
+# The trace and trace-matrix rows that exit 0, each checked against an
+# oracle that shares no step loop with the production path: the direct
+# exponent-e rule, which forms a power of exponent p^e - 1.  A row where
+# that power is past the largest field order is named in NO_ORACLE with
+# the law that covers its output, as "<law>: <file>::<test>".
+ORACLE_ROWS = sorted(name for name, (argv, code, *_) in CASES.items() if code == 0
+                     and build_parser().parse_args(argv).command in ("trace", "trace-matrix"))
+NO_ORACLE = {
+    "trace_f3_e60": "1/g dx^dy is fixed by Tr^1, by the definition, so by every Tr^e: "
+                    "test_cartier.py::test_trace_at_a_large_exponent_forms_no_high_power",
+    "trace_f3_e1e9": "the numerators alternate from step 1, by the definition at e <= 3, "
+                     "and a repeat ends the steps: "
+                     "test_cartier.py::test_trace_stops_at_a_repeated_numerator",
+    "fermat_cubic_f7_e1e9_json":
+        "the 1 x 1 matrix is the Hasse invariant to the power e, and with D = 0 a repeated "
+        "level ends the levels as all e levels would: "
+        "test_projective.py::test_stopping_loop_matches_the_full_product_when_d_is_zero",
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_ROWS)
+def test_trace_rows_match_an_independent_path(name, monkeypatch):
+    """A row prints its record as recorded, and again with the production
+    path replaced by its oracle: cartier.trace_by_direct_rule for trace,
+    oracles.direct_trace_matrix for trace-matrix.  A row whose oracle
+    would form a power past the largest field order fails unless
+    NO_ORACLE names it."""
+    assert sorted(set(NO_ORACLE) - set(ORACLE_ROWS)) == [], "NO_ORACLE entries that are no row"
+    argv, *recorded = CASES[name]
+    assert _in_process(argv)[0] == recorded
+    if name in NO_ORACLE:
+        _assert_names_a_test(NO_ORACLE[name])
+        return
+    args = build_parser().parse_args(argv)
+    assert args.e <= 16 and args.char ** args.e <= MAX_ORDER, \
+        f"{name}: the oracle forms a power of exponent {args.char}^{args.e} - 1; " \
+        "name the row in NO_ORACLE with the law that covers it"
+    monkeypatch.setattr(cli, "trace_rational_top", trace_by_direct_rule)
+    monkeypatch.setattr(cli, "trace_matrix", direct_trace_matrix)
+    got, out = _in_process(argv)
+    assert got == recorded, out
 
 
 def test_runner_passes_and_names_a_changed_digest(monkeypatch, capsys):
@@ -607,8 +678,7 @@ NOT_ROWS = {
        "library API only: test_linalg.py::test_solve_refuses_a_rhs_that_does_not_fit"
        for text in ("dense rows of unequal length ({width} and {len(row)})",
                     "right-hand side names row {missing[0]} of a {len(rows)}-row matrix",
-                    "solve needs dense rows and a dense right-hand side; "
-                    "the rows give the solution its width",
+                    "a Scalar row is a dense sequence; a sparse row is a code row",
                     "right-hand side of length {len(rhs)} for a {len(codes)}-row matrix")},
     ("linalg", "elimination left the leading column {lead} in place"): "internal consistency",
     ("linalg", "matrix entry from {x.field} in a matrix over {field}"):
@@ -651,6 +721,8 @@ NOT_ROWS = {
     ("projective", "chart index {chart} out of range for P^{n}"):
         "library API only: test_projective.py::"
         "test_trace_matrix_refuses_bad_input_in_a_fixed_order",
+    ("projective", "chart index {chart} must be an integer"):
+        "library API only: test_projective.py::test_integer_slots_refuse_bool_and_float",
     ("projective", "matrix is not {tgt.dim} x {src.dim}, the shape of the map"):
         "library API only: test_projective.py::test_matrix_of_the_wrong_shape_is_refused",
     ("projective", "trace of basis element {mono} exceeds the target degree bound "
@@ -728,9 +800,7 @@ def test_every_raise_is_a_row_or_named():
     assert stale == [], f"stale entries, reached by a row or gone: {stale}"
     for reason in NOT_ROWS.values():
         if reason != "internal consistency":
-            path, _, test = reason.removeprefix("library API only: ").partition("::")
-            with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), path)) as f:
-                assert f"def {test}(" in f.read(), reason
+            _assert_names_a_test(reason)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Elimination against brute force: rank by the size of a row or column
 span, solvability by membership of the right-hand side in the column
-span.  Every matrix goes in both as dense rows and as sparse
-``{column: nonzero}`` rows: ranks are taken by ``code_rank`` on the rows
-read by ``code_rows``, dense systems are solved by ``solve`` and sparse
-ones by ``solve_codes``."""
+span.  Every matrix goes in both as dense Scalar rows and as sparse
+``{column: nonzero code}`` rows: dense rows are read by ``code_rows`` and
+solved by ``solve``, and code rows go straight to ``code_rank`` and
+``solve_codes``, the calls the library makes."""
 
 import random
 
@@ -21,15 +21,8 @@ SHAPES = [(1, 1), (2, 2), (3, 3), (2, 5), (5, 2), (4, 3), (3, 4), (1, 6), (6, 1)
 
 
 def rank_of(rows, field):
-    """Rank of dense or sparse Scalar rows, read as code rows."""
+    """Rank of dense Scalar rows, read as code rows."""
     return code_rank(code_rows(rows, field), field)
-
-
-def solve_sparse(rows, rhs, field):
-    """solve_codes on sparse Scalar rows and a sparse ``{row: value}`` rhs;
-    the solution is read back as ``{column: nonzero Scalar}``."""
-    x = solve_codes(code_rows(rows, field), code_rows([rhs], field)[0], field)
-    return None if x is None else {c: Scalar(field, v) for c, v in x.items()}
 
 
 def columns_of(rows, ncols):
@@ -55,13 +48,15 @@ def span(vectors, field, length):
 
 
 def sparse_of(rows):
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+    """Dense Scalar rows as code rows."""
+    return [{c: x.v for c, x in enumerate(row) if x} for row in rows]
 
 
 def dense_of(solution, ncols, field):
+    """A ``{column: code}`` solution as a dense list of Scalars."""
     out = [field.zero] * ncols
-    for c, x in solution.items():
-        out[c] = x
+    for c, v in solution.items():
+        out[c] = Scalar(field, v)
     return out
 
 
@@ -87,11 +82,12 @@ def random_matrix(field, nrows, ncols, rng):
 
 
 def random_sparse_system(field, nrows, ncols, rng):
+    """Columns and a rhs as ``{row: nonzero code}`` vectors."""
     nonzero = [x for x in field.elements() if x]
 
     def sparse_vector():
         support = rng.sample(range(nrows), rng.randint(0, nrows))
-        return {r: rng.choice(nonzero) for r in support}
+        return {r: rng.choice(nonzero).v for r in support}
 
     return [sparse_vector() for _ in range(ncols)], sparse_vector()
 
@@ -152,13 +148,13 @@ def test_sparse_system_input(seed):
         columns, sparse_rhs = random_sparse_system(field, nrows, ncols, rng)
         rows = [{c: col[r] for c, col in enumerate(columns) if r in col}
                 for r in range(nrows)]
-        dense = [[col.get(r, field.zero) for col in columns] for r in range(nrows)]
-        rhs = [sparse_rhs.get(r, field.zero) for r in range(nrows)]
+        dense = [[Scalar(field, col.get(r, 0)) for col in columns] for r in range(nrows)]
+        rhs = [Scalar(field, sparse_rhs.get(r, 0)) for r in range(nrows)]
         check_rank(dense, nrows, ncols, field)
         check_solve(dense, rhs, nrows, ncols, field)
-        assert rank_of(rows, field) == rank_of(dense, field)
+        assert code_rank(rows, field) == rank_of(dense, field)
         x = solve(dense, rhs, field)
-        sparse_x = solve_sparse(rows, sparse_rhs, field)
+        sparse_x = solve_codes(rows, sparse_rhs, field)
         assert (sparse_x is None) == (x is None)
         if x is not None:
             assert dense_of(sparse_x, ncols, field) == x
@@ -178,9 +174,9 @@ def test_degenerate_shapes(field):
     assert rank_of(no_columns, field) == 0
     assert solve(no_columns, [field.zero] * 3, field) == []
     assert solve(no_columns, [field.zero, one, field.zero], field) is None
-    assert rank_of([{}, {}], field) == 0
-    assert solve_sparse([{}, {}], {}, field) == {}
-    assert solve_sparse([{}, {}], {1: one}, field) is None
+    assert code_rank([{}, {}], field) == 0
+    assert solve_codes([{}, {}], {}, field) == {}
+    assert solve_codes([{}, {}], {1: one.v}, field) is None
 
 
 def kernel_matrices(field, rng):
@@ -214,13 +210,13 @@ def test_kernel_against_brute_force(seed):
             sparse = sparse_of(rows)
             original, sparse_original = [list(r) for r in rows], [dict(r) for r in sparse]
             expected = log_q(len(span(rows, field, ncols)), field.q)
-            assert rank_of(rows, field) == rank_of(sparse, field) == expected
+            assert rank_of(rows, field) == code_rank(sparse, field) == expected
             columns = columns_of(rows, ncols)
             x0 = [rng.choice(elements) for _ in range(ncols)]
             for rhs in ([dot(row, x0, field) for row in rows],
                         [rng.choice(elements) for _ in range(nrows)]):
                 x = solve(rows, rhs, field)
-                sparse_x = solve_sparse(sparse, {r: b for r, b in enumerate(rhs) if b}, field)
+                sparse_x = solve_codes(sparse, {r: b.v for r, b in enumerate(rhs) if b}, field)
                 if flat(rhs) not in span(columns, field, nrows):
                     assert x is None and sparse_x is None
                     continue
@@ -248,10 +244,13 @@ def test_solve_refuses_a_rhs_that_does_not_fit():
         solve_codes([{0: 1}, {}], {0: 1, 2: 0}, F2)
     with pytest.raises(ValueError, match="unequal length"):
         solve([[one, one], [one]], [one, one], F2)
-    with pytest.raises(ValueError, match="needs dense rows"):
-        solve([{3: one}], [one], F2)
-    with pytest.raises(ValueError, match="dense right-hand side"):
-        solve([[one]], {0: one}, F2)
+    # a dict is no Scalar row, as a row or as the rhs: a sparse row is a code row
+    sparse = "^a Scalar row is a dense sequence; a sparse row is a code row$"
+    for rows, rhs in (([{3: one}], [one]), ([[one]], {0: one}), ([[one], {0: one}], [one, one])):
+        with pytest.raises(ValueError, match=sparse):
+            solve(rows, rhs, F2)
+    with pytest.raises(ValueError, match=sparse):
+        rank_of([{0: one}], F2)
     with pytest.raises(ValueError, match="unequal length"):
         rank_of([[one], [one, one]], F2)
     assert solve_codes([{0: 1}, {}], {0: 1, 1: 0}, F2) == {0: 1}
@@ -262,7 +261,7 @@ def test_rows_mixing_two_fields_are_refused():
     with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
         rank_of([[F2.one], [F3.one]], F2)
     with pytest.raises(ValueError):
-        rank_of([{0: F4.one}, {1: F9.one}], F4)
+        rank_of([[F4.one, F4.zero], [F4.zero, F9.one]], F4)
     with pytest.raises(ValueError):
         solve([[F2.one], [F3.one]], [F2.one, F2.one], F2)
     with pytest.raises(ValueError):
@@ -290,7 +289,7 @@ def test_elimination_stops_when_the_leading_column_stays():
 
 
 def random_sparse_rows(field, nrows, ncols, rng):
-    """Sparse rows of random density; now and then a row is a combination
+    """Code rows of random density; now and then a row is a combination
     of two earlier ones, so ranks below min(nrows, ncols) are common."""
     nonzero = [x for x in field.elements() if x]
     density = rng.choice([0.02, 0.1, 0.5])
@@ -299,18 +298,20 @@ def random_sparse_rows(field, nrows, ncols, rng):
         if len(rows) >= 2 and rng.random() < 0.3:
             a, b = rng.sample(rows, 2)
             s, t = rng.choice(nonzero), rng.choice(nonzero)
-            row = {c: s * a.get(c, field.zero) + t * b.get(c, field.zero)
+            row = {c: s * Scalar(field, a.get(c, 0)) + t * Scalar(field, b.get(c, 0))
                    for c in set(a) | set(b)}
-            rows.append({c: x for c, x in row.items() if x})
+            rows.append({c: x.v for c, x in row.items() if x})
         else:
-            rows.append({c: rng.choice(nonzero) for c in range(ncols)
+            rows.append({c: rng.choice(nonzero).v for c in range(ncols)
                          if rng.random() < density})
     return rows
 
 
 def times(rows, x, field):
-    return {i: v for i, row in enumerate(rows)
-            if (v := sum((a * x[c] for c, a in row.items() if c in x), field.zero))}
+    """A x for code rows A and a ``{column: code}`` vector x, as codes."""
+    return {i: v.v for i, row in enumerate(rows)
+            if (v := sum((Scalar(field, a) * Scalar(field, x[c])
+                          for c, a in row.items() if c in x), field.zero))}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -325,10 +326,11 @@ def test_sparse_rank_and_solve_properties(seed):
             rows = random_sparse_rows(field, nrows, ncols, rng)
             transposed = [{i: row[c] for i, row in enumerate(rows) if c in row}
                           for c in range(ncols)]
-            r = rank_of(rows, field)
-            assert r == rank_of(transposed, field) == rank_of(iter(rows), field) <= min(nrows, ncols)
-            x0 = {c: v for c in range(ncols) if (v := rng.choice(elements))}
+            r = code_rank(rows, field)
+            assert r == code_rank(transposed, field) == code_rank(iter(rows), field) \
+                <= min(nrows, ncols)
+            x0 = {c: v.v for c in range(ncols) if (v := rng.choice(elements))}
             b = times(rows, x0, field)
-            x = solve_sparse(rows, b, field)
+            x = solve_codes(rows, b, field)
             assert x is not None and all(x.values())
             assert times(rows, x, field) == b

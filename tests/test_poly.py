@@ -25,6 +25,7 @@ from frobtrace import poly
 from frobtrace.checks import FIELDS, random_poly
 from frobtrace.poly import (monomial_count, monomial_rank, monomial_string,
                            monomial_strings_upto)
+from oracles import square_and_multiply
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -131,19 +132,6 @@ def test_terms_is_a_fresh_scalar_view_of_the_codes():
     del terms[(0, 0, 0, 0)]
     assert f.codes == codes
     assert Poly(f.field, f.nvars, f.terms) == f
-
-
-def square_and_multiply(f, n):
-    """f^n by repeated squaring: an oracle for Poly.__pow__, which forms
-    its digit powers by repeated multiplication instead."""
-    result = Poly.one(f.field, f.nvars)
-    while n:
-        if n & 1:
-            result = result * f
-        n >>= 1
-        if n:
-            f = f * f
-    return result
 
 
 def test_power_matches_repeated_multiplication(monkeypatch):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -29,11 +30,12 @@ from frobtrace.checks import FIELDS
 from frobtrace.cli import main
 from frobtrace.fsplit import fedder_hypersurface
 from frobtrace.poly import monomials_upto
-from test_cartier import trace_by_definition, trace_from_buckets
+from oracles import direct_trace_matrix, trace_by_definition
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 XYZW = ["x", "y", "z", "w"]
+XYZWV = ["x", "y", "z", "w", "v"]
 XYZ = ["x", "y", "z"]
 
 
@@ -41,12 +43,6 @@ def dense(t):
     """The dense matrix of a trace map, rows of Scalars, read from its code rows."""
     field = t.field
     return [[Scalar(field, row.get(b, 0)) for b in range(t.src.dim)] for row in t.codes]
-
-
-def sparse(t):
-    """The sparse matrix of a trace map, ``{column: nonzero Scalar}`` rows."""
-    field = t.field
-    return [{c: Scalar(field, v) for c, v in row.items()} for row in t.codes]
 
 
 def column(t, b):
@@ -171,7 +167,7 @@ def test_zero_target_gives_empty_vacuously_surjective_matrix():
     assert verdict.surjective and verdict.zero and verdict.rank == 0
 
 
-def test_sparse_and_dense_rows_give_the_same_map():
+def test_dense_rows_rebuild_the_same_map():
     F4 = FiniteField(2, 2, parse_modulus("t^2+t+1", 2))
     x_cubed = DivisorSpec(F2, 1, [(parse_poly("x^3", F2, ["x", "y"]), 1)])
     maps = [
@@ -183,12 +179,11 @@ def test_sparse_and_dense_rows_give_the_same_map():
     shapes = [(t.tgt.dim, t.src.dim) for t, _ in maps]
     assert shapes[2:] == [(0, 3), (1, 0)]  # empty target, empty source
     for t, names in maps:
-        from_sparse = SemilinearMap(t.src, t.tgt, t.e, sparse(t))
         from_dense = SemilinearMap(t.src, t.tgt, t.e, dense(t))
-        assert from_sparse.verdict == from_dense.verdict == t.verdict
-        assert from_sparse.codes == from_dense.codes == t.codes
+        assert from_dense.verdict == t.verdict
+        assert from_dense.codes == t.codes
         # a bool, not the two texts: pytest's diff of long one-line texts takes minutes
-        same = json.dumps(from_sparse.to_json(names)) == json.dumps(from_dense.to_json(names))
+        same = json.dumps(from_dense.to_json(names)) == json.dumps(t.to_json(names))
         assert same, (t.tgt.dim, t.src.dim)
 
 
@@ -236,10 +231,6 @@ def test_mixed_field_rows_are_refused():
     mixed[0][1] = F3.one
     with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
         SemilinearMap(t.src, t.tgt, t.e, mixed)
-    mixed = sparse(t)
-    mixed[0][1] = F3.one
-    with pytest.raises(ValueError, match="from F_3 in a matrix over F_2"):
-        SemilinearMap(t.src, t.tgt, t.e, mixed)
     with pytest.raises(ValueError):
         SemilinearMap(t.src, t.tgt, t.e, [[F3.one] * t.src.dim] * t.tgt.dim)
 
@@ -247,9 +238,13 @@ def test_mixed_field_rows_are_refused():
 def test_matrix_of_the_wrong_shape_is_refused():
     space = section_space(DivisorSpec(F2, 2, k=3))  # dimension 1
     one = F2.one
-    for rows in ([[one] * 3, [one] * 3], [], [{5: one}], [{-1: one}], [{1: F2.zero}],
-                 [{"0": one}], [{0.0: one}], [[one, one]], [[]]):
+    for rows in ([[one] * 3, [one] * 3], [], [[one, one]], [[]]):
         with pytest.raises(ValueError, match=r"matrix is not 1 x 1, the shape of the map"):
+            SemilinearMap(space, space, 1, rows)
+    # a sparse row is a code row, which only _wrap takes
+    for rows in ([{0: one}], [{5: one}], [{0.0: one}]):
+        with pytest.raises(ValueError, match="^a Scalar row is a dense sequence; "
+                                             "a sparse row is a code row$"):
             SemilinearMap(space, space, 1, rows)
     t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=3), 1)
     assert (t.tgt.dim, t.src.dim) == (1, 10)
@@ -257,7 +252,7 @@ def test_matrix_of_the_wrong_shape_is_refused():
     for rows in (transposed, transposed[:1]):
         with pytest.raises(ValueError, match="matrix is not 1 x 10"):
             SemilinearMap(t.src, t.tgt, t.e, rows)
-    rebuilt = SemilinearMap(t.src, t.tgt, t.e, (row for row in sparse(t)))
+    rebuilt = SemilinearMap(t.src, t.tgt, t.e, (row for row in dense(t)))
     assert rebuilt.codes == t.codes and rebuilt.verdict == t.verdict
 
 
@@ -562,24 +557,6 @@ def test_trace_matrix_matches_direct_trace_on_special_divisors():
     assert map_verdict(no_e).surjective
 
 
-def direct_trace_matrix(e_part, divisor, e, chart=None):
-    """The exponent-e rule in one step, as an oracle for the level product:
-    E^{q-1} decomposed once by Poly.frobenius_decompose(e), and each source
-    basis monomial read through trace_from_buckets on its own."""
-    src = section_space(pe_twist(divisor, e_part, e), chart)
-    tgt = section_space(e_part.combined(divisor, 1), chart)
-    q = src.field.p ** e
-    power = projective._chart_product(e_part, src.chart) ** (q - 1)
-    buckets = power.frobenius_decompose(e)
-    rows = {m: {} for m in tgt.basis}
-    for b, mono in enumerate(src.basis):
-        for m, c in trace_from_buckets(buckets, mono, q).items():
-            if m not in rows:
-                raise ContainmentError(f"column {b} exceeds the target degree bound")
-            rows[m][b] = c
-    return SemilinearMap(src, tgt, e, list(rows.values()))
-
-
 def test_bucket_loop_matches_column_loop():
     fields = [F2, F3, FiniteField(2, 2, parse_modulus("t^2+t+1", 2)),
               FiniteField(3, 2, parse_modulus("t^2+1", 3))]
@@ -610,20 +587,24 @@ def _random_form(field, nvars, degree, rng):
 
 
 def _random_trace_case(rng):
-    """(E, D, e, chart) with n <= 3 and e <= 3; D may carry a hypersurface
-    and a negative k.  e is lowered until the oracle's source bound and
-    the degree of E^{q-1} stay small."""
-    field = rng.choice(ORACLE_FIELDS)
-    n = rng.randint(1, 3)
-    forms = [(_random_form(field, n + 1, rng.randint(1, 3), rng), rng.randint(1, 2))
-             for _ in range(2)]
-    E = DivisorSpec(field, n, forms[:rng.randint(0, 1)], rng.randint(0, 1))
-    D = DivisorSpec(field, n, forms[1:rng.randint(1, 2)], rng.randint(-3, 3))
-    e = rng.randint(1, 3)
-    while e > 1 and (section_bound(pe_twist(D, E, e)) > 24
-                     or E.degree_sum() * (field.p ** e - 1) > 40):
-        e -= 1
-    return E, D, e, rng.randint(0, n)
+    """(E, D, e, chart) with n <= 4; D may carry a hypersurface and a
+    negative k.  e <= 3 is lowered until the oracle's source bound (at
+    most 24) and the degree of E^{q-1} stay small.  On P^4, where the
+    divisors are threefolds, e <= 2 and the source bound is at most 12: a
+    draw that is larger at e = 1 is drawn again."""
+    while True:
+        field = rng.choice(ORACLE_FIELDS)
+        n = rng.randint(1, 4)
+        forms = [(_random_form(field, n + 1, rng.randint(1, 3), rng), rng.randint(1, 2))
+                 for _ in range(2)]
+        E = DivisorSpec(field, n, forms[:rng.randint(0, 1)], rng.randint(0, 1))
+        D = DivisorSpec(field, n, forms[1:rng.randint(1, 2)], rng.randint(-3, 3))
+        e, most = (rng.randint(1, 3), 24) if n < 4 else (rng.randint(1, 2), 12)
+        while e > 1 and (section_bound(pe_twist(D, E, e)) > most
+                         or E.degree_sum() * (field.p ** e - 1) > 40):
+            e -= 1
+        if n < 4 or section_bound(pe_twist(D, E, e)) <= most:
+            return E, D, e, rng.randint(0, n)
 
 
 def section_bound(divisor):
@@ -648,12 +629,14 @@ def _misses(chart, *divisors):
 def test_level_product_matches_direct_rule_on_random_divisors():
     """trace_matrix, built level by level, against the one-step exponent-e
     rule: the same JSON byte for byte, or the same exception, a component
-    that the chart misses included."""
+    that the chart misses included, on P^1 to P^4."""
     rng = random.Random(2013)
-    seen = {"e>1 nonzero": 0, "D hypersurface, k<0": 0, "chart misses": 0}
-    for _ in range(180):
+    floor = {"e>1 nonzero": 10, "D hypersurface, k<0": 10, "chart misses": 10,
+             "P^4 nonzero": 5}
+    seen = dict.fromkeys(floor, 0)
+    for _ in range(240):
         E, D, e, chart = _random_trace_case(rng)
-        names = XYZW[: E.n + 1]
+        names = XYZWV[: E.n + 1]
         outcomes = []
         for build in (trace_matrix, direct_trace_matrix):
             try:
@@ -666,7 +649,8 @@ def test_level_product_matches_direct_rule_on_random_divisors():
         seen["chart misses"] += _misses(chart, E, D)
         seen["e>1 nonzero"] += e > 1 and '"zero": false' in str(outcomes[0])
         seen["D hypersurface, k<0"] += bool(D.hypersurfaces) and D.k < 0
-    assert min(seen.values()) >= 10, seen
+        seen["P^4 nonzero"] += E.n == 4 and '"zero": false' in str(outcomes[0])
+    assert all(seen[k] >= floor[k] for k in floor), seen
     # D = -H: the level bounds fall from the target's 7 to the source's 0,
     # so a bucket of E^{p-1} that level 2 reads can lie below the source's
     # reach, and must still be read
@@ -903,6 +887,24 @@ def test_hyperplane_multiplicity_must_be_an_int():
     with pytest.raises(ValueError, match="hyperplane multiplicity 2.5 must be an integer"):
         DivisorSpec(F2, 2).combined(DivisorSpec(F2, 2, k=1), 2.5)
     assert DivisorSpec(F2, 2, k=-2).combined(DivisorSpec(F2, 2, k=1), 3).k == 1
+
+
+def test_integer_slots_refuse_bool_and_float():
+    """A bool is an int to isinstance, but it prints as true or True: a
+    bool multiplicity, a bool k, and a chart index that is not an int, a
+    bool included, are refused before anything is built or printed."""
+    z = parse_poly("z", F2, XYZ)
+    with pytest.raises(ValueError, match="^hypersurface multiplicity True must be a non-negative"):
+        DivisorSpec(F2, 2, [(z, True)])
+    with pytest.raises(ValueError, match="^hyperplane multiplicity True must be an integer$"):
+        DivisorSpec(F2, 2, k=True)
+    E, D = DivisorSpec(F2, 2, [(z, 1)]), DivisorSpec(F2, 2, k=3)
+    for chart in (True, 1.0, "1"):
+        refusal = f"^chart index {re.escape(repr(chart))} must be an integer$"
+        with pytest.raises(ValueError, match=refusal):
+            trace_matrix(E, D, 1, chart)
+        with pytest.raises(ValueError, match=refusal):
+            section_space(E, chart)
 
 
 def test_containment_error_names_column_past_degree_bound(monkeypatch):
