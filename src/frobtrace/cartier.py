@@ -38,16 +38,17 @@ from __future__ import annotations
 from . import linalg
 from .field import Scalar
 from .forms import DiffForm, TopForm, d_columns
-from .poly import Poly, RationalFn, monomials_upto, sum_of_products
+from .poly import Poly, RationalFn, _ones, pack, packed_upto, sum_of_products
 
 
 def _pairing_table(g: Poly) -> dict:
     """The exponent-1 pairing table of the denominator g, {(p-1) - r: G_r}
     over the buckets of g^{p-1} = sum_r G_r^p x^r, read from one
-    decomposition: a numerator bucket H_a pairs with ``table[a]``."""
-    p = g.field.p
-    return {tuple(p - 1 - x for x in r): g_r
-            for r, g_r in (g ** (p - 1)).frobenius_decompose(1).items()}
+    decomposition: a numerator bucket H_a pairs with ``table[a]``.  Every
+    residue field is at most p - 1, so (p-1) - r is one packed subtraction."""
+    corner = (g.field.p - 1) * _ones(g.nvars)
+    return {corner - r: g_r
+            for r, g_r in (g ** (g.field.p - 1)).frobenius_decompose(1).items()}
 
 
 def _iterate(step, x, e, key=None):
@@ -73,10 +74,10 @@ def _iterate(step, x, e, key=None):
 def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx,
     the bucket of f at x^{(q-1,...,q-1)}, q = p^e; no other bucket is
-    decomposed."""
+    decomposed.  A corner past the fields' width matches no residue."""
     if e < 1:
         raise ValueError("trace exponent must be positive")
-    corner = (f.field.p ** e - 1,) * f.nvars
+    corner = (f.field.p ** e - 1) * _ones(f.nvars)
     bucket = f.frobenius_decompose(e, {corner}.__contains__).get(corner)
     return Poly.zero(f.field, f.nvars) if bucket is None else bucket
 
@@ -126,7 +127,7 @@ def _inverse_cartier_coeff(f: Poly, J) -> Poly:
     """f^p * x_J^{p-1}, the coefficient C^{-1} gives f dx_J."""
     p = f.field.p
     exps = tuple(p - 1 if j in J else 0 for j in range(f.nvars))
-    return f ** p * Poly.monomial(f.field, exps)
+    return f ** p * Poly._wrap(f.field, f.nvars, {pack(exps): 1})
 
 
 def inverse_cartier_top(f: Poly) -> Poly:
@@ -167,9 +168,9 @@ def trace_by_decomposition(f: Poly) -> Poly:
         return Poly.zero(field, n)
     d = int(f.total_degree())
     row_of, rows, ncols = d_columns(field, n, d)
-    tau_monos = monomials_upto(n, (d - n * (p - 1)) // p)
+    tau_monos = packed_upto(n, (d - n * (p - 1)) // p)
     for c, t in enumerate(tau_monos, ncols):
-        image = inverse_cartier_top(Poly.monomial(field, t))
+        image = inverse_cartier_top(Poly._wrap(field, n, {t: 1}))
         for mono, value in image.codes.items():
             rows[row_of[mono]][c] = value
     rhs = {row_of[mono]: c for mono, c in f.codes.items()}
@@ -177,5 +178,5 @@ def trace_by_decomposition(f: Poly) -> Poly:
     if solution is None:
         raise RuntimeError("top form admitted no bounded-degree splitting; "
                            "this contradicts the exact sequence it satisfies")
-    return Poly(field, n, {tau_monos[c - ncols]: Scalar(field, u).inverse_frobenius()
-                           for c, u in solution.items() if c >= ncols})
+    return Poly._wrap(field, n, {tau_monos[c - ncols]: Scalar(field, u).inverse_frobenius().v
+                                 for c, u in solution.items() if c >= ncols})

@@ -19,6 +19,7 @@ from __future__ import annotations
 from .cartier import trace_by_direct_rule, trace_rational_top
 from .field import FiniteField
 from .parsing import parse_poly
+from .poly import unpack
 from .projective import DivisorSpec, _chart_varnames, section_space, trace_matrix
 
 VARNAMES = ["x", "y", "z", "w"]
@@ -69,7 +70,8 @@ def build_report() -> dict:
         # of form b.
         iterated_agrees = all(
             {m: row[b] for m, row in zip(t.tgt.basis, t.codes) if b in row}
-            == trace_by_direct_rule(t.src.basis_form(b), e).coeff.num.codes
+            == {unpack(m, t.tgt.n): c for m, c in
+                trace_by_direct_rule(t.src.basis_form(b), e).coeff.num.codes.items()}
             for b in range(t.src.dim)
         )
         matrices[e] = t

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from operator import ge
 
-from .poly import Poly, RationalFn, default_varnames, monomials_upto
+from .poly import _FIELD, WIDTH, Poly, RationalFn, default_varnames, packed_upto
 
 
 def _normalize_indices(indices):
@@ -170,7 +170,7 @@ def d_columns(field, n: int, dbound: int):
     """Sparse matrix of d from the monomial (n-1)-forms x^m dx_K with
     deg m <= dbound + 1 to the top forms with coefficients of degree <= dbound.
 
-    Returns ``(row_of, rows, ncols)``.  ``row_of`` numbers the target
+    Returns ``(row_of, rows, ncols)``.  ``row_of`` numbers the packed target
     monomials, ``rows`` holds one ``{column: code}`` dict per target
     monomial, the entries as int codes of ``field`` (see
     :mod:`frobtrace.linalg`), and ``ncols`` counts the columns: one per
@@ -180,15 +180,16 @@ def d_columns(field, n: int, dbound: int):
     entry is an integer, whose code is its residue mod p.
     """
     p = field.p
-    row_of = {m: r for r, m in enumerate(monomials_upto(n, dbound))}
+    row_of = {m: r for r, m in enumerate(packed_upto(n, dbound))}
     rows = [{} for _ in row_of]
-    sources = monomials_upto(n, dbound + 1)
+    sources = packed_upto(n, dbound + 1)
     ncols = 0
     for j in reversed(range(n)):  # K = (0..n-1) without j, increasing in K
         sign = -1 if j % 2 else 1
+        shift = WIDTH * (n - 1 - j)
         for m in sources:
-            if m[j] % p:
-                lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
-                rows[row_of[lowered]][ncols] = sign * m[j] % p
+            e = m >> shift & _FIELD
+            if e % p:
+                rows[row_of[m - (1 << shift)]][ncols] = sign * e % p
                 ncols += 1
     return row_of, rows, ncols

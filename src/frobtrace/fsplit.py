@@ -11,15 +11,15 @@ or more, and every term that is left qualifies.  A positive verdict
 carries such a monomial as a witness, which
 :func:`verify_witness` certifies on its own: it reads the one witness
 coefficient as a multinomial sum over the terms of f, and forms no
-power and no product of polynomials.
+power and no product of polynomials.  Both work on packed monomials
+(:mod:`frobtrace.poly`); only the witness itself is unpacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _plus, gt as _above
 
-from .poly import Poly, monomial_rank
+from .poly import _GUARD, Poly, _ones, pack, unpack
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,10 @@ class FsplitVerdict:
 
 def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     """Splitting verdict for the cone over V(f), with a checkable witness:
-    the first qualifying monomial of f^{p-1} in ``monomials_upto`` order."""
+    the first qualifying monomial of f^{p-1} in ``monomials_upto`` order.
+    f^{p-1} is homogeneous, and within one degree that order is
+    descending in the exponent tuples, so the witness is the largest
+    packed monomial."""
     if f.is_zero():
         raise ValueError("the hypersurface polynomial must be nonzero")
     if not f.is_homogeneous():
@@ -40,35 +43,67 @@ def fedder_hypersurface(f: Poly) -> FsplitVerdict:
     good = pow(f, p - 1, p).codes
     if not good:
         return FsplitVerdict(split=False)
-    return FsplitVerdict(split=True, witness=min(good, key=monomial_rank))
+    return FsplitVerdict(split=True, witness=unpack(max(good), f.nvars))
 
 
-def _witness_coefficient(f: Poly, witness: tuple) -> int:
-    """The int code of the coefficient of x^witness in f^{p-1}.
+def _witness_coefficient(f: Poly, witness: int) -> int:
+    """The int code of the coefficient of the packed monomial ``witness``,
+    every exponent below p, in f^{p-1}.
 
     With f = sum_i c_i x^{m_i} it is (p-1)! sum prod_i c_i^{k_i} / k_i!
     over the counts k with sum_i k_i = p - 1 and sum_i k_i m_i = witness,
-    and (p-1)! = -1 mod p (Wilson).  The sum is built term by term in a
-    dict from (partial exponent, count so far) to an int code; a state
-    whose exponent exceeds the witness anywhere is dropped."""
-    field = f.field
+    and (p-1)! = -1 mod p (Wilson).  A term with an exponent above the
+    witness takes no part.  The sum is built term by term in a dict from
+    (packed partial exponent a, count so far) to an int code, and a state
+    is kept only while the r = p - 1 - count copies still to place can
+    complete it from the terms still to come: for each variable j,
+    r * lo_j <= w_j - a_j <= r * hi_j, with lo and hi the least and
+    largest exponents over those terms.  w - a is held biased by the
+    guard bits, which stay set while a <= w, and each side of the bound
+    is one more guard-bit test on it."""
+    field, nvars = f.field, f.nvars
     mul, add = field._mul, field._add
     n = field.p - 1
     inverses = [field._pow(k, -1) for k in range(1, n + 1)]
-    states = {((0,) * f.nvars, 0): 1}
-    for mono, c in f.codes.items():
-        # steps[j] = c / (j + 1) takes c^j / j! to c^{j+1} / (j+1)!
-        steps = [mul(c, inv) for inv in inverses]
-        grown = dict(states)  # the states that take no copy of this term
+    guards = _GUARD * _ones(nvars)
+    high, wg = guards << 1, witness | guards
+    terms = [(m, c) for m, c in f.codes.items() if (wg - m) & guards == guards]
+    # bounds[i]: the packed (lo, hi) over terms[i:], fieldwise; all below p
+    bounds = [(0, 0)] * (len(terms) + 1)
+    lo = hi = None
+    for i in range(len(terms) - 1, -1, -1):
+        m = terms[i][0]
+        if lo is None:
+            lo = hi = m
+        else:  # d is a difference biased by the guards; where its guard
+            # bit stayed set the difference is not negative, and the mask
+            # keeps it there: hi = max(hi, m) and lo = min(lo, m), fieldwise
+            d = (hi | guards) - m
+            hi = m + (d & (d & guards) // _GUARD * (_GUARD - 1))
+            d = (m | guards) - lo
+            lo = m - (d & (d & guards) // _GUARD * (_GUARD - 1))
+        bounds[i] = lo, hi
+    states = {(0, 0): 1}
+    for i, (mono, c) in enumerate(terms):
+        lo, hi = bounds[i + 1]
+        # steps[j] = c / (j + 1) takes c^j / j! to c^{j+1} / (j+1)!; the
+        # last step is never taken
+        steps = [mul(c, inv) for inv in inverses] + [0]
+        grown = {}
         get = grown.get
         for (exps, count), v in states.items():
-            for step in steps[:n - count]:
-                exps = tuple(map(_plus, exps, mono))
-                if any(map(_above, exps, witness)):
+            left = wg - exps  # (w - exps) | guards
+            for step in steps[:n - count + 1]:  # no copy of this term, then one more each
+                r = n - count
+                if (left - r * lo) & guards == guards and \
+                        (r * hi + high - left) & guards == guards:
+                    grown[exps, count] = add(get((exps, count), 0), v)
+                left -= mono
+                if left & guards != guards:
                     break
+                exps += mono
                 count += 1
                 v = mul(v, step)
-                grown[exps, count] = add(get((exps, count), 0), v)
         states = grown
     return field._neg(states.get((witness, n), 0))
 
@@ -79,6 +114,6 @@ def verify_witness(f: Poly, witness: tuple) -> bool:
     the terms of f, independently of the power loop that found it."""
     p = f.field.p
     witness = tuple(witness)
-    if len(witness) != f.nvars or not all(0 <= e < p for e in witness):
+    if len(witness) != f.nvars or not all(isinstance(e, int) and 0 <= e < p for e in witness):
         return False
-    return bool(_witness_coefficient(f, witness))
+    return bool(_witness_coefficient(f, pack(witness)))

@@ -14,7 +14,8 @@ Scalar rows are dense, sequences of Scalars, and :func:`code_rows` reads
 them into code rows; a sparse row is a code row, and a dict given as a
 Scalar row raises ValueError.  That boundary is where mixed fields are
 refused: codes carry no field, so an entry of another field raises
-ValueError there, as do rows of unequal length.  :func:`solve` takes a
+ValueError there, as do an entry that is not a Scalar and rows of
+unequal length.  :func:`solve` takes a
 dense Scalar system and gives its solution back as a dense list of
 Scalars.
 """
@@ -27,8 +28,9 @@ from .field import Scalar
 def code_rows(rows, field) -> list:
     """Fresh ``{column: nonzero code}`` copies of dense Scalar rows.
 
-    Raises ValueError for a dict row, for an entry from a field other
-    than ``field`` and for rows of unequal length."""
+    Raises ValueError for a dict row, for an entry that is not a Scalar
+    or is from a field other than ``field``, and for rows of unequal
+    length."""
     out = []
     width = None
     for row in rows:
@@ -40,7 +42,9 @@ def code_rows(rows, field) -> list:
             raise ValueError(f"dense rows of unequal length ({width} and {len(row)})")
         codes = {}
         for c, x in enumerate(row):
-            if x:
+            if not isinstance(x, Scalar):
+                raise ValueError(f"matrix entry {x!r} is not a Scalar")
+            if x.v:
                 if x.field is not field and x.field != field:
                     raise ValueError(f"matrix entry from {x.field} in a matrix over {field}")
                 codes[c] = x.v

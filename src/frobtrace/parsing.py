@@ -41,7 +41,7 @@ import re
 
 from .field import GENERATOR, MAX_ORDER, FiniteField
 from .forms import DiffForm
-from .poly import Poly, RationalFn
+from .poly import Poly, RationalFn, unpack
 from .projective import DivisorSpec
 
 
@@ -318,4 +318,5 @@ def parse_modulus(text: str, p: int) -> list:
     if degree < 2:
         raise ParseError(f"modulus {text!r} has degree {degree}; "
                          "an extension needs degree at least 2")
-    return [poly.codes.get((e,), 0) for e in range(degree + 1)]
+    codes = {unpack(m, 1): c for m, c in poly.codes.items()}
+    return [codes.get((e,), 0) for e in range(degree + 1)]

@@ -1,12 +1,22 @@
 """Sparse multivariate polynomials and rational functions over F_{p^s}.
 
-Monomials are exponent tuples; a :class:`Poly` holds ``codes``, a dict
-from monomials to the nonzero int codes of :mod:`frobtrace.field`, and
-computes on them with the field's code operations.  :attr:`Poly.terms`
-builds a fresh ``{monomial: Scalar}`` view for callers that read field
-elements; no library path reads it.  The graded-lexicographic order
-(first variable heaviest) fixes printing and leading terms, so all
-rendered output is deterministic.
+A :class:`Poly` holds ``codes``, a dict from packed monomials to the
+nonzero int codes of :mod:`frobtrace.field`, and computes on them with
+the field's code operations.  A packed monomial is one int: each exponent
+has its own WIDTH-bit field, the first variable in the highest, so a
+product monomial is one int addition and packed ints order as their
+exponent tuples do.  A monomial fits when its total degree is below
+LIMIT = 2^(WIDTH - 2); every stored monomial fits, so a sum of two stays
+below 2^(WIDTH - 1) in every field, and the top bit of each field, its
+guard, is clear.  A monomial that does not fit, from the constructor, a
+product, a power or a twist, is refused with ValueError, never wrapped
+into the next field.  Exponent tuples are built only at the edges:
+:func:`pack` reads one, and :func:`unpack`, the one way back, serves
+:attr:`Poly.terms` (a fresh ``{exponent tuple: Scalar}`` view for callers
+that read field elements; no library path reads it), printing, column
+placement and the Fedder witness.  The graded-lexicographic order (first
+variable heaviest) fixes printing and leading terms, so all rendered
+output is deterministic.
 
 A :class:`Poly` adds, subtracts and compares only with a Poly of its
 field and arity, and multiplies by such a Poly or by a Scalar of its
@@ -18,7 +28,8 @@ between its base-p digits: a p^k-th power is a Frobenius twist, which
 scales the exponents and maps each code, and multiplies nothing.  The
 digit powers come from one run of repeated multiplication by the base.
 Both loops take an optional monomial cap ``below``: a term with an
-exponent at or above it is dropped before it is stored, so
+exponent at or above it is dropped before it is stored, by one add of a
+bias and one mask of the guard bits, so
 ``pow(f, n, below)`` is f^n modulo (x_0^below, ..., x_{nvars-1}^below)
 and never holds the terms that ideal absorbs.  The F-splitting verdict
 forms f^{p-1} modulo (x_0^p, ..., x_n^p) this way.
@@ -29,17 +40,71 @@ cross-multiplication, which is all the trace computations need.
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from math import comb
-from operator import add as _plus
 
 from .field import FiniteField, Scalar
 
 NEG_INFINITY = float("-inf")
 
+WIDTH = 64  # bits per exponent field: one big-endian unsigned 64-bit word
+LIMIT = 1 << (WIDTH - 2)  # a monomial fits when its total degree is below this
+_GUARD = 1 << (WIDTH - 1)  # the top bit of a field, clear in a sum of two fitting monomials
+_FIELD = (1 << WIDTH) - 1  # one field's bits; and m % _FIELD is m's total degree
 
-def _print_key(mono):
-    """Print-order key: descending degree, first variable heaviest within it."""
-    return (-sum(mono), tuple(-e for e in mono))
+
+@lru_cache(maxsize=64)
+def _ones(nvars: int) -> int:
+    """The packed monomial with every exponent 1: ``v * _ones(nvars)`` puts
+    v < 2^WIDTH in every field."""
+    return int.from_bytes(b"\0\0\0\0\0\0\0\1" * nvars, "big")
+
+
+@lru_cache(maxsize=64)
+def _words(nvars: int) -> struct.Struct:
+    """The layout of a packed monomial's bytes: ``nvars`` big-endian
+    unsigned 64-bit words, first variable first."""
+    return struct.Struct(f">{nvars}Q")
+
+
+def _fits(degree):
+    """Refuse a monomial of ``degree`` at or above LIMIT, which the fields
+    cannot hold."""
+    if degree >= LIMIT:
+        raise ValueError(f"degree {degree} does not fit a packed monomial, whose "
+                         f"degree must be below 2^{WIDTH - 2}")
+
+
+# The total degree of a packed monomial m: 2^WIDTH = 1 mod 2^WIDTH - 1, so
+# m % _FIELD is the sum of its fields, which is below _FIELD.
+_degree = _FIELD.__rmod__
+
+
+def _cap(nvars: int, below: int):
+    """(bias, guards) for the cap ``below`` <= LIMIT in ``nvars`` variables:
+    m + bias has a field's guard bit set exactly when m's exponent there is
+    ``below`` or more, for any m whose fields are below 2^(WIDTH - 1)."""
+    ones = _ones(nvars)
+    return (_GUARD - below) * ones, _GUARD * ones
+
+
+def pack(mono) -> int:
+    """The packed monomial of the exponent sequence ``mono``, first variable
+    in the highest field; the caller checks that it fits."""
+    return int.from_bytes(_words(len(mono)).pack(*mono), "big")
+
+
+def unpack(m: int, nvars: int) -> tuple:
+    """The exponent tuple of the packed monomial ``m`` in ``nvars``
+    variables: the one way from a packed key back to a tuple."""
+    return _words(nvars).unpack(m.to_bytes(WIDTH // 8 * nvars, "big"))
+
+
+def _print_key(m):
+    """Print-order key of a packed monomial: descending degree, then
+    descending packed value, which is first variable heaviest."""
+    return (-(m % _FIELD), -m)
 
 
 def _graded_lex(nvars: int, bound: int, heads: list, unit) -> list:
@@ -69,6 +134,13 @@ def monomials_upto(nvars: int, bound: int) -> list:
     return _graded_lex(nvars, bound, [[(a,) for a in range(bound + 1)]] * nvars, ())
 
 
+def packed_upto(nvars: int, bound: int) -> list:
+    """:func:`monomials_upto` as packed monomials, in the same order, built
+    by the same layered pass with no tuple."""
+    return _graded_lex(nvars, bound, [[a << s for a in range(bound + 1)]
+                                      for s in range(WIDTH * (nvars - 1), -1, -WIDTH)], 0)
+
+
 def monomial_count(nvars: int, bound: int) -> int:
     """len(monomials_upto(nvars, bound)) for nvars >= 0: C(bound + nvars, nvars),
     or 0 for a negative bound."""
@@ -94,18 +166,21 @@ def monomial_rank(mono) -> int:
     return rank
 
 
-def _mono_divides(a, b):
-    """Does a divide b?"""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def sum_of_products(field: FiniteField, nvars: int, pairs, below=None) -> "Poly":
     """sum P * Q over the (P, Q) pairs, all in ``nvars`` variables over
     ``field``, with the codes summed per output monomial.  With a cap
     ``below``, a product monomial with an exponent at or above it is
     dropped before it is stored: the sum is then taken modulo the monomial
     ideal (x_0^below, ..., x_{nvars-1}^below), which holds every multiple
-    of a dropped monomial, so the terms that are kept are exact."""
+    of a dropped monomial, so the terms that are kept are exact.
+
+    A product monomial is m1 + m2.  The cap adds one bias to it and masks
+    the guard bits (:func:`_cap`), so one test covers every field.  A
+    product monomial that does not fit raises ValueError; the check is
+    skipped only when the cap alone keeps every degree below LIMIT."""
+    if below is not None and below > LIMIT:
+        below = None  # no stored exponent reaches it; a product that does is refused
+    bias, guards = (0, 0) if below is None else _cap(nvars, below)
     mul, add = field._mul, field._add
     sums = {}
     get = sums.get
@@ -113,16 +188,19 @@ def sum_of_products(field: FiniteField, nvars: int, pairs, below=None) -> "Poly"
         right = right.codes.items()
         for m1, a in left.codes.items():
             for m2, b in right:
-                m = tuple(map(_plus, m1, m2))
-                if below is None or max(m) < below:
+                m = m1 + m2
+                if below is None or not (m + bias) & guards:
                     sums[m] = add(get(m, 0), mul(a, b))
-    return Poly._wrap(field, nvars, {m: v for m, v in sums.items() if v})
+    codes = {m: v for m, v in sums.items() if v}
+    if (below is None or nvars * (below - 1) >= LIMIT) and codes:
+        _fits(max(map(_degree, codes)))
+    return Poly._wrap(field, nvars, codes)
 
 
 class Poly:
     """Sparse polynomial in ``nvars`` variables over a finite field; the
-    constructor keeps the nonzero Scalar or int coefficients of ``terms``
-    as codes."""
+    constructor packs the exponent tuples of ``terms`` and keeps their
+    nonzero Scalar or int coefficients as codes."""
 
     __slots__ = ("field", "nvars", "codes")
 
@@ -139,17 +217,18 @@ class Poly:
                     raise ValueError(f"non-integer exponent in monomial {mono}")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in monomial {mono}")
+                _fits(sum(mono))
                 code = field.scalar(coeff).v
                 if code:
-                    clean[mono] = code
+                    clean[pack(mono)] = code
         self.codes = clean
 
     @property
     def terms(self) -> dict:
-        """``{monomial: Scalar}``, a fresh dict built from ``codes`` on each
-        read, so changing it leaves the polynomial as it is."""
-        field = self.field
-        return {m: Scalar(field, v) for m, v in self.codes.items()}
+        """``{exponent tuple: Scalar}``, a fresh dict built from ``codes`` on
+        each read, so changing it leaves the polynomial as it is."""
+        field, nvars = self.field, self.nvars
+        return {unpack(m, nvars): Scalar(field, v) for m, v in self.codes.items()}
 
     # construction ---------------------------------------------------------
 
@@ -160,9 +239,10 @@ class Poly:
     @classmethod
     def _wrap(cls, field, nvars, codes):
         """A polynomial over ``codes`` as given, unchecked: the caller
-        guarantees arity-``nvars`` exponent tuples and nonzero codes of
-        ``field``.  Every polynomial the library builds from its own data
-        comes through here; only the public constructor validates."""
+        guarantees fitting packed monomials in ``nvars`` variables and
+        nonzero codes of ``field``.  Every polynomial the library builds
+        from its own data comes through here; only the public constructor
+        validates."""
         out = object.__new__(cls)
         out.field = field
         out.nvars = nvars
@@ -171,12 +251,12 @@ class Poly:
 
     @classmethod
     def one(cls, field, nvars):
-        return cls._wrap(field, nvars, {(0,) * nvars: 1})
+        return cls._wrap(field, nvars, {0: 1})
 
     @classmethod
     def constant(cls, field, nvars, value):
         c = field.scalar(value).v
-        return cls._wrap(field, nvars, {(0,) * nvars: c} if c else {})
+        return cls._wrap(field, nvars, {0: c} if c else {})
 
     @classmethod
     def monomial(cls, field, exps, coeff=1):
@@ -191,21 +271,20 @@ class Poly:
         """Maximum total degree, or NEG_INFINITY for the zero polynomial."""
         if not self.codes:
             return NEG_INFINITY
-        return max(sum(m) for m in self.codes)
+        return max(map(_degree, self.codes))
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.codes}
-        return len(degrees) <= 1
+        return len(set(map(_degree, self.codes))) <= 1
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.codes)
+        return not any(self.codes)
 
     def leading_term(self):
-        """(monomial, coefficient) maximal in graded-lex order."""
+        """(exponent tuple, coefficient) maximal in graded-lex order."""
         if not self.codes:
             raise ValueError("zero polynomial has no leading term")
         m = min(self.codes, key=_print_key)
-        return m, Scalar(self.field, self.codes[m])
+        return unpack(m, self.nvars), Scalar(self.field, self.codes[m])
 
     # arithmetic -----------------------------------------------------------
 
@@ -270,7 +349,8 @@ class Poly:
         the base, each digit power, each twist and each product that
         combines them drops its terms with an exponent at or above the cap.
         The ideal holds every multiple of a dropped term, so the terms that
-        are kept are those of self^n."""
+        are kept are those of self^n.  A one-term power or a twist whose
+        monomials would not fit raises ValueError."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
         if not n:
@@ -278,8 +358,9 @@ class Poly:
         base = self._truncate(below)
         if len(base.codes) == 1:
             [(m, c)] = base.codes.items()
+            _fits(m % _FIELD * n)
             return Poly._wrap(self.field, self.nvars,
-                              {tuple(n * x for x in m): self.field._pow(c, n)})._truncate(below)
+                              {n * m: self.field._pow(c, n)})._truncate(below)
         field, nvars, p = self.field, self.nvars, self.field.p
         digits = []
         while n:
@@ -303,23 +384,29 @@ class Poly:
 
     def _truncate(self, below) -> "Poly":
         """self without its terms that have an exponent at or above
-        ``below``; self itself when ``below`` is None, and in no variables,
-        where the one monomial has no exponent to cap."""
-        if below is None or not self.nvars:
+        ``below``, by the guard-bit test of :func:`sum_of_products`; self
+        itself when ``below`` is None or above LIMIT, which no stored
+        exponent reaches, and in no variables, where the one monomial has
+        no exponent to cap."""
+        if below is None or below > LIMIT or not self.nvars:
             return self
-        codes = {m: c for m, c in self.codes.items() if max(m) < below}
+        bias, guards = _cap(self.nvars, below)
+        codes = {m: c for m, c in self.codes.items() if not (m + bias) & guards}
         return Poly._wrap(self.field, self.nvars, codes)
 
     def _twist(self, k: int) -> "Poly":
         """self^{p^k}.  The p^k-th power map is additive in characteristic
         p, so each term c x^m goes to c^{p^k} x^{p^k m}: the exponents are
         scaled and each int code c goes to c^{p^j} with j = k mod s, which
-        is c^{p^k} on F_{p^s}, where phi^s is the identity."""
+        is c^{p^k} on F_{p^s}, where phi^s is the identity.  A packed
+        monomial times p^k scales every field, since none carries once the
+        scaled degree fits."""
         field = self.field
-        scale = (field.p ** k).__mul__
+        scale = field.p ** k
+        _fits(max(map(_degree, self.codes), default=0) * scale)
         j = k % field.s
         power, pj = field._pow, field.p ** j
-        return Poly._wrap(field, self.nvars, {tuple(map(scale, m)): power(c, pj) if j else c
+        return Poly._wrap(field, self.nvars, {m * scale: power(c, pj) if j else c
                                               for m, c in self.codes.items()})
 
     def __eq__(self, other):
@@ -333,14 +420,13 @@ class Poly:
     def partial(self, j: int) -> "Poly":
         """Formal partial derivative with respect to variable j."""
         p, mul = self.field.p, self.field._mul
+        shift = WIDTH * (self.nvars - 1 - j)
+        one = 1 << shift  # x_j, packed
         codes = {}
         for m, c in self.codes.items():
-            e = m[j]
-            c2 = mul(c, e % p)
+            c2 = mul(c, (m >> shift & _FIELD) % p)
             if c2:
-                m2 = list(m)
-                m2[j] = e - 1
-                codes[tuple(m2)] = c2
+                codes[m - one] = c2
         return Poly._wrap(self.field, self.nvars, codes)
 
     def dehomogenize(self, chart: int) -> "Poly":
@@ -353,33 +439,46 @@ class Poly:
             raise ValueError("dehomogenization requires a homogeneous polynomial")
         if not 0 <= chart < self.nvars:
             raise ValueError(f"chart index {chart} out of range")
+        low = WIDTH * (self.nvars - 1 - chart)  # the fields after the chart variable's
+        rest = (1 << low) - 1
         codes = {}
         for m, c in self.codes.items():
-            codes[m[:chart] + m[chart + 1:]] = c
+            codes[m >> (low + WIDTH) << low | m & rest] = c
         return Poly._wrap(self.field, self.nvars - 1, codes)
 
     def frobenius_decompose(self, e: int, keep=None) -> dict:
         """Bucket by exponents mod p^e: self = sum_r g_r^{p^e} * x^r.
 
-        Returns {residue monomial r: g_r} over the residues actually
+        Returns {packed residue monomial r: g_r} over the residues actually
         present; the root extraction always succeeds by construction.
-        ``keep``, a predicate on residue tuples, limits the result to the
+        ``keep``, a predicate on packed residues, limits the result to the
         residues it accepts: a term it rejects is dropped before its base
         monomial or coefficient root is computed.
+
+        Every field of m - r is a multiple of q, so the base monomial is
+        (m - r) // q, field by field.  For p = 2 the residue is m & M, with
+        M the low e bits of every field; for odd p each field's residue is
+        taken in turn.
         """
-        field = self.field
+        field, nvars = self.field, self.nvars
         q = field.p ** e
         k = (-e) % field.s  # c^{1/q} = c^{p^k}, as in Scalar.inverse_frobenius
         power, pk = field._pow, field.p ** k
-        residue, base = q.__rmod__, q.__rfloordiv__
+        low = ((1 << min(e, WIDTH)) - 1) * _ones(nvars) if field.p == 2 else None
+        shifts = range(0, WIDTH * nvars, WIDTH)
         buckets = {}
         for m, c in self.codes.items():
-            r = tuple(map(residue, m))
+            if low is not None:
+                r = m & low
+            else:
+                r = 0
+                for s in shifts:
+                    r |= (m >> s & _FIELD) % q << s
             if keep is not None and not keep(r):
                 continue
             bucket = buckets.setdefault(r, {})
-            bucket[tuple(map(base, m))] = power(c, pk) if k else c
-        return {r: Poly._wrap(field, self.nvars, codes)
+            bucket[(m - r) // q] = power(c, pk) if k else c
+        return {r: Poly._wrap(field, nvars, codes)
                 for r, codes in buckets.items()}
 
     def exact_divide(self, divisor: "Poly"):
@@ -393,24 +492,26 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero(self.field, self.nvars)
-        dm, dc = divisor.leading_term()
+        field, nvars = self.field, self.nvars
+        guards = _GUARD * _ones(nvars)
+        dm = min(divisor.codes, key=_print_key)
+        inverse = field._pow(divisor.codes[dm], -1)
         quotient = {}
         rem, last = self, None
         while not rem.is_zero():
-            rm, rc = rem.leading_term()
+            rm = min(rem.codes, key=_print_key)
             # each step cancels the leading term, so its monomial falls;
             # only broken field arithmetic can leave it in place
             if last is not None and _print_key(rm) <= _print_key(last):
-                raise RuntimeError(f"exact division left the leading monomial {rm} "
-                                   "in place")
+                raise RuntimeError(f"exact division left the leading monomial "
+                                   f"{unpack(rm, nvars)} in place")
             last = rm
-            if not _mono_divides(dm, rm):
+            if ((rm | guards) - dm) & guards != guards:  # dm does not divide rm
                 return None
-            m = tuple(x - y for x, y in zip(rm, dm))
-            c = rc / dc
-            quotient[m] = c.v
-            rem = rem - Poly.monomial(self.field, m, c) * divisor
-        return Poly._wrap(self.field, self.nvars, quotient)
+            m, c = rm - dm, field._mul(rem.codes[rm], inverse)
+            quotient[m] = c
+            rem = rem - Poly._wrap(field, nvars, {m: c}) * divisor
+        return Poly._wrap(field, nvars, quotient)
 
     # rendering --------------------------------------------------------------
 
@@ -422,7 +523,7 @@ class Poly:
         cell = self.field._cell
         parts = []
         for m, c in sorted(self.codes.items(), key=lambda kv: _print_key(kv[0])):
-            mono = monomial_string(m, varnames)
+            mono = monomial_string(unpack(m, self.nvars), varnames)
             cs = cell(c)[1]
             if self.field.s > 1 and ("+" in cs or "*" in cs):
                 cs = f"({cs})"
@@ -502,7 +603,7 @@ class RationalFn:
         den = self.den
         if not den.is_constant():
             raise ValueError("rational function has a non-constant denominator")
-        c = den.codes[(0,) * den.nvars]
+        c = den.codes[0]
         field = self.field
         return self.num if c == 1 else self.num * Scalar(field, field._pow(c, -1))
 

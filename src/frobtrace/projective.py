@@ -49,13 +49,13 @@ construction; :func:`map_verdict` returns it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _plus, le as _le
 
 from . import linalg
 from .cartier import _iterate, _pairing_table
 from .forms import TopForm
-from .poly import (Poly, RationalFn, monomial_count, monomial_rank, monomial_string,
-                   monomial_strings_upto, monomials_upto)
+from .poly import (_FIELD, _GUARD, WIDTH, Poly, RationalFn, _degree, _fits, _ones,
+                   monomial_count, monomial_rank, monomial_string, monomial_strings_upto,
+                   monomials_upto, packed_upto, unpack)
 
 
 class ContainmentError(RuntimeError):
@@ -358,8 +358,10 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     :func:`frobtrace.cartier._iterate` with no p^j: a zero product ends
     it, and so does a repeated level when deg D = 0, where every level
     has the target's bound and depends only on the rows and j mod s, so
-    any e ends.  Every entry is an int code, in rows keyed by monomial;
-    each source column reached is placed once, by :func:`monomial_rank`.
+    any e ends.  Every entry is an int code, in rows keyed by packed
+    monomial; each source column reached is unpacked and placed once, by
+    :func:`monomial_rank`.  A level whose degree bound does not fit the
+    packed monomials raises ValueError before it is read.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
@@ -379,19 +381,21 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         if not any(rows):
             return state
         next_bound = tgt.bound + field.p * (bound - tgt.bound) + (field.p - 1) * step
+        _fits(next_bound)
         return _next_level(rows, table, field, j, bound, next_bound), next_bound
 
     key = None if step else lambda state, j: (
         j % field.s, tuple(frozenset(row.items()) for row in state[0]))
-    rows, _ = _iterate(level, ([{s: 1} for s in tgt.basis], tgt.bound), e, key)
-    rank = {m: monomial_rank(m) for m in set().union(*rows)}
+    rows, _ = _iterate(level, ([{s: 1} for s in packed_upto(tgt.n, tgt.bound)], tgt.bound),
+                       e, key)
+    rank = {m: monomial_rank(unpack(m, src.n)) for m in set().union(*rows)}
     return SemilinearMap._wrap(src, tgt, e, [{rank[m]: v for m, v in row.items()}
                                              for row in rows])
 
 
 def _next_level(rows, table, field, j, bound, next_bound) -> list:
-    """rows . phi^{-j}(A_{j+1}) on int codes, for rows over the level-j
-    monomials; the result is over the level-(j+1) monomials.  It serves
+    """rows . phi^{-j}(A_{j+1}) on int codes, for rows over the packed
+    level-j monomials; the result is over the level-(j+1) ones.  It serves
     every level from j = 0, where the rows are the identity on the target
     basis and k = 0 (no Frobenius twist).
 
@@ -401,39 +405,43 @@ def _next_level(rows, table, field, j, bound, next_bound) -> list:
     term x^t of G_r with t <= s and |s - t| within the level-(j+1) reach
     of c, with coefficient G_r[t]: row s of A_{j+1} is read from the
     buckets, once per s that some row reaches.  The reads are grouped by
-    t, so t <= s is tested once per distinct term exponent.  The
+    t, so t <= s is tested once per distinct term exponent, by one
+    guard-bit test: (s | guards) - t keeps a field's guard bit exactly
+    when t is at most s there.  An entry is (c - p t) + p s, exact as an
+    int sum though c - p t may be negative.  The
     top-degree term of G_r gives the largest degree any level-(j+1)
     column reaches through bucket r, so each bucket is checked against
     ``bound`` before any row is read."""
     p = field.p
     k = (-j) % field.s
     mul, add, power, pk = field._mul, field._add, field._pow, p ** k
+    nvars = next(iter(table.values())).nvars
+    guards = _GUARD * _ones(nvars)
     by_term = {}  # t -> (c - p t, |u| cap, code) per bucket with a term x^t that a column reads
     for c, g in table.items():
-        left = next_bound - sum(c)  # p |u| <= left for a level-(j+1) column
+        left = next_bound - _degree(c)  # p |u| <= left for a level-(j+1) column
         if left < 0:
             continue
-        top = max(sum(t) for t in g.codes)
+        top = max(map(_degree, g.codes))
         if left // p + top > bound:
             u = max(0, bound + 1 - top)
-            mono = monomial_string((c[0] + p * u,) + c[1:])
+            mono = monomial_string(unpack(c + (p * u << WIDTH * (nvars - 1)), nvars))
             raise ContainmentError(f"trace of basis element {mono} exceeds the target "
                                    f"degree bound ({u + top} > {bound})")
         for t, a in g.codes.items():
-            by_term.setdefault(t, []).append((tuple(x - p * y for x, y in zip(c, t)),
-                                              left // p, power(a, pk) if k else a))
-    read = [(t, sum(t), reads) for t, reads in by_term.items()]
+            by_term.setdefault(t, []).append((c - p * t, left // p, power(a, pk) if k else a))
+    read = [(t, _degree(t), reads) for t, reads in by_term.items()]
     level_row = {}
 
     def row_at(s):
-        ps, ds = tuple(p * x for x in s), sum(s)
+        sg, ds, ps = s | guards, s % _FIELD, p * s
         entries = level_row[s] = []
         for t, dt, reads in read:
-            if dt <= ds and all(map(_le, t, s)):
+            if (sg - t) & guards == guards:
                 du = ds - dt
                 for base, cap, v in reads:
                     if du <= cap:
-                        entries.append((tuple(map(_plus, base, ps)), v))
+                        entries.append((base + ps, v))
         return entries
 
     out = []

@@ -60,8 +60,8 @@ ROWS = [
     ("fixed_state_runs_on", "cartier",
      "if y is x:\n            return x\n        x = y", "x = y",
      ["test_projective.py::test_fermat_trace_matrix_forms_no_power_above_p_minus_1"]),
-    ("residue_corner_ignores_e", "cartier", "corner = (f.field.p ** e - 1,)",
-     "corner = (f.field.p - 1,)", ["test_cartier.py::test_trace_residue_rule_exhaustive"]),
+    ("residue_corner_ignores_e", "cartier", "corner = (f.field.p ** e - 1) * _ones(f.nvars)",
+     "corner = (f.field.p - 1) * _ones(f.nvars)", ["test_cartier.py::test_trace_residue_rule_exhaustive"]),
     ("oracle_without_root", "cartier", "Scalar(field, u).inverse_frobenius()",
      "Scalar(field, u)", ["test_cartier.py::test_decomposition_oracle_over_extension_fields"]),
     ("representative_on_every_variable", "cartier",
@@ -207,15 +207,19 @@ ROWS = [
       "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
       "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_every_chart",
       "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_p4"]),
-    ("largest_witness", "fsplit", "min(good, key=monomial_rank)",
-     "max(good, key=monomial_rank)", ["test_golden.py::test_cli_output_matches_recorded_digest"]),
+    ("largest_witness", "fsplit", "witness=unpack(max(good), f.nvars)",
+     "witness=unpack(min(good), f.nvars)",
+     ["test_golden.py::test_cli_output_matches_recorded_digest"]),
     ("wilson_sign_dropped", "fsplit", "return field._neg(states.get((witness, n), 0))",
      "return states.get((witness, n), 0)",
      ["test_fsplit.py::test_witness_check_agrees_with_the_full_power"]),
-    ("witness_exponent_bound_dropped", "fsplit", " or not all(0 <= e < p for e in witness)",
-     "", ["test_fsplit.py::test_witness_is_independently_checkable"]),
-    ("witness_count_bound_one_short", "fsplit", "steps[:n - count]",
-     "steps[:n - count - 1]", ["test_fsplit.py::test_fermat_split_char_5",
+    ("witness_exponent_bound_dropped", "fsplit",
+     " or not all(isinstance(e, int) and 0 <= e < p for e in witness)", "",
+     ["test_fsplit.py::test_witness_is_independently_checkable"]),
+    ("witness_prune_one_step_early", "fsplit", "r * hi + high", "(r - 1) * hi + high",
+     ["test_fsplit.py::test_pruned_reader_matches_the_full_power_at_every_candidate"]),
+    ("witness_count_bound_one_short", "fsplit", "steps[:n - count + 1]",
+     "steps[:n - count]", ["test_fsplit.py::test_fermat_split_char_5",
                                "test_poly.py::test_witness_check_forms_no_product"]),
     ("fedder_homogeneity_unchecked", "fsplit", "if not f.is_homogeneous():",
      "if False:", ["test_fsplit.py::test_zero_polynomial_rejected"]),
@@ -244,6 +248,8 @@ ROWS = [
     ("sparse_solve_accepted", "linalg", "if isinstance(row, dict):", "if False:",
      ["test_linalg.py::test_solve_refuses_a_rhs_that_does_not_fit",
       "test_projective.py::test_matrix_of_the_wrong_shape_is_refused"]),
+    ("non_scalar_entry_accepted", "linalg", "if not isinstance(x, Scalar):", "if False:",
+     ["test_linalg.py::test_entries_that_are_not_scalars_are_refused"]),
     ("empty_system_width", "linalg", "(len(rows[0]) if rows else 0)", "len(rows[0])",
      ["test_linalg.py::test_degenerate_shapes"]),
     ("repeated_name_accepted", "parsing", "if varnames.count(name) > 1:",
@@ -279,17 +285,39 @@ ROWS = [
      "powers[d - 1] = power", ["test_cartier.py::test_representation_independence"]),
     ("one_term_power_coefficient_unraised", "poly", "self.field._pow(c, n)}", "c}",
      ["test_poly.py::test_power_matches_repeated_multiplication"]),
-    ("one_term_power_exponents_unraised", "poly", "{tuple(n * x for x in m): self.field",
+    ("one_term_power_exponents_unraised", "poly", "{n * m: self.field",
      "{m: self.field", ["test_cartier.py::test_decomposition_oracle_char3",
                      "test_cli.py::test_check_suites_catch_a_dropped_coefficient_root",
                      "test_poly.py::test_frobenius_decompose_reassembles"]),
-    ("product_cap_ignored", "poly", "if below is None or max(m) < below:", "if True:",
+    ("product_cap_ignored", "poly", "if below is None or not (m + bias) & guards:", "if True:",
      ["test_fsplit.py::test_fedder_stores_no_product_term_at_or_above_p",
       "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
-    ("product_cap_one_low", "poly", "max(m) < below:", "max(m) < below - 1:",
+    ("product_cap_one_low", "poly", "(_GUARD - below) * ones", "(_GUARD - below + 1) * ones",
      ["test_fsplit.py::test_fermat_split_char_7",
       "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
-      "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
+      "test_poly.py::test_capped_power_is_the_full_power_truncated",
+      "test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("product_cap_one_high", "poly", "(_GUARD - below) * ones", "(_GUARD - below - 1) * ones",
+     ["test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("truncate_guard_dropped", "poly",
+     "{m: c for m, c in self.codes.items() if not (m + bias) & guards}",
+     "{m: c for m, c in self.codes.items()}",
+     ["test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("capped_product_unchecked", "poly",
+     "if (below is None or nvars * (below - 1) >= LIMIT) and codes:",
+     "if below is None and codes:", ["test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("product_overflow_unchecked", "poly", "_fits(max(map(_degree, codes)))",
+     "max(map(_degree, codes))",
+     ["test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("twist_overflow_unchecked", "poly",
+     "_fits(max(map(_degree, self.codes), default=0) * scale)",
+     "max(map(_degree, self.codes), default=0) * scale",
+     ["test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("residue_mask_past_the_field", "poly", "((1 << min(e, WIDTH)) - 1)", "((1 << e) - 1)",
+     ["test_poly.py::test_packed_loops_match_the_tuple_oracle"]),
+    ("product_through_tuples", "poly", "m = m1 + m2",
+     "m = pack(list(map(int.__add__, unpack(m1, nvars), unpack(m2, nvars))))",
+     ["test_poly.py::test_inner_loops_build_no_scalar"]),
     ("base_cap_ignored", "poly", "base = self._truncate(below)", "base = self",
      ["test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
       "test_poly.py::test_capped_power_is_the_full_power_truncated"]),
@@ -318,21 +346,25 @@ ROWS = [
     ("poly_adds_an_int", "poly", "return NotImplemented\n        add = self.field._add",
      "return self\n        add = self.field._add", ["test_poly.py::test_additive_identity"]),
     ("terms_view_is_the_codes", "poly",
-     "return {m: Scalar(field, v) for m, v in self.codes.items()}", "return self.codes",
+     "return {unpack(m, nvars): Scalar(field, v) for m, v in self.codes.items()}",
+     "return self.codes",
      ["test_poly.py::test_terms_is_a_fresh_scalar_view_of_the_codes"]),
     ("non_integer_exponent_accepted", "poly", "if not all(isinstance(e, int) for e in mono):",
      "if False:", ["test_poly.py::test_constructor_refuses_non_integer_exponents"]),
     ("context_unchecked", "poly", "if other.field != self.field or other.nvars != self.nvars:",
      "if False:", ["test_poly.py::test_context_mismatch_rejected"]),
-    ("dehomogenize_drops_the_first_variable", "poly", "codes[m[:chart] + m[chart + 1:]] = c",
-     "codes[m[1:]] = c",
+    ("dehomogenize_drops_the_first_variable", "poly",
+     "codes[m >> (low + WIDTH) << low | m & rest] = c",
+     "codes[m & ((1 << WIDTH * (self.nvars - 1)) - 1)] = c",
      ["test_poly.py::test_dehomogenize_examples",
       "test_projective.py::test_chart_complement_component_is_a_constant_factor"]),
     ("dehomogenize_chart_unchecked", "poly", "if not 0 <= chart < self.nvars:", "if False:",
      ["test_poly.py::test_dehomogenize_rejects_inhomogeneous"]),
     ("zero_divisor_unchecked", "poly", "if divisor.is_zero():", "if False:",
      ["test_poly.py::test_exact_divide"]),
-    ("product_through_scalars", "poly", "mul(a, b))", "(Scalar(field, a) * Scalar(field, b)).v)",
+    ("product_through_scalars", "poly",
+     "sums[m] = add(get(m, 0), mul(a, b))",
+     "sums[m] = add(get(m, 0), (Scalar(field, a) * Scalar(field, b)).v)",
      ["test_poly.py::test_product_multiplies_codes_not_scalars",
       "test_poly.py::test_inner_loops_build_no_scalar"]),
     ("poly_hashable", "poly", '    __slots__ = ("field", "nvars", "codes")\n',
@@ -354,10 +386,10 @@ ROWS = [
       "test_poly.py::test_rational_equivalence_relation"]),
     ("zero_degree_minus_one", "poly", "return NEG_INFINITY", "return -1",
      ["test_poly.py::test_total_degree"]),
-    ("partial_drops_the_exponent", "poly", "c2 = mul(c, e % p)", "c2 = c",
+    ("partial_drops_the_exponent", "poly", "c2 = mul(c, (m >> shift & _FIELD) % p)", "c2 = c",
      ["test_forms.py::test_derivative_kills_pth_powers",
       "test_forms.py::test_leibniz_rule_on_zero_forms"]),
-    ("partial_keeps_the_exponent", "poly", "m2[j] = e - 1", "m2[j] = e",
+    ("partial_keeps_the_exponent", "poly", "codes[m - one] = c2", "codes[m] = c2",
      ["test_forms.py::test_derivative_product_example", "test_forms.py::test_sign_convention"]),
     ("non_constant_den_read_as_poly", "poly", "if not den.is_constant():", "if False:",
      ["test_forms.py::test_derivative_rejects_rational_coefficients"]),
@@ -370,8 +402,11 @@ ROWS = [
     ("twist_exponent_one_down", "projective", "k = (-j) % field.s",
      "k = (-j - 1) % field.s",
      ["test_projective.py::test_trace_matrix_matches_direct_trace_on_special_divisors"]),
-    ("t_le_s_filter_dropped", "projective", "if dt <= ds and all(map(_le, t, s)):",
+    ("t_le_s_filter_dropped", "projective", "if (sg - t) & guards == guards:",
      "if dt <= ds:", ["test_cli.py::test_trace_matrix_json_parses_back_to_the_library_map"]),
+    ("level_filter_through_tuples", "projective", "if (sg - t) & guards == guards:",
+     "if all(map(int.__le__, unpack(t, nvars), unpack(s, nvars))):",
+     ["test_poly.py::test_inner_loops_build_no_scalar"]),
     ("u_cap_dropped", "projective", "if du <= cap:", "if True:",
      ["test_projective.py::test_coordinate_hyperplanes_give_the_same_rank_on_every_chart",
       "test_projective.py::test_dense_rows_rebuild_the_same_map"]),
@@ -425,8 +460,8 @@ ROWS = [
      ["test_projective.py::test_divisor_validation"]),
     ("non_effective_e_accepted", "projective", "if e_part.k < 0:", "if False:",
      ["test_projective.py::test_pe_twist_requires_effective_fixed_part"]),
-    ("rerank_on_reversed_monomials", "projective", "monomial_rank(m) for m in",
-     "monomial_rank(m[::-1]) for m in",
+    ("rerank_on_reversed_monomials", "projective", "monomial_rank(unpack(m, src.n)) for m in",
+     "monomial_rank(unpack(m, src.n)[::-1]) for m in",
      ["test_projective.py::test_bucket_loop_matches_column_loop"]),
     ("print_memo_removed", "projective", "s = printed.get(id(f))", "s = None",
      ["test_projective.py::test_trace_matrix_forms_each_polynomial_once"]),

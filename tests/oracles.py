@@ -3,6 +3,7 @@ library against.  No test module imports another; each imports what it
 shares from here.  pytest does not collect this file."""
 
 from frobtrace import ContainmentError, Poly, SemilinearMap, pe_twist, projective, section_space
+from frobtrace.poly import pack
 
 
 def trace_by_definition(h, g, e):
@@ -26,11 +27,39 @@ def trace_from_buckets(buckets: dict, mono: tuple, q: int) -> dict:
     P = sum_r g_r^q x^r, and only r = (q-1-mono) mod q contributes, as
     x^s g_r with s = (mono + r - (q-1)) / q."""
     r = tuple((q - 1 - x) % q for x in mono)
-    g = buckets.get(r)
+    g = buckets.get(pack(r))
     if g is None:
         return {}
     s = tuple((x + y - (q - 1)) // q for x, y in zip(mono, r))
     return {tuple(x + y for x, y in zip(m, s)): c for m, c in g.terms.items()}
+
+
+def tuple_product(field, pairs, below=None):
+    """sum P * Q over the (P, Q) pairs of ``{exponent tuple: code}`` dicts,
+    schoolbook, with the field's code operations; a product monomial with
+    an exponent at or above ``below`` is dropped.  An oracle for the packed
+    product loop that shares no monomial arithmetic with it."""
+    sums = {}
+    for left, right in pairs:
+        for m1, a in left.items():
+            for m2, b in right.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                if below is None or max(m, default=0) < below:
+                    sums[m] = field._add(sums.get(m, 0), field._mul(a, b))
+    return {m: v for m, v in sums.items() if v}
+
+
+def tuple_buckets(field, codes, e):
+    """{residue tuple: {base tuple: code}} for the ``{exponent tuple: code}``
+    dict ``codes``: each exponent split as q * base + residue, q = p^e,
+    and each code replaced by its q-th root, found by search over the
+    codes.  An oracle for Poly.frobenius_decompose."""
+    q = field.p ** e
+    roots = {field._pow(c, q): c for c in range(field.q)}
+    buckets = {}
+    for m, c in codes.items():
+        buckets.setdefault(tuple(x % q for x in m), {})[tuple(x // q for x in m)] = roots[c]
+    return buckets
 
 
 def square_and_multiply(f, n):

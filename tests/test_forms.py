@@ -19,6 +19,7 @@ from frobtrace import (
 )
 from frobtrace.checks import random_poly
 from frobtrace.forms import _normalize_indices, d_columns
+from frobtrace.poly import pack, unpack
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -156,7 +157,7 @@ def test_d_columns_match_the_exterior_derivative():
             for dbound in (0, 2, 4):
                 row_of, rows, ncols = d_columns(field, n, dbound)
                 assert list(row_of.values()) == list(range(len(row_of)))
-                assert set(row_of) == set(monomials_upto(n, dbound))
+                assert set(row_of) == set(map(pack, monomials_upto(n, dbound)))
                 assert len(rows) == len(row_of)
                 columns = [{r: row[c] for r, row in enumerate(rows) if c in row}
                            for c in range(ncols)]
@@ -171,7 +172,7 @@ def test_d_columns_match_the_exterior_derivative():
                             images.append((K, m, image))
                 assert len(columns) == len(images)
                 for (K, m, expected), col in zip(images, columns):
-                    got = Poly(field, n, {mono_of[r]: c for r, c in col.items()})
+                    got = Poly(field, n, {unpack(mono_of[r], n): c for r, c in col.items()})
                     assert got == expected, (p, n, K, m)
 
 

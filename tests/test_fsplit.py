@@ -19,7 +19,7 @@ from frobtrace import poly
 from frobtrace.checks import FIELDS, random_poly
 from frobtrace.field import Scalar
 from frobtrace.fsplit import _witness_coefficient
-from frobtrace.poly import Poly, monomial_rank, monomials_upto
+from frobtrace.poly import Poly, monomial_rank, monomials_upto, pack
 from oracles import square_and_multiply
 
 XYZW = ["x", "y", "z", "w"]
@@ -97,10 +97,37 @@ def test_witness_check_agrees_with_the_full_power():
                 ok = verify_witness(f, m)
                 assert ok == (m in power.terms), (field, f, m)
                 coeff = power.terms.get(m, field.zero)
-                assert Scalar(field, _witness_coefficient(f, m)) == coeff, (field, f, m)
+                assert Scalar(field, _witness_coefficient(f, pack(m))) == coeff, (field, f, m)
                 accepted += ok
                 refused += not ok
     assert accepted and refused
+
+
+def test_pruned_reader_matches_the_full_power_at_every_candidate():
+    """The witness reader keeps a state only while the terms still to come
+    can complete it; at every witness candidate (degree (p-1) d, every
+    exponent below p) of seeded forms of degree d over the suite fields
+    and F_7, with up to six terms, it must still equal the coefficient of
+    the full power f^{p-1}, built by squaring."""
+    rng = random.Random(19)
+    nonzero = zero = 0
+    for field in (*FIELDS, FiniteField(7)):
+        p = field.p
+        for _ in range(25):
+            nvars = rng.randint(2, 4)
+            degree = rng.randint(1, nvars)
+            monos = [m for m in monomials_upto(nvars, degree) if sum(m) == degree]
+            f = Poly(field, nvars, {m: Scalar(field, rng.randrange(1, field.q))
+                                    for m in rng.sample(monos, k=min(len(monos),
+                                                                     rng.randint(2, 6)))})
+            power = square_and_multiply(f, p - 1).terms
+            for m in itertools.product(range(p), repeat=nvars):
+                if sum(m) == (p - 1) * degree:
+                    coeff = power.get(m, field.zero)
+                    assert Scalar(field, _witness_coefficient(f, pack(m))) == coeff, (f, m)
+                    nonzero += bool(coeff)
+                    zero += not coeff
+    assert nonzero > 300 and zero > 300
 
 
 def random_form(field, nvars, degree, rng):
@@ -128,7 +155,7 @@ def test_fedder_verdict_is_read_off_the_full_power():
     outcomes = set()
     for f in forms:
         p = f.field.p
-        good = [m for m in square_and_multiply(f, p - 1).codes if max(m) < p]
+        good = [m for m in square_and_multiply(f, p - 1).terms if max(m) < p]
         verdict = fedder_hypersurface(f)
         assert verdict.split == bool(good), f
         assert verdict.witness == (min(good, key=monomial_rank) if good else None), f
@@ -150,7 +177,7 @@ def test_fedder_stores_no_product_term_at_or_above_p(monkeypatch):
 
     def recording(field, nvars, pairs, below=None):
         out = product(field, nvars, pairs, below)
-        stored.append((field.p, max((max(m) for m in out.codes), default=0)))
+        stored.append((field.p, max((max(m) for m in out.terms), default=0)))
         return out
 
     monkeypatch.setattr(poly, "sum_of_products", recording)
@@ -158,7 +185,7 @@ def test_fedder_stores_no_product_term_at_or_above_p(monkeypatch):
     assert len(stored) > 20 and all(top < p for p, top in stored)
     assert True in verdicts and False in verdicts
     monkeypatch.undo()
-    assert all(max(max(m) for m in (f ** (f.field.p - 1)).codes) >= f.field.p for f in forms)
+    assert all(max(max(m) for m in (f ** (f.field.p - 1)).terms) >= f.field.p for f in forms)
 
 
 def test_zero_polynomial_rejected():

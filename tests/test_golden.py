@@ -329,6 +329,12 @@ CASES = {
     "fedder_p4_fermat_p29_json": (
         ["--char", "29", "--vars", "x,y,z,w,v", *JSON, "fedder", "x^5+y^5+z^5+w^5+v^5"],
         0, "5bad1967e08e1b12f800ab87b05d291a9464cbf40e1c5a733dc7f912d4bc75df", ""),
+    # the pruned certificate reads the one witness coefficient of f^102 in
+    # a few thousand states, where the unpruned reader kept every state
+    # below the witness
+    "fedder_cubic_p103": (
+        ["--char", "103", "--vars", "x,y,z", "fedder", "x^3+y^3+z^3+x*y*z"],
+        0, "52a1fbec583fe60724f4dc80c6c1c574253d79aa0bc4b1bb1d1052a01d085be8", ""),
     "demo": (
         ["demo", "fermat-cubic"],
         0, "732b37aaf17e543127042f93d52467560d71f2258b52105ea89207380d6b4a83", ""),
@@ -488,6 +494,20 @@ CASES = {
     "fedder_linear_chart_x": (
         [*FERMAT, "--chart", "x", "fedder", "x"],
         0, "7ae057fa377501e2a5d6f69cbd0dfdf3ca42b6b2fbf1bf6354a1f336359079d9", ""),
+    # a monomial whose degree reaches 2^62 does not fit a packed monomial:
+    # one typed in, one made by a product, by the p^e-th power twist of D
+    # or by a level's degree bound is refused, never wrapped
+    **{f"refuse_{name}_past_the_packing": (argv, 2, EMPTY, f"error: degree {degree} does "
+                                           "not fit a packed monomial, whose degree must "
+                                           "be below 2^62\n")
+       for name, argv, degree in (
+           ("exponent", ["--char", "2", "--vars", "x,y", "fedder", f"x^{2 ** 62}+y"], 2 ** 62),
+           ("product", ["--char", "2", "--vars", "x,y", "fedder",
+                        f"(x^{2 ** 61})*x^{2 ** 61}"], 2 ** 62),
+           ("twist", ["--char", "2", "--vars", "x,y,z", "trace-matrix", "--E",
+                      "x^3+y^3+z^3:1", "--D", "x*y+z^2:1", "--e", "61"], 2 ** 62),
+           ("level", ["--char", "2", "--vars", "x,y", "trace-matrix", "--E", "H:0",
+                      "--D", "H:2", "--e", "64"], 2 ** 63 - 2))},
     "refuse_nonhomogeneous_fedder": (
         ["--char", "2", "--vars", "x,y", "fedder", "x+y^2"],
         2, EMPTY, "error: the polynomial must be homogeneous\n"),
@@ -681,6 +701,8 @@ NOT_ROWS = {
                     "a Scalar row is a dense sequence; a sparse row is a code row",
                     "right-hand side of length {len(rhs)} for a {len(codes)}-row matrix")},
     ("linalg", "elimination left the leading column {lead} in place"): "internal consistency",
+    ("linalg", "matrix entry {x} is not a Scalar"):
+        "library API only: test_linalg.py::test_entries_that_are_not_scalars_are_refused",
     ("linalg", "matrix entry from {x.field} in a matrix over {field}"):
         "library API only: test_linalg.py::test_rows_mixing_two_fields_are_refused",
     **{("poly", text):
@@ -699,7 +721,8 @@ NOT_ROWS = {
     **{("poly", text): "library API only: test_poly.py::test_dehomogenize_rejects_inhomogeneous"
        for text in ("dehomogenization requires a homogeneous polynomial",
                     "chart index {chart} out of range")},
-    ("poly", "exact division left the leading monomial {rm} in place"): "internal consistency",
+    ("poly", "exact division left the leading monomial {unpack(rm, nvars)} in place"):
+        "internal consistency",
     # the parser refuses a zero denominator first, with its own message
     ("poly", "zero denominator"):
         "library API only: test_poly.py::test_rational_denominator_nonzero",

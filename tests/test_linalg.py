@@ -6,10 +6,11 @@ solved by ``solve``, and code rows go straight to ``code_rank`` and
 ``solve_codes``, the calls the library makes."""
 
 import random
+import re
 
 import pytest
 
-from frobtrace import FiniteField, Scalar
+from frobtrace import DivisorSpec, FiniteField, Scalar, SemilinearMap, section_space
 from frobtrace.linalg import code_rank, code_rows, solve, solve_codes
 
 F2 = FiniteField(2)
@@ -255,6 +256,24 @@ def test_solve_refuses_a_rhs_that_does_not_fit():
         rank_of([[one], [one, one]], F2)
     assert solve_codes([{0: 1}, {}], {0: 1, 1: 0}, F2) == {0: 1}
     assert solve([[one], [zero]], [one, zero], F2) == [one]
+
+
+def test_entries_that_are_not_scalars_are_refused():
+    # an int, None or a float is no Scalar, in a row or in the rhs, and is
+    # named; a falsy one is not read as a zero
+    space = section_space(DivisorSpec(F2, 2, k=3))
+    for rows in ([[1]], [[0]], [[None]], [[F2.one, 0.0]]):
+        bad = repr(rows[0][-1])
+        with pytest.raises(ValueError, match=f"^matrix entry {re.escape(bad)} is not a Scalar$"):
+            rank_of(rows, F2)
+        with pytest.raises(ValueError, match=f"^matrix entry {re.escape(bad)} is not a Scalar$"):
+            solve(rows, [F2.one], F2)
+        if len(rows[0]) == space.dim:
+            with pytest.raises(ValueError, match="is not a Scalar$"):
+                SemilinearMap(space, space, 1, rows)
+    for rhs in ([1], [None], [0]):
+        with pytest.raises(ValueError, match=f"^matrix entry {rhs[0]!r} is not a Scalar$"):
+            solve([[F2.one]], rhs, F2)
 
 
 def test_rows_mixing_two_fields_are_refused():

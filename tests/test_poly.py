@@ -21,11 +21,11 @@ from frobtrace import (
     trace_rational_top,
     verify_witness,
 )
-from frobtrace import poly
+from frobtrace import demo, fsplit, parsing, poly, projective
 from frobtrace.checks import FIELDS, random_poly
 from frobtrace.poly import (monomial_count, monomial_rank, monomial_string,
                            monomial_strings_upto)
-from oracles import square_and_multiply
+from oracles import square_and_multiply, tuple_buckets, tuple_product
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -88,11 +88,13 @@ def test_product_multiplies_codes_not_scalars(monkeypatch):
 
 
 def test_inner_loops_build_no_scalar(monkeypatch):
-    """A Poly holds int codes, so the loops over its coefficients build no
-    Scalar: a product, a power, a twist, a decomposition that takes roots,
-    a partial derivative, a rational trace, a trace matrix and its rank
-    with rows eliminated, and a Fedder verdict, all over F_4 and F_9,
-    where the roots and twists move codes."""
+    """A Poly holds int codes on packed monomials, so the loops over its
+    terms build no Scalar and unpack no monomial into a tuple: a product,
+    a power, a twist, a decomposition that takes roots, a partial
+    derivative, a rational trace, a trace-matrix level and the rank with
+    rows eliminated build neither, over F_4 and F_9, where the roots and
+    twists move codes.  A trace matrix unpacks only to place each column
+    it reached, once, and a Fedder verdict only its witness."""
     xyz = ["x", "y", "z"]
     f = P("x^2+2*y*z+w^3+1", F9) * F9.generator + P("x*w", F9)
     form = TopForm(F9, 4, RationalFn(P("g*x^8*y^8*z^8*w^8", F9), P("x+g*y+1", F9)))
@@ -101,30 +103,41 @@ def test_inner_loops_build_no_scalar(monkeypatch):
              + parse_poly("x*y*z", F4, xyz) * g)
     conic = parse_poly("x^2", F4, xyz) * g + parse_poly("y*z", F4, xyz)
     E, D = DivisorSpec(F4, 2, [(cubic, 1)]), DivisorSpec(F4, 2, [(conic, 1)], k=1)
-    built = []
-    init = Scalar.__init__
+    built, unpacked = [], []
+    init, unpack = Scalar.__init__, poly.unpack
 
     def counted(self, field, v):
         built.append(v)
         init(self, field, v)
 
+    def counted_unpack(m, nvars):
+        unpacked.append(m)
+        return unpack(m, nvars)
+
     monkeypatch.setattr(Scalar, "__init__", counted)
+    for module in (poly, projective, fsplit, parsing, demo):
+        monkeypatch.setattr(module, "unpack", counted_unpack)
     results = [f * f, f ** 5, f ** 9, f._twist(1), f.partial(0)]
     results += (f ** 7).frobenius_decompose(1).values()
     results.append(trace_rational_top(form, 2).coeff.num)
+    assert unpacked == []
     t = trace_matrix(E, D, 2)
+    # one unpack per column placed, and none in the levels
+    assert len(unpacked) == len(set(unpacked)) == len(set().union(*t.codes)) > 0
+    unpacked.clear()
     rank = linalg.code_rank(t.codes * 2, F4)  # each row twice, so rows are eliminated
-    split = fedder_hypersurface(cubic).split
+    verdict = fedder_hypersurface(cubic)
     assert built == []
+    assert unpacked == [poly.pack(verdict.witness)]
     assert not any(r.is_zero() for r in results) and len(results) > 6
-    assert rank == t.verdict.rank > 0 and split
+    assert rank == t.verdict.rank > 0 and verdict.split
 
 
 def test_terms_is_a_fresh_scalar_view_of_the_codes():
     f = P("x^2+2*y*z+w^3+1", F9) * F9.generator
     terms = f.terms
-    assert terms.keys() == f.codes.keys() and len(terms) == 4
-    assert all(type(c) is Scalar and c.field is F9 and c.v == f.codes[m]
+    assert set(terms) == {(2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 3), (0, 0, 0, 0)}
+    assert all(type(c) is Scalar and c.field is F9 and c.v == f.codes[poly.pack(m)]
                for m, c in terms.items())
     assert terms is not f.terms and terms == f.terms
     codes = dict(f.codes)
@@ -230,13 +243,97 @@ def test_capped_power_is_the_full_power_truncated():
             for base in [f] + monos:
                 for n in (1, rng.randint(2, p), pure, multi):
                     full = square_and_multiply(base, n)
-                    top = max((max(m) for m in full.codes), default=0)
+                    top = max((max(m) for m in full.terms), default=0)
                     for below in (p, rng.randint(1, top + 1)):
                         capped = pow(base, n, below)
                         assert capped == truncated(full, below), (field, base, n, below)
                         dropped += len(full.codes) > len(capped.codes)
                         kept += not capped.is_zero()
     assert dropped > 100 and kept > 100
+
+
+def _tuple_codes(f):
+    """f as an ``{exponent tuple: code}`` dict, read through its tuple view."""
+    return {m: c.v for m, c in f.terms.items()}
+
+
+def _fits(codes):
+    return all(sum(m) < poly.LIMIT for m in codes)
+
+
+def test_packed_loops_match_the_tuple_oracle():
+    """The packed product, with and without a cap, the capped power, the
+    twist, the filtered decomposition and the partial derivative agree
+    with the schoolbook oracles.tuple_product and oracles.tuple_buckets
+    on {exponent tuple: code} dicts, over the suite fields and F_7.  Each
+    draw scales its exponents by 2^k, for every k from 0 to 61, so every
+    field size up to the width limit is reached, with sums near the guard
+    bit and carries between fields, caps up to LIMIT, and decompositions
+    with q beyond a field.  Whatever reaches degree 2^62 (LIMIT) is
+    refused with ValueError, in the constructor and in a product, a power
+    or a twist, never wrapped."""
+    rng = random.Random(42)
+    limit = poly.LIMIT
+    refused = compared = 0
+    for field in (*FIELDS, FiniteField(7)):
+        p = field.p
+        for k in range(poly.WIDTH - 2):
+            nvars = rng.randint(1, 4)
+
+            def draw():
+                return {tuple(rng.randrange(4) * 2 ** k + rng.randrange(3) for _ in range(nvars)):
+                        rng.randrange(1, field.q) for _ in range(rng.randint(1, 4))}
+
+            a, b = draw(), draw()
+            if not (_fits(a) and _fits(b)):
+                refused += 1
+                with pytest.raises(ValueError, match="does not fit a packed monomial"):
+                    Poly(field, nvars, {m: Scalar(field, c) for m, c in {**a, **b}.items()})
+                continue
+            f, g = (Poly(field, nvars, {m: Scalar(field, c) for m, c in d.items()})
+                    for d in (a, b))
+            top = max(max(m) for m in (*a, *b))
+            for below in (None, p, rng.randint(1, 2 * top + 1), limit):
+                below = None if below is None else min(below, limit)
+                expected = tuple_product(field, [(a, b), (b, a)], below)
+                if _fits(expected):
+                    got = poly.sum_of_products(field, nvars, [(f, g), (g, f)], below)
+                    assert _tuple_codes(got) == expected, (field, k, below)
+                    compared += 1
+                else:
+                    refused += 1
+                    with pytest.raises(ValueError, match="does not fit a packed monomial"):
+                        poly.sum_of_products(field, nvars, [(f, g), (g, f)], below)
+                n = rng.randint(2, p + 1)
+                power = {(0,) * nvars: 1}
+                for _ in range(n):
+                    power = tuple_product(field, [(power, a)], below)
+                if n * max(sum(m) for m in a) < limit:
+                    assert _tuple_codes(pow(f, n, below)) == power, (field, k, n, below)
+                    compared += 1
+                elif below is None:
+                    refused += 1
+                    with pytest.raises(ValueError, match="does not fit a packed monomial"):
+                        f ** n
+            j = rng.randint(0, 3)
+            twisted = {tuple(p ** j * x for x in m): field._pow(c, p ** j) for m, c in a.items()}
+            if _fits(twisted):
+                assert _tuple_codes(f._twist(j)) == twisted
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="does not fit a packed monomial"):
+                    f._twist(j)
+            for e in (1, rng.randint(2, 3), rng.randint(k, k + 3), poly.WIDTH + 1 + k % 3):
+                buckets = tuple_buckets(field, a, e)
+                chosen = set(rng.sample(sorted(buckets), k=rng.randint(0, len(buckets))))
+                got = f.frobenius_decompose(e, lambda r: poly.unpack(r, nvars) in chosen)
+                assert {poly.unpack(r, nvars): _tuple_codes(g_r) for r, g_r in got.items()} == \
+                    {r: codes for r, codes in buckets.items() if r in chosen}, (field, k, e)
+            v = rng.randrange(nvars)
+            derived = {m[:v] + (m[v] - 1,) + m[v + 1:]: field._mul(c, m[v] % p)
+                       for m, c in a.items() if m[v] % p}
+            assert _tuple_codes(f.partial(v)) == derived
+    assert compared > 1000 and refused > 20
 
 
 def test_witness_check_forms_no_product(monkeypatch):
@@ -279,8 +376,8 @@ def test_pe_th_root_inverts_powers():
             f = random_poly(field, 3, rng, 4)
             q = field.p ** e
             buckets = (f ** q).frobenius_decompose(e)
-            assert set(buckets) <= {(0, 0, 0)}
-            assert buckets.get((0, 0, 0), Poly.zero(field, 3)) == f
+            assert set(buckets) <= {0}
+            assert buckets.get(0, Poly.zero(field, 3)) == f
 
 
 def test_frobenius_decompose_reassembles():
@@ -297,14 +394,14 @@ def test_frobenius_decompose_reassembles():
                 total = Poly.zero(field, n)
                 full = f.frobenius_decompose(e)
                 for r, g in full.items():
-                    assert all(0 <= x < q for x in r)
-                    total = total + g ** q * Poly.monomial(field, r)
+                    assert all(0 <= x < q for x in poly.unpack(r, n))
+                    total = total + g ** q * Poly.monomial(field, poly.unpack(r, n))
                 assert total == f
                 # a filtered decomposition is the full one restricted to
                 # the residues its test keeps
                 floor = pick.randint(0, n * (q - 1))
                 chosen = set(pick.sample(sorted(full), k=len(full) // 2))
-                for keep in (lambda r: sum(r) >= floor, chosen.__contains__,
+                for keep in (lambda r: sum(poly.unpack(r, n)) >= floor, chosen.__contains__,
                              lambda r: False, lambda r: True):
                     assert f.frobenius_decompose(e, keep) == \
                         {r: g for r, g in full.items() if keep(r)}

@@ -481,10 +481,11 @@ def full_product_codes(E, e, chart):
     on the target basis through all e levels of _next_level."""
     space = section_space(E, chart)
     table = cartier._pairing_table(space.den)
-    rows = [{s: 1} for s in space.basis]
+    rows = [{poly_module.pack(s): 1} for s in space.basis]
     for j in range(e):
         rows = projective._next_level(rows, table, E.field, j, space.bound, space.bound)
-    return [{poly_module.monomial_rank(m): v for m, v in row.items()} for row in rows]
+    return [{poly_module.monomial_rank(poly_module.unpack(m, E.n)): v for m, v in row.items()}
+            for row in rows]
 
 
 def test_stopping_loop_matches_the_full_product_when_d_is_zero():
@@ -672,7 +673,8 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
     the loop ends at the next step, no higher power of E is formed, and no
     basis of the source bound is listed."""
     decompositions, powers, listed, levels = [], [], [], []
-    decompose, power, upto = Poly.frobenius_decompose, Poly.__pow__, projective.monomials_upto
+    decompose, power = Poly.frobenius_decompose, Poly.__pow__
+    upto, packed = projective.monomials_upto, projective.packed_upto
     next_level = projective._next_level
 
     def recording_decompose(self, e, keep=None):
@@ -688,6 +690,10 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
         listed.append(bound)
         return upto(nvars, bound)
 
+    def recording_packed(nvars, bound):
+        listed.append(bound)
+        return packed(nvars, bound)
+
     monkeypatch.setattr(Poly, "frobenius_decompose", recording_decompose)
     monkeypatch.setattr(Poly, "__pow__", recording_power)
     def recording_next_level(rows, table, field, j, bound, next_bound):
@@ -702,8 +708,9 @@ def test_fermat_trace_matrix_forms_no_power_above_p_minus_1(monkeypatch):
 
     monkeypatch.setattr(projective, "_next_level", recording_next_level)
     monkeypatch.setattr(projective, "_iterate", counting_iterate)
+    monkeypatch.setattr(projective, "monomials_upto", recording_upto)
     for module in (projective, cartier):
-        monkeypatch.setattr(module, "monomials_upto", recording_upto)
+        monkeypatch.setattr(module, "packed_upto", recording_packed)
     t = trace_matrix(fermat_divisor(), DivisorSpec(F2, 3, k=1), 8)
     assert (t.tgt.dim, t.src.dim) == (1, 2829056) and t.src.bound == 255
     assert t.verdict.zero and t.codes == [{}]
