@@ -33,7 +33,7 @@ from .cartier import (
 from .field import FiniteField
 from .forms import DiffForm, TopForm, exterior_derivative
 from .fsplit import fedder_hypersurface, verify_witness
-from .poly import Poly, RationalFn, monomial_rank, monomials_upto
+from .poly import Poly, RationalFn, monomials_upto
 
 FIELDS = (
     FiniteField(2), FiniteField(3), FiniteField(5),
@@ -162,7 +162,8 @@ def fedder_cert(rng):
     """Splitting verdicts re-derived from the one-coefficient witness check:
     the verdict splits exactly when some monomial with exponents in [0, p)
     and degree (p-1) deg f has a nonzero coefficient in f^{p-1}, and its
-    witness is the first such monomial in ``monomials_upto`` order."""
+    witness is the first such monomial in ``monomials_upto`` order, which
+    among monomials of one degree is descending tuple order."""
     field = rng.choice(FIELDS)
     p = field.p
     nvars = rng.choice([3, 4])
@@ -175,7 +176,7 @@ def fedder_cert(rng):
     f = Poly(field, nvars, terms)
     verdict = fedder_hypersurface(f)
     candidates = sorted((m for m in product(range(p), repeat=nvars)
-                         if sum(m) == (p - 1) * deg), key=monomial_rank)
+                         if sum(m) == (p - 1) * deg), reverse=True)
     expected = next((m for m in candidates if verify_witness(f, m)), None)
     yield (verdict.split == (expected is not None) and verdict.witness == expected,
            f"{field}: verdict/certificate mismatch for f={f}")

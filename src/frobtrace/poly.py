@@ -13,8 +13,9 @@ product, a power or a twist, is refused with ValueError, never wrapped
 into the next field.  Exponent tuples are built only at the edges:
 :func:`pack` reads one, and :func:`unpack`, the one way back, serves
 :attr:`Poly.terms` (a fresh ``{exponent tuple: Scalar}`` view for callers
-that read field elements; no library path reads it), printing, column
-placement and the Fedder witness.  The graded-lexicographic order (first
+that read field elements; no library path reads it), printing and the
+Fedder witness.  :func:`monomial_rank` places a packed monomial in the
+graded-lex list with no tuple.  The graded-lexicographic order (first
 variable heaviest) fixes printing and leading terms, so all rendered
 output is deterministic.
 
@@ -147,23 +148,24 @@ def monomial_count(nvars: int, bound: int) -> int:
     return comb(bound + nvars, nvars) if bound >= 0 else 0
 
 
-def monomial_rank(mono) -> int:
-    """The index of ``mono`` in ``monomials_upto(len(mono), bound)``, the
-    same for every bound >= its degree d.  The C(d - 1 + n, n) monomials
-    of degree < d in its n variables come first.  Within degree d, when
-    mono's exponent a of a variable leaves degree r to the k variables
-    after it, the monomials that agree with mono before that variable and
+def monomial_rank(m: int, nvars: int) -> int:
+    """The index of the packed monomial ``m`` in ``packed_upto(nvars,
+    bound)``, the same for every bound >= its degree d.  The C(d - 1 + n, n)
+    monomials of degree < d in its n variables come first.  Within degree
+    d, when m's exponent a of a variable leaves degree r to the k variables
+    after it, the monomials that agree with m before that variable and
     exceed a there come first: they are counted by the monomials of degree
-    < r in those k variables (the hockey-stick identity)."""
-    n = len(mono)
-    r = sum(mono)
-    rank = comb(r - 1 + n, n) if r else 0
-    for a in mono[:-1]:
-        n -= 1
-        r -= a
-        if r:
-            rank += comb(r - 1 + n, n)
-    return rank
+    < r in those k variables (the hockey-stick identity).  The degree is
+    m % _FIELD, and each variable's field, subtracted from it in turn,
+    leaves the degree of the variables after it; the sum stops once that
+    degree is 0, or at the last variable, whose count C(r, 1) is r."""
+    r = m % _FIELD
+    rank = 0
+    while r and nvars > 1:
+        rank += comb(r - 1 + nvars, nvars)
+        nvars -= 1
+        r -= m >> WIDTH * nvars & _FIELD
+    return rank + r
 
 
 def sum_of_products(field: FiniteField, nvars: int, pairs, below=None) -> "Poly":

@@ -34,9 +34,10 @@ target's E * D, and both are E's product itself when D has no
 hypersurface.  A map's JSON prints each polynomial once.
 A space's dimension is a binomial coefficient, and its basis, the list of
 :func:`frobtrace.poly.monomials_upto`, is built only when read; a column
-is placed by :func:`frobtrace.poly.monomial_rank` without it.  A basis
-is printed layer by layer with :func:`frobtrace.poly.monomial_strings_upto`,
-which makes one factor string per (variable, exponent).
+is placed without it, by :func:`frobtrace.poly.monomial_rank` on its
+packed monomial.  A basis is printed layer by layer with
+:func:`frobtrace.poly.monomial_strings_upto`, which makes one factor
+string per (variable, exponent).
 The map itself is p^{-e}-semilinear, i.e.
 T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
 matrix . inverse_frobenius^e(c).  Because the inverse Frobenius is a
@@ -359,9 +360,10 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
     it, and so does a repeated level when deg D = 0, where every level
     has the target's bound and depends only on the rows and j mod s, so
     any e ends.  Every entry is an int code, in rows keyed by packed
-    monomial; each source column reached is unpacked and placed once, by
-    :func:`monomial_rank`.  A level whose degree bound does not fit the
-    packed monomials raises ValueError before it is read.
+    monomial; each source column reached is placed once, by
+    :func:`monomial_rank` on that packed monomial, with no tuple.  A
+    level whose degree bound does not fit the packed monomials raises
+    ValueError before it is read.
     A traced numerator above its level's degree bound cannot happen for a
     correct trace and raises :class:`ContainmentError` naming the basis
     element.
@@ -388,7 +390,7 @@ def trace_matrix(e_part: DivisorSpec, divisor: DivisorSpec, e: int,
         j % field.s, tuple(frozenset(row.items()) for row in state[0]))
     rows, _ = _iterate(level, ([{s: 1} for s in packed_upto(tgt.n, tgt.bound)], tgt.bound),
                        e, key)
-    rank = {m: monomial_rank(unpack(m, src.n)) for m in set().union(*rows)}
+    rank = {m: monomial_rank(m, src.n) for m in set().union(*rows)}
     return SemilinearMap._wrap(src, tgt, e, [{rank[m]: v for m, v in row.items()}
                                              for row in rows])
 

@@ -87,6 +87,8 @@ ROWS = [
           ("closedness", "exterior_derivative(inverse_cartier(omega)).is_zero()"),
           ("fedder_cert",
            "verdict.split == (expected is not None) and verdict.witness == expected"))),
+    ("fedder_cert_candidates_ascending", "checks", "== (p - 1) * deg), reverse=True)",
+     "== (p - 1) * deg))", ["test_golden.py::test_cli_output_matches_recorded_digest"]),
     ("additivity_always_true", "checks", "yield lhs == rhs,", "yield True,",
      ["test_cli.py::test_each_suite_check_fails_on_a_broken_dependency"]),
     ("composition_checks_itself", "checks", "== trace_by_direct_rule(omega, e),",
@@ -206,7 +208,8 @@ ROWS = [
      ["test_fsplit.py::test_fermat_split_char_7", "test_fsplit.py::test_hyperplane_always_splits",
       "test_fsplit.py::test_fedder_verdict_is_read_off_the_full_power",
       "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_every_chart",
-      "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_p4"]),
+      "test_projective.py::test_rank_one_exactly_when_fedder_splits_on_p4",
+      "test_golden.py::test_fedder_rows_match_a_candidate_scan"]),
     ("largest_witness", "fsplit", "witness=unpack(max(good), f.nvars)",
      "witness=unpack(min(good), f.nvars)",
      ["test_golden.py::test_cli_output_matches_recorded_digest"]),
@@ -370,6 +373,9 @@ ROWS = [
     ("poly_hashable", "poly", '    __slots__ = ("field", "nvars", "codes")\n',
      '    __slots__ = ("field", "nvars", "codes")\n    __hash__ = object.__hash__\n',
      ["test_poly.py::test_poly_and_rational_fn_are_unhashable"]),
+    ("rank_suffix_one_field_high", "poly", "r -= m >> WIDTH * nvars & _FIELD",
+     "r -= m >> WIDTH * (nvars + 1) & _FIELD",
+     ["test_poly.py::test_packed_rank_is_the_index_in_packed_upto"]),
     ("graded_lex_ascending", "poly", "for a in range(d, -1, -1)", "for a in range(d + 1)",
      ["test_poly.py::test_monomials_upto_is_sorted_graded_lex",
       "test_projective.py::test_fermat_section_space"]),
@@ -460,8 +466,9 @@ ROWS = [
      ["test_projective.py::test_divisor_validation"]),
     ("non_effective_e_accepted", "projective", "if e_part.k < 0:", "if False:",
      ["test_projective.py::test_pe_twist_requires_effective_fixed_part"]),
-    ("rerank_on_reversed_monomials", "projective", "monomial_rank(unpack(m, src.n)) for m in",
-     "monomial_rank(unpack(m, src.n)[::-1]) for m in",
+    ("rerank_on_reversed_monomials", "projective", "monomial_rank(m, src.n) for m in",
+     "monomial_rank(sum((m >> WIDTH * i & _FIELD) << WIDTH * (src.n - 1 - i)"
+     " for i in range(src.n)), src.n) for m in",
      ["test_projective.py::test_bucket_loop_matches_column_loop"]),
     ("print_memo_removed", "projective", "s = printed.get(id(f))", "s = None",
      ["test_projective.py::test_trace_matrix_forms_each_polynomial_once"]),

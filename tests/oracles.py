@@ -2,6 +2,8 @@
 library against.  No test module imports another; each imports what it
 shares from here.  pytest does not collect this file."""
 
+from math import comb
+
 from frobtrace import ContainmentError, Poly, SemilinearMap, pe_twist, projective, section_space
 from frobtrace.poly import pack
 
@@ -60,6 +62,22 @@ def tuple_buckets(field, codes, e):
     for m, c in codes.items():
         buckets.setdefault(tuple(x % q for x in m), {})[tuple(x // q for x in m)] = roots[c]
     return buckets
+
+
+def tuple_rank(mono) -> int:
+    """The index of the exponent tuple ``mono`` in ``monomials_upto(len(mono),
+    bound)`` for any bound >= its degree, read off the tuple: the monomials
+    of lower degree come first, then, at each variable, those that agree
+    with mono before it and exceed it there, counted by the hockey-stick
+    identity.  An oracle for the packed poly.monomial_rank."""
+    n, r = len(mono), sum(mono)
+    rank = comb(r - 1 + n, n) if r else 0
+    for a in mono[:-1]:
+        n -= 1
+        r -= a
+        if r:
+            rank += comb(r - 1 + n, n)
+    return rank
 
 
 def square_and_multiply(f, n):

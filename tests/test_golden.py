@@ -15,8 +15,9 @@ new refusal is one more row, or one entry there.
 
 A digest only shows that an output did not change, so each trace and
 trace-matrix row that exits 0 is also run with the direct exponent-e
-rule in place of the production path, and must print the same bytes; a
-row that this oracle cannot afford is named in NO_ORACLE with the law
+rule in place of the production path, and each fedder row that exits 0
+with a scan of the candidate monomials, and must print the same bytes; a
+row that its oracle cannot afford is named in NO_ORACLE with the law
 that covers it.
 
 The table runs two ways.  Under pytest (tier-1) each case runs ``cli.main``
@@ -45,6 +46,7 @@ from frobtrace import cli
 from frobtrace.cartier import trace_by_direct_rule
 from frobtrace.cli import build_parser, main
 from frobtrace.field import MAX_ORDER
+from frobtrace.fsplit import FsplitVerdict, verify_witness
 from oracles import direct_trace_matrix
 
 FERMAT = ["--char", "2", "--vars", "x,y,z,w"]
@@ -621,7 +623,8 @@ def test_trace_rows_match_an_independent_path(name, monkeypatch):
     oracles.direct_trace_matrix for trace-matrix.  A row whose oracle
     would form a power past the largest field order fails unless
     NO_ORACLE names it."""
-    assert sorted(set(NO_ORACLE) - set(ORACLE_ROWS)) == [], "NO_ORACLE entries that are no row"
+    assert sorted(set(NO_ORACLE) - set(ORACLE_ROWS) - set(FEDDER_ROWS)) == [], \
+        "NO_ORACLE entries that are no row"
     argv, *recorded = CASES[name]
     assert _in_process(argv)[0] == recorded
     if name in NO_ORACLE:
@@ -633,6 +636,59 @@ def test_trace_rows_match_an_independent_path(name, monkeypatch):
         "name the row in NO_ORACLE with the law that covers it"
     monkeypatch.setattr(cli, "trace_rational_top", trace_by_direct_rule)
     monkeypatch.setattr(cli, "trace_matrix", direct_trace_matrix)
+    got, out = _in_process(argv)
+    assert got == recorded, out
+
+
+# The fedder rows that exit 0, each checked against a scan that forms no
+# power of f: the candidates are the monomials of degree (p - 1) deg f
+# with every exponent below p, listed in graded-lex order, and the first
+# one whose coefficient in f^{p-1} verify_witness reads as nonzero is the
+# witness.  A row whose scan would check more than SCAN_BUDGET candidates
+# is named in NO_ORACLE with the law that covers it.
+FEDDER_ROWS = sorted(name for name, (argv, code, *_) in CASES.items() if code == 0
+                     and build_parser().parse_args(argv).command == "fedder")
+SCAN_BUDGET = 1000
+
+
+def _candidates(nvars, degree, p):
+    """The exponent tuples of ``degree`` in ``nvars`` variables with every
+    exponent below p, in graded-lex order, which within one degree is
+    descending: the first exponent runs down from the largest it can take,
+    and each is followed by the candidates for the rest.  Only these are
+    listed, not the whole box of exponents below p."""
+    if nvars == 0:
+        if degree == 0:
+            yield ()
+        return
+    for a in range(min(p - 1, degree), max(0, degree - (nvars - 1) * (p - 1)) - 1, -1):
+        for rest in _candidates(nvars - 1, degree - a, p):
+            yield (a, *rest)
+
+
+@pytest.mark.parametrize("name", FEDDER_ROWS)
+def test_fedder_rows_match_a_candidate_scan(name, monkeypatch):
+    """A fedder row prints its record as recorded, and again with the
+    verdict replaced by the candidate scan, which shares no power loop
+    with fedder_hypersurface.  A row whose scan checks more candidates
+    than SCAN_BUDGET fails unless NO_ORACLE names it."""
+    argv, *recorded = CASES[name]
+    assert _in_process(argv)[0] == recorded
+    if name in NO_ORACLE:
+        _assert_names_a_test(NO_ORACLE[name])
+        return
+
+    def scan(f):
+        p = f.field.p
+        for checked, m in enumerate(_candidates(f.nvars, (p - 1) * f.total_degree(), p)):
+            assert checked < SCAN_BUDGET, \
+                f"{name}: the scan checks over {SCAN_BUDGET} candidates; " \
+                "name the row in NO_ORACLE with the law that covers it"
+            if verify_witness(f, m):
+                return FsplitVerdict(split=True, witness=m)
+        return FsplitVerdict(split=False)
+
+    monkeypatch.setattr(cli, "fedder_hypersurface", scan)
     got, out = _in_process(argv)
     assert got == recorded, out
 

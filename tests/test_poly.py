@@ -24,8 +24,8 @@ from frobtrace import (
 from frobtrace import demo, fsplit, parsing, poly, projective
 from frobtrace.checks import FIELDS, random_poly
 from frobtrace.poly import (monomial_count, monomial_rank, monomial_string,
-                           monomial_strings_upto)
-from oracles import square_and_multiply, tuple_buckets, tuple_product
+                           monomial_strings_upto, packed_upto)
+from oracles import square_and_multiply, tuple_buckets, tuple_product, tuple_rank
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -91,10 +91,10 @@ def test_inner_loops_build_no_scalar(monkeypatch):
     """A Poly holds int codes on packed monomials, so the loops over its
     terms build no Scalar and unpack no monomial into a tuple: a product,
     a power, a twist, a decomposition that takes roots, a partial
-    derivative, a rational trace, a trace-matrix level and the rank with
-    rows eliminated build neither, over F_4 and F_9, where the roots and
-    twists move codes.  A trace matrix unpacks only to place each column
-    it reached, once, and a Fedder verdict only its witness."""
+    derivative, a rational trace, a trace matrix, its levels and column
+    placement included, and the rank with rows eliminated build neither,
+    over F_4 and F_9, where the roots and twists move codes.  A Fedder
+    verdict unpacks only its witness."""
     xyz = ["x", "y", "z"]
     f = P("x^2+2*y*z+w^3+1", F9) * F9.generator + P("x*w", F9)
     form = TopForm(F9, 4, RationalFn(P("g*x^8*y^8*z^8*w^8", F9), P("x+g*y+1", F9)))
@@ -120,11 +120,9 @@ def test_inner_loops_build_no_scalar(monkeypatch):
     results = [f * f, f ** 5, f ** 9, f._twist(1), f.partial(0)]
     results += (f ** 7).frobenius_decompose(1).values()
     results.append(trace_rational_top(form, 2).coeff.num)
-    assert unpacked == []
     t = trace_matrix(E, D, 2)
-    # one unpack per column placed, and none in the levels
-    assert len(unpacked) == len(set(unpacked)) == len(set().union(*t.codes)) > 0
-    unpacked.clear()
+    # columns are placed on their packed monomials
+    assert unpacked == [] and len(set().union(*t.codes)) > 1
     rank = linalg.code_rank(t.codes * 2, F4)  # each row twice, so rows are eliminated
     verdict = fedder_hypersurface(cubic)
     assert built == []
@@ -461,14 +459,36 @@ def _monomials_sorted_reference(nvars, bound):
     return sorted(rec(nvars, bound), key=lambda m: (sum(m), [-e for e in m]))
 
 
+def test_packed_rank_is_the_index_in_packed_upto():
+    """monomial_rank places each packed monomial of packed_upto(n, bound)
+    at its index, for n <= 5 and bound <= 12, without the list; and it
+    agrees with the tuple oracle on seeded monomials of 1 to 5 variables
+    and of every degree scale up to LIMIT - 1, where fields are near full
+    and the binomials are large."""
+    for n in range(6):
+        for bound in range(13):
+            monos = packed_upto(n, bound)
+            assert [monomial_rank(m, n) for m in monos] == list(range(len(monos))), (n, bound)
+    rng = random.Random(43)
+    top = poly.LIMIT - 1
+    monos = [(top,), (0, 0, 0, 0, top), (top, 0, 0, 0, 0), (1, 0, top - 1)]
+    for k in range(1, poly.WIDTH - 1):
+        for n in range(1, 6):
+            degree = rng.randrange(min(2 ** k, poly.LIMIT))
+            cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+            monos.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree])))
+    for mono in monos:
+        assert monomial_rank(poly.pack(mono), len(mono)) == tuple_rank(mono), mono
+
+
 def test_monomials_upto_is_sorted_graded_lex():
     for n in range(5):
         chart_names = ["x", "y", "z", "w"][:n]
         for bound in range(13):
             monos = monomials_upto(n, bound)
             assert monos == _monomials_sorted_reference(n, bound), (n, bound)
-            # the ranking formula places each monomial without the list
-            assert [monomial_rank(m) for m in monos] == list(range(len(monos))), (n, bound)
+            # the tuple oracle of the ranking formula places each monomial
+            assert [tuple_rank(m) for m in monos] == list(range(len(monos))), (n, bound)
             assert monomial_count(n, bound) == len(monos)
             # the layered strings are monomial_string of each monomial
             assert monomial_strings_upto(n, bound) == \

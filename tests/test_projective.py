@@ -381,27 +381,33 @@ def _coordinate(field, n, i, c=1):
 
 
 def _coordinate_case(rng):
-    """(E, D, e) over a field of ``checks.FIELDS`` on P^1 to P^3: E has 1
+    """(E, D, e) over a field of ``checks.FIELDS`` on P^1 to P^4: E has 1
     to n + 1 coordinate-hyperplane components c x_i, each of multiplicity
     1 or 2, and up to two random components; D = kH with -1 <= k <= 2,
-    and e <= 2."""
-    field = rng.choice(FIELDS)
-    n = rng.randint(1, 3)
-    elements = [x for x in field.elements() if x]
-    forms = [(_coordinate(field, n, i, rng.choice(elements)), rng.randint(1, 2))
-             for i in rng.sample(range(n + 1), rng.randint(1, n + 1))]
-    forms += [(_random_form(field, n + 1, rng.randint(1, 3), rng), rng.randint(1, 2))
-              for _ in range(rng.randint(0, 2))]
-    E, D = DivisorSpec(field, n, forms), DivisorSpec(field, n, k=rng.randint(-1, 2))
-    return E, D, _small_e(E, D)
+    and e <= 2.  On P^4 the source bound is at most 12, as in
+    :func:`_small_e`: a draw past it at e = 1 is drawn again."""
+    while True:
+        field = rng.choice(FIELDS)
+        n = rng.randint(1, 4)
+        elements = [x for x in field.elements() if x]
+        forms = [(_coordinate(field, n, i, rng.choice(elements)), rng.randint(1, 2))
+                 for i in rng.sample(range(n + 1), rng.randint(1, n + 1))]
+        forms += [(_random_form(field, n + 1, rng.randint(1, 3), rng), rng.randint(1, 2))
+                  for _ in range(rng.randint(0, 2))]
+        E, D = DivisorSpec(field, n, forms), DivisorSpec(field, n, k=rng.randint(-1, 2))
+        e = _small_e(E, D)
+        if n < 4 or section_bound(pe_twist(D, E, e)) <= _most(n):
+            return E, D, e
 
 
 def test_coordinate_hyperplanes_give_the_same_rank_on_every_chart():
     """The chart law: with E's coordinate hyperplanes, which some charts
     miss, the rank is the same on every chart, and on each chart the code
-    rows and dimensions are those of E written as one product component."""
+    rows and dimensions are those of E written as one product component,
+    on P^1 to P^4; a nonzero P^4 map places its columns on every chart."""
     rng = random.Random(26)
-    seen = {"nonzero": 0, "e = 2": 0, "random component": 0}
+    floor = {"nonzero": 100, "e = 2": 100, "random component": 100, "P^4 nonzero": 10}
+    seen = dict.fromkeys(floor, 0)
     for _ in range(300):
         E, D, e = _coordinate_case(rng)
         product = Poly.one(E.field, E.n + 1)
@@ -419,7 +425,8 @@ def test_coordinate_hyperplanes_give_the_same_rank_on_every_chart():
         seen["e = 2"] += e == 2
         seen["random component"] += any(len(f.terms) > 1 or f.total_degree() > 1
                                         for f, _ in E.hypersurfaces)
-    assert min(seen.values()) >= 100, seen
+        seen["P^4 nonzero"] += E.n == 4 and ranks != {0}
+    assert all(seen[k] >= floor[k] for k in floor), seen
 
 
 def test_toric_boundary_has_rank_one_on_every_chart():
@@ -484,8 +491,7 @@ def full_product_codes(E, e, chart):
     rows = [{poly_module.pack(s): 1} for s in space.basis]
     for j in range(e):
         rows = projective._next_level(rows, table, E.field, j, space.bound, space.bound)
-    return [{poly_module.monomial_rank(poly_module.unpack(m, E.n)): v for m, v in row.items()}
-            for row in rows]
+    return [{poly_module.monomial_rank(m, E.n): v for m, v in row.items()} for row in rows]
 
 
 def test_stopping_loop_matches_the_full_product_when_d_is_zero():
@@ -600,11 +606,11 @@ def _random_trace_case(rng):
                  for _ in range(2)]
         E = DivisorSpec(field, n, forms[:rng.randint(0, 1)], rng.randint(0, 1))
         D = DivisorSpec(field, n, forms[1:rng.randint(1, 2)], rng.randint(-3, 3))
-        e, most = (rng.randint(1, 3), 24) if n < 4 else (rng.randint(1, 2), 12)
-        while e > 1 and (section_bound(pe_twist(D, E, e)) > most
+        e = rng.randint(1, 3 if n < 4 else 2)
+        while e > 1 and (section_bound(pe_twist(D, E, e)) > _most(n)
                          or E.degree_sum() * (field.p ** e - 1) > 40):
             e -= 1
-        if n < 4 or section_bound(pe_twist(D, E, e)) <= most:
+        if n < 4 or section_bound(pe_twist(D, E, e)) <= _most(n):
             return E, D, e, rng.randint(0, n)
 
 
@@ -612,10 +618,17 @@ def section_bound(divisor):
     return divisor.degree_sum() + divisor.k - (divisor.n + 1)
 
 
+def _most(n):
+    """The largest source bound a drawn case on P^n may have: 24, or 12 on
+    P^4, where the spaces have one more variable."""
+    return 24 if n < 4 else 12
+
+
 def _small_e(E, D):
-    """e = 2, or 1 when at e = 2 the source bound or the degree of
-    E^{q-1} would be large."""
-    if section_bound(pe_twist(D, E, 2)) > 24 or E.degree_sum() * (E.field.p ** 2 - 1) > 40:
+    """e = 2, or 1 when at e = 2 the source bound would be past
+    :func:`_most` or the degree of E^{q-1} large."""
+    if section_bound(pe_twist(D, E, 2)) > _most(E.n) or \
+            E.degree_sum() * (E.field.p ** 2 - 1) > 40:
         return 1
     return 2
 
@@ -762,27 +775,32 @@ def test_trace_matrix_forms_each_polynomial_once(monkeypatch):
 
 
 def _chart_case(rng):
-    """(E, D, e, chart) over a field of ``checks.FIELDS``, with n <= 3 and
+    """(E, D, e, chart) over a field of ``checks.FIELDS``, with n <= 4 and
     e <= 2: E may be zero, D may share a component with E (a merged
     multiplicity) and may have k < 0, multiplicities run to 2, and about
-    one component in eight is V(x_chart^d), which the chart misses."""
-    field = rng.choice(FIELDS)
-    n = rng.randint(1, 3)
-    chart = rng.randint(0, n)
+    one component in eight is V(x_chart^d), which the chart misses.  On
+    P^4 the source bound is at most 12, as in :func:`_small_e`: a draw
+    past it at e = 1 is drawn again."""
+    while True:
+        field = rng.choice(FIELDS)
+        n = rng.randint(1, 4)
+        chart = rng.randint(0, n)
 
-    def component():
-        if rng.random() < 0.125:
-            d = rng.randint(1, 2)
-            return Poly.monomial(field, [d if i == chart else 0 for i in range(n + 1)])
-        return _random_form(field, n + 1, rng.randint(1, 3), rng)
+        def component():
+            if rng.random() < 0.125:
+                d = rng.randint(1, 2)
+                return Poly.monomial(field, [d if i == chart else 0 for i in range(n + 1)])
+            return _random_form(field, n + 1, rng.randint(1, 3), rng)
 
-    e_forms = [(component(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
-    d_forms = [(component(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
-    if e_forms and rng.random() < 0.3:
-        d_forms.append((rng.choice(e_forms)[0], rng.randint(1, 2)))
-    E = DivisorSpec(field, n, e_forms, rng.randint(0, 1))
-    D = DivisorSpec(field, n, d_forms, rng.randint(-3, 3))
-    return E, D, _small_e(E, D), chart
+        e_forms = [(component(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        d_forms = [(component(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        if e_forms and rng.random() < 0.3:
+            d_forms.append((rng.choice(e_forms)[0], rng.randint(1, 2)))
+        E = DivisorSpec(field, n, e_forms, rng.randint(0, 1))
+        D = DivisorSpec(field, n, d_forms, rng.randint(-3, 3))
+        e = _small_e(E, D)
+        if n < 4 or section_bound(pe_twist(D, E, e)) <= _most(n):
+            return E, D, e, chart
 
 
 def test_trace_matrix_spaces_match_section_space_and_its_errors():
@@ -790,14 +808,15 @@ def test_trace_matrix_spaces_match_section_space_and_its_errors():
     one of D, against section_space over the combined divisors: the same
     den, bound, dim, chart and JSON, a component that the chart misses
     included; an out-of-range chart raises the same ValueError on both
-    paths."""
+    paths.  A nonzero P^4 map places its columns on every chart."""
     rng = random.Random(1302)
     seen = {"shared": 0, "k<0": 0, "E = 0": 0, "mult 2": 0, "chart misses": 0,
             "src != tgt den": 0}
+    nonzero_p4_charts = set()
     charts = set()
     for _ in range(150):
         E, D, e, chart = _chart_case(rng)
-        names = XYZW[: E.n + 1]
+        names = XYZWV[: E.n + 1]
         got = trace_matrix(E, D, e, chart)
         src = section_space(pe_twist(D, E, e), chart)
         tgt = section_space(E.combined(D, 1), chart)
@@ -816,8 +835,11 @@ def test_trace_matrix_spaces_match_section_space_and_its_errors():
         seen["mult 2"] += any(a == 2 for f, a in E.hypersurfaces + D.hypersurfaces)
         seen["chart misses"] += _misses(chart, E, D)
         seen["src != tgt den"] += got.src.den != got.tgt.den
+        if E.n == 4 and not got.verdict.zero:
+            nonzero_p4_charts.add(chart)
     assert min(seen.values()) >= 5, seen
-    assert charts == {(n, c) for n in (1, 2, 3) for c in range(n + 1)}, charts
+    assert charts == {(n, c) for n in (1, 2, 3, 4) for c in range(n + 1)}, charts
+    assert nonzero_p4_charts == set(range(5)), nonzero_p4_charts
     E, D = extension_cubic_and_conic(F3)
     for chart in (-1, 3):
         with pytest.raises(ValueError) as info:
