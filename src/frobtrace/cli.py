@@ -112,8 +112,35 @@ def _context(args):
     return field, varnames, varnames.index(args.chart)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps({"version": JSON_VERSION, **payload}, indent=2))
+def _print_json(payload: dict, t=None) -> None:
+    """Print the version and ``payload`` as ``json.dumps(indent=2)`` does,
+    one top-level value at a time: a value one level down prints as its
+    own text with every line after the first indented 2 more.  With the
+    map ``t``, the "matrix" value is written from t's code rows instead."""
+    payload = {"version": JSON_VERSION, **payload}
+    texts = [_matrix_text(t) if key == "matrix" and t is not None
+             else json.dumps(value, indent=2).replace("\n", "\n  ")
+             for key, value in payload.items()]
+    print("{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
+                               for key, text in zip(payload, texts)) + "\n}")
+
+
+def _matrix_text(t) -> str:
+    """The rows of ``t`` as ``json.dumps(indent=2)`` writes the "matrix"
+    value of its JSON one level down.  A cell is a coefficient vector at
+    depth 3, and the text of each distinct code is made once."""
+    vector, texts = t.field._cell, {}
+
+    def cell(code):
+        text = texts.get(code)
+        if text is None:
+            text = texts[code] = ("[\n        " + ",\n        ".join(map(str, vector(code)[0]))
+                                  + "\n      ]")
+        return text
+
+    rows = ["[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
+            for cells in _cell_rows(t, cell)]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
 def _emit(args, payload: dict, table_lines: list) -> None:
@@ -145,10 +172,10 @@ def cmd_trace_matrix(args) -> int:
     divisor = parse_divisor(args.D, field, varnames)
     t = trace_matrix(e_part, divisor, args.e, chart)
     if args.output == "json":
-        _print_json({"command": "trace-matrix", **t.to_json(varnames)})
+        _print_json({"command": "trace-matrix", **t.to_json(varnames)}, t)
         return 0
     verdict = t.verdict
-    chart_names = _chart_varnames(varnames, t.src.chart)
+    chart_names = _chart_varnames(varnames, t.src.n, t.src.chart)
     src_den = t.src.den.to_string(chart_names)
     # the two dens are one object when D has no hypersurface
     tgt_den = src_den if t.tgt.den is t.src.den else t.tgt.den.to_string(chart_names)
@@ -160,7 +187,8 @@ def cmd_trace_matrix(args) -> int:
         f"  target: dim {t.tgt.dim}, bound {t.tgt.bound}, den {tgt_den}",
         f"  matrix ({t.tgt.dim} x {t.src.dim}):",
     ]
-    lines.extend("    [" + " ".join(cells) + "]" for cells in _cell_rows(t, 1))
+    lines.extend("    [" + " ".join(cells) + "]"
+                 for cells in _cell_rows(t, lambda code: field._cell(code)[1]))
     lines.append(f"  verdict: rank {verdict.rank}, surjective "
                  f"{verdict.surjective}, zero {verdict.zero}")
     print("\n".join(lines))

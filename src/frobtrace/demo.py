@@ -31,7 +31,7 @@ def build_report() -> dict:
     cubic_div = DivisorSpec(field, 3, [(cubic, 1)])
     hyperplane = DivisorSpec(field, 3, k=1)
     src = section_space(cubic_div.combined(hyperplane, 2))  # on the default chart
-    chart_names = _chart_varnames(VARNAMES, src.chart)
+    chart_names = _chart_varnames(VARNAMES, src.n, src.chart)
 
     report = {"char": 2, "vars": VARNAMES, "chart": VARNAMES[src.chart],
               "cubic": cubic.to_string(VARNAMES), "checks": []}

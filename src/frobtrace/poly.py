@@ -518,10 +518,9 @@ class Poly:
     # rendering --------------------------------------------------------------
 
     def to_string(self, varnames=None) -> str:
+        varnames = _names(varnames, self.nvars)
         if not self.codes:
             return "0"
-        if varnames is None:
-            varnames = default_varnames(self.nvars)
         cell = self.field._cell
         parts = []
         for m, c in sorted(self.codes.items(), key=lambda kv: _print_key(kv[0])):
@@ -548,6 +547,16 @@ def default_varnames(nvars: int) -> list:
     return [f"x{i}" for i in range(nvars)]
 
 
+def _names(varnames, nvars: int) -> list:
+    """``varnames``, refused unless it names exactly ``nvars`` variables;
+    the default names x0, x1, ... when it is None."""
+    if varnames is None:
+        return default_varnames(nvars)
+    if len(varnames) != nvars:
+        raise ValueError(f"{len(varnames)} variable names for {nvars} variables")
+    return varnames
+
+
 def monomial_string(mono, varnames=None) -> str:
     """The monomial as printed, e.g. "x^2*z"; "1" for the empty monomial."""
     if varnames is None:
@@ -559,15 +568,28 @@ def monomial_string(mono, varnames=None) -> str:
 
 def monomial_strings_upto(nvars: int, bound: int, varnames=None) -> list:
     """:func:`monomial_string` of each monomial of ``monomials_upto(nvars,
-    bound)``, in that order, built in the same layered pass: each factor
-    string ("*x", "*x^2", ...) is made once and prefixed to the strings of
-    the later variables, and the leading "*" is cut at the end.
-    ``varnames`` names exactly the nvars variables."""
-    if varnames is None:
-        varnames = default_varnames(nvars)
-    heads = [[""] + [f"*{name}" if a == 1 else f"*{name}^{a}" for a in range(1, bound + 1)]
-             for name in varnames]
-    return [s[1:] or "1" for s in _graded_lex(nvars, bound, heads, "")]
+    bound)``, in that order, built in the layers of :func:`_graded_lex`
+    with one concatenation per string.  In degree d of a layer the first
+    exponent a runs from d down to 0: at a = d the tail is the unit and
+    the string is the factor ("x", "x^2", ...) alone, at a = 0 it is the
+    tail's string itself, and in between it is the factor, "*" and the
+    tail.  "1" is the unit.  ``varnames`` names exactly the nvars
+    variables."""
+    varnames = _names(varnames, nvars)
+    if bound < 0 or nvars < 0:
+        return []
+    if nvars == 0:
+        return ["1"]
+    factors = [["1"] + [name if a == 1 else f"{name}^{a}" for a in range(1, bound + 1)]
+               for name in varnames]
+    # by_degree[d]: the degree-d strings over the last k variables, in order
+    by_degree = [[f] for f in factors[-1]]
+    for factor in factors[-2::-1]:
+        heads = [f + "*" for f in factor]
+        by_degree = [by_degree[0]] + [
+            [factor[d], *[heads[a] + m for a in range(d - 1, 0, -1) for m in by_degree[d - a]],
+             *by_degree[d]] for d in range(1, bound + 1)]
+    return [m for layer in by_degree for m in layer]
 
 
 class RationalFn:

@@ -20,7 +20,7 @@ from frobtrace.checks import SUITES, run_suite
 from frobtrace.cli import main
 from frobtrace.fsplit import FsplitVerdict
 from frobtrace.poly import monomials_upto
-from frobtrace.projective import SemilinearMap
+from frobtrace.projective import SemilinearMap, section_space
 
 
 def run(args, capsys):
@@ -495,3 +495,36 @@ def test_trace_matrix_json_parses_back_to_the_library_map():
 
     parses_back()
     assert len(nonzero) == 150 and sum(nonzero) >= 10, sum(nonzero)
+
+
+def test_json_writer_matches_json_dumps_on_random_maps(monkeypatch):
+    """cli._print_json writes a map's JSON as json.dumps(indent=2) writes
+    the same dict, on seeded maps over F_2, F_4 and F_9 with zero, sparse
+    and dense rows, 0 x k and k x 0 included, and it reads the field's
+    cell table once per distinct code."""
+    rng = random.Random(4402)
+    fields = [FiniteField(2), FiniteField(2, 2, [1, 1, 1]), FiniteField(3, 2, [1, 0, 1])]
+    shapes = collections.Counter()
+    read = []
+    cell = FiniteField._cell
+    monkeypatch.setattr(FiniteField, "_cell",
+                        lambda self, code: read.append(code) or cell(self, code))
+    for i in range(60):
+        f, n = fields[i % 3], rng.randint(1, 3)
+        # bounds -2 to 2: the empty space, and up to the quadrics of P^3
+        src, tgt = (section_space(DivisorSpec(f, n, k=rng.randint(n - 1, n + 3)),
+                                  rng.randint(0, n)) for _ in range(2))
+        density = rng.choice([0, 0.2, 1])
+        rows = [[Scalar(f, rng.randrange(f.q)) if rng.random() < density else f.zero
+                 for _ in range(src.dim)] for _ in range(tgt.dim)]
+        t = SemilinearMap(src, tgt, rng.randint(1, 3), rows)
+        payload = {"command": "trace-matrix", **t.to_json(rng.choice([None, list("xyzw"[:n + 1])]))}
+        expected = json.dumps({"version": cli.JSON_VERSION, **payload}, indent=2) + "\n"
+        out = io.StringIO()
+        read.clear()
+        with contextlib.redirect_stdout(out):
+            cli._print_json(payload, t)
+        assert out.getvalue() == expected, (f, src.dim, tgt.dim)
+        assert sorted(read) == sorted({0} | {v for row in t.codes for v in row.values()})
+        shapes[min(src.dim, 1), min(tgt.dim, 1)] += 1
+    assert sorted(shapes) == [(0, 0), (0, 1), (1, 0), (1, 1)], shapes

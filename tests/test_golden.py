@@ -171,6 +171,11 @@ CASES = {
     "e0_f7_json": (
         ["--char", "7", "--vars", "x,y,z", *JSON, "trace-matrix", "--D", "H:4", "--e", "1"],
         0, "7df59dc27aa20e1f330ac8a19a50c2cd705a6da6ce44547c5685c73ea543391d", ""),
+    # E = 0 and D = 20H over F_3: a 171 x 1711 matrix with one nonzero
+    # per row, rank 171, surjective; its JSON is 7.9 MB
+    "e0_f3_h20_json": (
+        ["--char", "3", "--vars", "x,y,z", *JSON, "trace-matrix", "--D", "H:20"],
+        0, "41174d8586495e1138600fbf4ade8370598849ccb50bf27b8ca63daca7e43214", ""),
     # D = 3H on P^2: rank 1 of 10 columns, surjective; D = H: an empty
     # target, vacuously surjective
     **{f"p2_{name}_json": (
@@ -772,6 +777,8 @@ NOT_ROWS = {
     ("poly", "polynomials from different contexts ({other.field} in {other.nvars} vars "
              "vs {self.field} in {self.nvars} vars)"):
         "library API only: test_poly.py::test_context_mismatch_rejected",
+    ("poly", "{len(varnames)} variable names for {nvars} variables"):
+        "library API only: test_projective.py::test_names_of_the_wrong_length_are_refused",
     ("poly", "polynomial powers take non-negative integer exponents"):
         "library API only: test_poly.py::test_rational_arithmetic",
     **{("poly", text): "library API only: test_poly.py::test_dehomogenize_rejects_inhomogeneous"

@@ -891,11 +891,20 @@ def test_trace_matrix_refuses_bad_input_in_a_fixed_order():
         assert t.verdict == trace_matrix(e_part, D, 1, 0).verdict
 
 
-def test_combined_validates_what_it_cannot_vouch_for():
-    """Every combination goes through the validating constructor: a zero
-    multiplicity is dropped, and a negative or non-int one is refused."""
+def test_combined_validates_what_it_cannot_vouch_for(monkeypatch):
+    """A combination checks what it forms, the multiplicities and k, by the
+    constructor's rules: a zero multiplicity is dropped, and a negative or
+    non-int one is refused.  It does not check its polynomials again: they
+    were checked when its operands were built."""
     E = fermat_divisor()
     H = DivisorSpec(F2, 3, k=1)
+    checked = []
+    homogeneous = Poly.is_homogeneous
+    monkeypatch.setattr(Poly, "is_homogeneous", lambda f: checked.append(f) or homogeneous(f))
+    assert pe_twist(H, E, 3).combined(E, 2).hypersurfaces == ((E.hypersurfaces[0][0], 3),)
+    assert checked == []
+    assert DivisorSpec(F2, 3, E.hypersurfaces).hypersurfaces == E.hypersurfaces
+    assert len(checked) == 1
     assert E.combined(E, 0).hypersurfaces == E.hypersurfaces
     assert not H.combined(E, 0).hypersurfaces
     with pytest.raises(ValueError, match="multiplicity -1 must be a non-negative integer"):
@@ -995,3 +1004,74 @@ def test_shared_hypersurface_merges_in_twist():
     # the conic cone splits in char 2 (yz survives in f^{p-1}), so the
     # trace is onto
     assert map_verdict(t).surjective
+
+
+def test_names_of_the_wrong_length_are_refused():
+    """A list of names that does not name each variable is refused with
+    ValueError, not cut short or read past: by Poly.to_string, also for
+    zero, by monomial_strings_upto, and by the JSON of a space and of a
+    map, where ``varnames`` names the n + 1 variables of P^n."""
+    f = parse_poly("x^2*z+y*z^2", F2, XYZ)
+    with pytest.raises(ValueError, match="^2 variable names for 3 variables$"):
+        f.to_string(["x", "y"])
+    with pytest.raises(ValueError, match="^4 variable names for 3 variables$"):
+        Poly.zero(F2, 3).to_string(XYZW)
+    with pytest.raises(ValueError, match="^3 variable names for 2 variables$"):
+        poly_module.monomial_strings_upto(2, 1, XYZ)
+    space = section_space(DivisorSpec(F2, 2, k=4))
+    t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=4), 1)
+    assert space.dim == t.tgt.dim == 3
+    for names in (XYZW, ["x", "y"]):
+        for shown in (space, t):
+            with pytest.raises(ValueError, match=f"^{len(names)} variable names for 3 variables$"):
+                shown.to_json(names)
+
+
+def test_default_names_on_a_chart_skip_the_chart_variable():
+    """With no names given, the names on a chart are x0, ..., xn without
+    the chart variable's own, as when the names x0, ..., xn are given."""
+    names = ["x0", "x1", "x2"]
+    X = DivisorSpec(F3, 2, [(parse_poly("x0^3+x1^2*x2", F3, names), 1)])
+    space = section_space(X.combined(DivisorSpec(F3, 2, k=1), 1), chart=0)
+    shown = space.to_json()
+    assert shown["den"] == "x1^2*x2+1" and shown["basis"] == ["1", "x1", "x2"]
+    assert shown == space.to_json(names)
+    for chart in range(3):
+        t = trace_matrix(X, DivisorSpec(F3, 2, k=1), 1, chart)
+        assert t.to_json() == t.to_json(names), chart
+
+
+def test_map_json_lists_each_space_s_own_basis():
+    """The basis lists in a map's JSON are each space's own JSON basis.
+    Seeded maps of trace_matrix take both from one list, with deg D < 0
+    (the target is the larger space), deg D = 0 (equal bounds) and
+    deg D > 0; maps from the constructor across two charts, and across
+    P^2 and P^3, list each space's basis in its own names.  The two lists
+    are distinct objects."""
+    rng = random.Random(4401)
+    for sign in (-1, 0, 1) * 8:
+        while True:  # a draw of _chart_case with deg D = sign or 2 sign, and two spaces
+            E, D, e, chart = _chart_case(rng)
+            D = DivisorSpec(D.field, D.n, D.hypersurfaces,
+                            sign * rng.randint(1, 2) - D.degree_sum())
+            e = _small_e(E, D)
+            bounds = section_bound(pe_twist(D, E, e)), section_bound(E.combined(D, 1))
+            if 0 <= min(bounds) and max(bounds) <= 12:
+                break
+        t = trace_matrix(E, D, e, chart)
+        assert (t.src.bound > t.tgt.bound) - (t.src.bound < t.tgt.bound) == sign
+        names = rng.choice([None, XYZWV[: E.n + 1]])
+        shown = t.to_json(names)
+        assert shown["src"]["basis"] == t.src.to_json(names)["basis"], (E, D, e, chart)
+        assert shown["tgt"]["basis"] == t.tgt.to_json(names)["basis"], (E, D, e, chart)
+        assert shown["src"]["basis"] is not shown["tgt"]["basis"]
+    X = DivisorSpec(F3, 2, [(parse_poly("x^3+y^2*z", F3, XYZ), 1)], k=1)
+    for src, tgt, names in ((section_space(X, 0), section_space(DivisorSpec(F3, 2, k=4), 2), XYZ),
+                            (section_space(DivisorSpec(F3, 2, k=5), 1),
+                             section_space(DivisorSpec(F3, 3, k=5), 3), None)):
+        t = SemilinearMap(src, tgt, 1, [[F3.zero] * src.dim for _ in range(tgt.dim)])
+        assert t.src.dim and t.tgt.dim
+        shown = t.to_json(names)
+        assert shown["src"]["basis"] == src.to_json(names)["basis"]
+        assert shown["tgt"]["basis"] == tgt.to_json(names)["basis"]
+        assert shown["src"]["basis"] is not shown["tgt"]["basis"]
