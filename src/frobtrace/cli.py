@@ -112,35 +112,38 @@ def _context(args):
     return field, varnames, varnames.index(args.chart)
 
 
-def _print_json(payload: dict, t=None) -> None:
+def _print_json(payload: dict) -> None:
     """Print the version and ``payload`` as ``json.dumps(indent=2)`` does,
-    one top-level value at a time: a value one level down prints as its
-    own text with every line after the first indented 2 more.  With the
-    map ``t``, the "matrix" value is written from t's code rows instead."""
+    one top-level value at a time; a trace map's "matrix" value is
+    written with one text per distinct cell object."""
     payload = {"version": JSON_VERSION, **payload}
-    texts = [_matrix_text(t) if key == "matrix" and t is not None
-             else json.dumps(value, indent=2).replace("\n", "\n  ")
-             for key, value in payload.items()]
-    print("{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
-                               for key, text in zip(payload, texts)) + "\n}")
+    print("{\n" + ",\n".join(
+        f"  {json.dumps(key)}: "
+        + (_matrix_text(value) if key == "matrix" else _nested_text(value, 1))
+        for key, value in payload.items()) + "\n}")
 
 
-def _matrix_text(t) -> str:
-    """The rows of ``t`` as ``json.dumps(indent=2)`` writes the "matrix"
-    value of its JSON one level down.  A cell is a coefficient vector at
-    depth 3, and the text of each distinct code is made once."""
-    vector, texts = t.field._cell, {}
+def _nested_text(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it ``depth`` levels down:
+    every line after the first indented 2 * depth more."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
-    def cell(code):
-        text = texts.get(code)
+
+def _matrix_text(rows: list) -> str:
+    """The rows of a matrix of cells as :func:`_nested_text` at depth 1.
+    The cells of :meth:`SemilinearMap.to_json` share one vector object per
+    code, so the text of each cell object is made once."""
+    texts = {}
+
+    def cell(vector):
+        text = texts.get(id(vector))
         if text is None:
-            text = texts[code] = ("[\n        " + ",\n        ".join(map(str, vector(code)[0]))
-                                  + "\n      ]")
+            text = texts[id(vector)] = _nested_text(vector, 3)
         return text
 
-    rows = ["[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
-            for cells in _cell_rows(t, cell)]
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    lines = ["[\n      " + ",\n      ".join(map(cell, row)) + "\n    ]" if row else "[]"
+             for row in rows]
+    return "[\n    " + ",\n    ".join(lines) + "\n  ]" if lines else "[]"
 
 
 def _emit(args, payload: dict, table_lines: list) -> None:
@@ -172,7 +175,7 @@ def cmd_trace_matrix(args) -> int:
     divisor = parse_divisor(args.D, field, varnames)
     t = trace_matrix(e_part, divisor, args.e, chart)
     if args.output == "json":
-        _print_json({"command": "trace-matrix", **t.to_json(varnames)}, t)
+        _print_json({"command": "trace-matrix", **t.to_json(varnames)})
         return 0
     verdict = t.verdict
     chart_names = _chart_varnames(varnames, t.src.n, t.src.chart)
@@ -187,8 +190,7 @@ def cmd_trace_matrix(args) -> int:
         f"  target: dim {t.tgt.dim}, bound {t.tgt.bound}, den {tgt_den}",
         f"  matrix ({t.tgt.dim} x {t.src.dim}):",
     ]
-    lines.extend("    [" + " ".join(cells) + "]"
-                 for cells in _cell_rows(t, lambda code: field._cell(code)[1]))
+    lines.extend("    [" + " ".join(cells) + "]" for cells in _cell_rows(t, 1))
     lines.append(f"  verdict: rank {verdict.rank}, surjective "
                  f"{verdict.surjective}, zero {verdict.zero}")
     print("\n".join(lines))

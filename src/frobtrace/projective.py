@@ -31,20 +31,14 @@ is not yet refused.
 product of E, which the pairing table shares, and one of D: the source's
 den is E * D^{p^e}, where the p^e-th power is a Frobenius twist, the
 target's E * D, and both are E's product itself when D has no
-hypersurface.  The two divisors come from :meth:`DivisorSpec.combined`,
-which checks only what it forms, the multiplicities and k, by the
-constructor's rules: its polynomials were checked when its operands were
-built.
+hypersurface.  A map's JSON prints each polynomial once.
 A space's dimension is a binomial coefficient, and its basis, the list of
 :func:`frobtrace.poly.monomials_upto`, is built only when read; a column
 is placed without it, by :func:`frobtrace.poly.monomial_rank` on its
 packed monomial.  A basis is printed layer by layer with
 :func:`frobtrace.poly.monomial_strings_upto`, which makes one factor
 string per (variable, exponent) and one concatenation per basis string.
-A map's JSON prints each polynomial once, and reads both bases from one
-such list at the larger bound when its spaces share n and chart: the
-list is ordered by degree, so the smaller basis is its first dim
-entries.  A chart is printed in the names of all variables but its own,
+A chart is printed in the names of all variables but its own,
 x0, ..., xn when no names are given.
 The map itself is p^{-e}-semilinear, i.e.
 T(u^{p^e} v) = u T(v); on a coordinate vector c it acts as
@@ -87,9 +81,13 @@ class DivisorSpec:
         if n < 1:
             raise ValueError(f"a divisor needs P^n with n >= 1, that is 2 or more "
                              f"variables, got P^{n}")
-        pairs = []
+        self.field = field
+        self.n = n
+        clean = []
         for f, mult in hypersurfaces:
-            _check_multiplicity(mult)
+            if type(mult) is not int or mult < 0:
+                raise ValueError(f"hypersurface multiplicity {mult!r} must be a "
+                                 "non-negative integer")
             if f.field != field:
                 raise ValueError("hypersurface over a different field")
             if f.nvars != n + 1:
@@ -99,17 +97,11 @@ class DivisorSpec:
                 raise ValueError("hypersurface polynomial is zero")
             if not f.is_homogeneous():
                 raise ValueError("hypersurface polynomial is not homogeneous")
-            pairs.append((f, mult))
-        self._set(field, n, pairs, k)
-
-    def _set(self, field, n, pairs, k):
-        """Hold the checked ``pairs`` with a positive multiplicity, and k
-        once it is checked: after the multiplicities, as a non-int m in
-        :meth:`combined` makes k non-int too, and the hypersurface
-        multiplicity is the one to name."""
-        self.field = field
-        self.n = n
-        self.hypersurfaces = tuple((f, mult) for f, mult in pairs if mult > 0)
+            if mult > 0:
+                clean.append((f, mult))
+        self.hypersurfaces = tuple(clean)
+        # after the hypersurfaces: a non-int m in combined makes k non-int
+        # too, and the hypersurface multiplicity is the one to name
         if type(k) is not int:
             raise ValueError(f"hyperplane multiplicity {k!r} must be an integer")
         self.k = k
@@ -118,9 +110,7 @@ class DivisorSpec:
         return sum(int(f.total_degree()) * a for f, a in self.hypersurfaces)
 
     def combined(self, other: "DivisorSpec", m: int) -> "DivisorSpec":
-        """self + m*other, merging equal hypersurface polynomials.  It checks
-        what it forms, the multiplicities and k, by the constructor's rules;
-        the polynomials were checked when self and other were built."""
+        """self + m*other, merging equal hypersurface polynomials."""
         if other.field != self.field or other.n != self.n:
             raise ValueError("divisors on different projective spaces")
         merged = [[f, a] for f, a in self.hypersurfaces]
@@ -131,11 +121,7 @@ class DivisorSpec:
                     break
             else:
                 merged.append([g, m * b])
-        for _, mult in merged:
-            _check_multiplicity(mult)
-        out = object.__new__(DivisorSpec)
-        out._set(self.field, self.n, merged, self.k + m * other.k)
-        return out
+        return DivisorSpec(self.field, self.n, merged, self.k + m * other.k)
 
     def _json(self, varnames, string) -> dict:
         """The divisor as JSON, printing each polynomial as ``string(f, names)``."""
@@ -156,13 +142,6 @@ class DivisorSpec:
 
     def __repr__(self):
         return f"DivisorSpec({self.to_string()!r})"
-
-
-def _check_multiplicity(mult):
-    """Refuse a hypersurface multiplicity that is not a non-negative int."""
-    if type(mult) is not int or mult < 0:
-        raise ValueError(f"hypersurface multiplicity {mult!r} must be a "
-                         "non-negative integer")
 
 
 def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
@@ -207,20 +186,18 @@ class SectionSpace:
         return TopForm(self.field, self.n, RationalFn(mono, self.den))
 
     def to_json(self, varnames=None) -> dict:
-        names = _chart_varnames(varnames, self.n, self.chart)
-        return self._json(varnames, Poly.to_string, names,
-                          monomial_strings_upto(self.n, self.bound, names))
+        return self._json(varnames, Poly.to_string)
 
-    def _json(self, varnames, string, chart_names, basis) -> dict:
-        """:meth:`to_json`, printing each polynomial as ``string(f, names)``,
-        given the names on the chart and the basis strings."""
+    def _json(self, varnames, string) -> dict:
+        """:meth:`to_json`, printing each polynomial as ``string(f, names)``."""
+        chart_names = _chart_varnames(varnames, self.n, self.chart)
         return {
             "divisor": self.divisor._json(varnames, string),
             "chart": self.chart,
             "bound": self.bound,
             "dim": self.dim,
             "den": string(self.den, chart_names),
-            "basis": basis,
+            "basis": monomial_strings_upto(self.n, self.bound, chart_names),
         }
 
 
@@ -310,22 +287,9 @@ class SemilinearMap:
 
     def to_json(self, varnames=None) -> dict:
         """The map as a JSON-ready dict; each matrix cell is a coefficient
-        vector (:func:`_cell_rows` of the field's vectors).  Each polynomial
-        object is printed once, though E's components sit in both divisors.
-        When the two spaces share n and chart, both bases come from one
-        graded-lex list at the larger bound: it is ordered by degree, so
-        the smaller basis is a fresh slice of its first dim entries."""
-        src, tgt, verdict, cell = self.src, self.tgt, self.verdict, self.field._cell
-        src_names = _chart_varnames(varnames, src.n, src.chart)
-        if (src.n, src.chart) == (tgt.n, tgt.chart):
-            tgt_names = src_names
-            basis = monomial_strings_upto(src.n, max(src.bound, tgt.bound), src_names)
-            small = basis[:min(src.dim, tgt.dim)]
-            src_basis, tgt_basis = (small, basis) if src.bound < tgt.bound else (basis, small)
-        else:  # a map from the public constructor
-            tgt_names = _chart_varnames(varnames, tgt.n, tgt.chart)
-            src_basis = monomial_strings_upto(src.n, src.bound, src_names)
-            tgt_basis = monomial_strings_upto(tgt.n, tgt.bound, tgt_names)
+        vector (:func:`_cell_rows` with entry 0).  Each polynomial object
+        is printed once, though E's components sit in both divisors."""
+        verdict = self.verdict
         printed = {}
 
         def string(f, names):
@@ -340,10 +304,10 @@ class SemilinearMap:
             "p": self.field.p,
             "s": self.field.s,
             "e": self.e,
-            "chart": src.chart,
-            "src": src._json(varnames, string, src_names, src_basis),
-            "tgt": tgt._json(varnames, string, tgt_names, tgt_basis),
-            "matrix": _cell_rows(self, lambda code: cell(code)[0]),
+            "chart": self.src.chart,
+            "src": self.src._json(varnames, string),
+            "tgt": self.tgt._json(varnames, string),
+            "matrix": _cell_rows(self, 0),
             "verdict": {
                 "rank": verdict.rank,
                 "surjective": verdict.surjective,
@@ -352,15 +316,17 @@ class SemilinearMap:
         }
 
 
-def _cell_rows(t: SemilinearMap, cell) -> list:
-    """The rows of ``t`` as lists of ``t.src.dim`` cells: ``cell(code)``
-    for each nonzero, and one shared ``cell(0)`` everywhere else."""
-    zero, width = cell(0), t.src.dim
+def _cell_rows(t: SemilinearMap, k: int) -> list:
+    """The rows of ``t`` as lists of ``t.src.dim`` cells: entry ``k`` of the
+    field's cell table (0 the coefficient vector, 1 the string) for each
+    nonzero, and the shared entry of code 0 everywhere else."""
+    cell = t.field._cell
+    zero, width = cell(0)[k], t.src.dim
     out = []
     for row in t.codes:
         cells = [zero] * width
         for c, v in row.items():
-            cells[c] = cell(v)
+            cells[c] = cell(v)[k]
         out.append(cells)
     return out
 

@@ -500,15 +500,15 @@ def test_trace_matrix_json_parses_back_to_the_library_map():
 def test_json_writer_matches_json_dumps_on_random_maps(monkeypatch):
     """cli._print_json writes a map's JSON as json.dumps(indent=2) writes
     the same dict, on seeded maps over F_2, F_4 and F_9 with zero, sparse
-    and dense rows, 0 x k and k x 0 included, and it reads the field's
-    cell table once per distinct code."""
+    and dense rows, 0 x k and k x 0 included, and it makes the text of
+    each distinct cell object of the matrix once."""
     rng = random.Random(4402)
     fields = [FiniteField(2), FiniteField(2, 2, [1, 1, 1]), FiniteField(3, 2, [1, 0, 1])]
     shapes = collections.Counter()
-    read = []
-    cell = FiniteField._cell
-    monkeypatch.setattr(FiniteField, "_cell",
-                        lambda self, code: read.append(code) or cell(self, code))
+    made = []
+    nested_text = cli._nested_text
+    monkeypatch.setattr(cli, "_nested_text",
+                        lambda value, depth: made.append(depth) or nested_text(value, depth))
     for i in range(60):
         f, n = fields[i % 3], rng.randint(1, 3)
         # bounds -2 to 2: the empty space, and up to the quadrics of P^3
@@ -521,10 +521,11 @@ def test_json_writer_matches_json_dumps_on_random_maps(monkeypatch):
         payload = {"command": "trace-matrix", **t.to_json(rng.choice([None, list("xyzw"[:n + 1])]))}
         expected = json.dumps({"version": cli.JSON_VERSION, **payload}, indent=2) + "\n"
         out = io.StringIO()
-        read.clear()
+        made.clear()
         with contextlib.redirect_stdout(out):
-            cli._print_json(payload, t)
+            cli._print_json(payload)
         assert out.getvalue() == expected, (f, src.dim, tgt.dim)
-        assert sorted(read) == sorted({0} | {v for row in t.codes for v in row.values()})
+        cells = {id(cell) for row in payload["matrix"] for cell in row}
+        assert made.count(3) == len(cells) <= f.q, (made, len(cells))
         shapes[min(src.dim, 1), min(tgt.dim, 1)] += 1
     assert sorted(shapes) == [(0, 0), (0, 1), (1, 0), (1, 1)], shapes
