@@ -51,6 +51,15 @@ def _pairing_table(g: Poly) -> dict:
             for r, g_r in (g ** (g.field.p - 1)).frobenius_decompose(1).items()}
 
 
+def _check_exponent(e) -> None:
+    """Refuse a trace exponent e that is not an int, or is a bool, which
+    would print as True; then one below 1."""
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise ValueError(f"trace exponent {e!r} must be an integer")
+    if e < 1:
+        raise ValueError("trace exponent must be positive")
+
+
 def _iterate(step, x, e, key=None):
     """x after x <- step(x, k) for k = 0, ..., e - 1, the step loop of both
     traces; a step that returns x itself ends it.  With a ``key``, step k
@@ -75,8 +84,7 @@ def trace_poly_top(f: Poly, e: int = 1) -> Poly:
     """Coefficient action of Tr^e on polynomial top forms: f dx -> (result) dx,
     the bucket of f at x^{(q-1,...,q-1)}, q = p^e; no other bucket is
     decomposed.  A corner past the fields' width matches no residue."""
-    if e < 1:
-        raise ValueError("trace exponent must be positive")
+    _check_exponent(e)
     corner = (f.field.p ** e - 1) * _ones(f.nvars)
     bucket = f.frobenius_decompose(e, {corner}.__contains__).get(corner)
     return Poly.zero(f.field, f.nvars) if bucket is None else bucket
@@ -94,8 +102,7 @@ def trace_rational_top(form: DiffForm, e: int = 1) -> TopForm:
     the first repeat: a large e runs as many steps as they take to repeat.
     ``form`` is any top-degree :class:`DiffForm`; reading its ``coeff``
     raises ValueError below the top degree."""
-    if e < 1:
-        raise ValueError("trace exponent must be positive")
+    _check_exponent(e)
     h, g = form.coeff.num, form.coeff.den
     field, n = form.field, form.nvars
     table = _pairing_table(g)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from operator import ge
 
-from .poly import _FIELD, WIDTH, Poly, RationalFn, default_varnames, packed_upto
+from .poly import _FIELD, WIDTH, Poly, RationalFn, _names, packed_upto
 
 
 def _normalize_indices(indices):
@@ -61,6 +61,8 @@ class DiffForm:
                     raise ValueError(f"index set {idx} out of range")
                 if isinstance(rat, Poly):
                     rat = RationalFn(rat)
+                elif not isinstance(rat, RationalFn):
+                    raise ValueError(f"coefficient {rat!r} is neither a Poly nor a RationalFn")
                 num = rat.num
                 if num.nvars != nvars or (num.field is not field and num.field != field):
                     raise ValueError("coefficient from a different context")
@@ -123,10 +125,9 @@ class DiffForm:
         return all(self.coeffs[i] == other.coeffs[i] for i in self.coeffs)
 
     def to_string(self, varnames=None) -> str:
+        varnames = _names(varnames, self.nvars)
         if not self.coeffs:
             return "0"
-        if varnames is None:
-            varnames = default_varnames(self.nvars)
         parts = []
         for idx in sorted(self.coeffs):
             wedge = "^".join("d" + varnames[i] for i in idx)

@@ -13,11 +13,12 @@ product, a power or a twist, is refused with ValueError, never wrapped
 into the next field.  Exponent tuples are built only at the edges:
 :func:`pack` reads one, and :func:`unpack`, the one way back, serves
 :attr:`Poly.terms` (a fresh ``{exponent tuple: Scalar}`` view for callers
-that read field elements; no library path reads it), printing and the
-Fedder witness.  :func:`monomial_rank` places a packed monomial in the
-graded-lex list with no tuple.  The graded-lexicographic order (first
-variable heaviest) fixes printing and leading terms, so all rendered
-output is deterministic.
+that read field elements; no library path reads it), printing,
+:func:`monomials_upto` and the Fedder witness.
+:func:`_graded_lex` builds the graded-lex list, of packed monomials or of
+basis strings, and :func:`monomial_rank` places a packed monomial in it
+with no tuple.  The graded-lexicographic order (first variable heaviest)
+fixes printing, so all rendered output is deterministic.
 
 A :class:`Poly` adds, subtracts and compares only with a Poly of its
 field and arity, and multiplies by such a Poly or by a Scalar of its
@@ -108,38 +109,41 @@ def _print_key(m):
     return (-(m % _FIELD), -m)
 
 
-def _graded_lex(nvars: int, bound: int, heads: list, unit) -> list:
-    """The products heads[0][a_0] + ... + heads[nvars-1][a_{nvars-1}] over
-    all exponent tuples a of total degree <= bound, in graded-lex order of
-    a; ``unit`` for nvars = 0, nothing for a negative nvars or bound.
-
-    ``heads[j]`` lists the piece of variable j for the exponents 0..bound.
-    The products are built degree by degree, already in order: the
-    degree-d products over k variables are the first exponent a from d
-    down to 0, each followed by the degree-(d - a) products over the last
-    k - 1 variables."""
+def _graded_lex(nvars: int, bound: int, factors: list, heads: list, unit) -> list:
+    """The products of one piece per variable over the exponent tuples of
+    total degree <= bound, in graded-lex order; ``unit`` for nvars = 0,
+    nothing for a negative nvars or bound.  ``factors[j][a]`` is variable
+    j's piece for the exponent a alone, the unit at a = 0, and
+    ``heads[j][a]`` that piece before a tail, for each variable j but the
+    last, which has no tail.  Over the last k variables the degree-d
+    products are, in order, the factor at a = d, head[a] + each
+    degree-(d - a) tail for a = d - 1 down to 1, and at a = 0 the
+    degree-d tail list itself: at most one sum per product."""
     if bound < 0 or nvars < 0:
         return []
     if nvars == 0:
         return [unit]
     # by_degree[d]: the degree-d products over the last k variables, in order
-    by_degree = [[h] for h in heads[-1]]
-    for head in heads[-2::-1]:
-        by_degree = [[head[a] + m for a in range(d, -1, -1) for m in by_degree[d - a]]
-                     for d in range(bound + 1)]
+    by_degree = [[f] for f in factors[-1]]
+    for factor, head in zip(factors[-2::-1], heads[::-1]):
+        by_degree = [by_degree[0]] + [
+            [factor[d], *[head[a] + m for a in range(d - 1, 0, -1) for m in by_degree[d - a]],
+             *by_degree[d]] for d in range(1, bound + 1)]
     return [m for layer in by_degree for m in layer]
 
 
 def monomials_upto(nvars: int, bound: int) -> list:
-    """All exponent tuples of total degree <= bound, in graded-lex order."""
-    return _graded_lex(nvars, bound, [[(a,) for a in range(bound + 1)]] * nvars, ())
+    """All exponent tuples of total degree <= bound, in graded-lex order:
+    :func:`packed_upto`, each unpacked."""
+    return [unpack(m, nvars) for m in packed_upto(nvars, bound)]
 
 
 def packed_upto(nvars: int, bound: int) -> list:
-    """:func:`monomials_upto` as packed monomials, in the same order, built
-    by the same layered pass with no tuple."""
-    return _graded_lex(nvars, bound, [[a << s for a in range(bound + 1)]
-                                      for s in range(WIDTH * (nvars - 1), -1, -WIDTH)], 0)
+    """The packed monomials of total degree <= bound in graded-lex order,
+    with no tuple: x_j^a, a << its field's shift, is factor and head."""
+    pieces = [[a << s for a in range(bound + 1)]
+              for s in range(WIDTH * (nvars - 1), -1, -WIDTH)]
+    return _graded_lex(nvars, bound, pieces, pieces[:-1], 0)
 
 
 def monomial_count(nvars: int, bound: int) -> int:
@@ -280,13 +284,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return not any(self.codes)
-
-    def leading_term(self):
-        """(exponent tuple, coefficient) maximal in graded-lex order."""
-        if not self.codes:
-            raise ValueError("zero polynomial has no leading term")
-        m = min(self.codes, key=_print_key)
-        return unpack(m, self.nvars), Scalar(self.field, self.codes[m])
 
     # arithmetic -----------------------------------------------------------
 
@@ -543,15 +540,11 @@ class Poly:
         return f"Poly({self.to_string()!r})"
 
 
-def default_varnames(nvars: int) -> list:
-    return [f"x{i}" for i in range(nvars)]
-
-
 def _names(varnames, nvars: int) -> list:
     """``varnames``, refused unless it names exactly ``nvars`` variables;
     the default names x0, x1, ... when it is None."""
     if varnames is None:
-        return default_varnames(nvars)
+        return [f"x{i}" for i in range(nvars)]
     if len(varnames) != nvars:
         raise ValueError(f"{len(varnames)} variable names for {nvars} variables")
     return varnames
@@ -559,37 +552,19 @@ def _names(varnames, nvars: int) -> list:
 
 def monomial_string(mono, varnames=None) -> str:
     """The monomial as printed, e.g. "x^2*z"; "1" for the empty monomial."""
-    if varnames is None:
-        varnames = default_varnames(len(mono))
     factors = [name if e == 1 else f"{name}^{e}"
-               for name, e in zip(varnames, mono) if e]
+               for name, e in zip(_names(varnames, len(mono)), mono) if e]
     return "*".join(factors) or "1"
 
 
 def monomial_strings_upto(nvars: int, bound: int, varnames=None) -> list:
     """:func:`monomial_string` of each monomial of ``monomials_upto(nvars,
-    bound)``, in that order, built in the layers of :func:`_graded_lex`
-    with one concatenation per string.  In degree d of a layer the first
-    exponent a runs from d down to 0: at a = d the tail is the unit and
-    the string is the factor ("x", "x^2", ...) alone, at a = 0 it is the
-    tail's string itself, and in between it is the factor, "*" and the
-    tail.  "1" is the unit.  ``varnames`` names exactly the nvars
-    variables."""
-    varnames = _names(varnames, nvars)
-    if bound < 0 or nvars < 0:
-        return []
-    if nvars == 0:
-        return ["1"]
+    bound)``, in that order, with one concatenation per string: the
+    factors "x", "x^2", ..., the heads "x*", "x^2*", ... and the unit "1"."""
     factors = [["1"] + [name if a == 1 else f"{name}^{a}" for a in range(1, bound + 1)]
-               for name in varnames]
-    # by_degree[d]: the degree-d strings over the last k variables, in order
-    by_degree = [[f] for f in factors[-1]]
-    for factor in factors[-2::-1]:
-        heads = [f + "*" for f in factor]
-        by_degree = [by_degree[0]] + [
-            [factor[d], *[heads[a] + m for a in range(d - 1, 0, -1) for m in by_degree[d - a]],
-             *by_degree[d]] for d in range(1, bound + 1)]
-    return [m for layer in by_degree for m in layer]
+               for name in _names(varnames, nvars)]
+    heads = [[f + "*" for f in fs] for fs in factors[:-1]]
+    return _graded_lex(nvars, bound, factors, heads, "1")
 
 
 class RationalFn:

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cartier import _iterate, _pairing_table
+from .cartier import _check_exponent, _iterate, _pairing_table
 from .forms import TopForm
 from .poly import (_FIELD, _GUARD, WIDTH, Poly, RationalFn, _degree, _fits, _names, _ones,
                    monomial_count, monomial_rank, monomial_string, monomial_strings_upto,
@@ -135,6 +135,7 @@ class DivisorSpec:
         }
 
     def to_string(self, varnames=None) -> str:
+        varnames = _names(varnames, self.n + 1)
         parts = [f"{a}*V({f.to_string(varnames)})" for f, a in self.hypersurfaces]
         if self.k or not parts:
             parts.append(f"{self.k}*H")
@@ -146,8 +147,7 @@ class DivisorSpec:
 
 def pe_twist(divisor: DivisorSpec, e_part: DivisorSpec, e: int) -> DivisorSpec:
     """E + p^e * D for an effective E."""
-    if e < 1:
-        raise ValueError("trace exponent must be positive")
+    _check_exponent(e)
     if e_part.k < 0:
         raise ValueError("the fixed part E must be effective")
     nonzero = divisor.hypersurfaces or divisor.k  # a zero D adds nothing, and forms no p^e

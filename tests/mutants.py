@@ -67,9 +67,11 @@ ROWS = [
     ("representative_on_every_variable", "cartier",
      "tuple(p - 1 if j in J else 0 for j in range(f.nvars))", "(p - 1,) * f.nvars",
      ["test_cartier.py::test_inverse_cartier_on_dx"]),
-    ("trace_poly_exponent_unchecked", "cartier",
-     '    if e < 1:\n        raise ValueError("trace exponent must be positive")\n    corner',
+    ("trace_poly_exponent_unchecked", "cartier", "    _check_exponent(e)\n    corner",
      "    corner", ["test_cartier.py::test_trace_exponent_validation"]),
+    ("trace_exponent_type_unchecked", "cartier",
+     "if isinstance(e, bool) or not isinstance(e, int):", "if False:",
+     ["test_cartier.py::test_trace_exponent_validation"]),
     ("one_rng_for_all_suites", "checks", "            rng = random.Random(seed)\n",
      "            rng = rng if name == 'all' and reports else random.Random(seed)\n",
      ["test_cli.py::test_all_runs_each_suite_as_it_runs_alone"]),
@@ -215,6 +217,8 @@ ROWS = [
       "test_forms.py::test_top_degree_diffform_is_the_topform_with_its_coefficient"]),
     ("from_terms_keeps_the_last", "forms", "acc[idx] = acc[idx] + rat if idx in acc else rat",
      "acc[idx] = rat", ["test_parsing.py::test_form_sum_and_signs"]),
+    ("coefficient_type_unchecked", "forms", "elif not isinstance(rat, RationalFn):",
+     "elif False:", ["test_forms.py::test_diffform_refuses_what_is_not_a_form"]),
     ("fedder_bound_p_minus_2", "fsplit", "good = pow(f, p - 1, p)",
      "good = pow(f, p - 1, p - 1)",
      ["test_fsplit.py::test_fermat_split_char_7", "test_fsplit.py::test_hyperplane_always_splits",
@@ -387,13 +391,19 @@ ROWS = [
      ["test_poly.py::test_poly_and_rational_fn_are_unhashable"]),
     ("names_of_any_length", "poly", "if len(varnames) != nvars:", "if False:",
      ["test_projective.py::test_names_of_the_wrong_length_are_refused"]),
-    ("strings_star_the_lone_factor", "poly", "[factor[d], *[heads[a] + m",
-     "[heads[d], *[heads[a] + m",
+    ("strings_star_the_lone_factor", "poly", "[factor[d], *[head[a] + m",
+     "[head[d], *[head[a] + m",
+     ["test_poly.py::test_monomials_upto_is_sorted_graded_lex"]),
+    ("graded_lex_drops_the_tail_splice", "poly", ",\n             *by_degree[d]] for d", "] for d",
      ["test_poly.py::test_monomials_upto_is_sorted_graded_lex"]),
     ("rank_suffix_one_field_high", "poly", "r -= m >> WIDTH * nvars & _FIELD",
      "r -= m >> WIDTH * (nvars + 1) & _FIELD",
      ["test_poly.py::test_packed_rank_is_the_index_in_packed_upto"]),
-    ("graded_lex_ascending", "poly", "for a in range(d, -1, -1)", "for a in range(d + 1)",
+    ("graded_lex_ascending", "poly",
+     "[factor[d], *[head[a] + m for a in range(d - 1, 0, -1) for m in by_degree[d - a]],\n"
+     "             *by_degree[d]]",
+     "[*by_degree[d], *[head[a] + m for a in range(1, d) for m in by_degree[d - a]],\n"
+     "             factor[d]]",
      ["test_poly.py::test_monomials_upto_is_sorted_graded_lex",
       "test_projective.py::test_fermat_section_space"]),
     ("coefficient_glued_to_monomial", "poly", 'parts.append(cs + "*" + mono)',

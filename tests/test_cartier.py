@@ -1,6 +1,7 @@
 """Tests for the trace map on top forms and the inverse Cartier operator."""
 
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from frobtrace.cartier import trace_by_direct_rule
 from frobtrace.checks import FIELDS, random_poly, random_top_form
 from frobtrace import (
     DiffForm,
+    DivisorSpec,
     FiniteField,
     Poly,
     RationalFn,
@@ -17,8 +19,10 @@ from frobtrace import (
     inverse_cartier,
     parse_form,
     parse_poly,
+    pe_twist,
     trace_by_decomposition,
     trace_iterated,
+    trace_matrix,
     trace_poly_top,
     trace_rational_top,
 )
@@ -276,7 +280,16 @@ def test_decomposition_oracle_over_extension_fields():
 
 
 def test_trace_exponent_validation():
-    with pytest.raises(ValueError, match="^trace exponent must be positive$"):
-        trace_poly_top(Poly.one(F2, 2), 0)
-    with pytest.raises(ValueError, match="^trace exponent must be positive$"):
-        trace_iterated(TopForm(F2, 2, RationalFn(Poly.one(F2, 2))), 0)
+    """Each trace, the twist and the trace matrix refuse an exponent that
+    is not an int first, a bool or an integral float included, and then
+    one below 1: a float e would reach p^e and name the hyperplane
+    multiplicity 9.0 it makes, and e = True would build a map."""
+    form = TopForm(F3, 2, RationalFn(Poly.one(F3, 2)))
+    E, D = DivisorSpec(F3, 2), DivisorSpec(F3, 2, k=3)
+    cases = [(0, "must be positive"), *((e, f"{re.escape(repr(e))} must be an integer")
+                                        for e in (2.0, True, 0.0, "1"))]
+    for e, refusal in cases:
+        for trace, *args in ((trace_poly_top, Poly.one(F3, 2)), (trace_iterated, form),
+                             (pe_twist, D, E), (trace_matrix, E, D)):
+            with pytest.raises(ValueError, match=f"^trace exponent {refusal}$"):
+                trace(*args, e)

@@ -216,6 +216,8 @@ def test_scale_multiplies_every_coefficient():
     (2, 2, {(0, 1): RationalFn(Poly.one(F3, 2))}, "coefficient from a different context"),
     (2, 2, {(0, 1): RationalFn(Poly.one(F2, 3))}, "coefficient from a different context"),
     (1, 2, None, "form degree 2 out of range for 1 variable"),
+    *((2, 2, {(0, 1): coeff}, f"coefficient {coeff!r} is neither a Poly nor a RationalFn")
+      for coeff in (F2.one, 2, "x", None)),
 ])
 def test_diffform_refuses_what_is_not_a_form(nvars, degree, coeffs, message):
     with pytest.raises(ValueError) as exc:

@@ -1000,15 +1000,26 @@ def test_shared_hypersurface_merges_in_twist():
 def test_names_of_the_wrong_length_are_refused():
     """A list of names that does not name each variable is refused with
     ValueError, not cut short or read past: by Poly.to_string, also for
-    zero, by monomial_strings_upto, and by the JSON of a space and of a
-    map, where ``varnames`` names the n + 1 variables of P^n."""
+    zero, by monomial_string and monomial_strings_upto, by a form, also
+    zero, by a divisor, also one with no hypersurface to print them in,
+    and by the JSON of a space and of a map, where ``varnames`` names the
+    n + 1 variables of P^n."""
     f = parse_poly("x^2*z+y*z^2", F2, XYZ)
     with pytest.raises(ValueError, match="^2 variable names for 3 variables$"):
         f.to_string(["x", "y"])
     with pytest.raises(ValueError, match="^4 variable names for 3 variables$"):
         Poly.zero(F2, 3).to_string(XYZW)
+    with pytest.raises(ValueError, match="^2 variable names for 3 variables$"):
+        poly_module.monomial_string((1, 2, 3), ["x", "y"])
     with pytest.raises(ValueError, match="^3 variable names for 2 variables$"):
         poly_module.monomial_strings_upto(2, 1, XYZ)
+    for coeff in (Poly.one(F2, 2), Poly.zero(F2, 2)):
+        with pytest.raises(ValueError, match="^1 variable names for 2 variables$"):
+            TopForm(F2, 2, coeff).to_string(["x"])
+    with pytest.raises(ValueError, match="^3 variable names for 2 variables$"):
+        DivisorSpec(F2, 1, k=2).to_string(XYZ)
+    with pytest.raises(ValueError, match="^2 variable names for 3 variables$"):
+        DivisorSpec(F2, 2, [(f, 1)]).to_string(["x", "y"])
     space = section_space(DivisorSpec(F2, 2, k=4))
     t = trace_matrix(DivisorSpec(F2, 2), DivisorSpec(F2, 2, k=4), 1)
     assert space.dim == t.tgt.dim == 3
